@@ -28,7 +28,15 @@ polytope = OrderPolytope(poset)
 # numerator.  Counting never touches geometry; closed dilate counts are
 # order-preserving maps into a chain.
 print("dilate counts:", [count_points(polytope, n) for n in range(5)])
-print("Ehrhart polynomial:", ehrhart_polynomial(polytope))
+# The Ehrhart polynomial is held by those counts at n = 0..d and their
+# forward differences (its coordinates in the binomial basis C(n, k)); it
+# evaluates exactly anywhere, and at -n it counts interior points.
+ehr = ehrhart_polynomial(polytope)
+print("Ehrhart values at n = 0..d:  ", list(ehr.values))
+print("forward differences:         ", list(ehr.differences))
+print("L(-n) for n = 1..4:           ", [ehr(-n) for n in range(1, 5)])
+interior = [count_points(polytope, n, interior=True) for n in range(1, 5)]
+print("interior counts, n = 1..4:   ", interior)
 print("h* from counts:   ", h_star(polytope).coeffs)
 
 # Route 2: sum z^descents over the linear extensions of the poset.

@@ -1,8 +1,10 @@
 """Exact h*-vectors, order polytopes, chromatic series and their symmetric
 decompositions, with an exhaustive/random conjecture-hunting harness.
 
-All arithmetic is exact (arbitrary-precision integers and rationals); no
-floating point anywhere.
+All arithmetic is exact and lives in one integer domain: counting
+polynomials are held by their integer values at n = 0..d, numerators by
+their integer coefficients.  Rationals appear only in the bounding-box
+derivation of H-representation polytopes; there is no floating point.
 """
 
 from .decomp import (
@@ -52,8 +54,8 @@ from .harness import (
     verify_all,
 )
 from .polynomial import (
+    CountingPolynomial,
     IntPolynomial,
-    RatPolynomial,
     expand_series,
     f_to_h,
     interpolate,
@@ -74,6 +76,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded",
+    "CountingPolynomial",
     "Graph",
     "HRepPolytope",
     "HstarError",
@@ -83,7 +86,6 @@ __all__ = [
     "OrderPolytope",
     "Orientation",
     "Poset",
-    "RatPolynomial",
     "SignViolation",
     "Simplex",
     "Summary",

@@ -181,6 +181,8 @@ def cmd_verify(args) -> int:
         _emit(summary.to_record(), args.format)
     else:
         print(summary.line())
+    if summary.checks_run == 0:
+        raise InvalidInput("no check ran: every selected check was skipped or inapplicable")
     return 0 if summary.failures == 0 else 1
 
 
@@ -260,10 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args) -> None:
+    """Reject option values that parse but make no sense."""
+    if args.budget is not None and args.budget < 0:
+        raise InvalidInput(f"--budget must be nonnegative, got {args.budget}")
+    time_limit = getattr(args, "time_limit", None)
+    if time_limit is not None and not time_limit >= 0:
+        raise InvalidInput(f"--time-limit must be nonnegative, got {time_limit}")
+    probability = getattr(args, "relation_probability", 0)
+    if not 0 <= probability <= 1:
+        raise InvalidInput(f"--relation-probability must lie in [0, 1], got {probability}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.fn(args)
     except HstarError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,44 +2,58 @@
 
 Three kinds of polytope are supported: order polytopes of posets (counted
 combinatorially through order-preserving maps, never through geometry),
-lattice simplices (exact barycentric membership), and bounded
-H-representation polytopes (bounding-box enumeration).  Everything is
-integer or rational arithmetic.
+lattice simplices (exact barycentric membership through an integer
+adjugate), and bounded H-representation polytopes (bounding-box
+enumeration).  Counts, Ehrhart polynomials and h* are integer arithmetic;
+only the H-representation box derivation uses rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import ceil, floor
 from pathlib import Path
 from typing import Sequence
 
 from .budget import charge
 from .errors import InternalConsistencyError, InvalidInput
-from .polynomial import IntPolynomial, RatPolynomial, interpolate, reverse
-from .poset import Poset, order_map_counts
+from .polynomial import (
+    CountingPolynomial,
+    IntPolynomial,
+    interpolate,
+    reverse,
+    series_numerator,
+)
+from .poset import Poset, order_map_counts, parse_ints
 
 
-def _invert(matrix: list[list[Fraction]]) -> tuple[Fraction, list[list[Fraction]]]:
-    """Exact (det, inverse) of a square rational matrix by Gauss-Jordan."""
+def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(D, R) with matrix @ R = D * I and D = +-det, by fraction-free
+    (Bareiss) Gauss-Jordan elimination; D = 0 when the matrix is singular.
+
+    Every division is exact, so everything stays integral.  The identity
+    is re-checked on the result.
+    """
     n = len(matrix)
-    a = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    det = Fraction(1)
+    a = [row[:] + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
-            return Fraction(0), []
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv_p = Fraction(1) / a[col][col]
-        a[col] = [x * inv_p for x in a[col]]
+            return 0, []
+        a[col], a[pivot] = a[pivot], a[col]
+        p = a[col][col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det, [row[n:] for row in a]
+            if r != col:
+                f = a[r][col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[col])]
+        prev = p
+    adj = [row[n:] for row in a]
+    for i, row in enumerate(matrix):
+        for j in range(n):
+            if sum(row[k] * adj[k][j] for k in range(n)) != (prev if i == j else 0):
+                raise InternalConsistencyError("fraction-free elimination broke A adj = det I")
+    return prev, adj
 
 
 class OrderPolytope:
@@ -85,7 +99,7 @@ class Simplex:
     adj(A) @ (x, n) is coordinatewise >= 0 (> 0 for the interior).
     """
 
-    __slots__ = ("vertices", "_adj", "_det")
+    __slots__ = ("vertices", "_adj")
 
     def __init__(self, vertices: Sequence[Sequence[int]]) -> None:
         verts = tuple(tuple(int(c) for c in v) for v in vertices)
@@ -97,19 +111,15 @@ class Simplex:
         if len(verts) != d + 1:
             raise InvalidInput(f"a {d}-simplex needs exactly {d + 1} vertices")
         self.vertices = verts
-        a = [[Fraction(verts[k][i]) for k in range(d + 1)] for i in range(d)]
-        a.append([Fraction(1)] * (d + 1))
-        det, inv = _invert(a)
+        a = [[verts[k][i] for k in range(d + 1)] for i in range(d)]
+        a.append([1] * (d + 1))
+        det, adj = _adjugate(a)
         if det == 0:
             raise InvalidInput("vertices are affinely dependent")
-        # scale the inverse by |det| so that membership reduces to integer
-        # sign tests: mu * |det| = adj @ (x, n) and mu >= 0 iff adj @ (x, n) >= 0
-        det = abs(det)
-        adj = [[x * det for x in row] for row in inv]
-        if any(x.denominator != 1 for row in adj for x in row):
-            raise InternalConsistencyError("adjugate of an integer matrix must be integral")
-        self._adj = [[x.numerator for x in row] for row in adj]
-        self._det = det.numerator
+        # adj / det is the inverse, so with adj scaled by the sign of det,
+        # membership reduces to integer sign tests: mu * |det| = adj @ (x, n)
+        # and mu >= 0 iff adj @ (x, n) >= 0
+        self._adj = adj if det > 0 else [[-x for x in row] for row in adj]
 
     @property
     def dim(self) -> int:
@@ -319,14 +329,20 @@ def _closed_counts(polytope: LatticePolytope, budget: int | None) -> list[int]:
     return [polytope.count_points(n, budget=budget) for n in range(d + 1)]
 
 
-def ehrhart_polynomial(polytope: LatticePolytope, *, budget: int | None = None) -> RatPolynomial:
-    """Interpolate closed dilate counts at n = 0..d; degree is exactly d."""
+def ehrhart_polynomial(
+    polytope: LatticePolytope, *, budget: int | None = None
+) -> CountingPolynomial:
+    """The Ehrhart polynomial, held by the closed dilate counts at n = 0..d.
+
+    Its d-th forward difference is d! times the leading coefficient, the
+    normalized volume; it must be positive, so the degree is exactly d.
+    """
     d = polytope.dim
-    ehr = interpolate(list(enumerate(_closed_counts(polytope, budget))))
-    if d > 0 and (ehr.degree != d or ehr.leading_coefficient() <= 0):
+    ehr = interpolate(_closed_counts(polytope, budget))
+    if d > 0 and ehr.differences[d] <= 0:
         raise InternalConsistencyError(
-            f"Ehrhart polynomial {ehr!r} lacks degree {d} with positive leading "
-            "coefficient; declared dimension is wrong or the polytope is degenerate"
+            f"normalized volume {ehr.differences[d]} is not positive; "
+            "declared dimension is wrong or the polytope is degenerate"
         )
     return ehr
 
@@ -334,28 +350,10 @@ def ehrhart_polynomial(polytope: LatticePolytope, *, budget: int | None = None) 
 def h_star(polytope: LatticePolytope, *, budget: int | None = None) -> IntPolynomial:
     """h*-polynomial: series numerator of the Ehrhart polynomial.
 
-    Equals series_numerator(ehrhart_polynomial(P), d) but works on the raw
-    integer counts (the numerator formula only reads the values at n = 0..d),
-    which keeps corpus sweeps out of rational arithmetic.  Validates
-    h*_0 = 1 and nonnegativity, which hold for every lattice polytope; a
-    violation means the input was not what it claimed to be.
+    Validates h*_0 = 1 and nonnegativity, which hold for every lattice
+    polytope; a violation means the input was not what it claimed to be.
     """
-    d = polytope.dim
-    counts = _closed_counts(polytope, budget)
-    if d > 0:
-        # d-th finite difference = d! * leading Ehrhart coefficient
-        volume = sum((-1) ** (d - k) * comb(d, k) * counts[k] for k in range(d + 1))
-        if volume <= 0:
-            raise InternalConsistencyError(
-                f"normalized volume {volume} is not positive; "
-                "declared dimension is wrong or the polytope is degenerate"
-            )
-    h = IntPolynomial(
-        [
-            sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
-            for j in range(d + 1)
-        ]
-    )
+    h = series_numerator(ehrhart_polynomial(polytope, budget=budget), polytope.dim)
     if h[0] != 1:
         raise InternalConsistencyError(f"h*_0 = {h[0]}, expected 1")
     if not h.is_nonnegative():
@@ -397,12 +395,12 @@ def parse_polytope(text: str, base_dir: str | Path | None = None) -> LatticePoly
     if kind == "simplex":
         if len(head) != 2:
             raise InvalidInput("simplex header must be 'simplex <d>'")
-        d = int(head[1])
+        (d,) = parse_ints(head[1:], lines[0])
         if len(lines) != d + 2:
             raise InvalidInput(f"simplex in dimension {d} needs {d + 1} vertex lines")
         vertices = []
         for ln in lines[1:]:
-            coords = [int(tok) for tok in ln.split()]
+            coords = parse_ints(ln.split(), ln)
             if len(coords) != d:
                 raise InvalidInput(f"vertex line {ln!r} must have {d} integers")
             vertices.append(coords)
@@ -410,11 +408,11 @@ def parse_polytope(text: str, base_dir: str | Path | None = None) -> LatticePoly
     if kind == "hrep":
         if len(head) != 3:
             raise InvalidInput("hrep header must be 'hrep <d> <k>'")
-        d, k = int(head[1]), int(head[2])
+        d, k = parse_ints(head[1:], lines[0])
         body = lines[1:]
         box = None
         if body and body[-1].startswith("box"):
-            parts = [int(tok) for tok in body[-1].split()[1:]]
+            parts = parse_ints(body[-1].split()[1:], body[-1])
             if len(parts) != 2 * d:
                 raise InvalidInput("box line must have 2d integers")
             box = (parts[:d], parts[d:])
@@ -423,7 +421,7 @@ def parse_polytope(text: str, base_dir: str | Path | None = None) -> LatticePoly
             raise InvalidInput(f"expected {k} inequality lines, found {len(body)}")
         rows = []
         for ln in body:
-            nums = [int(tok) for tok in ln.split()]
+            nums = parse_ints(ln.split(), ln)
             if len(nums) != d + 1:
                 raise InvalidInput(f"inequality line {ln!r} must have {d + 1} integers")
             rows.append((nums[:d], nums[d]))

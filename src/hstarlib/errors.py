@@ -6,8 +6,8 @@ class HstarError(Exception):
 
 
 class InvalidInput(HstarError):
-    """Malformed or mathematically inadmissible input (bad file, cyclic
-    relation, duplicate interpolation node, ...)."""
+    """Malformed or mathematically inadmissible input (bad file or token,
+    cyclic relation, out-of-range option value, ...)."""
 
 
 class BudgetExceeded(HstarError):

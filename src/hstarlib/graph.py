@@ -13,8 +13,8 @@ from typing import Iterable, Iterator
 
 from .budget import charge
 from .errors import InvalidInput
-from .polynomial import RatPolynomial, interpolate
-from .poset import Poset, order_map_counts
+from .polynomial import CountingPolynomial, IntPolynomial, interpolate
+from .poset import Poset, order_map_counts, read_pair_file
 
 
 class Graph:
@@ -54,27 +54,7 @@ class Graph:
     @classmethod
     def from_text(cls, text: str) -> "Graph":
         """Parse the shared graph format: `p <d> <m>` then m lines `e i j`."""
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("c")]
-        if not lines or not lines[0].startswith("p "):
-            raise InvalidInput("graph file must start with a 'p <d> <m>' header")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise InvalidInput(f"malformed graph header {lines[0]!r}")
-        try:
-            d, m = int(head[1]), int(head[2])
-        except ValueError as exc:
-            raise InvalidInput(f"malformed graph header {lines[0]!r}") from exc
-        body = lines[1:]
-        if len(body) != m:
-            raise InvalidInput(f"expected {m} edge lines, found {len(body)}")
-        edges = []
-        for ln in body:
-            parts = ln.split()
-            if len(parts) != 3 or parts[0] != "e":
-                raise InvalidInput(f"malformed edge line {ln!r}")
-            edges.append((int(parts[1]), int(parts[2])))
-        return cls(d, edges)
+        return cls(*read_pair_file(text, "graph", "e"))
 
     def to_text(self) -> str:
         out = [f"p {self.d} {len(self.edges)}"]
@@ -167,7 +147,7 @@ def count_proper_colorings(
     return total
 
 
-def chromatic_polynomial(graph: Graph) -> RatPolynomial:
+def chromatic_polynomial(graph: Graph) -> IntPolynomial:
     """Chromatic polynomial by deletion-contraction, exact.
 
     Recursion keys on the lexicographically first remaining edge;
@@ -197,21 +177,19 @@ def chromatic_polynomial(graph: Graph) -> RatPolynomial:
             out[k] -= c
         return out
 
-    return RatPolynomial(chi(graph.d, graph.edges))
+    return IntPolynomial(chi(graph.d, graph.edges))
 
 
-def chromatic_via_orientations(graph: Graph) -> RatPolynomial:
+def chromatic_via_orientations(graph: Graph) -> CountingPolynomial:
     """Chromatic polynomial as the sum of strict order polynomials over all
     acyclic orientations; must agree with deletion-contraction.
 
-    The strict map counts are summed orientation-wise and interpolated once
-    at the shared nodes n = 0..d, which is the same polynomial as summing
-    the per-orientation interpolants (interpolation is linear in the
-    values).
+    The strict map counts at n = 0..d are summed orientation-wise; the sums
+    are the values of chi at those nodes, which fix it (degree d).
     """
     d = graph.d
     totals = [0] * (d + 1)
     for rho in acyclic_orientations(graph):
         counts = order_map_counts(orientation_poset(graph, rho), d, strict=True)
         totals = [t + c for t, c in zip(totals, counts)]
-    return interpolate(list(enumerate(totals)))
+    return interpolate(totals)

@@ -247,12 +247,20 @@ class Summary:
         }
 
 
-def _coeff_strings(p) -> list[str]:
-    return [str(c) for c in p.coeffs]
+def _verdict(
+    name: str, ok: bool, detail: str, witnesses: dict[str, Sequence[int]]
+) -> CheckResult:
+    """A bare pass, or a failure carrying ``detail`` and the witnesses'
+    integers as decimal strings."""
+    if ok:
+        return CheckResult(name, True)
+    return CheckResult(
+        name, False, detail, {key: [str(c) for c in w] for key, w in witnesses.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
-# per-input contexts (cache the expensive intermediates, apply mutation)
+# per-input context (caches the numerator, applies mutation)
 
 
 def _flip_leading(p: IntPolynomial) -> IntPolynomial:
@@ -262,196 +270,140 @@ def _flip_leading(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-class _PosetContext:
-    kind = "poset"
+class _Context:
+    """One corpus item, its kind and its numerator, computed once."""
 
-    def __init__(self, poset: Poset, budget: int | None, mutate: bool):
-        self.poset = poset
-        self.d = poset.d
+    def __init__(self, item, budget: int | None, mutate: bool):
+        if isinstance(item, OrderPolytope):
+            item = item.poset  # order polytopes get the full poset check set
+        if isinstance(item, Poset):
+            self.kind = "poset"
+        elif isinstance(item, Graph):
+            self.kind = "graph"
+        elif isinstance(item, (Simplex, HRepPolytope)):
+            self.kind = "polytope"
+        else:
+            raise InvalidInput(f"unsupported corpus item {item!r}")
+        self.item = item
+        self.d = item.dim if self.kind == "polytope" else item.d
         self.budget = budget
         self.mutate = mutate
-        self._hstar: IntPolynomial | None = None
+        self._numerator: IntPolynomial | None = None
 
     def input_text(self) -> str:
-        return self.poset.to_text()
+        return self.item.to_text()
 
-    def hstar(self) -> IntPolynomial:
-        """h* of the order polytope via interpolated counts (the mutation
-        target for the self-test)."""
-        if self._hstar is None:
-            hs = h_star(OrderPolytope(self.poset), budget=self.budget)
-            self._hstar = _flip_leading(hs) if self.mutate else hs
-        return self._hstar
-
-
-class _GraphContext:
-    kind = "graph"
-
-    def __init__(self, graph: Graph, budget: int | None, mutate: bool):
-        self.graph = graph
-        self.d = graph.d
-        self.budget = budget
-        self.mutate = mutate
-        self._h_g: IntPolynomial | None = None
-
-    def input_text(self) -> str:
-        return self.graph.to_text()
-
-    def h_g(self) -> IntPolynomial:
-        if self._h_g is None:
-            hg = decomp.graph_numerator(self.graph, budget=self.budget)
-            self._h_g = _flip_leading(hg) if self.mutate else hg
-        return self._h_g
-
-
-class _PolytopeContext:
-    kind = "polytope"
-
-    def __init__(self, polytope, budget: int | None, mutate: bool):
-        self.polytope = polytope
-        self.d = polytope.dim
-        self.budget = budget
-        self.mutate = mutate
-        self._hstar: IntPolynomial | None = None
-
-    def input_text(self) -> str:
-        return self.polytope.to_text()
-
-    def hstar(self) -> IntPolynomial:
-        if self._hstar is None:
-            hs = h_star(self.polytope, budget=self.budget)
-            self._hstar = _flip_leading(hs) if self.mutate else hs
-        return self._hstar
+    def numerator(self) -> IntPolynomial:
+        """h_G of a graph, otherwise h* from the closed dilate counts (of
+        the order polytope for a poset); the mutation target for the
+        self-test."""
+        if self._numerator is None:
+            if self.kind == "graph":
+                p = decomp.graph_numerator(self.item, budget=self.budget)
+            else:
+                polytope = OrderPolytope(self.item) if self.kind == "poset" else self.item
+                p = h_star(polytope, budget=self.budget)
+            self._numerator = _flip_leading(p) if self.mutate else p
+        return self._numerator
 
 
 # ---------------------------------------------------------------------------
 # the checks
 
 
-def _check_hstar3way(ctx: _PosetContext) -> CheckResult:
-    counts_route = ctx.hstar()
-    descent_route = descent_h_star(ctx.poset)
-    chain_route = f_to_h(ideal_chain_f_vector(ctx.poset, budget=ctx.budget), ctx.d)
-    ok = counts_route == descent_route == chain_route
-    return CheckResult(
+def _check_hstar3way(ctx: _Context) -> CheckResult:
+    counts_route = ctx.numerator()
+    descent_route = descent_h_star(ctx.item)
+    chain_route = f_to_h(ideal_chain_f_vector(ctx.item, budget=ctx.budget), ctx.d)
+    return _verdict(
         "hstar3way",
-        ok,
-        "" if ok else "h* routes disagree",
-        {}
-        if ok
-        else {
-            "hstar_counts": _coeff_strings(counts_route),
-            "hstar_descents": _coeff_strings(descent_route),
-            "hstar_ideal_chains": _coeff_strings(chain_route),
+        counts_route == descent_route == chain_route,
+        "h* routes disagree",
+        {
+            "hstar_counts": counts_route.coeffs,
+            "hstar_descents": descent_route.coeffs,
+            "hstar_ideal_chains": chain_route.coeffs,
         },
     )
 
 
-def _check_reciprocity(ctx: _PosetContext) -> CheckResult:
+def _check_reciprocity(ctx: _Context) -> CheckResult:
     d = ctx.d
-    polytope = OrderPolytope(ctx.poset)
+    polytope = OrderPolytope(ctx.item)
     interior = polytope.count_series(d + 2, interior=True, budget=ctx.budget)
-    expansion = expand_series(open_numerator(ctx.hstar(), d), d, d + 2)
+    expansion = expand_series(open_numerator(ctx.numerator(), d), d, d + 2)
     counts_ok = interior[1:] == expansion[1:]
-    weak = order_polynomial(ctx.poset, budget=ctx.budget)
-    strict = order_polynomial(ctx.poset, strict=True, budget=ctx.budget)
+    weak = order_polynomial(ctx.item, budget=ctx.budget)
+    strict = order_polynomial(ctx.item, strict=True, budget=ctx.budget)
     poly_ok = all(strict(n) == (-1) ** d * weak(-n) for n in range(1, d + 3))
-    ok = counts_ok and poly_ok
-    detail = "" if ok else ("interior counts mismatch" if not counts_ok else "order reciprocity fails")
-    return CheckResult(
+    return _verdict(
         "reciprocity",
-        ok,
-        detail,
-        {}
-        if ok
-        else {
-            "interior_counts": [str(c) for c in interior],
-            "series_expansion": [str(c) for c in expansion],
-            "hstar": _coeff_strings(ctx.hstar()),
+        counts_ok and poly_ok,
+        "interior counts mismatch" if not counts_ok else "order reciprocity fails",
+        {
+            "interior_counts": interior,
+            "series_expansion": expansion,
+            "hstar": ctx.numerator().coeffs,
         },
     )
 
 
-def _check_thm11(ctx: _PosetContext | _PolytopeContext) -> CheckResult:
-    a_p, b_p = decomp.open_decomposition(ctx.hstar(), ctx.d)
-    ok = a_p.is_nonnegative() and b_p.is_nonnegative()
-    return CheckResult(
+def _check_thm11(ctx: _Context) -> CheckResult:
+    a_p, b_p = decomp.open_decomposition(ctx.numerator(), ctx.d)
+    return _verdict(
         "thm1.1",
-        ok,
-        "" if ok else "negative coefficient in the open decomposition",
-        {}
-        if ok
-        else {
-            "hstar": _coeff_strings(ctx.hstar()),
-            "a_P": _coeff_strings(a_p),
-            "b_P": _coeff_strings(b_p),
-        },
+        a_p.is_nonnegative() and b_p.is_nonnegative(),
+        "negative coefficient in the open decomposition",
+        {"hstar": ctx.numerator().coeffs, "a_P": a_p.coeffs, "b_P": b_p.coeffs},
     )
 
 
-def _check_thm12(ctx: _PosetContext) -> CheckResult:
-    a_pi, b_pi = decomp.order_decomposition(ctx.hstar(), ctx.d)
-    ok = (-a_pi).is_nonnegative() and b_pi.is_nonnegative()
-    return CheckResult(
+def _check_thm12(ctx: _Context) -> CheckResult:
+    a_pi, b_pi = decomp.order_decomposition(ctx.numerator(), ctx.d)
+    return _verdict(
         "thm1.2",
-        ok,
-        "" if ok else "sign failure in the order decomposition",
-        {}
-        if ok
-        else {
-            "hstar": _coeff_strings(ctx.hstar()),
-            "a_Pi": _coeff_strings(a_pi),
-            "b_Pi": _coeff_strings(b_pi),
-        },
+        (-a_pi).is_nonnegative() and b_pi.is_nonnegative(),
+        "sign failure in the order decomposition",
+        {"hstar": ctx.numerator().coeffs, "a_Pi": a_pi.coeffs, "b_Pi": b_pi.coeffs},
     )
 
 
-def _check_conj62(ctx: _PosetContext) -> CheckResult:
+def _check_conj62(ctx: _Context) -> CheckResult:
     if ctx.d == 0:
         return CheckResult("conj6.2", None, "skipped: degenerate at d = 0")
-    numerator = open_numerator(ctx.hstar(), ctx.d)
+    numerator = open_numerator(ctx.numerator(), ctx.d)
     if numerator[0] != 0:
         raise InvalidInput("open numerator must be divisible by z")
     p = IntPolynomial(numerator.coeffs[1:])
     dec = decomp.ab_decompose(p, ctx.d)
-    ok = (-dec.a).is_nonnegative() and dec.b_nonneg
-    return CheckResult(
+    return _verdict(
         "conj6.2",
-        ok,
-        "" if ok else "sign failure in the strict-series decomposition",
-        {}
-        if ok
-        else {
-            "p_Pi": _coeff_strings(p),
-            "a": _coeff_strings(dec.a),
-            "b": _coeff_strings(dec.b),
-        },
+        (-dec.a).is_nonnegative() and dec.b_nonneg,
+        "sign failure in the strict-series decomposition",
+        {"p_Pi": p.coeffs, "a": dec.a.coeffs, "b": dec.b.coeffs},
     )
 
 
-def _check_thm13(ctx: _GraphContext) -> CheckResult:
-    a, b = decomp.graph_decomposition(ctx.graph, budget=ctx.budget)
-    ok = (-a).is_nonnegative() and b.is_nonnegative()
-    return CheckResult(
+def _check_thm13(ctx: _Context) -> CheckResult:
+    a, b = decomp.graph_decomposition(ctx.item, budget=ctx.budget)
+    return _verdict(
         "thm1.3",
-        ok,
-        "" if ok else "sign failure in the chromatic-series decomposition",
-        {}
-        if ok
-        else {"a": _coeff_strings(a), "b": _coeff_strings(b)},
+        (-a).is_nonnegative() and b.is_nonnegative(),
+        "sign failure in the chromatic-series decomposition",
+        {"a": a.coeffs, "b": b.coeffs},
     )
 
 
-def _check_thm14(ctx: _GraphContext) -> CheckResult:
-    h = ctx.h_g()
+def _check_thm14(ctx: _Context) -> CheckResult:
+    h = ctx.numerator()
     d = ctx.d
     problems = []
     if h.degree != d:
         problems.append(f"degree {h.degree} != {d}")
     if not h.is_nonnegative():
         problems.append("negative coefficient")
-    orientations = count_acyclic_orientations(ctx.graph)
-    chi_at_minus_one = (-1) ** d * chromatic_polynomial(ctx.graph)(-1)
+    orientations = count_acyclic_orientations(ctx.item)
+    chi_at_minus_one = (-1) ** d * chromatic_polynomial(ctx.item)(-1)
     if h[d] != orientations or orientations != chi_at_minus_one:
         problems.append(
             f"leading {h[d]} vs {orientations} orientations vs (-1)^d chi(-1) = {chi_at_minus_one}"
@@ -459,64 +411,51 @@ def _check_thm14(ctx: _GraphContext) -> CheckResult:
     bad = [line for line in decomp.inequality_report(h, d, "theorem4") if not line.holds]
     if bad:
         problems.append(f"inequality fails at i = {[line.i for line in bad]}")
-    ok = not problems
-    return CheckResult(
-        "thm1.4",
-        ok,
-        "; ".join(problems),
-        {} if ok else {"h_G": _coeff_strings(h)},
-    )
+    return _verdict("thm1.4", not problems, "; ".join(problems), {"h_G": h.coeffs})
 
 
-def _check_conj61(ctx: _GraphContext) -> CheckResult:
+def _check_conj61(ctx: _Context) -> CheckResult:
     if ctx.d == 0:
         return CheckResult("conj6.1", None, "skipped: degenerate at d = 0")
-    dec = decomp.ab_decompose(ctx.h_g(), ctx.d)
-    ok = (-dec.a).is_nonnegative() and dec.b_nonneg
-    return CheckResult(
+    dec = decomp.ab_decompose(ctx.numerator(), ctx.d)
+    return _verdict(
         "conj6.1",
-        ok,
-        "" if ok else "sign failure in the h_G decomposition",
-        {}
-        if ok
-        else {
-            "h_G": _coeff_strings(ctx.h_g()),
-            "a": _coeff_strings(dec.a),
-            "b": _coeff_strings(dec.b),
-        },
+        (-dec.a).is_nonnegative() and dec.b_nonneg,
+        "sign failure in the h_G decomposition",
+        {"h_G": ctx.numerator().coeffs, "a": dec.a.coeffs, "b": dec.b.coeffs},
     )
 
 
-def _check_conj64(ctx: _GraphContext) -> CheckResult:
-    lines = decomp.inequality_report(ctx.h_g(), ctx.d, "conjecture64")
+def _check_conj64(ctx: _Context) -> CheckResult:
+    lines = decomp.inequality_report(ctx.numerator(), ctx.d, "conjecture64")
     bad = [line for line in lines if not line.holds]
-    ok = not bad
-    return CheckResult(
+    return _verdict(
         "conj6.4",
-        ok,
-        "" if ok else f"inequality fails at i = {[line.i for line in bad]}",
-        {} if ok else {"h_G": _coeff_strings(ctx.h_g())},
+        not bad,
+        f"inequality fails at i = {[line.i for line in bad]}",
+        {"h_G": ctx.numerator().coeffs},
     )
 
 
-def _check_chromatic3(ctx: _GraphContext) -> CheckResult:
-    dc = chromatic_polynomial(ctx.graph)
-    via = chromatic_via_orientations(ctx.graph)
+def _check_chromatic3(ctx: _Context) -> CheckResult:
+    dc = chromatic_polynomial(ctx.item)
+    via = chromatic_via_orientations(ctx.item)
     if dc != via:
-        return CheckResult(
+        # the orientation route is held by its values at n = 0..d
+        return _verdict(
             "chromatic3",
             False,
             "deletion-contraction and orientation sum disagree",
-            {"chi_dc": [str(c) for c in dc.coeffs], "chi_ao": [str(c) for c in via.coeffs]},
+            {"chi_dc": dc.coeffs, "chi_ao_values": via.values},
         )
     for n in range(5):
-        brute = count_proper_colorings(ctx.graph, n, budget=ctx.budget)
+        brute = count_proper_colorings(ctx.item, n, budget=ctx.budget)
         if dc(n) != brute:
-            return CheckResult(
+            return _verdict(
                 "chromatic3",
                 False,
                 f"chi({n}) = {dc(n)} but brute force counts {brute}",
-                {"chi_dc": [str(c) for c in dc.coeffs]},
+                {"chi_dc": dc.coeffs},
             )
     return CheckResult("chromatic3", True)
 
@@ -542,18 +481,6 @@ _POLYTOPE_CHECKS = {
 }
 
 ALL_CHECKS = tuple(sorted({*_POSET_CHECKS, *_GRAPH_CHECKS, *_POLYTOPE_CHECKS}))
-
-
-def _context_for(item, budget, mutate):
-    if isinstance(item, OrderPolytope):
-        item = item.poset  # order polytopes get the full poset check set
-    if isinstance(item, Poset):
-        return _PosetContext(item, budget, mutate)
-    if isinstance(item, Graph):
-        return _GraphContext(item, budget, mutate)
-    if isinstance(item, (Simplex, HRepPolytope)):
-        return _PolytopeContext(item, budget, mutate)
-    raise InvalidInput(f"unsupported corpus item {item!r}")
 
 
 def verify_all(
@@ -584,7 +511,7 @@ def verify_all(
             raise InvalidInput(f"unknown checks {unknown}; known: {list(ALL_CHECKS)}")
     tables = {"poset": _POSET_CHECKS, "graph": _GRAPH_CHECKS, "polytope": _POLYTOPE_CHECKS}
     for index, item in enumerate(corpus):
-        ctx = _context_for(item, budget, mutate)
+        ctx = _Context(item, budget, mutate)
         table = tables[ctx.kind]
         start = time.perf_counter()
         results = []

@@ -1,14 +1,14 @@
-"""Dense exact polynomial arithmetic and the series transforms built on it.
+"""Exact integer polynomials and the series transforms built on them.
 
-Two coefficient domains: Python ints (arbitrary precision) for numerator
-polynomials such as h*, and ``fractions.Fraction`` for counting polynomials
-in n (Ehrhart, order, chromatic).  Nothing here ever touches floating
-point; every operation is exact.
+One domain, Python ints (arbitrary precision).  Numerator polynomials in z
+(h*, h_G and their splits) are :class:`IntPolynomial` coefficient lists.
+Counting polynomials in n (Ehrhart, order, chromatic via orientations) are
+:class:`CountingPolynomial` value tables at n = 0..d, the form in which the
+counts arrive.  Nothing here touches rationals or floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
@@ -38,11 +38,7 @@ class IntPolynomial:
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cleaned = []
         for c in coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise InvalidInput(f"non-integer coefficient {c}")
-                c = c.numerator
-            elif not isinstance(c, int):
+            if not isinstance(c, int):
                 raise InvalidInput(f"integer coefficient expected, got {c!r}")
             cleaned.append(c)
         self._coeffs = _trim(cleaned)
@@ -117,7 +113,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        """Evaluate by Horner; exact for int or Fraction arguments."""
+        """Evaluate by Horner."""
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * x + c
@@ -141,103 +137,60 @@ class IntPolynomial:
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self._coeffs)
 
-    def to_rational(self) -> "RatPolynomial":
-        return RatPolynomial(self._coeffs)
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self._coeffs)!r})"
 
 
-class RatPolynomial:
-    """Polynomial with exact rational coefficients, stored densely ascending."""
+class CountingPolynomial:
+    """Integer-valued polynomial L in n, held by its values L(0), ..., L(d)
+    and their forward differences Delta^k L(0).
 
-    __slots__ = ("_coeffs",)
+    The differences are L's coordinates in the binomial basis,
+    L(n) = sum_k Delta^k L(0) C(n, k), and are integers because the values
+    are (Stanley, EC1 1.9).  So L evaluates exactly at every integer n,
+    negative n included, without leaving the integers.  Built by
+    :func:`interpolate`.
+    """
 
-    def __init__(self, coeffs: Iterable = ()) -> None:
-        cleaned = []
-        for c in coeffs:
-            if isinstance(c, float):
-                raise InvalidInput("floating point coefficients are not allowed")
-            cleaned.append(Fraction(c))
-        self._coeffs = _trim(cleaned)
+    __slots__ = ("values", "differences")
 
-    @classmethod
-    def zero(cls) -> "RatPolynomial":
-        return cls()
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+    def __init__(self, values: tuple[int, ...], differences: tuple[int, ...]) -> None:
+        self.values = values
+        self.differences = differences
 
     @property
     def degree(self):
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
+        """Degree, or ``NEG_INF`` for the zero polynomial."""
+        nonzero = [k for k, delta in enumerate(self.differences) if delta]
+        return nonzero[-1] if nonzero else NEG_INF
 
-    def __getitem__(self, i: int) -> Fraction:
-        if i < 0:
-            raise IndexError("negative coefficient index")
-        return self._coeffs[i] if i < len(self._coeffs) else Fraction(0)
+    def __call__(self, n: int) -> int:
+        """L(n) for any integer n.
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        C(n, k+1) = C(n, k) (n - k) / (k + 1) is an integer for every integer
+        n, so each floor division below is exact.
+        """
+        if 0 <= n < len(self.values):
+            return self.values[n]
+        total = 0
+        binom = 1  # C(n, k)
+        for k, delta in enumerate(self.differences):
+            total += delta * binom
+            binom = binom * (n - k) // (k + 1)
+        return total
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RatPolynomial):
-            return self._coeffs == other._coeffs
-        if isinstance(other, IntPolynomial):
-            return self._coeffs == other.to_rational()._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __add__(self, other: "RatPolynomial") -> "RatPolynomial":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPolynomial(out)
-
-    def __neg__(self) -> "RatPolynomial":
-        return RatPolynomial([-c for c in self._coeffs])
-
-    def __sub__(self, other: "RatPolynomial") -> "RatPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPolynomial([other * c for c in self._coeffs])
-        if not isinstance(other, RatPolynomial):
+        """Equality as polynomials in n, also against an IntPolynomial."""
+        if not isinstance(other, (CountingPolynomial, IntPolynomial)):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return RatPolynomial()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return RatPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
-    def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            raise InvalidInput("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
-    def to_int_polynomial(self) -> IntPolynomial:
-        """Convert when every coefficient is an integer; raise otherwise."""
-        return IntPolynomial(self._coeffs)
+        top = self.degree
+        if other.degree != top:
+            return False
+        # two polynomials of degree top agreeing at top + 1 points are equal
+        return top == NEG_INF or all(self(n) == other(n) for n in range(top + 1))
 
     def __repr__(self) -> str:
-        return f"RatPolynomial({[str(c) for c in self._coeffs]!r})"
+        return f"CountingPolynomial(values={list(self.values)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -256,55 +209,42 @@ def reverse(p: IntPolynomial, D: int) -> IntPolynomial:
     return IntPolynomial([p[D - i] for i in range(D + 1)])
 
 
-def interpolate(points: Sequence[tuple[int, Fraction | int]]) -> RatPolynomial:
-    """Exact Lagrange interpolation through the given (node, value) pairs.
+def interpolate(values: Sequence[int]) -> CountingPolynomial:
+    """The polynomial of degree < len(values) taking ``values[n]`` at n = 0, 1, ....
 
-    Nodes must be distinct integers; the result is the unique polynomial of
-    degree < len(points) through all of them.
+    The values must be integers; their forward differences are read off
+    the difference table.
     """
-    if not points:
-        raise InvalidInput("interpolation needs at least one point")
-    nodes = [n for n, _ in points]
-    if len(set(nodes)) != len(nodes):
-        raise InvalidInput("duplicate interpolation nodes")
-    result = RatPolynomial()
-    for k, (nk, vk) in enumerate(points):
-        # Lagrange basis polynomial through node nk, scaled by the value.
-        basis = RatPolynomial((1,))
-        denom = Fraction(1)
-        for j, (nj, _) in enumerate(points):
-            if j == k:
-                continue
-            basis = basis * RatPolynomial((-nj, 1))
-            denom *= nk - nj
-        result = result + basis * (Fraction(vk) / denom)
-    return result
+    values = tuple(values)
+    if not values:
+        raise InvalidInput("interpolation needs at least one value")
+    if not all(isinstance(v, int) for v in values):
+        raise InvalidInput(f"integer values expected, got {list(values)!r}")
+    differences = []
+    row = values
+    while row:
+        differences.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return CountingPolynomial(values, tuple(differences))
 
 
-def series_numerator(L: RatPolynomial, d: int) -> IntPolynomial:
+def series_numerator(L: CountingPolynomial | IntPolynomial, d: int) -> IntPolynomial:
     """Numerator h with sum_{n>=0} L(n) z^n = h(z) / (1-z)^{d+1}.
 
-    h_j = sum_{i=0..j} (-1)^i C(d+1, i) L(j-i); requires degree(L) <= d and
-    L integer-valued on the nodes 0..d (a fractional h coefficient means one
-    of those assumptions failed).
+    h_j = sum_{i=0..j} (-1)^i C(d+1, i) L(j-i), read off the values of L
+    at n = 0..d; requires degree(L) <= d.
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")
     if L.degree > d:
         raise InvalidInput(f"degree {L.degree} exceeds ambient d = {d}")
     values = [L(n) for n in range(d + 1)]
-    coeffs = []
-    for j in range(d + 1):
-        h_j = Fraction(0)
-        for i in range(j + 1):
-            h_j += (-1) ** i * comb(d + 1, i) * values[j - i]
-        if h_j.denominator != 1:
-            raise InvalidInput(
-                f"series numerator coefficient {j} is {h_j}, not an integer; "
-                "the counting polynomial is not integer-valued or d is wrong"
-            )
-        coeffs.append(h_j.numerator)
-    return IntPolynomial(coeffs)
+    return IntPolynomial(
+        [
+            sum((-1) ** i * comb(d + 1, i) * values[j - i] for i in range(j + 1))
+            for j in range(d + 1)
+        ]
+    )
 
 
 def expand_series(h: IntPolynomial, d: int, N: int) -> list[int]:

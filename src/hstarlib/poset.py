@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from .budget import charge
 from .errors import InvalidInput
-from .polynomial import IntPolynomial, RatPolynomial, interpolate
+from .polynomial import CountingPolynomial, IntPolynomial, interpolate
 
 
 class Poset:
@@ -147,27 +147,7 @@ class Poset:
     @classmethod
     def from_text(cls, text: str) -> "Poset":
         """Parse the shared poset format: `p <d> <k>` then k lines `r i j`."""
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("c")]
-        if not lines or not lines[0].startswith("p "):
-            raise InvalidInput("poset file must start with a 'p <d> <k>' header")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise InvalidInput(f"malformed poset header {lines[0]!r}")
-        try:
-            d, k = int(head[1]), int(head[2])
-        except ValueError as exc:
-            raise InvalidInput(f"malformed poset header {lines[0]!r}") from exc
-        body = lines[1:]
-        if len(body) != k:
-            raise InvalidInput(f"expected {k} relation lines, found {len(body)}")
-        relations = []
-        for ln in body:
-            parts = ln.split()
-            if len(parts) != 3 or parts[0] != "r":
-                raise InvalidInput(f"malformed relation line {ln!r}")
-            relations.append((int(parts[1]), int(parts[2])))
-        return cls(d, relations)
+        return cls(*read_pair_file(text, "poset", "r"))
 
     def to_text(self) -> str:
         covers = self.cover_relations
@@ -208,6 +188,48 @@ class Poset:
             frontier = nxt
         self._ideals = tuple(sorted(seen, key=lambda s: (bin(s).count("1"), s)))
         return self._ideals
+
+
+# ---------------------------------------------------------------------------
+# text formats
+
+
+def parse_ints(tokens: Iterable[str], line: str) -> list[int]:
+    """Integers from the tokens of one input line; InvalidInput names the bad one."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise InvalidInput(f"{tok!r} is not an integer in line {line!r}") from None
+    return out
+
+
+def read_pair_file(text: str, kind: str, tag: str) -> tuple[int, list[tuple[int, int]]]:
+    """Read the shared poset/graph format: `p <d> <k>`, then k lines `<tag> i j`.
+
+    Blank lines and lines starting with ``c`` are skipped.  Returns d and the
+    (i, j) pairs; every malformed header, line or token is InvalidInput.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("c")]
+    if not lines or not lines[0].startswith("p "):
+        raise InvalidInput(f"{kind} file must start with a 'p <d> <k>' header")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise InvalidInput(f"malformed {kind} header {lines[0]!r}")
+    d, k = parse_ints(head[1:], lines[0])
+    body = lines[1:]
+    if len(body) != k:
+        raise InvalidInput(f"expected {k} '{tag}' lines, found {len(body)}")
+    pairs = []
+    for ln in body:
+        parts = ln.split()
+        if len(parts) != 3 or parts[0] != tag:
+            raise InvalidInput(f"malformed {kind} line {ln!r}")
+        i, j = parse_ints(parts[1:], ln)
+        pairs.append((i, j))
+    return d, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +376,14 @@ def order_map_counts(
 
 def order_polynomial(
     poset: Poset, strict: bool = False, *, budget: int | None = None
-) -> RatPolynomial:
+) -> CountingPolynomial:
     """The (weak or strict) order polynomial, exact.
 
-    Interpolates the map counts at n = 0..d to the unique polynomial of
-    degree d.  Counts come from the ideal-lattice walk, which matches the
-    brute-force oracle everywhere it can run.
+    Held by its map counts at n = 0..d, which fix the unique polynomial of
+    degree at most d.  Counts come from the ideal-lattice walk, which
+    matches the brute-force oracle everywhere it can run.
     """
-    counts = order_map_counts(poset, poset.d, strict, budget=budget)
-    return interpolate(list(enumerate(counts)))
+    return interpolate(order_map_counts(poset, poset.d, strict, budget=budget))
 
 
 # ---------------------------------------------------------------------------

@@ -245,3 +245,70 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestInputFaults:
+    """Bad file tokens and option values exit 2 with a one-line message."""
+
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [
+            (["decompose", "order"], "bad.poset", "p 2 1\nr 1 x\n"),
+            (["chromatic"], "bad.graph", "p 2 1\ne 1 y\n"),
+            (["hstar"], "bad.poly", "simplex two\n"),
+            (["hstar"], "bad.hrep", "hrep 1 2\n-1 0\n1 z\n"),
+            (["hstar"], "badbox.hrep", "hrep 1 1\n1 5\nbox 0 five\n"),
+            (["decompose", "order"], "badhead.poset", "p two 0\n"),
+        ],
+    )
+    def test_non_integer_token(self, capsys, tmp_path, command, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_err(capsys, *command, str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "not an integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--posets", "3", "--budget", "-5"],
+            ["hstar", "missing.poly", "--budget", "-1"],
+            ["verify", "--posets", "2", "--time-limit", "-1"],
+            ["verify", "--posets", "2", "--time-limit", "nan"],
+            ["random", "poset", "--d", "3", "--relation-probability", "7"],
+            ["random", "poset", "--d", "3", "--relation-probability", "-0.5"],
+        ],
+    )
+    def test_bad_option_value(self, capsys, argv):
+        code, out, err = run_err(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --")
+
+    def test_boundary_option_values_accepted(self, capsys):
+        assert main(["random", "poset", "--d", "3", "--relation-probability", "1"]) == 0
+        assert main(["verify", "--posets", "2", "--time-limit", "0"]) == 0
+
+    def test_run_that_checked_nothing_exits_2(self, capsys):
+        # a zero budget skips all 95 checks on the 19 posets of size 3
+        code, out, err = run_err(capsys, "verify", "--posets", "3", "--budget", "0")
+        assert code == 2
+        assert out.splitlines()[-1] == "19 inputs, 0 failures, 95 skipped checks"
+        assert err.startswith("error: no check ran")
+
+    def test_inapplicable_checks_exit_2_after_summary(self, capsys):
+        code, out, err = run_err(
+            capsys, "verify", "--posets", "2", "--checks", "thm1.3", "--format", "json-lines"
+        )
+        assert code == 2
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["type"] == "summary" and summary["checks_run"] == 0
+        assert err.startswith("error: no check ran")

@@ -5,13 +5,17 @@ polytopes in a box and checks the defining inequalities directly, which is
 independent of the order-preserving-map route the library uses.
 """
 
+from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hstarlib.ehrhart import (
     HRepPolytope,
+    _adjugate,
     OrderPolytope,
     Simplex,
     count_points,
@@ -22,7 +26,7 @@ from hstarlib.ehrhart import (
     parse_polytope,
 )
 from hstarlib.errors import InvalidInput
-from hstarlib.harness import enumerate_labeled_posets
+from hstarlib.harness import dilated_cube, dilated_simplex, enumerate_labeled_posets
 from hstarlib.polynomial import IntPolynomial, expand_series, series_numerator
 from hstarlib.poset import Poset, descent_h_star, order_polynomial
 
@@ -83,7 +87,50 @@ class TestOrderPolytopeCounts:
                     assert count_points(op, n, interior=True) == strict(n - 1)
 
 
+def fraction_det(matrix):
+    """Determinant by Fraction Gaussian elimination, test-side oracle."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+class TestAdjugate:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_matches_fraction_determinant(self, matrix):
+        det, adj = _adjugate(matrix)
+        assert abs(det) == abs(fraction_det(matrix))
+        n = len(matrix)
+        for i in range(n if det else 0):
+            for j in range(n):
+                assert sum(matrix[i][k] * adj[k][j] for k in range(n)) == det * (i == j)
+
+
 class TestSimplex:
+    def test_vertex_order_does_not_matter(self):
+        # reversing two vertices flips the sign of the determinant
+        flipped = Simplex([(0, 0), (0, 2), (2, 0)])
+        for n in range(4):
+            for interior in (False, True):
+                assert count_points(flipped, n, interior) == count_points(TRIANGLE, n, interior)
+
     def test_rejects_affinely_dependent(self):
         with pytest.raises(InvalidInput):
             Simplex([(0, 0), (1, 1), (2, 2)])
@@ -99,7 +146,9 @@ class TestSimplex:
         assert [count_points(TRIANGLE, n) for n in range(3)] == [1, 6, 15]
 
     def test_ehrhart(self):
-        assert ehrhart_polynomial(TRIANGLE).coeffs == (1, 3, 2)
+        ehr = ehrhart_polynomial(TRIANGLE)
+        assert all(ehr(n) == (n + 1) * (2 * n + 1) for n in range(-3, 7))
+        assert ehr == IntPolynomial([1, 3, 2])
 
     def test_h_star(self):
         assert h_star(TRIANGLE).coeffs == (1, 3)
@@ -110,7 +159,9 @@ class TestSimplex:
 
     def test_unit_segment(self):
         segment = Simplex([(0,), (1,)])
-        assert ehrhart_polynomial(segment).coeffs == (1, 1)
+        ehr = ehrhart_polynomial(segment)
+        assert all(ehr(n) == n + 1 for n in range(-3, 7))
+        assert ehr == IntPolynomial([1, 1])
         assert h_star(segment).coeffs == (1,)
 
 
@@ -172,10 +223,33 @@ class TestHStar:
             assert h_star(op) == series_numerator(ehrhart_polynomial(op), poset.d)
 
     def test_at_one_is_normalized_volume(self):
-        for polytope in (TRIANGLE, OrderPolytope(ANTI3)):
+        # the d-th difference of n -> L(n) is d! times the leading coefficient;
+        # the triangle has area 2 and the unit cube volume 1
+        for polytope, volume in ((TRIANGLE, 2), (OrderPolytope(ANTI3), 1)):
             d = polytope.dim
-            lead = ehrhart_polynomial(polytope).leading_coefficient()
-            assert h_star(polytope)(1) == factorial(d) * lead
+            ehr = ehrhart_polynomial(polytope)
+            difference = sum((-1) ** (d - k) * comb(d, k) * ehr(k) for k in range(d + 1))
+            assert ehr.degree == d
+            assert difference == factorial(d) * volume
+            assert h_star(polytope)(1) == difference
+
+
+class TestReciprocity:
+    """Ehrhart-Macdonald: L_P(-n) = (-1)^d L_{P°}(n), P's interior counts."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("build", [dilated_simplex, dilated_cube])
+    def test_dilated(self, build, d, k):
+        polytope = build(d, k)
+        ehr = ehrhart_polynomial(polytope)
+        for n in range(1, 4):
+            assert ehr(-n) == (-1) ** d * count_points(polytope, n, interior=True)
+
+    def test_closed_forms(self):
+        # the cube [0, 2]^2 has (2n+1)^2 points and (2n-1)^2 interior points
+        ehr = ehrhart_polynomial(dilated_cube(2, 2))
+        assert [ehr(-n) for n in range(1, 4)] == [1, 9, 25]
 
 
 class TestOpenNumerator:

@@ -114,6 +114,18 @@ class TestVerifyAll:
         assert "h_G" in check.witnesses
         assert report.input_text == graph.to_text()
 
+    def test_chromatic3_disagreement_lists_orientation_values(self, monkeypatch):
+        import hstarlib.harness as harness
+        from hstarlib.polynomial import interpolate
+
+        # a broken orientation route: chi_K2 is n(n-1), values 0, 0, 2
+        broken = interpolate([0, 1, 2])
+        monkeypatch.setattr(harness, "chromatic_via_orientations", lambda graph: broken)
+        (report,) = list(verify_all([Graph(2, [(1, 2)])], ["chromatic3"]))
+        (check,) = report.checks
+        assert check.passed is False
+        assert check.witnesses == {"chi_dc": ["0", "-1", "1"], "chi_ao_values": ["0", "1", "2"]}
+
     def test_budget_exhaustion_reported_as_skip(self):
         (report,) = list(verify_all([Poset(5)], ["hstar3way"], budget=3))
         (check,) = report.checks

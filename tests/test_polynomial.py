@@ -2,6 +2,7 @@
 
 Derived expected values are frozen from independent oracles computed here:
 brute-force lattice-point counts for the interpolation and series examples,
+the binomial expansion with math.comb for counting-polynomial evaluation,
 and direct index manipulation for the reversals.
 """
 
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from hstarlib.errors import InvalidInput
 from hstarlib.polynomial import (
     NEG_INF,
+    CountingPolynomial,
     IntPolynomial,
-    RatPolynomial,
     expand_series,
     f_to_h,
     interpolate,
@@ -71,21 +72,6 @@ class TestIntPolynomial:
         assert IntPolynomial().is_palindromic(0)
 
 
-class TestRatPolynomial:
-    def test_exact_fractions(self):
-        p = RatPolynomial([Fraction(1, 2), Fraction(1, 2)])
-        assert p(3) == 2
-
-    def test_rejects_floats(self):
-        with pytest.raises(InvalidInput):
-            RatPolynomial([0.5])
-
-    def test_to_int_polynomial(self):
-        assert RatPolynomial([2, 3]).to_int_polynomial().coeffs == (2, 3)
-        with pytest.raises(InvalidInput):
-            RatPolynomial([Fraction(1, 2)]).to_int_polynomial()
-
-
 class TestReverse:
     def test_constant(self):
         assert reverse(IntPolynomial([1]), 2).coeffs == (0, 0, 1)
@@ -115,60 +101,122 @@ class TestReverse:
         assert reverse(reverse(p, D), D) == p
 
 
+def binomial(n, k):
+    """Generalized C(n, k) for any integer n, test-side oracle:
+    math.comb for n >= 0 and C(-m, k) = (-1)^k C(m + k - 1, k) below."""
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(-n + k - 1, k)
+
+
 class TestInterpolate:
     def test_collinear(self):
-        assert interpolate([(0, 1), (1, 3), (2, 5)]).coeffs == (1, 2)
+        p = interpolate([1, 3, 5])
+        assert p == IntPolynomial([1, 2])
+        assert p.degree == 1
+        assert p.differences == (1, 2, 0)
 
     def test_square(self):
         # oracle: (n+1)^2 at the three nodes is 1, 4, 9
         assert [(n + 1) ** 2 for n in (0, 1, 2)] == [1, 4, 9]
-        assert interpolate([(0, 1), (1, 4), (2, 9)]).coeffs == (1, 2, 1)
+        assert interpolate([1, 4, 9]) == IntPolynomial([1, 2, 1])
 
     def test_triangle_counts(self):
         counts = [triangle_points(n) for n in (0, 1, 2)]
         assert counts == [1, 6, 15]
-        # (2n+1)(n+1) = 1 + 3n + 2n^2
-        assert interpolate(list(enumerate(counts))).coeffs == (1, 3, 2)
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(InvalidInput):
-            interpolate([(0, 1), (0, 2)])
+        # (2n+1)(n+1) = 1 + 3n + 2n^2, also at negative n
+        L = interpolate(counts)
+        assert all(L(n) == (2 * n + 1) * (n + 1) for n in range(-5, 8))
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidInput):
             interpolate([])
 
+    def test_rejects_non_integer_values(self):
+        with pytest.raises(InvalidInput):
+            interpolate([1, Fraction(1, 2)])
+
+    def test_zero(self):
+        zero = interpolate([0, 0, 0])
+        assert zero.degree == NEG_INF
+        assert zero == IntPolynomial() and zero == interpolate([0])
+
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
     def test_reproduces_polynomial(self, coeffs):
-        p = RatPolynomial(coeffs)
+        p = IntPolynomial(coeffs)
         nodes = range(len(coeffs))
-        assert interpolate([(n, p(n)) for n in nodes]) == p
+        assert interpolate([p(n) for n in nodes]) == p
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8))
+    def test_evaluates_binomial_expansion(self, values):
+        L = interpolate(values)
+        assert L.values == tuple(values)
+        for n in range(-10, 11):
+            assert L(n) == sum(delta * binomial(n, k) for k, delta in enumerate(L.differences))
+
+
+class TestCountingEquality:
+    """CountingPolynomial and IntPolynomial compare as polynomials in n."""
+
+    def test_both_directions(self):
+        L = interpolate([0, 0, 2, 6])  # n(n-1), one spare node
+        p = IntPolynomial([0, -1, 1])
+        assert L == p and p == L
+        assert not (L != p) and not (p != L)
+
+    def test_differ_in_both_directions(self):
+        L = interpolate([0, 0, 2])
+        for other in (IntPolynomial([0, -1, 2]), IntPolynomial([0, -1, 1, 1]), IntPolynomial()):
+            assert L != other and other != L
+
+    def test_trailing_nodes_do_not_matter(self):
+        assert interpolate([1, 2]) == interpolate([1, 2, 3, 4])
+        assert interpolate([1, 2]) != interpolate([1, 2, 4])
+
+    def test_not_equal_to_other_types(self):
+        assert interpolate([3]) != 3
+        assert interpolate([3]) != "3"
+
+    @given(
+        st.lists(st.integers(-20, 20), max_size=6),
+        st.lists(st.integers(-20, 20), max_size=6),
+        st.integers(0, 3),
+    )
+    def test_matches_coefficient_equality(self, a, b, spare):
+        p, q = IntPolynomial(a), IntPolynomial(b)
+        top = max(len(a), len(b)) + spare
+        L = interpolate([p(n) for n in range(top + 1)])
+        assert (L == q) == (p == q) == (q == L)
+        assert isinstance(L, CountingPolynomial)
 
 
 class TestSeriesNumerator:
     def test_unit_segment(self):
-        assert series_numerator(RatPolynomial([1, 1]), 1).coeffs == (1,)
+        assert series_numerator(interpolate([1, 2]), 1).coeffs == (1,)
+        assert series_numerator(IntPolynomial([1, 1]), 1).coeffs == (1,)
 
     def test_leg2_triangle(self):
         counts = [triangle_points(n) for n in (0, 1, 2)]
-        L = interpolate(list(enumerate(counts)))
+        L = interpolate(counts)
         assert series_numerator(L, 2).coeffs == (1, 3)
 
     def test_k3_chromatic(self):
         # chi_{K3}(n) = n(n-1)(n-2); h_3 = chi(3) - 4 chi(2) + 6 chi(1) - 4 chi(0)
-        chi = RatPolynomial([0, 2, -3, 1])
+        chi = IntPolynomial([0, 2, -3, 1])
         values = [chi(n) for n in range(4)]
         assert values == [0, 0, 0, 6]
         assert values[3] - 4 * values[2] + 6 * values[1] - 4 * values[0] == 6
         assert series_numerator(chi, 3).coeffs == (0, 0, 0, 6)
+        assert series_numerator(interpolate(values), 3).coeffs == (0, 0, 0, 6)
 
     def test_rejects_high_degree(self):
         with pytest.raises(InvalidInput):
-            series_numerator(RatPolynomial([0, 0, 1]), 1)
+            series_numerator(IntPolynomial([0, 0, 1]), 1)
+        with pytest.raises(InvalidInput):
+            series_numerator(interpolate([0, 1, 4]), 1)
 
     def test_rejects_non_integer_valued(self):
+        # non-integer values are refused on entry to the integer domain
         with pytest.raises(InvalidInput):
-            series_numerator(RatPolynomial([Fraction(1, 3)]), 0)
+            series_numerator(interpolate([Fraction(1, 3)]), 0)
 
 
 class TestExpandSeries:
@@ -200,7 +248,7 @@ class TestExpandSeries:
             sum(c * comb(n + d - j, d) for j, c in enumerate(basis_coeffs))
             for n in range(d + 4)
         ]
-        L = interpolate(list(enumerate(values[: d + 1])))
+        L = interpolate(values[: d + 1])
         h = series_numerator(L, d)
         assert expand_series(h, d, d + 3) == values
 
