@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
             for check in report.checks:
                 if check.passed is True:
                     continue
-                status = "SKIP" if check.passed is None else "FAIL"
+                status = check.status.upper()
                 print(f"{status} #{report.index} {report.kind} {check.name}: {check.detail}")
                 if check.passed is False:
                     for line in report.input_text.rstrip().splitlines():

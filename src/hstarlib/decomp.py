@@ -16,6 +16,7 @@ surfaced as reportable events rather than hard failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Literal, NamedTuple
 
 from .ehrhart import OrderPolytope, h_star, open_numerator
@@ -56,8 +57,9 @@ def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
 
     Coefficients come from the closed partial-sum formulas
     a_i = h_0 + ... + h_i - h_d - ... - h_{d-i+1} and
-    b_i = -h_0 - ... - h_i + h_s + ... + h_{s-i}; the result is re-verified
-    by reconstruction, so an index bug cannot escape silently.
+    b_i = -h_0 - ... - h_i + h_s + ... + h_{s-i}, read off one prefix-sum
+    array of h in O(d); the result is re-verified by reconstruction, so an
+    index bug cannot escape silently.
     """
     if not h:
         raise InvalidInput("cannot decompose the zero polynomial")
@@ -65,14 +67,12 @@ def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
     if s > d:
         raise InvalidInput(f"degree {s} exceeds ambient degree {d}")
     l = d + 1 - s
-    a = [
-        sum(h[j] for j in range(i + 1)) - sum(h[j] for j in range(d - i + 1, d + 1))
-        for i in range(d + 1)
-    ]
-    b = [
-        -sum(h[j] for j in range(i + 1)) + sum(h[j] for j in range(s - i, s + 1))
-        for i in range(s)
-    ]
+    # prefix[k] = h_0 + ... + h_{k-1}, which is h(1) for every k > s
+    prefix = list(accumulate(h.coeffs, initial=0))
+    total = prefix[-1]
+    prefix += [total] * (d - s)
+    a = [prefix[i + 1] - total + prefix[d - i + 1] for i in range(d + 1)]
+    b = [total - prefix[s - i] - prefix[i + 1] for i in range(s)]
     decomposition = SymmetricDecomposition(IntPolynomial(a), IntPolynomial(b), d, s, l)
     _verify(decomposition, h)
     return decomposition

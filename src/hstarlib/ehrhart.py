@@ -173,7 +173,8 @@ class HRepPolytope:
     inequalities; input whose box cannot be derived (and that carries no
     user-supplied box) is rejected as potentially unbounded.  The declared
     dimension is trusted but sanity-checked downstream: a full-dimensional
-    polytope must produce an Ehrhart polynomial of degree exactly d.
+    polytope must produce an Ehrhart polynomial of degree exactly d, and a
+    flat one is InvalidInput.
     """
 
     __slots__ = ("inequalities", "d", "box", "user_box")
@@ -336,11 +337,15 @@ def ehrhart_polynomial(
 
     Its d-th forward difference is d! times the leading coefficient, the
     normalized volume; it must be positive, so the degree is exactly d.
+    A non-positive volume is InvalidInput for an ``HRepPolytope``, whose
+    dimension the user declares; order polytopes and simplices are
+    full-dimensional by construction, so for them it is a library bug.
     """
     d = polytope.dim
     ehr = interpolate(_closed_counts(polytope, budget))
     if d > 0 and ehr.differences[d] <= 0:
-        raise InternalConsistencyError(
+        error = InvalidInput if isinstance(polytope, HRepPolytope) else InternalConsistencyError
+        raise error(
             f"normalized volume {ehr.differences[d]} is not positive; "
             "declared dimension is wrong or the polytope is degenerate"
         )

@@ -38,6 +38,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import decomp
@@ -165,16 +166,27 @@ def dilated_cube(d: int, k: int) -> HRepPolytope:
 
 @dataclass
 class CheckResult:
-    """Outcome of one named check on one input; passed is None when skipped."""
+    """Outcome of one named check on one input; passed is None when skipped.
+
+    ``error`` marks a failure that is an unexpected exception (not an
+    HstarError) escaping the check: a library bug, never a verdict.  Its
+    ``traceback`` witness lists the frames as ``file:line function``.
+    """
 
     name: str
     passed: bool | None
     detail: str = ""
     witnesses: dict[str, list[str]] = field(default_factory=dict)
+    error: bool = False
+
+    @property
+    def status(self) -> str:
+        if self.error:
+            return "error"
+        return "skip" if self.passed is None else ("pass" if self.passed else "fail")
 
     def to_record(self) -> dict:
-        status = "skip" if self.passed is None else ("pass" if self.passed else "fail")
-        record: dict = {"name": self.name, "status": status}
+        record: dict = {"name": self.name, "status": self.status}
         if self.detail:
             record["detail"] = self.detail
         if self.witnesses:
@@ -495,9 +507,10 @@ def verify_all(
 
     ``checks`` defaults to every known check; names not applicable to an
     item's kind are silently inapplicable for that item.  A failing check is
-    recorded, never raised; exceeded element budgets record a skip, and with
-    ``time_limit`` (seconds per input) checks remaining after the limit
-    elapses are skipped as well.  With ``mutate`` the sign of one
+    recorded, never raised; any other exception a check raises is recorded
+    as an ``error`` status and counts as a failure; exceeded element
+    budgets record a skip, and with ``time_limit`` (seconds per input)
+    checks remaining after the limit elapses are skipped as well.  With ``mutate`` the sign of one
     coefficient of each input's numerator polynomial is flipped before
     checking, which must make the failure path fire (the reporting
     self-test).
@@ -538,6 +551,15 @@ def verify_all(
                 results.append(
                     CheckResult(name, False, f"{type(exc).__name__}: {exc}")
                 )
+            except Exception as exc:  # a bug in a check must not end the sweep
+                import traceback  # only on this path; keeps start-up lean
+
+                frames = [
+                    f"{Path(f.filename).name}:{f.lineno} {f.name}"
+                    for f in traceback.extract_tb(exc.__traceback__)
+                ]
+                detail = f"{type(exc).__name__}: {exc}"
+                results.append(CheckResult(name, False, detail, {"traceback": frames}, error=True))
         yield VerificationReport(
             index=index,
             kind=ctx.kind,

@@ -156,6 +156,47 @@ class TestVerify:
         assert "FAIL" in out
         assert "0 failures" not in out.splitlines()[-1]
 
+    def test_foreign_exception_recorded_and_sweep_goes_on(self, capsys, monkeypatch):
+        import hstarlib.harness as harness
+
+        calls = []
+
+        def flaky(ctx):
+            calls.append(ctx.item)
+            if len(calls) == 1:
+                raise ZeroDivisionError("division by zero")
+            return harness.CheckResult("thm1.2", True)
+
+        monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", flaky)
+        code, out = run(
+            capsys, "verify", "--random", "poset,3,2", "--checks", "thm1.2",
+            "--format", "json-lines",
+        )
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 1
+        assert [r["type"] for r in records] == ["report", "report", "summary"]
+        (error,) = records[0]["checks"]
+        assert (error["name"], error["status"], error["detail"]) == (
+            "thm1.2", "error", "ZeroDivisionError: division by zero"
+        )
+        assert error["witnesses"]["traceback"][-1].endswith(" flaky")
+        assert records[1]["checks"] == [{"name": "thm1.2", "status": "pass"}]
+        assert records[2]["inputs"] == 2 and records[2]["failures"] == 1
+
+    def test_foreign_exception_text_mode(self, capsys, monkeypatch):
+        import hstarlib.harness as harness
+
+        def broken(ctx):
+            raise KeyError("boom")
+
+        monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", broken)
+        code, out = run(capsys, "verify", "--posets", "1", "--checks", "thm1.2")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "ERROR #0 poset thm1.2: KeyError: 'boom'"
+        assert lines[-2].startswith("    traceback = [") and lines[-2].endswith(" broken]")
+        assert lines[-1] == "1 inputs, 1 failures"
+
     def test_random_corpus(self, capsys):
         code, out = run(
             capsys, "verify", "--random", "graph,5,3", "--seed", "7", "--checks", "thm1.4"
@@ -296,6 +337,14 @@ class TestInputFaults:
     def test_boundary_option_values_accepted(self, capsys):
         assert main(["random", "poset", "--d", "3", "--relation-probability", "1"]) == 0
         assert main(["verify", "--posets", "2", "--time-limit", "0"]) == 0
+
+    def test_flat_hrep_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "flat.hrep"
+        path.write_text("hrep 2 4\n1 0 1\n-1 0 0\n0 1 0\n0 -1 0\n")
+        code, out, err = run_err(capsys, "hstar", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: normalized volume 0")
 
     def test_run_that_checked_nothing_exits_2(self, capsys):
         # a zero budget skips all 95 checks on the 19 posets of size 3

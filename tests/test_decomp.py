@@ -131,6 +131,27 @@ class TestAbDecompose:
         assert dec.a == a
         assert dec.b == b
 
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=9).filter(
+            lambda c: any(x != 0 for x in c)
+        ),
+        st.integers(0, 4),
+    )
+    def test_matches_direct_partial_sums(self, coeffs, extra):
+        h = IntPolynomial(coeffs)
+        s = h.degree
+        d = s + extra
+        dec = ab_decompose(h, d)
+        a = [
+            sum(h[j] for j in range(i + 1)) - sum(h[j] for j in range(d - i + 1, d + 1))
+            for i in range(d + 1)
+        ]
+        b = [
+            -sum(h[j] for j in range(i + 1)) + sum(h[j] for j in range(s - i, s + 1))
+            for i in range(s)
+        ]
+        assert (dec.a, dec.b, dec.l) == (IntPolynomial(a), IntPolynomial(b), d + 1 - s)
+
     def test_segment_identity_on_corpus(self):
         # h* = a*(ambient d) - z a*_1(ambient d-1) for every corpus h*
         for poset in enumerate_labeled_posets(4):

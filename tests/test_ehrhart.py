@@ -233,6 +233,13 @@ class TestHStar:
             assert difference == factorial(d) * volume
             assert h_star(polytope)(1) == difference
 
+    def test_flat_hrep_is_invalid_input(self):
+        # the unit square {0 <= x <= 1, y = 0} declared 2-dimensional has
+        # Ehrhart degree 1: the user's declaration is wrong, not the library
+        flat = HRepPolytope([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)], 2)
+        with pytest.raises(InvalidInput, match="normalized volume 0"):
+            h_star(flat)
+
 
 class TestReciprocity:
     """Ehrhart-Macdonald: L_P(-n) = (-1)^d L_{P°}(n), P's interior counts."""

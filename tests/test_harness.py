@@ -126,6 +126,31 @@ class TestVerifyAll:
         assert check.passed is False
         assert check.witnesses == {"chi_dc": ["0", "-1", "1"], "chi_ao_values": ["0", "1", "2"]}
 
+    def test_foreign_exception_is_an_error_record(self, monkeypatch):
+        import hstarlib.harness as harness
+
+        def broken(ctx):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", broken)
+        reports = list(verify_all([Poset(1), Poset(2)], ["thm1.2", "conj6.2"]))
+        assert len(reports) == 2
+        for report in reports:
+            error, after = report.checks
+            record = error.to_record()
+            assert (record["name"], record["status"], record["detail"]) == (
+                "thm1.2",
+                "error",
+                "ZeroDivisionError: division by zero",
+            )
+            assert record["witnesses"]["traceback"][-1].startswith("test_harness.py:")
+            assert report.failed
+            assert after.passed is True  # the next check still runs
+        summary = Summary()
+        for report in reports:
+            summary.add(report)
+        assert (summary.failures, summary.checks_run) == (2, 4)
+
     def test_budget_exhaustion_reported_as_skip(self):
         (report,) = list(verify_all([Poset(5)], ["hstar3way"], budget=3))
         (check,) = report.checks

@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 
 from hstarlib.errors import BudgetExceeded, InvalidInput
-from hstarlib.harness import enumerate_labeled_posets
+from hstarlib.harness import enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial, f_to_h
 from hstarlib.poset import (
     Poset,
@@ -162,12 +162,21 @@ class TestOrderMaps:
             count_order_maps(ANTI3, 100, budget=1000)
 
     def test_ideal_walk_matches_brute_force(self):
-        for d in range(4):
+        # h_star asks for n = 0..d+1; one more step guards the step count
+        for d in range(5):
             for poset in enumerate_labeled_posets(d):
                 for strict in (False, True):
-                    fast = order_map_counts(poset, 4, strict)
-                    brute = [count_order_maps(poset, n, strict) for n in range(5)]
-                    assert fast == brute
+                    fast = order_map_counts(poset, d + 2, strict)
+                    brute = [count_order_maps(poset, n, strict) for n in range(d + 3)]
+                    assert fast == brute, (poset, strict)
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_ideal_walk_matches_brute_force_random(self, d):
+        for poset in random_instances("poset", d, 30, seed=d, relation_probability=0.3):
+            for strict in (False, True):
+                fast = order_map_counts(poset, 3, strict)
+                brute = [count_order_maps(poset, n, strict) for n in range(4)]
+                assert fast == brute, (poset, strict)
 
 
 class TestOrderPolynomial:
@@ -197,6 +206,23 @@ class TestOrderPolynomial:
             strict = order_polynomial(poset, strict=True)
             for n in range(1, poset.longest_chain_length()):
                 assert strict(n) == 0
+
+
+class TestOrderIdeals:
+    @pytest.mark.parametrize("d", range(5))
+    def test_matches_brute_force_down_sets(self, d):
+        # every subset closed under going down, among all 2^d subsets
+        for poset in enumerate_labeled_posets(d):
+            down_sets = [
+                s
+                for s in range(1 << d)
+                if all(
+                    not (s >> (j - 1)) & 1 or (s >> (i - 1)) & 1
+                    for i, j in poset.relations
+                )
+            ]
+            expected = sorted(down_sets, key=lambda s: (bin(s).count("1"), s))
+            assert list(poset.order_ideals()) == expected, poset
 
 
 class TestIdealChains:
