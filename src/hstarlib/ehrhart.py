@@ -2,16 +2,20 @@
 
 Three kinds of polytope are supported: order polytopes of posets (counted
 combinatorially through order-preserving maps, never through geometry),
-lattice simplices (exact barycentric membership through an integer
-adjugate), and bounded H-representation polytopes (bounding-box
-enumeration).  Counts, Ehrhart polynomials and h* are integer arithmetic;
-only the H-representation box derivation uses rationals.
+lattice simplices (barycentric inequalities from an integer adjugate), and
+bounded H-representation polytopes.  Simplices and H-polytopes turn their
+inequalities into integer rows and share one lattice-box walker, which
+counts each line of the box along the last coordinate by floor division.
+Counts, Ehrhart polynomials and h* are integer arithmetic; only the
+H-representation box derivation uses rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import ceil, floor
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -56,6 +60,45 @@ def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
     return prev, adj
 
 
+def _count_box(
+    rows: Sequence[tuple[Sequence[int], int]], lo: list[int], hi: list[int], budget: int | None
+) -> int:
+    """Number of integer x with lo <= x <= hi and normal . x <= limit for
+    every (normal, limit) in rows.
+
+    The whole box volume is charged to the budget, the work of testing
+    every box point, although the walk is cheaper: for each point of the
+    first d - 1 coordinates the admissible last coordinates form one
+    interval, and floor division by each row's last coefficient narrows it.
+    An interior count passes strict faces: limit - 1 on every row, and box
+    faces moved one step inwards, which is right for any box containing the
+    polytope, since an interior point of P is interior to such a box.
+    """
+    if any(a > b for a, b in zip(lo, hi)):
+        return 0
+    volume = 1
+    for a, b in zip(lo, hi):
+        volume *= b - a + 1
+    charge(volume, budget, "bounding-box enumeration")
+    split = [(normal[:-1], limit, normal[-1]) for normal, limit in rows]
+    total = 0
+    for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+        low, high = lo[-1], hi[-1]
+        for head, limit, c in split:
+            rest = limit - sum(map(mul, head, prefix))
+            if c > 0:
+                high = min(high, rest // c)
+            elif c < 0:
+                low = max(low, -(rest // -c))
+            elif rest < 0:
+                break
+            if low > high:
+                break
+        else:
+            total += high - low + 1
+    return total
+
+
 class OrderPolytope:
     """The order polytope of a poset: 0 <= x_i <= 1, x_i <= x_j for p_i < p_j.
 
@@ -96,7 +139,9 @@ class Simplex:
 
     Membership of a point in the n-th dilate is decided by exact barycentric
     coordinates: with A the (vertex | 1) matrix, x lies in n*P iff
-    adj(A) @ (x, n) is coordinatewise >= 0 (> 0 for the interior).
+    adj(A) @ (x, n) is coordinatewise >= 0 (> 0 for the interior).  Each
+    row of adj(A) is one integer inequality for the box walker, inside the
+    box spanned by the dilated vertices.
     """
 
     __slots__ = ("vertices", "_adj")
@@ -128,34 +173,14 @@ class Simplex:
     def count_points(self, n: int, interior: bool = False, *, budget: int | None = None) -> int:
         if n < 0:
             raise InvalidInput("n must be nonnegative")
-        d = self.dim
-        lo = [n * min(v[i] for v in self.vertices) for i in range(d)]
-        hi = [n * max(v[i] for v in self.vertices) for i in range(d)]
-        volume = 1
-        for a, b in zip(lo, hi):
-            volume *= b - a + 1
-        charge(volume, budget, "bounding-box enumeration")
-        adj = self._adj
-        total = 0
-        point = lo[:]
-        while True:
-            ok = True
-            for row in adj:
-                bary = sum(c * x for c, x in zip(row, point)) + row[d] * n
-                if bary < 0 or (interior and bary == 0):
-                    ok = False
-                    break
-            if ok:
-                total += 1
-            # odometer over the box
-            i = 0
-            while i < d and point[i] == hi[i]:
-                point[i] = lo[i]
-                i += 1
-            if i == d:
-                break
-            point[i] += 1
-        return total
+        d, strict = self.dim, int(interior)
+        # adj @ (x, n) >= 0 row by row is -adj[:d] . x <= adj[d] * n; a
+        # strict inequality between integers is the weak one with limit - 1
+        rows = [([-c for c in row[:d]], row[d] * n - strict) for row in self._adj]
+        columns = list(zip(*self.vertices))
+        lo = [n * min(col) + strict for col in columns]
+        hi = [n * max(col) - strict for col in columns]
+        return _count_box(rows, lo, hi, budget)
 
     def to_text(self) -> str:
         lines = [f"simplex {self.dim}"]
@@ -171,7 +196,9 @@ class HRepPolytope:
 
     A lattice bounding box is derived by interval propagation from the
     inequalities; input whose box cannot be derived (and that carries no
-    user-supplied box) is rejected as potentially unbounded.  The declared
+    user-supplied box) is rejected as potentially unbounded.  A user box is
+    a constraint like the rows: the polytope counted is the part of
+    {a.x <= b} inside it, closed and interior.  The declared
     dimension is trusted but sanity-checked downstream: a full-dimensional
     polytope must produce an Ehrhart polynomial of degree exactly d, and a
     flat one is InvalidInput.
@@ -258,37 +285,15 @@ class HRepPolytope:
     def count_points(self, n: int, interior: bool = False, *, budget: int | None = None) -> int:
         if n < 0:
             raise InvalidInput("n must be nonnegative")
-        d = self.d
+        rows = [(normal, n * bound - int(interior)) for normal, bound in self.inequalities]
         lo_q, hi_q = self.box
-        lo = [ceil(n * q) for q in lo_q]
-        hi = [floor(n * q) for q in hi_q]
-        if any(a > b for a, b in zip(lo, hi)):
-            return 0
-        volume = 1
-        for a, b in zip(lo, hi):
-            volume *= b - a + 1
-        charge(volume, budget, "bounding-box enumeration")
-        rows = self.inequalities
-        total = 0
-        point = lo[:]
-        while True:
-            ok = True
-            for normal, bound in rows:
-                value = sum(c * x for c, x in zip(normal, point))
-                limit = n * bound
-                if value > limit or (interior and value == limit):
-                    ok = False
-                    break
-            if ok:
-                total += 1
-            i = 0
-            while i < d and point[i] == hi[i]:
-                point[i] = lo[i]
-                i += 1
-            if i == d:
-                break
-            point[i] += 1
-        return total
+        if interior:
+            lo = [floor(n * q) + 1 for q in lo_q]
+            hi = [ceil(n * q) - 1 for q in hi_q]
+        else:
+            lo = [ceil(n * q) for q in lo_q]
+            hi = [floor(n * q) for q in hi_q]
+        return _count_box(rows, lo, hi, budget)
 
     def to_text(self) -> str:
         lines = [f"hrep {self.d} {len(self.inequalities)}"]

@@ -4,7 +4,7 @@ the derived splits, and the inequality reports."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstarlib.decomp import (
@@ -19,7 +19,7 @@ from hstarlib.decomp import (
 from hstarlib.ehrhart import OrderPolytope, h_star, open_numerator
 from hstarlib.errors import InvalidInput, SignViolation
 from hstarlib.graph import Graph
-from hstarlib.harness import enumerate_labeled_graphs, enumerate_labeled_posets
+from hstarlib.harness import enumerate_labeled_graphs, enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial
 
 K2 = Graph(2, [(1, 2)])
@@ -275,6 +275,14 @@ class TestGraphNumerator:
 
     def test_empty_graph(self):
         assert graph_numerator(Graph(0)).coeffs == (1,)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda d: st.permutations(range(1, d + 1))), st.integers(0, 99))
+    def test_relabelling_invariance(self, perm, seed):
+        d = len(perm)
+        (graph,) = random_instances("graph", d, 1, seed)
+        image = Graph(d, [(perm[i - 1], perm[j - 1]) for i, j in graph.edges])
+        assert graph_numerator(image) == graph_numerator(graph)
 
 
 class TestGraphDecomposition:

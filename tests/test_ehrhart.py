@@ -5,12 +5,13 @@ polytopes in a box and checks the defining inequalities directly, which is
 independent of the order-preserving-map route the library uses.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import ceil, comb, factorial, floor
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hstarlib.ehrhart import (
@@ -26,7 +27,12 @@ from hstarlib.ehrhart import (
     parse_polytope,
 )
 from hstarlib.errors import InvalidInput
-from hstarlib.harness import dilated_cube, dilated_simplex, enumerate_labeled_posets
+from hstarlib.harness import (
+    dilated_cube,
+    dilated_simplex,
+    enumerate_labeled_posets,
+    random_instances,
+)
 from hstarlib.polynomial import IntPolynomial, expand_series, series_numerator
 from hstarlib.poset import Poset, descent_h_star, order_polynomial
 
@@ -50,6 +56,73 @@ def order_polytope_points_brute(poset, n, interior=False):
         if ok:
             total += 1
     return total
+
+
+def box_points_brute(polytope, n, interior=False):
+    """Test every point of the closed lattice box of n * P directly.
+
+    A simplex point is in n * P when its barycentric signs adj @ (x, n) are
+    all >= 0 (> 0 for the interior).  An H-polytope point must satisfy
+    every row, and the box: a user box constrains the polytope, so an
+    interior point lies strictly inside its dilate too.
+    """
+    if isinstance(polytope, Simplex):
+        columns = list(zip(*polytope.vertices))
+        lo = [n * min(col) for col in columns]
+        hi = [n * max(col) for col in columns]
+
+        def inside(x):
+            bary = [sum(c * v for c, v in zip(row, (*x, n))) for row in polytope._adj]
+            return all(b > 0 if interior else b >= 0 for b in bary)
+
+    else:
+        lo_q, hi_q = polytope.box
+        lo = [ceil(n * q) for q in lo_q]
+        hi = [floor(n * q) for q in hi_q]
+
+        def inside(x):
+            for normal, bound in polytope.inequalities:
+                value = sum(c * v for c, v in zip(normal, x))
+                if value > n * bound or (interior and value == n * bound):
+                    return False
+            return not interior or all(n * a < v < n * b for a, v, b in zip(lo_q, x, hi_q))
+
+    return sum(1 for x in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if inside(x))
+
+
+def random_simplices(seed, d, count, high):
+    """Seeded lattice simplices with vertices in [-high, high]^d."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(Simplex([[rng.randint(-high, high) for _ in range(d)] for _ in range(d + 1)]))
+        except InvalidInput:
+            continue
+    return out
+
+
+def random_hreps(seed, count):
+    """Seeded H-polytopes with d = 1..3 and a user box; coefficients in
+    [-2, 2], so rows with a zero last coefficient and empty dilates occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        rows = [
+            ([rng.randint(-2, 2) for _ in range(d)], rng.randint(-2, 3))
+            for _ in range(rng.randint(1, 4))
+        ]
+        lo = [rng.randint(-2, 1) for _ in range(d)]
+        out.append(HRepPolytope(rows, d, box=(lo, [a + rng.randint(0, 3) for a in lo])))
+    return out
+
+
+def assert_counts_match_brute(polytope):
+    for n in range(polytope.dim + 3):
+        for interior in (False, True):
+            expected = box_points_brute(polytope, n, interior)
+            assert count_points(polytope, n, interior) == expected, (polytope, n, interior)
 
 
 class TestOrderPolytopeCounts:
@@ -165,6 +238,65 @@ class TestSimplex:
         assert h_star(segment).coeffs == (1,)
 
 
+class TestBoxWalker:
+    """The line-sweep walker of simplices and H-polytopes against testing
+    every point of the box."""
+
+    @pytest.mark.parametrize("d, count, high", [(1, 12, 4), (2, 12, 3), (3, 6, 2), (4, 2, 1)])
+    def test_random_simplices(self, d, count, high):
+        for simplex in random_simplices(d, d, count, high):
+            assert_counts_match_brute(simplex)
+
+    def test_random_hreps(self):
+        corpus = random_hreps(11, 60)
+        for polytope in corpus:
+            assert_counts_match_brute(polytope)
+        # the seeded corpus covers the walker's corner cases
+        assert any(p.dim == 1 for p in corpus)
+        assert any(normal[-1] == 0 for p in corpus for normal, _ in p.inequalities)
+        assert any(count_points(p, 1) == 0 for p in corpus)
+
+    @pytest.mark.parametrize(
+        "rows, d",
+        [
+            ([((-1, 0), 0), ((0, -1), 0), ((2, 3), 6)], 2),
+            # non-lattice, rational derived box: counts are still exact
+            ([((-1, 0), 0), ((0, -1), 0), ((2, 2), 3)], 2),
+            ([((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 2, 3), 6)], 3),
+            ([((2,), 3), ((-3,), 1)], 1),
+        ],
+    )
+    def test_derived_boxes(self, rows, d):
+        assert_counts_match_brute(HRepPolytope(rows, d))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_unimodular_invariance(self, data):
+        # a translation plus a shear x_i += k x_j (or a sign flip when
+        # i == j) is a lattice isomorphism; a shear into the last coordinate
+        # changes the lines the walker sweeps
+        d = data.draw(st.integers(1, 3))
+        coords = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        vertices = data.draw(st.lists(coords, min_size=d + 1, max_size=d + 1))
+        try:
+            simplex = Simplex(vertices)
+        except InvalidInput:
+            assume(False)
+        shift = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        k = data.draw(st.integers(-2, 2))
+
+        def move(v):
+            w = list(v)
+            w[i] = -w[i] if i == j else w[i] + k * w[j]
+            return [a + b for a, b in zip(w, shift)]
+
+        image = Simplex([move(v) for v in vertices])
+        for n in range(d + 2):
+            for interior in (False, True):
+                assert count_points(image, n, interior) == count_points(simplex, n, interior)
+
+
 class TestHRep:
     def cube(self, d, k):
         rows = []
@@ -217,6 +349,14 @@ class TestHStar:
         for poset in enumerate_labeled_posets(4):
             assert h_star(OrderPolytope(poset)) == descent_h_star(poset)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda d: st.permutations(range(1, d + 1))), st.integers(0, 99))
+    def test_relabelling_invariance(self, perm, seed):
+        d = len(perm)
+        (poset,) = random_instances("poset", d, 1, seed, relation_probability=0.4)
+        image = Poset(d, [(perm[i - 1], perm[j - 1]) for i, j in poset.relations])
+        assert h_star(OrderPolytope(image)) == h_star(OrderPolytope(poset))
+
     def test_matches_series_numerator_route(self):
         for poset in enumerate_labeled_posets(3):
             op = OrderPolytope(poset)
@@ -252,6 +392,14 @@ class TestReciprocity:
         ehr = ehrhart_polynomial(polytope)
         for n in range(1, 4):
             assert ehr(-n) == (-1) ** d * count_points(polytope, n, interior=True)
+
+    def test_user_box_cutting_the_polytope(self):
+        # {x <= 5} inside the box [0, 5]^2 is the square [0, 5]^2: the box
+        # faces bound the interior as much as the row does
+        p = HRepPolytope([((1, 0), 5)], 2, box=([0, 0], [5, 5]))
+        ehr = ehrhart_polynomial(p)
+        for n in range(1, 4):
+            assert count_points(p, n, interior=True) == ehr(-n) == (5 * n - 1) ** 2
 
     def test_closed_forms(self):
         # the cube [0, 2]^2 has (2n+1)^2 points and (2n-1)^2 interior points

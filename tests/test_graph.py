@@ -13,7 +13,7 @@ from hstarlib.graph import (
     count_proper_colorings,
     orientation_poset,
 )
-from hstarlib.harness import enumerate_labeled_graphs
+from hstarlib.harness import enumerate_labeled_graphs, random_instances
 from hstarlib.polynomial import IntPolynomial, interpolate
 from hstarlib.poset import Poset
 
@@ -166,6 +166,31 @@ class TestChromaticPolynomial:
             assert chi.degree == graph.d and chi[graph.d] == 1
             for k, c in enumerate(chi.coeffs):
                 assert c == 0 or (c > 0) == ((graph.d - k) % 2 == 0)
+
+
+class TestNetworkxOracle:
+    """``networkx.chromatic_polynomial`` as an external oracle, compared
+    coefficient by coefficient through sympy."""
+
+    @staticmethod
+    def networkx_coeffs(graph):
+        nx = pytest.importorskip("networkx")
+        sympy = pytest.importorskip("sympy")
+        g = nx.Graph()
+        g.add_nodes_from(range(1, graph.d + 1))
+        g.add_edges_from(graph.edges)
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(nx.chromatic_polynomial(g), x)
+        return tuple(int(c) for c in reversed(poly.all_coeffs()))
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_every_small_graph(self, d):
+        for graph in enumerate_labeled_graphs(d):
+            assert chromatic_polynomial(graph).coeffs == self.networkx_coeffs(graph), graph
+
+    def test_seeded_six_vertex_graphs(self):
+        for graph in random_instances("graph", 6, 4, 11):
+            assert chromatic_polynomial(graph).coeffs == self.networkx_coeffs(graph), graph
 
 
 class TestChromaticViaOrientations:
