@@ -15,9 +15,10 @@ surfaced as reportable events rather than hard failures.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from .ehrhart import OrderPolytope, h_star, open_numerator
 from .errors import InternalConsistencyError, InvalidInput, SignViolation
@@ -174,9 +175,17 @@ def order_decomposition(
 # chromatic series
 
 
-def _orientation_hstars(graph: Graph, budget: int | None = None) -> Iterator[IntPolynomial]:
-    for rho in acyclic_orientations(graph):
-        yield h_star(OrderPolytope(orientation_poset(graph, rho)), budget=budget)
+def _orientation_hstars(graph: Graph, budget: int | None = None) -> Counter[IntPolynomial]:
+    """h* of every acyclic orientation's order polytope, counted by value.
+
+    h_star runs once per orientation, with its budget charges; the sums
+    built from these are linear in h*, so callers work once per distinct
+    h* and scale by its count.
+    """
+    return Counter(
+        h_star(OrderPolytope(orientation_poset(graph, rho)), budget=budget)
+        for rho in acyclic_orientations(graph)
+    )
 
 
 def graph_numerator(graph: Graph, *, budget: int | None = None) -> IntPolynomial:
@@ -184,13 +193,15 @@ def graph_numerator(graph: Graph, *, budget: int | None = None) -> IntPolynomial
 
     Computed twice: from the chromatic polynomial directly, and as the sum
     over acyclic orientations of the reversed order-polytope numerators
-    divided by z.  Disagreement would be a bug, not a property of the graph.
+    divided by z.  Orientations are grouped by h*, so each distinct
+    numerator is reversed once and weighted by its multiplicity.
+    Disagreement would be a bug, not a property of the graph.
     """
     d = graph.d
     direct = series_numerator(chromatic_polynomial(graph), d)
     total = IntPolynomial.zero()
-    for hs in _orientation_hstars(graph, budget):
-        total = total + open_numerator(hs, d)
+    for hs, count in _orientation_hstars(graph, budget).items():
+        total = total + count * open_numerator(hs, d)
     if total[0] != 0:
         raise InternalConsistencyError("orientation sum has a nonzero constant term")
     via_orientations = IntPolynomial(total.coeffs[1:])
@@ -207,21 +218,22 @@ def graph_decomposition(
 ) -> tuple[IntPolynomial, IntPolynomial]:
     """Split z h_G as a + z b by summing order decompositions over orientations.
 
-    One sweep accumulates the per-orientation parts and the reversed
-    numerators.  The closed formulas are linear, so the sums must equal the
-    direct split of z h_G at ambient degree d + 1 (with z h_G taken from the
-    chromatic route); both are computed and compared.  b and -a are
-    nonnegative for every graph.
+    One sweep collects the orientations' h* with their multiplicities; each
+    distinct h* is split once (with its reconstruction checks) and its parts
+    and reversed numerator are added with that weight.  The closed formulas
+    are linear, so the sums must equal the direct split of z h_G at ambient
+    degree d + 1 (with z h_G taken from the chromatic route); both are
+    computed and compared.  b and -a are nonnegative for every graph.
     """
     d = graph.d
     a = IntPolynomial.zero()
     b = IntPolynomial.zero()
     zh = IntPolynomial.zero()
-    for hs in _orientation_hstars(graph, budget):
+    for hs, count in _orientation_hstars(graph, budget).items():
         a_pi, b_pi = order_decomposition(hs, d)
-        a = a + a_pi
-        b = b + b_pi
-        zh = zh + open_numerator(hs, d)
+        a = a + count * a_pi
+        b = b + count * b_pi
+        zh = zh + count * open_numerator(hs, d)
     if zh != series_numerator(chromatic_polynomial(graph), d).shift(1):
         raise InternalConsistencyError(
             f"orientation sum disagrees with the chromatic route for {graph!r}"

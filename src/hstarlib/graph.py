@@ -7,7 +7,7 @@ default and j -> i when the edge is in the ``flipped`` set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -64,9 +64,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class Orientation:
-    """Edge subset marking which edges point from the larger label down."""
+    """Edge subset marking which edges point from the larger label down.
+
+    An orientation yielded by :func:`acyclic_orientations` also carries the
+    sweep's transitive reach masks and the graph they were built for, which
+    lets :func:`orientation_poset` skip the closure.  Equality, hashing and
+    repr look at ``flipped`` only.
+    """
 
     flipped: frozenset[tuple[int, int]]
+    reach: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    graph: Graph | None = field(default=None, compare=False, repr=False)
 
     def directed_edges(self, graph: Graph) -> Iterator[tuple[int, int]]:
         """Yield each edge of the host graph as an ordered (source, target)."""
@@ -89,7 +97,7 @@ def acyclic_orientations(graph: Graph) -> Iterator[Orientation]:
 
     def orient(k: int) -> Iterator[Orientation]:
         if k == len(edges):
-            yield Orientation(frozenset(flipped))
+            yield Orientation(frozenset(flipped), tuple(reach), graph)
             return
         i, j = edges[k]
         for src, dst, flip in ((i - 1, j - 1, False), (j - 1, i - 1, True)):
@@ -118,10 +126,15 @@ def count_acyclic_orientations(graph: Graph) -> int:
 def orientation_poset(graph: Graph, orientation: Orientation) -> Poset:
     """Poset induced by reachability along the oriented edges.
 
-    v_i < v_j iff a directed path of length >= 1 runs from v_i to v_j.
-    Cyclic orientations are rejected (the Poset constructor reports the
-    offending cycle).
+    v_i < v_j iff a directed path of length >= 1 runs from v_i to v_j.  An
+    orientation from the sweep over this graph brings its reach masks, which
+    are already closed and acyclic, so the poset is read off them with no
+    closure pass.  A hand-built orientation goes through the Poset
+    constructor, which closes the edges and reports a cycle; flipping an
+    edge the graph lacks is rejected.
     """
+    if orientation.reach is not None and orientation.graph == graph:
+        return Poset._from_reach(orientation.reach)
     if not orientation.flipped <= graph.edges:
         raise InvalidInput("orientation flips edges the graph does not have")
     return Poset(graph.d, orientation.directed_edges(graph))

@@ -34,7 +34,9 @@ reproducible byte for byte (timings aside).
 
 from __future__ import annotations
 
+import math
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -495,6 +497,47 @@ _POLYTOPE_CHECKS = {
 ALL_CHECKS = tuple(sorted({*_POSET_CHECKS, *_GRAPH_CHECKS, *_POLYTOPE_CHECKS}))
 
 
+class _TimeUp(BaseException):
+    """Raised by the SIGALRM handler when an input's time limit runs out.
+
+    A BaseException, so no ``except Exception`` inside a check can swallow it.
+    """
+
+
+def _raise_time_up(signum, frame) -> None:
+    raise _TimeUp
+
+
+def _run_check(name: str, fn, ctx: _Context, alarm: float | None, late: str) -> CheckResult:
+    """One check's outcome; with ``alarm`` (seconds) SIGALRM cuts it off
+    then, and the check is a skip with detail ``late``."""
+    try:
+        if alarm is not None:
+            import signal
+
+            signal.setitimer(signal.ITIMER_REAL, alarm)
+        try:
+            return fn(ctx)
+        finally:
+            if alarm is not None:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    except _TimeUp:
+        return CheckResult(name, None, late)
+    except BudgetExceeded as exc:
+        return CheckResult(name, None, f"skipped: {exc}")
+    except HstarError as exc:
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # a bug in a check must not end the sweep
+        import traceback  # only on this path; keeps start-up lean
+
+        frames = [
+            f"{Path(f.filename).name}:{f.lineno} {f.name}"
+            for f in traceback.extract_tb(exc.__traceback__)
+        ]
+        detail = f"{type(exc).__name__}: {exc}"
+        return CheckResult(name, False, detail, {"traceback": frames}, error=True)
+
+
 def verify_all(
     corpus: Iterable,
     checks: Sequence[str] | None = None,
@@ -509,11 +552,16 @@ def verify_all(
     item's kind are silently inapplicable for that item.  A failing check is
     recorded, never raised; any other exception a check raises is recorded
     as an ``error`` status and counts as a failure; exceeded element
-    budgets record a skip, and with ``time_limit`` (seconds per input)
-    checks remaining after the limit elapses are skipped as well.  With ``mutate`` the sign of one
-    coefficient of each input's numerator polynomial is flipped before
-    checking, which must make the failure path fire (the reporting
-    self-test).
+    budgets record a skip.  With ``time_limit`` (seconds per input) the
+    checks still pending when the limit elapses are skipped.  On the main
+    thread of a POSIX process a finite positive limit is preemptive: an
+    ``ITIMER_REAL`` alarm cuts off the running check, which is skipped too.
+    The timer is cancelled and the previous SIGALRM handler restored before
+    each report is yielded; a caller's own ``ITIMER_REAL`` is not kept.  Elsewhere, and for a zero limit, the clock is
+    consulted between checks only, so the first check always runs.  With
+    ``mutate`` the sign of one coefficient of each input's numerator
+    polynomial is flipped before checking, which must make the failure path
+    fire (the reporting self-test).
     """
     if checks is None:
         selected = list(ALL_CHECKS)
@@ -523,43 +571,42 @@ def verify_all(
         if unknown:
             raise InvalidInput(f"unknown checks {unknown}; known: {list(ALL_CHECKS)}")
     tables = {"poset": _POSET_CHECKS, "graph": _GRAPH_CHECKS, "polytope": _POLYTOPE_CHECKS}
+    preempt = (
+        time_limit is not None
+        and 0 < time_limit < math.inf
+        and threading.current_thread() is threading.main_thread()
+    )
+    if preempt:
+        import signal  # only for a preemptive limit; keeps start-up lean
+
+        preempt = hasattr(signal, "setitimer")
+    late = f"skipped: per-input time limit {time_limit}s"
     for index, item in enumerate(corpus):
         ctx = _Context(item, budget, mutate)
         table = tables[ctx.kind]
         start = time.perf_counter()
         results = []
-        for name in selected:
-            fn = table.get(name)
-            if fn is None:
-                continue
-            # consulted between checks (a running check cannot be preempted);
-            # the first check always starts
-            if (
-                time_limit is not None
-                and results
-                and time.perf_counter() - start > time_limit
-            ):
-                results.append(
-                    CheckResult(name, None, f"skipped: per-input time limit {time_limit}s")
-                )
-                continue
-            try:
-                results.append(fn(ctx))
-            except BudgetExceeded as exc:
-                results.append(CheckResult(name, None, f"skipped: {exc}"))
-            except HstarError as exc:
-                results.append(
-                    CheckResult(name, False, f"{type(exc).__name__}: {exc}")
-                )
-            except Exception as exc:  # a bug in a check must not end the sweep
-                import traceback  # only on this path; keeps start-up lean
-
-                frames = [
-                    f"{Path(f.filename).name}:{f.lineno} {f.name}"
-                    for f in traceback.extract_tb(exc.__traceback__)
-                ]
-                detail = f"{type(exc).__name__}: {exc}"
-                results.append(CheckResult(name, False, detail, {"traceback": frames}, error=True))
+        previous = signal.signal(signal.SIGALRM, _raise_time_up) if preempt else None
+        try:
+            for name in selected:
+                fn = table.get(name)
+                if fn is None:
+                    continue
+                # the first check always starts
+                if (
+                    time_limit is not None
+                    and results
+                    and time.perf_counter() - start > time_limit
+                ):
+                    results.append(CheckResult(name, None, late))
+                    continue
+                # setitimer(0) would disarm, so a spent limit still arms a tick
+                alarm = max(start + time_limit - time.perf_counter(), 1e-6) if preempt else None
+                results.append(_run_check(name, fn, ctx, alarm, late))
+        finally:
+            if preempt:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
         yield VerificationReport(
             index=index,
             kind=ctx.kind,

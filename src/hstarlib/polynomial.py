@@ -239,11 +239,9 @@ def series_numerator(L: CountingPolynomial | IntPolynomial, d: int) -> IntPolyno
     if L.degree > d:
         raise InvalidInput(f"degree {L.degree} exceeds ambient d = {d}")
     values = [L(n) for n in range(d + 1)]
+    signed = [(-1) ** i * comb(d + 1, i) for i in range(d + 1)]
     return IntPolynomial(
-        [
-            sum((-1) ** i * comb(d + 1, i) * values[j - i] for i in range(j + 1))
-            for j in range(d + 1)
-        ]
+        [sum(signed[i] * values[j - i] for i in range(j + 1)) for j in range(d + 1)]
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -182,6 +183,33 @@ class TestVerify:
         assert error["witnesses"]["traceback"][-1].endswith(" flaky")
         assert records[1]["checks"] == [{"name": "thm1.2", "status": "pass"}]
         assert records[2]["inputs"] == 2 and records[2]["failures"] == 1
+
+    def test_time_limit_cuts_off_a_spinning_check(self, capsys, monkeypatch):
+        import hstarlib.harness as harness
+
+        calls = []
+
+        def spin(ctx):
+            calls.append(ctx.item)
+            give_up = time.perf_counter() + 10  # a failing test must not hang
+            while len(calls) == 1 and time.perf_counter() < give_up:
+                pass
+            return harness.CheckResult("thm1.2", True)
+
+        monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", spin)
+        code, out = run(
+            capsys, "verify", "--random", "poset,3,2", "--checks", "thm1.2",
+            "--time-limit", "0.2", "--format", "json-lines",
+        )
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 0
+        assert [r["type"] for r in records] == ["report", "report", "summary"]
+        assert 0.2 <= records[0]["seconds"] < 2.0
+        assert records[0]["checks"] == [
+            {"name": "thm1.2", "status": "skip", "detail": "skipped: per-input time limit 0.2s"}
+        ]
+        assert records[1]["checks"] == [{"name": "thm1.2", "status": "pass"}]
+        assert (records[2]["inputs"], records[2]["skipped_checks"]) == (2, 1)
 
     def test_foreign_exception_text_mode(self, capsys, monkeypatch):
         import hstarlib.harness as harness

@@ -18,9 +18,10 @@ from hstarlib.decomp import (
 )
 from hstarlib.ehrhart import OrderPolytope, h_star, open_numerator
 from hstarlib.errors import InvalidInput, SignViolation
-from hstarlib.graph import Graph
+from hstarlib.graph import Graph, acyclic_orientations, orientation_poset
 from hstarlib.harness import enumerate_labeled_graphs, enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial
+from hstarlib.poset import Poset
 
 K2 = Graph(2, [(1, 2)])
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -257,6 +258,42 @@ class TestOrderDecomposition:
             a_pi, b_pi = order_decomposition(hs, poset.d)
             assert a_pi + b_pi.shift(1) == open_numerator(hs, poset.d)
             assert (-a_pi).is_nonnegative() and b_pi.is_nonnegative()
+
+
+def per_orientation_routes(graph):
+    """h_G and the split of z h_G, one orientation at a time, each poset
+    closed from its directed edges: the loop the grouped sums must equal."""
+    d = graph.d
+    zh = a = b = IntPolynomial.zero()
+    for rho in acyclic_orientations(graph):
+        hs = h_star(OrderPolytope(Poset(d, rho.directed_edges(graph))))
+        a_pi, b_pi = order_decomposition(hs, d)
+        a, b = a + a_pi, b + b_pi
+        zh = zh + open_numerator(hs, d)
+    assert zh[0] == 0
+    return IntPolynomial(zh.coeffs[1:]), a, b
+
+
+class TestGroupedOrientationSums:
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            [g for d in range(5) for g in enumerate_labeled_graphs(d)],
+            list(random_instances("graph", 6, 6, seed=13)),
+        ],
+        ids=["all-d-le-4", "seeded-d6"],
+    )
+    def test_matches_per_orientation_loop(self, graphs):
+        for graph in graphs:
+            h_g, a, b = per_orientation_routes(graph)
+            assert graph_numerator(graph) == h_g
+            assert graph_decomposition(graph) == (a, b)
+        # grouping must matter: the last graph has fewer distinct h* than orientations
+        hstars = [
+            h_star(OrderPolytope(orientation_poset(graph, rho)))
+            for rho in acyclic_orientations(graph)
+        ]
+        assert len(set(hstars)) < len(hstars)
 
 
 class TestGraphNumerator:

@@ -124,6 +124,41 @@ class TestOrientationPoset:
         with pytest.raises(InvalidInput):
             orientation_poset(PATH3, Orientation(frozenset({(1, 3)})))
 
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            [g for d in range(5) for g in enumerate_labeled_graphs(d)],
+            list(random_instances("graph", 6, 6, seed=5)),
+            list(random_instances("graph", 7, 6, seed=9)),
+        ],
+        ids=["all-d-le-4", "seeded-d6", "seeded-d7"],
+    )
+    def test_sweep_masks_match_closure(self, graphs):
+        seen = 0
+        for graph in graphs:
+            for rho in acyclic_orientations(graph):
+                assert rho.reach is not None
+                fast = orientation_poset(graph, rho)
+                slow = Poset(graph.d, rho.directed_edges(graph))
+                assert fast == slow
+                assert fast.cover_relations == slow.cover_relations  # reads the down-masks
+                seen += 1
+        assert seen > len(graphs)
+
+    def test_masks_of_another_graph_are_not_trusted(self):
+        # 3 -> 1 is acyclic on its own graph but closes 1 -> 2 -> 3 -> 1 on K3
+        (rho,) = [r for r in acyclic_orientations(Graph(3, [(1, 3)])) if r.flipped]
+        with pytest.raises(InvalidInput, match="cycle"):
+            orientation_poset(K3, rho)
+        (rho,) = [r for r in acyclic_orientations(PATH3) if not r.flipped]
+        assert orientation_poset(K3, rho) == Poset(3, [(1, 2), (2, 3)])
+
+    def test_identity_is_the_flipped_set(self):
+        for rho in acyclic_orientations(K3):
+            bare = Orientation(rho.flipped)
+            assert rho == bare and hash(rho) == hash(bare) and repr(rho) == repr(bare)
+            assert orientation_poset(K3, bare) == orientation_poset(K3, rho)
+
 
 class TestColorings:
     def test_k3(self):

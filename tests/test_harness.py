@@ -1,6 +1,10 @@
 """Corpus generation and the verification harness."""
 
 import json
+import math
+import signal
+import threading
+import time
 
 import pytest
 
@@ -163,6 +167,64 @@ class TestVerifyAll:
         assert report.checks[0].name == "thm1.2"
         assert report.checks[1].passed is None
         assert "time limit" in report.checks[1].detail
+
+    def test_time_limit_preempts_a_spinning_check(self, monkeypatch):
+        import hstarlib.harness as harness
+
+        calls = []
+
+        def spin(ctx):
+            calls.append(ctx.item)
+            give_up = time.perf_counter() + 10  # a failing test must not hang
+            while len(calls) == 1 and time.perf_counter() < give_up:
+                try:
+                    while time.perf_counter() < give_up:
+                        pass
+                except Exception:  # the alarm is not an Exception
+                    pass
+            return harness.CheckResult("thm1.2", True)
+
+        monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", spin)
+        previous = signal.getsignal(signal.SIGALRM)
+        reports = []
+        for report in verify_all([Poset(1), Poset(2)], ["thm1.2", "conj6.2"], time_limit=0.2):
+            # between reports the timer is off and the caller's handler is back
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGALRM) is previous
+            reports.append(report)
+        cut, after = reports
+        assert 0.2 <= cut.seconds < 2.0
+        assert [c.to_record() for c in cut.checks] == [
+            {"name": name, "status": "skip", "detail": "skipped: per-input time limit 0.2s"}
+            for name in ("thm1.2", "conj6.2")
+        ]
+        assert [c.status for c in after.checks] == ["pass", "pass"]
+
+    @pytest.mark.parametrize("limit,armed", [(60.0, True), (math.inf, False), (None, False)])
+    def test_only_a_finite_limit_arms_the_timer(self, monkeypatch, limit, armed):
+        import hstarlib.harness as harness
+
+        seen = []
+
+        def probe(ctx):
+            seen.append(signal.getitimer(signal.ITIMER_REAL)[0] > 0)
+            return harness.CheckResult("thm1.2", True)
+
+        monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", probe)
+        (report,) = list(verify_all([Poset(2)], ["thm1.2"], time_limit=limit))
+        assert seen == [armed] and report.checks[0].passed
+
+    def test_time_limit_off_the_main_thread(self):
+        # signals belong to the main thread; elsewhere the limit is checked between checks
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.extend(verify_all([Poset(3)], ["thm1.2", "conj6.2"], time_limit=5.0))
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        (report,) = out
+        assert [c.status for c in report.checks] == ["pass", "pass"]
 
     def test_records_are_json_with_decimal_strings(self):
         (report,) = list(verify_all([Graph(2, [(1, 2)])], ["conj6.1"], mutate=True))
