@@ -8,7 +8,6 @@ default and j -> i when the edge is in the ``flipped`` set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Iterator
 
 from .budget import charge
@@ -143,7 +142,13 @@ def orientation_poset(graph: Graph, orientation: Orientation) -> Poset:
 def count_proper_colorings(
     graph: Graph, n: int, *, budget: int | None = None
 ) -> int:
-    """Brute-force count of proper colorings with colors {1..n}."""
+    """Count the proper colorings with colors {1..n} by backtracking.
+
+    Vertices are colored in label order, each with every color its
+    already-colored neighbors leave free; the last vertex contributes the
+    number of free colors without being tried.  The budget is charged the
+    n^d candidate colorings up front, before any search.
+    """
     if n < 0:
         raise InvalidInput("n must be nonnegative")
     d = graph.d
@@ -152,12 +157,24 @@ def count_proper_colorings(
     if n == 0:
         return 0
     charge(n**d, budget, f"enumeration of {n}^{d} colorings")
-    edges = [(i - 1, j - 1) for i, j in graph.sorted_edges()]
-    total = 0
-    for phi in product(range(n), repeat=d):
-        if all(phi[i] != phi[j] for i, j in edges):
-            total += 1
-    return total
+    earlier: list[list[int]] = [[] for _ in range(d)]  # neighbors with smaller labels
+    for i, j in graph.edges:
+        earlier[j - 1].append(i - 1)
+    color = [0] * d
+    last = d - 1
+
+    def extend(v: int) -> int:
+        taken = {color[u] for u in earlier[v]}
+        if v == last:
+            return n - len(taken)
+        total = 0
+        for c in range(n):
+            if c not in taken:
+                color[v] = c
+                total += extend(v + 1)
+        return total
+
+    return extend(0)
 
 
 def chromatic_polynomial(graph: Graph) -> IntPolynomial:

@@ -24,7 +24,8 @@ thm1.4         graph    h_G degree/signs/leading coefficient and the
 conj6.1        graph    h_G itself splits with -a, b nonnegative
 conj6.2        poset    h_Pi / z splits with -a, b nonnegative
 conj6.4        graph    strengthened partial-sum inequalities
-chromatic3     graph    deletion-contraction = orientation sum = brute force
+chromatic3     graph    deletion-contraction = orientation sum = counted
+                        colorings
 =============  =======  ====================================================
 
 Inputs are independent, so sweeps could fan out over workers; this driver
@@ -285,7 +286,8 @@ def _flip_leading(p: IntPolynomial) -> IntPolynomial:
 
 
 class _Context:
-    """One corpus item, its kind and its numerator, computed once."""
+    """One corpus item, its kind, its numerator and (for a graph) its
+    deletion-contraction chromatic polynomial, each computed once."""
 
     def __init__(self, item, budget: int | None, mutate: bool):
         if isinstance(item, OrderPolytope):
@@ -303,6 +305,7 @@ class _Context:
         self.budget = budget
         self.mutate = mutate
         self._numerator: IntPolynomial | None = None
+        self._chromatic: IntPolynomial | None = None
 
     def input_text(self) -> str:
         return self.item.to_text()
@@ -313,12 +316,20 @@ class _Context:
         self-test."""
         if self._numerator is None:
             if self.kind == "graph":
-                p = decomp.graph_numerator(self.item, budget=self.budget)
+                p = decomp.graph_numerator(
+                    self.item, budget=self.budget, chromatic=self.chromatic()
+                )
             else:
                 polytope = OrderPolytope(self.item) if self.kind == "poset" else self.item
                 p = h_star(polytope, budget=self.budget)
             self._numerator = _flip_leading(p) if self.mutate else p
         return self._numerator
+
+    def chromatic(self) -> IntPolynomial:
+        """The graph's chromatic polynomial by deletion-contraction."""
+        if self._chromatic is None:
+            self._chromatic = chromatic_polynomial(self.item)
+        return self._chromatic
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +410,7 @@ def _check_conj62(ctx: _Context) -> CheckResult:
 
 
 def _check_thm13(ctx: _Context) -> CheckResult:
-    a, b = decomp.graph_decomposition(ctx.item, budget=ctx.budget)
+    a, b = decomp.graph_decomposition(ctx.item, budget=ctx.budget, chromatic=ctx.chromatic())
     return _verdict(
         "thm1.3",
         (-a).is_nonnegative() and b.is_nonnegative(),
@@ -417,7 +428,7 @@ def _check_thm14(ctx: _Context) -> CheckResult:
     if not h.is_nonnegative():
         problems.append("negative coefficient")
     orientations = count_acyclic_orientations(ctx.item)
-    chi_at_minus_one = (-1) ** d * chromatic_polynomial(ctx.item)(-1)
+    chi_at_minus_one = (-1) ** d * ctx.chromatic()(-1)
     if h[d] != orientations or orientations != chi_at_minus_one:
         problems.append(
             f"leading {h[d]} vs {orientations} orientations vs (-1)^d chi(-1) = {chi_at_minus_one}"
@@ -452,7 +463,7 @@ def _check_conj64(ctx: _Context) -> CheckResult:
 
 
 def _check_chromatic3(ctx: _Context) -> CheckResult:
-    dc = chromatic_polynomial(ctx.item)
+    dc = ctx.chromatic()
     via = chromatic_via_orientations(ctx.item)
     if dc != via:
         # the orientation route is held by its values at n = 0..d
@@ -463,12 +474,12 @@ def _check_chromatic3(ctx: _Context) -> CheckResult:
             {"chi_dc": dc.coeffs, "chi_ao_values": via.values},
         )
     for n in range(5):
-        brute = count_proper_colorings(ctx.item, n, budget=ctx.budget)
-        if dc(n) != brute:
+        counted = count_proper_colorings(ctx.item, n, budget=ctx.budget)
+        if dc(n) != counted:
             return _verdict(
                 "chromatic3",
                 False,
-                f"chi({n}) = {dc(n)} but brute force counts {brute}",
+                f"chi({n}) = {dc(n)} but {counted} colorings are counted",
                 {"chi_dc": dc.coeffs},
             )
     return CheckResult("chromatic3", True)
@@ -557,8 +568,9 @@ def verify_all(
     thread of a POSIX process a finite positive limit is preemptive: an
     ``ITIMER_REAL`` alarm cuts off the running check, which is skipped too.
     The timer is cancelled and the previous SIGALRM handler restored before
-    each report is yielded; a caller's own ``ITIMER_REAL`` is not kept.  Elsewhere, and for a zero limit, the clock is
-    consulted between checks only, so the first check always runs.  With
+    each report is yielded; a caller's own ``ITIMER_REAL`` is not kept.
+    Elsewhere, and for a zero limit, the clock is consulted between checks
+    only, so the first check always runs.  With
     ``mutate`` the sign of one coefficient of each input's numerator
     polynomial is flipped before checking, which must make the failure path
     fire (the reporting self-test).

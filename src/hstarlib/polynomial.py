@@ -10,6 +10,7 @@ counts arrive.  Nothing here touches rationals or floating point.
 from __future__ import annotations
 
 from math import comb
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
@@ -224,7 +225,7 @@ def interpolate(values: Sequence[int]) -> CountingPolynomial:
     row = values
     while row:
         differences.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = list(map(sub, row[1:], row))
     return CountingPolynomial(values, tuple(differences))
 
 
@@ -232,17 +233,19 @@ def series_numerator(L: CountingPolynomial | IntPolynomial, d: int) -> IntPolyno
     """Numerator h with sum_{n>=0} L(n) z^n = h(z) / (1-z)^{d+1}.
 
     h_j = sum_{i=0..j} (-1)^i C(d+1, i) L(j-i), read off the values of L
-    at n = 0..d; requires degree(L) <= d.
+    at n = 0..d (the ones a CountingPolynomial holds are taken as they
+    are); requires degree(L) <= d.
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")
     if L.degree > d:
         raise InvalidInput(f"degree {L.degree} exceeds ambient d = {d}")
-    values = [L(n) for n in range(d + 1)]
+    values = list(L.values[: d + 1]) if isinstance(L, CountingPolynomial) else []
+    values += [L(n) for n in range(len(values), d + 1)]
+    values.reverse()  # values[d - n] = L(n)
     signed = [(-1) ** i * comb(d + 1, i) for i in range(d + 1)]
-    return IntPolynomial(
-        [sum(signed[i] * values[j - i] for i in range(j + 1)) for j in range(d + 1)]
-    )
+    # h_j pairs signed[i] with L(j - i) = values[d - j + i]
+    return IntPolynomial([sum(map(mul, signed, values[d - j :])) for j in range(d + 1)])
 
 
 def expand_series(h: IntPolynomial, d: int, N: int) -> list[int]:

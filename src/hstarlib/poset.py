@@ -173,33 +173,24 @@ class Poset:
     def order_ideals(self, budget: int | None = None) -> tuple[int, ...]:
         """All order ideals (down-sets) as bitmasks, sorted by size then value.
 
-        Cached on the poset; refuses when the lattice exceeds the budget.
+        Built by inserting the elements along a linear extension: once the
+        elements below e are in, the ideals gained by e are I | e for every
+        ideal I so far that contains all of them.  Cached on the poset; the
+        lattice size is charged after each element, so it refuses exactly
+        when |J(P)| exceeds the budget.
         """
         if self._ideals is not None:
             return self._ideals
-        full = (1 << self.d) - 1
         below = self._below
-        seen = {0}
-        frontier = [0]
-        count = 1
-        while frontier:
-            nxt = []
-            for ideal in frontier:
-                free = full & ~ideal
-                m = free
-                while m:
-                    e = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if below[e] & ~ideal:
-                        continue  # e has an uncovered lower bound
-                    grown = ideal | (1 << e)
-                    if grown not in seen:
-                        seen.add(grown)
-                        nxt.append(grown)
-                        count += 1
-                        charge(count, budget, "order-ideal lattice")
-            frontier = nxt
-        self._ideals = tuple(sorted(seen, key=lambda s: (bin(s).count("1"), s)))
+        ideals = [0]
+        # sorting by the number of elements below gives a linear extension
+        for e in sorted(range(self.d), key=lambda v: below[v].bit_count()):
+            bit, need = 1 << e, below[e]
+            ideals += [ideal | bit for ideal in ideals if ideal & need == need]
+            charge(len(ideals), budget, "order-ideal lattice")
+        ideals.sort()
+        ideals.sort(key=int.bit_count)
+        self._ideals = tuple(ideals)
         return self._ideals
 
 
@@ -353,7 +344,8 @@ def order_map_counts(
     the multichains whose steps add antichains, i.e. subsets of max(I_i).
     Each step is one zeta transform over the ideal lattice, done one element
     e at a time: vec[I] += vec[I - e] for every ideal I in which e is
-    maximal.  Weak maps take the elements in a linear extension, strict maps
+    maximal, with vec a list indexed by the ideals' positions in the sorted
+    lattice.  Weak maps take the elements in a linear extension, strict maps
     in its reverse, in O(|J(P)| d) per step.  The suite cross-checks the
     result with the brute-force :func:`count_order_maps`.
     """
@@ -361,19 +353,21 @@ def order_map_counts(
     above, below = poset._above, poset._below
     # sorting by the number of elements below gives a linear extension
     order = sorted(range(poset.d), key=lambda e: below[e].bit_count(), reverse=strict)
+    index = {ideal: k for k, ideal in enumerate(ideals)}
     pairs = []
     for e in order:
         bit = 1 << e
         mask = bit | above[e]
-        pairs += [(ideal, ideal ^ bit) for ideal in ideals if ideal & mask == bit]
-    vec = dict.fromkeys(ideals, 0)
+        pairs += [
+            (k, index[ideal ^ bit]) for k, ideal in enumerate(ideals) if ideal & mask == bit
+        ]
+    vec = [0] * len(ideals)
     vec[0] = 1
-    full = ideals[-1]
-    counts = [vec[full]]
+    counts = [vec[-1]]
     for _ in range(n_max):
-        for ideal, sub in pairs:
-            vec[ideal] += vec[sub]
-        counts.append(vec[full])
+        for k, sub in pairs:
+            vec[k] += vec[sub]
+        counts.append(vec[-1])
     return counts
 
 

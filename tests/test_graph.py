@@ -1,5 +1,7 @@
 """Graphs: orientations, induced posets, chromatic polynomials."""
 
+from itertools import product
+
 import pytest
 
 from hstarlib.errors import BudgetExceeded, InvalidInput
@@ -47,6 +49,14 @@ def brute_acyclic_orientations(graph):
         if not any(has_cycle(v) for v in adj if state[v] == 0):
             found.append(flipped)
     return found
+
+
+def brute_proper_colorings(graph, n):
+    """Independent count: all n^d colorings, filtered edge by edge."""
+    edges = [(i - 1, j - 1) for i, j in graph.sorted_edges()]
+    return sum(
+        all(phi[i] != phi[j] for i, j in edges) for phi in product(range(n), repeat=graph.d)
+    )
 
 
 class TestConstruction:
@@ -173,6 +183,30 @@ class TestColorings:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             count_proper_colorings(K3, 1000, budget=100)
+
+    def test_budget_is_charged_n_to_the_d(self):
+        assert count_proper_colorings(K3, 3, budget=27) == 6
+        with pytest.raises(BudgetExceeded):
+            count_proper_colorings(K3, 3, budget=26)
+
+    def test_budget_refuses_before_searching(self):
+        # 2^64 colorings: a search started before the charge would not end
+        with pytest.raises(BudgetExceeded):
+            count_proper_colorings(Graph(64), 2)
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_matches_brute_force_on_every_small_graph(self, d):
+        for graph in enumerate_labeled_graphs(d):
+            for n in range(5):
+                expected = brute_proper_colorings(graph, n)
+                assert count_proper_colorings(graph, n) == expected, (graph, n)
+
+    @pytest.mark.parametrize("d", (6, 7))
+    def test_matches_brute_force_on_seeded_graphs(self, d):
+        for graph in random_instances("graph", d, 8, 29):
+            for n in range(4):
+                expected = brute_proper_colorings(graph, n)
+                assert count_proper_colorings(graph, n) == expected, (graph, n)
 
 
 class TestChromaticPolynomial:

@@ -218,6 +218,26 @@ class TestSeriesNumerator:
         with pytest.raises(InvalidInput):
             series_numerator(interpolate([Fraction(1, 3)]), 0)
 
+    @given(
+        st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+        st.integers(0, 3),
+        st.integers(0, 6),
+    )
+    def test_matches_direct_convolution(self, coeffs, extra, spare):
+        # h_j = sum_i (-1)^i C(d+1, i) L(j-i), with L evaluated by Horner
+        p = IntPolynomial(coeffs)
+        d = len(coeffs) - 1 + extra
+        direct = IntPolynomial(
+            [
+                sum((-1) ** i * comb(d + 1, i) * p(j - i) for i in range(j + 1))
+                for j in range(d + 1)
+            ]
+        )
+        assert series_numerator(p, d) == direct
+        # value tables from just enough for p's degree to more than d + 1
+        held = interpolate([p(n) for n in range(len(coeffs) + spare)])
+        assert series_numerator(held, d) == direct
+
 
 class TestExpandSeries:
     def test_one_over_one_minus_z_squared(self):

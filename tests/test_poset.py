@@ -225,6 +225,29 @@ class TestOrderIdeals:
             assert list(poset.order_ideals()) == expected, poset
 
 
+class TestOrderIdealBudget:
+    """The lattice is charged its size, so it refuses exactly above |J(P)|."""
+
+    def test_antichain_threshold(self):
+        with pytest.raises(BudgetExceeded):
+            Poset(10).order_ideals(budget=1023)
+        assert len(Poset(10).order_ideals(budget=1024)) == 1024
+
+    def test_chain_threshold(self):
+        def chain():
+            return Poset(10, [(i, i + 1) for i in range(1, 10)])
+
+        with pytest.raises(BudgetExceeded):
+            chain().order_ideals(budget=10)
+        assert len(chain().order_ideals(budget=11)) == 11
+
+    def test_refusal_caches_nothing(self):
+        poset = Poset(10)
+        with pytest.raises(BudgetExceeded):
+            poset.order_ideals(budget=1023)
+        assert len(poset.order_ideals(budget=1024)) == 1024
+
+
 class TestIdealChains:
     def test_chain_of_two(self):
         assert ideal_chain_f_vector(CHAIN2).coeffs == (1, 3, 3, 1)
