@@ -46,7 +46,7 @@ def _emit(record: dict, fmt: str) -> None:
 def cmd_chromatic(args) -> int:
     graph = Graph.from_text(Path(args.file).read_text())
     chi = chromatic_polynomial(graph)
-    h_g = decomp.graph_numerator(graph, budget=args.budget, chromatic=chi)
+    h_g = decomp.graph_numerator(graph, budget=args.budget)
     chi_strs = _padded(chi, graph.d)
     h_strs = _padded(h_g, graph.d)
     if args.format == JSON_LINES:

@@ -188,23 +188,17 @@ def _orientation_hstars(graph: Graph, budget: int | None = None) -> Counter[IntP
     )
 
 
-def graph_numerator(
-    graph: Graph, *, budget: int | None = None, chromatic: IntPolynomial | None = None
-) -> IntPolynomial:
+def graph_numerator(graph: Graph, *, budget: int | None = None) -> IntPolynomial:
     """Numerator h_G of sum_n chi_G(n) z^n over (1-z)^{d+1}.
 
     Computed twice: from the chromatic polynomial directly, and as the sum
     over acyclic orientations of the reversed order-polytope numerators
     divided by z.  Orientations are grouped by h*, so each distinct
     numerator is reversed once and weighted by its multiplicity.
-    Disagreement would be a bug, not a property of the graph.  A caller
-    that already holds the deletion-contraction chi of this graph passes it
-    as ``chromatic``; otherwise it is computed here.
+    Disagreement would be a bug, not a property of the graph.
     """
     d = graph.d
-    if chromatic is None:
-        chromatic = chromatic_polynomial(graph)
-    direct = series_numerator(chromatic, d)
+    direct = series_numerator(chromatic_polynomial(graph), d)
     total = IntPolynomial.zero()
     for hs, count in _orientation_hstars(graph, budget).items():
         total = total + count * open_numerator(hs, d)
@@ -220,11 +214,7 @@ def graph_numerator(
 
 
 def graph_decomposition(
-    graph: Graph,
-    *,
-    check_signs: bool = False,
-    budget: int | None = None,
-    chromatic: IntPolynomial | None = None,
+    graph: Graph, *, check_signs: bool = False, budget: int | None = None
 ) -> tuple[IntPolynomial, IntPolynomial]:
     """Split z h_G as a + z b by summing order decompositions over orientations.
 
@@ -234,12 +224,8 @@ def graph_decomposition(
     are linear, so the sums must equal the direct split of z h_G at ambient
     degree d + 1 (with z h_G taken from the chromatic route); both are
     computed and compared.  b and -a are nonnegative for every graph.
-    ``chromatic`` is the graph's deletion-contraction chi, as in
-    :func:`graph_numerator`.
     """
     d = graph.d
-    if chromatic is None:
-        chromatic = chromatic_polynomial(graph)
     a = IntPolynomial.zero()
     b = IntPolynomial.zero()
     zh = IntPolynomial.zero()
@@ -248,7 +234,7 @@ def graph_decomposition(
         a = a + count * a_pi
         b = b + count * b_pi
         zh = zh + count * open_numerator(hs, d)
-    if zh != series_numerator(chromatic, d).shift(1):
+    if zh != series_numerator(chromatic_polynomial(graph), d).shift(1):
         raise InternalConsistencyError(
             f"orientation sum disagrees with the chromatic route for {graph!r}"
         )

@@ -146,8 +146,9 @@ def count_proper_colorings(
 
     Vertices are colored in label order, each with every color its
     already-colored neighbors leave free; the last vertex contributes the
-    number of free colors without being tried.  The budget is charged the
-    n^d candidate colorings up front, before any search.
+    number of free colors without being tried.  One color is answered
+    without a search.  The budget is charged the n^d candidate colorings
+    up front, before any search.
     """
     if n < 0:
         raise InvalidInput("n must be nonnegative")
@@ -157,6 +158,8 @@ def count_proper_colorings(
     if n == 0:
         return 0
     charge(n**d, budget, f"enumeration of {n}^{d} colorings")
+    if n == 1:  # the search recurses d deep, and one color costs a charge of 1
+        return 0 if graph.edges else 1
     earlier: list[list[int]] = [[] for _ in range(d)]  # neighbors with smaller labels
     for i, j in graph.edges:
         earlier[j - 1].append(i - 1)

@@ -316,9 +316,7 @@ class _Context:
         self-test."""
         if self._numerator is None:
             if self.kind == "graph":
-                p = decomp.graph_numerator(
-                    self.item, budget=self.budget, chromatic=self.chromatic()
-                )
+                p = decomp.graph_numerator(self.item, budget=self.budget)
             else:
                 polytope = OrderPolytope(self.item) if self.kind == "poset" else self.item
                 p = h_star(polytope, budget=self.budget)
@@ -410,7 +408,7 @@ def _check_conj62(ctx: _Context) -> CheckResult:
 
 
 def _check_thm13(ctx: _Context) -> CheckResult:
-    a, b = decomp.graph_decomposition(ctx.item, budget=ctx.budget, chromatic=ctx.chromatic())
+    a, b = decomp.graph_decomposition(ctx.item, budget=ctx.budget)
     return _verdict(
         "thm1.3",
         (-a).is_nonnegative() and b.is_nonnegative(),

@@ -233,16 +233,13 @@ def series_numerator(L: CountingPolynomial | IntPolynomial, d: int) -> IntPolyno
     """Numerator h with sum_{n>=0} L(n) z^n = h(z) / (1-z)^{d+1}.
 
     h_j = sum_{i=0..j} (-1)^i C(d+1, i) L(j-i), read off the values of L
-    at n = 0..d (the ones a CountingPolynomial holds are taken as they
-    are); requires degree(L) <= d.
+    at n = 0..d; requires degree(L) <= d.
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")
     if L.degree > d:
         raise InvalidInput(f"degree {L.degree} exceeds ambient d = {d}")
-    values = list(L.values[: d + 1]) if isinstance(L, CountingPolynomial) else []
-    values += [L(n) for n in range(len(values), d + 1)]
-    values.reverse()  # values[d - n] = L(n)
+    values = [L(n) for n in range(d, -1, -1)]  # values[d - n] = L(n)
     signed = [(-1) ** i * comb(d + 1, i) for i in range(d + 1)]
     # h_j pairs signed[i] with L(j - i) = values[d - j + i]
     return IntPolynomial([sum(map(mul, signed, values[d - j :])) for j in range(d + 1)])

@@ -194,6 +194,11 @@ class TestColorings:
         with pytest.raises(BudgetExceeded):
             count_proper_colorings(Graph(64), 2)
 
+    def test_one_color_on_many_vertices(self):
+        # deeper than the recursion limit; one color is charged only 1
+        assert count_proper_colorings(Graph(2000), 1) == 1
+        assert count_proper_colorings(Graph(2000, [(7, 1999)]), 1) == 0
+
     @pytest.mark.parametrize("d", range(5))
     def test_matches_brute_force_on_every_small_graph(self, d):
         for graph in enumerate_labeled_graphs(d):
