@@ -33,7 +33,6 @@ from .errors import (
     HstarError,
     InternalConsistencyError,
     InvalidInput,
-    SignViolation,
 )
 from .graph import (
     Graph,
@@ -86,7 +85,6 @@ __all__ = [
     "OrderPolytope",
     "Orientation",
     "Poset",
-    "SignViolation",
     "Simplex",
     "Summary",
     "SymmetricDecomposition",

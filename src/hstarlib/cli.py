@@ -23,7 +23,7 @@ from .ehrhart import OrderPolytope, h_star, load_polytope
 from .errors import HstarError, InvalidInput
 from .graph import Graph, chromatic_polynomial
 from .polynomial import IntPolynomial
-from .poset import Poset
+from .poset import Poset, parse_ints
 
 JSON_LINES = "json-lines"
 
@@ -70,10 +70,7 @@ def cmd_hstar(args) -> int:
 
 
 def _parse_coeffs(text: str) -> IntPolynomial:
-    try:
-        return IntPolynomial([int(tok) for tok in text.replace(",", " ").split()])
-    except ValueError as exc:
-        raise InvalidInput(f"cannot parse coefficients {text!r}") from exc
+    return IntPolynomial(parse_ints(text.replace(",", " ").split(), text))
 
 
 def cmd_decompose(args) -> int:

@@ -151,6 +151,8 @@ class Simplex:
         if not verts:
             raise InvalidInput("simplex needs vertices")
         d = len(verts[0])
+        if d < 1:
+            raise InvalidInput("simplex dimension must be at least 1")
         if any(len(v) != d for v in verts):
             raise InvalidInput("vertices of mixed dimension")
         if len(verts) != d + 1:

@@ -23,12 +23,3 @@ class InternalConsistencyError(HstarError):
     invariant (h*_0 = 1, reconstruction identity, ...) failed.  Always a
     bug in this library, never a property of the input."""
 
-
-class SignViolation(HstarError):
-    """A nonnegativity assertion mandated by a theorem or conjecture
-    failed.  This is a research-grade event: the offending input and the
-    witness polynomials are attached so the case can be reproduced."""
-
-    def __init__(self, message, witnesses=None):
-        super().__init__(message)
-        self.witnesses = dict(witnesses or {})

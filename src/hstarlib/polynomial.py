@@ -52,10 +52,6 @@ class IntPolynomial:
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPolynomial":
-        return cls([0] * degree + [coeff])
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs

@@ -30,29 +30,21 @@ class Poset:
         if d < 0:
             raise InvalidInput("poset size must be nonnegative")
         self.d = d
-        direct: list[int] = [0] * d
+        above: list[int] = [0] * d
         pairs = []
         for i, j in relations:
             if not (1 <= i <= d and 1 <= j <= d):
                 raise InvalidInput(f"relation ({i}, {j}) out of range 1..{d}")
             if i == j:
                 raise InvalidInput(f"reflexive relation ({i}, {i}) forms the cycle {i} < {i}")
-            direct[i - 1] |= 1 << (j - 1)
+            above[i - 1] |= 1 << (j - 1)
             pairs.append((i - 1, j - 1))
-        above = list(direct)
-        changed = True
-        while changed:
-            changed = False
+        # Warshall: after step k, above[i] holds every element reachable from
+        # i through intermediate elements among 1..k+1
+        for k in range(d):
             for i in range(d):
-                acc = above[i]
-                m = above[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc |= above[j]
-                if acc != above[i]:
-                    above[i] = acc
-                    changed = True
+                if above[i] >> k & 1:
+                    above[i] |= above[k]
         for i in range(d):
             if (above[i] >> i) & 1:
                 raise InvalidInput(

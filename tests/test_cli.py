@@ -345,6 +345,12 @@ class TestInputFaults:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "not an integer" in err
 
+    def test_non_integer_coefficient(self, capsys):
+        code, out, err = run_err(capsys, "decompose", "stapledon", "--coeffs", "1,x", "--d", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: 'x' is not an integer in line '1,x'\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hstarlib import decomp
 from hstarlib.decomp import (
     ab_decompose,
     graph_decomposition,
@@ -17,7 +18,7 @@ from hstarlib.decomp import (
     stapledon_pair,
 )
 from hstarlib.ehrhart import OrderPolytope, h_star, open_numerator
-from hstarlib.errors import InvalidInput, SignViolation
+from hstarlib.errors import InternalConsistencyError, InvalidInput
 from hstarlib.graph import Graph, acyclic_orientations, orientation_poset
 from hstarlib.harness import enumerate_labeled_graphs, enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial
@@ -26,6 +27,7 @@ from hstarlib.poset import Poset
 K2 = Graph(2, [(1, 2)])
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 PATH3 = Graph(3, [(1, 2), (2, 3)])
+PATH3_CHI = IntPolynomial([0, 1, -2, 1])
 
 
 def solve_ab_linear_system(h: IntPolynomial, d: int):
@@ -187,12 +189,6 @@ class TestStapledonPair:
             dec = stapledon_pair(h_star(OrderPolytope(poset)), poset.d)
             assert dec.a_nonneg and dec.b_nonneg
 
-    def test_sign_violation_raises_with_witnesses(self):
-        # 1 + z + 5z^2 is not polytopal: a_1 = 1 + 1 - 5 < 0
-        with pytest.raises(SignViolation) as info:
-            stapledon_pair(IntPolynomial([1, 1, 5]), 2, check_signs=True)
-        assert "a" in info.value.witnesses
-
     def test_rejects_bad_preconditions(self):
         with pytest.raises(InvalidInput):
             stapledon_pair(IntPolynomial([2]), 1)
@@ -347,10 +343,42 @@ class TestGraphDecomposition:
             assert a.is_palindromic(graph.d + 1)
             assert b.is_palindromic(graph.d)
 
-    def test_sign_violation_mode(self):
-        # no graph violates the theorem, so check_signs=True must never raise
-        for graph in enumerate_labeled_graphs(3):
-            graph_decomposition(graph, check_signs=True)
+
+class TestOrientationSum:
+    """Both chromatic-series functions share one checked orientation sweep."""
+
+    @pytest.mark.parametrize("fn", [graph_numerator, graph_decomposition])
+    def test_one_sweep_per_call(self, monkeypatch, fn):
+        sweeps = []
+
+        def counted(graph):
+            sweeps.append(graph)
+            return acyclic_orientations(graph)
+
+        monkeypatch.setattr(decomp, "acyclic_orientations", counted)
+        for graph in (K3, PATH3, Graph(0)):
+            fn(graph)
+        assert sweeps == [K3, PATH3, Graph(0)]
+
+    @pytest.mark.parametrize("fn", [graph_numerator, graph_decomposition])
+    def test_wrong_chromatic_route_raises(self, monkeypatch, fn):
+        # chi(K3) is n(n-1)(n-2); n(n-1)^2 is the path's and must not match
+        monkeypatch.setattr(decomp, "chromatic_polynomial", lambda g: PATH3_CHI)
+        with pytest.raises(InternalConsistencyError, match="orientation route"):
+            fn(K3)
+
+    def test_perturbed_order_part_raises(self, monkeypatch):
+        real = decomp.order_decomposition
+
+        def perturbed(hs, d):
+            a_pi, b_pi = real(hs, d)
+            return a_pi, b_pi + IntPolynomial([1])
+
+        monkeypatch.setattr(decomp, "order_decomposition", perturbed)
+        with pytest.raises(InternalConsistencyError, match="direct split"):
+            graph_decomposition(K3)
+        # the numerator does not split, so it is untouched
+        assert graph_numerator(K3).coeffs == (0, 0, 0, 6)
 
 
 class TestInequalityReport:

@@ -212,6 +212,11 @@ class TestSimplex:
         with pytest.raises(InvalidInput):
             Simplex([(0, 0), (1, 0)])
 
+    def test_rejects_dimension_zero(self):
+        # a point in Z^0 has no box to walk; HRepPolytope rejects d = 0 too
+        with pytest.raises(InvalidInput, match="at least 1"):
+            Simplex([[]])
+
     def test_triangle_interior(self):
         assert count_points(TRIANGLE, 2, interior=True) == 3
 

@@ -4,6 +4,7 @@ The brute-force oracles (permutation filtering, exhaustive map counting)
 live here and double-check the faster library routes on the small corpus.
 """
 
+import random
 from itertools import permutations
 
 import pytest
@@ -21,6 +22,22 @@ from hstarlib.poset import (
     order_map_counts,
     order_polynomial,
 )
+
+
+def dfs_reach(d, rels):
+    """Elements reachable from each element along one or more relations."""
+    succ = {i: [j for a, j in rels if a == i] for i in range(1, d + 1)}
+    reach = {}
+    for start in succ:
+        seen, stack = set(), list(succ[start])
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(succ[v])
+        reach[start] = seen
+    return reach
+
 
 CHAIN2 = Poset(2, [(1, 2)])
 CHAIN3 = Poset(3, [(1, 2), (2, 3)])
@@ -61,6 +78,37 @@ class TestConstruction:
     def test_rejects_cycle_with_diagnostic(self):
         with pytest.raises(InvalidInput, match="cycle"):
             Poset(3, [(1, 2), (2, 3), (3, 1)])
+
+    def test_closure_matches_dfs_reachability(self):
+        # half the relation lists follow a random linear order (acyclic),
+        # half are arbitrary and mostly cyclic; both outcomes must occur
+        rng = random.Random(2016)
+        outcomes = set()
+        for trial in range(600):
+            d = rng.randint(2, 7)
+            order = rng.sample(range(1, d + 1), d)
+            rels = []
+            for _ in range(rng.randint(0, 2 * d)):
+                i, j = rng.sample(range(1, d + 1), 2)
+                if trial % 2 == 0 and order.index(i) > order.index(j):
+                    i, j = j, i
+                rels.append((i, j))
+            reach = dfs_reach(d, rels)
+            looped = [i for i in range(1, d + 1) if i in reach[i]]
+            outcomes.add(bool(looped))
+            if not looped:
+                closed = {(i, j) for i in range(1, d + 1) for j in reach[i]}
+                assert Poset(d, rels).relations == closed, rels
+                continue
+            with pytest.raises(InvalidInput) as info:
+                Poset(d, rels)
+            message = str(info.value)
+            assert message.startswith("relations contain the cycle "), message
+            cycle = [int(v) for v in message.rsplit("cycle ", 1)[1].split(" < ")]
+            # the cycle starts at the least element that reaches itself
+            assert cycle[0] == cycle[-1] == looped[0], (rels, message)
+            assert all(pair in rels for pair in zip(cycle, cycle[1:])), (rels, message)
+        assert outcomes == {False, True}
 
     def test_rejects_reflexive(self):
         with pytest.raises(InvalidInput, match="cycle"):
