@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 from typing import Literal, NamedTuple
 
 from .ehrhart import OrderPolytope, h_star, open_numerator
@@ -43,10 +44,6 @@ class SymmetricDecomposition:
     s: int
     l: int
 
-    def reconstruction(self) -> IntPolynomial:
-        """a + z^l b; equals (1 + ... + z^{l-1}) h for the input h."""
-        return self.a + self.b.shift(self.l)
-
     @property
     def a_nonneg(self) -> bool:
         return self.a.is_nonnegative()
@@ -62,8 +59,8 @@ def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
     Coefficients come from the closed partial-sum formulas
     a_i = h_0 + ... + h_i - h_d - ... - h_{d-i+1} and
     b_i = -h_0 - ... - h_i + h_s + ... + h_{s-i}, read off one prefix-sum
-    array of h in O(d); the result is re-verified by reconstruction, so an
-    index bug cannot escape silently.
+    array of h in O(d), and verified as lists: palindromes by reversal, and
+    a + z^l b against (1 + ... + z^{l-1}) h summed from h's coefficients.
     """
     if not h:
         raise InvalidInput("cannot decompose the zero polynomial")
@@ -71,28 +68,28 @@ def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
     if s > d:
         raise InvalidInput(f"degree {s} exceeds ambient degree {d}")
     l = d + 1 - s
-    # prefix[k] = h_0 + ... + h_{k-1}, which is h(1) for every k > s
-    prefix = list(accumulate(h.coeffs, initial=0))
-    total = prefix[-1]
-    prefix += [total] * (d - s)
-    a = [prefix[i + 1] - total + prefix[d - i + 1] for i in range(d + 1)]
-    b = [total - prefix[s - i] - prefix[i + 1] for i in range(s)]
-    decomposition = SymmetricDecomposition(IntPolynomial(a), IntPolynomial(b), d, s, l)
-    _verify(decomposition, h)
-    return decomposition
-
-
-def _verify(dec: SymmetricDecomposition, h: IntPolynomial) -> None:
-    if not dec.a.is_palindromic(dec.d):
-        raise InternalConsistencyError(f"a = {dec.a.coeffs} is not symmetric about {dec.d}")
-    if dec.b and not dec.b.is_palindromic(dec.s - 1):
-        raise InternalConsistencyError(f"b = {dec.b.coeffs} is not symmetric about {dec.s - 1}")
-    multiplied = IntPolynomial([1] * dec.l) * h
-    if dec.reconstruction() != multiplied:
+    a, b = _split(h.coeffs, d)
+    dec = SymmetricDecomposition(IntPolynomial(a), IntPolynomial(b), d, s, l)
+    if a != a[::-1]:
+        raise InternalConsistencyError(f"a = {dec.a.coeffs} is not symmetric about {d}")
+    if b != b[::-1]:
+        raise InternalConsistencyError(f"b = {dec.b.coeffs} is not symmetric about {s - 1}")
+    multiplied = [sum(h.coeffs[max(k - l + 1, 0) : k + 1]) for k in range(d + 1)]
+    if len(a) != l + len(b) or list(map(add, a, [0] * l + b)) != multiplied:
         raise InternalConsistencyError(
-            f"reconstruction failed: a + z^{dec.l} b != (1+...+z^{dec.l - 1}) h "
-            f"for h = {h.coeffs}"
+            f"reconstruction failed: a + z^{l} b != (1+...+z^{l - 1}) h for h = {h.coeffs}"
         )
+    return dec
+
+
+def _split(h: tuple[int, ...], d: int) -> tuple[list[int], list[int]]:
+    """The closed formulas: a as d + 1 coefficients, b as s = deg h."""
+    s = len(h) - 1
+    # prefix[k] = h_0 + ... + h_{k-1}, which is h(1) for every k > s
+    prefix = list(accumulate(h + (0,) * (d - s), initial=0))
+    total = prefix[-1]
+    a = [prefix[i + 1] - total + prefix[d - i + 1] for i in range(d + 1)]
+    return a, [total - prefix[s - i] - prefix[i + 1] for i in range(s)]
 
 
 def stapledon_pair(hstar: IntPolynomial, d: int) -> SymmetricDecomposition:

@@ -21,13 +21,7 @@ from typing import Sequence
 
 from .budget import charge
 from .errors import InternalConsistencyError, InvalidInput
-from .polynomial import (
-    CountingPolynomial,
-    IntPolynomial,
-    interpolate,
-    reverse,
-    series_numerator,
-)
+from .polynomial import CountingPolynomial, IntPolynomial, _numerator_coeffs, interpolate, reverse
 from .poset import Poset, order_map_counts, parse_ints
 
 
@@ -119,6 +113,8 @@ class OrderPolytope:
     def count_series(
         self, n_max: int, interior: bool = False, *, budget: int | None = None
     ) -> list[int]:
+        if n_max < 0:
+            raise InvalidInput("n must be nonnegative")
         if interior:
             # count at n is Omega°(n-1); the n = 0 entry is 0 by the
             # open-series convention
@@ -337,6 +333,16 @@ def _closed_counts(polytope: LatticePolytope, budget: int | None) -> list[int]:
     return [polytope.count_points(n, budget=budget) for n in range(d + 1)]
 
 
+def _check_volume(polytope: LatticePolytope, volume: int) -> None:
+    """A non-positive volume is InvalidInput for a user-declared dimension, else a bug."""
+    if polytope.dim > 0 and volume <= 0:
+        error = InvalidInput if isinstance(polytope, HRepPolytope) else InternalConsistencyError
+        raise error(
+            f"normalized volume {volume} is not positive; "
+            "declared dimension is wrong or the polytope is degenerate"
+        )
+
+
 def ehrhart_polynomial(
     polytope: LatticePolytope, *, budget: int | None = None
 ) -> CountingPolynomial:
@@ -344,33 +350,25 @@ def ehrhart_polynomial(
 
     Its d-th forward difference is d! times the leading coefficient, the
     normalized volume; it must be positive, so the degree is exactly d.
-    A non-positive volume is InvalidInput for an ``HRepPolytope``, whose
-    dimension the user declares; order polytopes and simplices are
-    full-dimensional by construction, so for them it is a library bug.
     """
-    d = polytope.dim
     ehr = interpolate(_closed_counts(polytope, budget))
-    if d > 0 and ehr.differences[d] <= 0:
-        error = InvalidInput if isinstance(polytope, HRepPolytope) else InternalConsistencyError
-        raise error(
-            f"normalized volume {ehr.differences[d]} is not positive; "
-            "declared dimension is wrong or the polytope is degenerate"
-        )
+    _check_volume(polytope, ehr.differences[polytope.dim])
     return ehr
 
 
 def h_star(polytope: LatticePolytope, *, budget: int | None = None) -> IntPolynomial:
-    """h*-polynomial: series numerator of the Ehrhart polynomial.
+    """h*-polynomial: series numerator of the closed counts at n = 0..d.
 
-    Validates h*_0 = 1 and nonnegativity, which hold for every lattice
-    polytope; a violation means the input was not what it claimed to be.
+    Checks the normalized volume h*(1) (the d-th difference of the counts),
+    then h*_0 = 1 and h* >= 0, which hold for every lattice polytope.
     """
-    h = series_numerator(ehrhart_polynomial(polytope, budget=budget), polytope.dim)
+    h = _numerator_coeffs(_closed_counts(polytope, budget), polytope.dim)
+    _check_volume(polytope, sum(h))
     if h[0] != 1:
         raise InternalConsistencyError(f"h*_0 = {h[0]}, expected 1")
-    if not h.is_nonnegative():
-        raise InternalConsistencyError(f"negative h* coefficient in {h.coeffs}")
-    return h
+    if min(h) < 0:
+        raise InternalConsistencyError(f"negative h* coefficient in {IntPolynomial(h).coeffs}")
+    return IntPolynomial(h)
 
 
 def open_numerator(hstar: IntPolynomial, d: int) -> IntPolynomial:

@@ -9,6 +9,7 @@ counts arrive.  Nothing here touches rationals or floating point.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from operator import mul, sub
 from typing import Iterable, Sequence
@@ -225,20 +226,28 @@ def interpolate(values: Sequence[int]) -> CountingPolynomial:
     return CountingPolynomial(values, tuple(differences))
 
 
+@lru_cache(maxsize=64)
+def _signed_binomials(d: int) -> tuple[int, ...]:
+    return tuple((-1) ** i * comb(d + 1, i) for i in range(d + 1))
+
+
+def _numerator_coeffs(values: Sequence[int], d: int) -> list[int]:
+    """h_j = sum_{i=0..j} (-1)^i C(d+1, i) values[j-i] for j = 0..d."""
+    signed = _signed_binomials(d)
+    return [sum(map(mul, signed, values[j::-1])) for j in range(d + 1)]
+
+
 def series_numerator(L: CountingPolynomial | IntPolynomial, d: int) -> IntPolynomial:
     """Numerator h with sum_{n>=0} L(n) z^n = h(z) / (1-z)^{d+1}.
 
-    h_j = sum_{i=0..j} (-1)^i C(d+1, i) L(j-i), read off the values of L
-    at n = 0..d; requires degree(L) <= d.
+    Read off L(0..d) as ``ehrhart.h_star`` reads its counts; requires
+    degree(L) <= d.
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")
     if L.degree > d:
         raise InvalidInput(f"degree {L.degree} exceeds ambient d = {d}")
-    values = [L(n) for n in range(d, -1, -1)]  # values[d - n] = L(n)
-    signed = [(-1) ** i * comb(d + 1, i) for i in range(d + 1)]
-    # h_j pairs signed[i] with L(j - i) = values[d - j + i]
-    return IntPolynomial([sum(map(mul, signed, values[d - j :])) for j in range(d + 1)])
+    return IntPolynomial(_numerator_coeffs([L(n) for n in range(d + 1)], d))
 
 
 def expand_series(h: IntPolynomial, d: int, N: int) -> list[int]:

@@ -155,6 +155,26 @@ class TestAbDecompose:
         ]
         assert (dec.a, dec.b, dec.l) == (IntPolynomial(a), IntPolynomial(b), d + 1 - s)
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # one a coefficient: a is no longer symmetric about d
+            (lambda a, b: (a[:1] + [a[1] + 1] + a[2:], b), "a = .* is not symmetric about 3"),
+            # one b coefficient: b is no longer symmetric about s - 1
+            (lambda a, b: (a, [b[0] + 1] + b[1:]), "b = .* is not symmetric about 1"),
+            # both ends of a: still a palindrome, but a + z^l b is off
+            (lambda a, b: ([a[0] + 1] + a[1:-1] + [a[-1] + 1], b), "reconstruction failed"),
+            # b = (1, 1, 1): a palindrome whose extra top term lies beyond a
+            (lambda a, b: (a, b + b[:1]), "reconstruction failed"),
+        ],
+        ids=["a", "b", "reconstruction", "length"],
+    )
+    def test_corrupted_split_raises(self, monkeypatch, corrupt, message):
+        split = decomp._split
+        monkeypatch.setattr(decomp, "_split", lambda h, d: corrupt(*split(h, d)))
+        with pytest.raises(InternalConsistencyError, match=message):
+            ab_decompose(IntPolynomial([1, 3, 2]), 3)
+
     def test_segment_identity_on_corpus(self):
         # h* = a*(ambient d) - z a*_1(ambient d-1) for every corpus h*
         for poset in enumerate_labeled_posets(4):

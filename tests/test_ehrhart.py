@@ -26,7 +26,8 @@ from hstarlib.ehrhart import (
     open_numerator,
     parse_polytope,
 )
-from hstarlib.errors import InvalidInput
+from hstarlib import ehrhart
+from hstarlib.errors import InternalConsistencyError, InvalidInput
 from hstarlib.harness import (
     dilated_cube,
     dilated_simplex,
@@ -136,6 +137,16 @@ class TestOrderPolytopeCounts:
         op = OrderPolytope(CHAIN2)
         assert count_points(op, 0) == 1
         assert count_points(op, 0, interior=True) == 0
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_negative_n_rejected(self, interior):
+        # Simplex and HRepPolytope reject negative n the same way
+        op = OrderPolytope(CHAIN2)
+        for n in (-1, -2):
+            with pytest.raises(InvalidInput, match="n must be nonnegative"):
+                count_points(op, n, interior)
+            with pytest.raises(InvalidInput, match="n must be nonnegative"):
+                op.count_series(n, interior)
 
     def test_matches_geometric_oracle(self):
         for d in range(4):
@@ -363,9 +374,44 @@ class TestHStar:
         assert h_star(OrderPolytope(image)) == h_star(OrderPolytope(poset))
 
     def test_matches_series_numerator_route(self):
-        for poset in enumerate_labeled_posets(3):
-            op = OrderPolytope(poset)
-            assert h_star(op) == series_numerator(ehrhart_polynomial(op), poset.d)
+        # h_star convolves the counts itself; the public route interpolates
+        # the Ehrhart polynomial and reads its series numerator
+        polytopes = [OrderPolytope(p) for d in range(5) for p in enumerate_labeled_posets(d)]
+        polytopes += [
+            build(d, k)
+            for build in (dilated_simplex, dilated_cube)
+            for d in (1, 2, 3)
+            for k in (1, 2, 3)
+        ]
+        polytopes += random_simplices(11, 2, 10, 3) + random_simplices(12, 3, 6, 2)
+        for polytope in polytopes:
+            expected = series_numerator(ehrhart_polynomial(polytope), polytope.dim)
+            assert h_star(polytope) == expected, polytope
+
+    @pytest.mark.parametrize(
+        "counts, error, message",
+        [
+            # h* = (2, -5, 3): the zero volume is reported, not h*_0 or h*_1;
+            # its class depends on the polytope
+            ([2, 1, 0], None, "normalized volume 0 is not positive"),
+            # h* = (2, -1, 3): h*_0 is reported before the negative h*_1
+            ([2, 5, 12], InternalConsistencyError, r"h\*_0 = 2, expected 1"),
+            ([1, 2, 6], InternalConsistencyError, r"negative h\* coefficient in \(1, -1, 3\)"),
+        ],
+        ids=["volume", "constant", "negative"],
+    )
+    @pytest.mark.parametrize(
+        "polytope",
+        [TRIANGLE, OrderPolytope(ANTI2), dilated_cube(2, 1)],
+        ids=["simplex", "order", "hrep"],
+    )
+    def test_checks_in_order(self, monkeypatch, polytope, counts, error, message):
+        monkeypatch.setattr(ehrhart, "_closed_counts", lambda polytope, budget: counts)
+        if error is None:
+            error = InvalidInput if isinstance(polytope, HRepPolytope) else InternalConsistencyError
+        with pytest.raises(error, match=message) as info:
+            h_star(polytope)
+        assert type(info.value) is error
 
     def test_at_one_is_normalized_volume(self):
         # the d-th difference of n -> L(n) is d! times the leading coefficient;
@@ -381,9 +427,15 @@ class TestHStar:
     def test_flat_hrep_is_invalid_input(self):
         # the unit square {0 <= x <= 1, y = 0} declared 2-dimensional has
         # Ehrhart degree 1: the user's declaration is wrong, not the library
-        flat = HRepPolytope([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)], 2)
-        with pytest.raises(InvalidInput, match="normalized volume 0"):
-            h_star(flat)
+        flat = parse_polytope("hrep 2 4\n1 0 1\n-1 0 0\n0 1 0\n0 -1 0\n")
+        message = (
+            "normalized volume 0 is not positive; "
+            "declared dimension is wrong or the polytope is degenerate"
+        )
+        for route in (h_star, ehrhart_polynomial):
+            with pytest.raises(InvalidInput) as info:
+                route(flat)
+            assert str(info.value) == message
 
 
 class TestReciprocity:

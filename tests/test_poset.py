@@ -209,6 +209,14 @@ class TestOrderMaps:
         with pytest.raises(BudgetExceeded):
             count_order_maps(ANTI3, 100, budget=1000)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_ideal_walk_rejects_negative_n(self, strict):
+        # count_order_maps rejects negative n the same way
+        for poset in (Poset(0), CHAIN2, ANTI3):
+            with pytest.raises(InvalidInput, match="n must be nonnegative"):
+                order_map_counts(poset, -1, strict)
+            assert order_map_counts(poset, 0, strict) == [int(poset.d == 0)]
+
     def test_ideal_walk_matches_brute_force(self):
         # h_star asks for n = 0..d+1; one more step guards the step count
         for d in range(5):
