@@ -24,9 +24,9 @@ from itertools import accumulate
 from operator import add
 from typing import Literal, NamedTuple
 
-from .ehrhart import OrderPolytope, h_star, open_numerator
+from .ehrhart import _checked_h_star, open_numerator
 from .errors import InternalConsistencyError, InvalidInput
-from .graph import Graph, acyclic_orientations, chromatic_polynomial, orientation_poset
+from .graph import Graph, _mask_map_counts, acyclic_orientations, chromatic_polynomial
 from .polynomial import IntPolynomial, series_numerator
 
 
@@ -150,22 +150,24 @@ def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, In
 
 def _orientation_sum(
     graph: Graph, budget: int | None
-) -> tuple[Counter[IntPolynomial], IntPolynomial]:
+) -> tuple[dict[IntPolynomial, int], IntPolynomial]:
     """The orientation route to z h_G, checked against deletion-contraction.
 
-    One sweep of the acyclic orientations computes each one's order-polytope
-    h*, counted by value; z h_G is the sum of the reversed numerators, each
-    distinct one reversed once and weighted by its count.  Returns the
+    One sweep of the acyclic orientations tallies their closed
+    order-polytope count vectors; each distinct vector becomes a checked h*
+    once (distinct counts give distinct h*), and z h_G is the sum of the
+    reversed numerators weighted by their tallies.  Returns the
     counted h* (every sum over orientations is linear in h*, so callers
     scale by the counts too) and z h_G.  Disagreement with the series
     numerator of the chromatic polynomial, shifted by z, would be a bug in
     this library, not a property of the graph.
     """
     d = graph.d
-    hstars = Counter(
-        h_star(OrderPolytope(orientation_poset(graph, rho)), budget=budget)
+    closed = Counter(
+        tuple(_mask_map_counts(rho.ideals, d, d + 1, budget=budget)[1:])
         for rho in acyclic_orientations(graph)
     )
+    hstars = {_checked_h_star(counts, d): k for counts, k in closed.items()}
     zh = IntPolynomial.zero()
     for hs, count in hstars.items():
         zh = zh + count * open_numerator(hs, d)

@@ -333,14 +333,35 @@ def _closed_counts(polytope: LatticePolytope, budget: int | None) -> list[int]:
     return [polytope.count_points(n, budget=budget) for n in range(d + 1)]
 
 
-def _check_volume(polytope: LatticePolytope, volume: int) -> None:
-    """A non-positive volume is InvalidInput for a user-declared dimension, else a bug."""
-    if polytope.dim > 0 and volume <= 0:
-        error = InvalidInput if isinstance(polytope, HRepPolytope) else InternalConsistencyError
+def _check_volume(volume: int, d: int, error: type[Exception]) -> None:
+    if d > 0 and volume <= 0:
         raise error(
             f"normalized volume {volume} is not positive; "
             "declared dimension is wrong or the polytope is degenerate"
         )
+
+
+def _volume_error(polytope: LatticePolytope) -> type[Exception]:
+    """A bad volume is InvalidInput for a user-declared dimension, else a bug."""
+    return InvalidInput if isinstance(polytope, HRepPolytope) else InternalConsistencyError
+
+
+def _checked_h_star(
+    counts: list[int], d: int, error: type[Exception] = InternalConsistencyError
+) -> IntPolynomial:
+    """h* from the closed counts of a d-polytope at n = 0..d.
+
+    Checks the normalized volume h*(1) (the d-th difference of the counts),
+    raising ``error``, then h*_0 = 1 and h* >= 0, which hold for every
+    lattice polytope.
+    """
+    h = _numerator_coeffs(counts, d)
+    _check_volume(sum(h), d, error)
+    if h[0] != 1:
+        raise InternalConsistencyError(f"h*_0 = {h[0]}, expected 1")
+    if min(h) < 0:
+        raise InternalConsistencyError(f"negative h* coefficient in {IntPolynomial(h).coeffs}")
+    return IntPolynomial(h)
 
 
 def ehrhart_polynomial(
@@ -352,23 +373,14 @@ def ehrhart_polynomial(
     normalized volume; it must be positive, so the degree is exactly d.
     """
     ehr = interpolate(_closed_counts(polytope, budget))
-    _check_volume(polytope, ehr.differences[polytope.dim])
+    _check_volume(ehr.differences[polytope.dim], polytope.dim, _volume_error(polytope))
     return ehr
 
 
 def h_star(polytope: LatticePolytope, *, budget: int | None = None) -> IntPolynomial:
-    """h*-polynomial: series numerator of the closed counts at n = 0..d.
-
-    Checks the normalized volume h*(1) (the d-th difference of the counts),
-    then h*_0 = 1 and h* >= 0, which hold for every lattice polytope.
-    """
-    h = _numerator_coeffs(_closed_counts(polytope, budget), polytope.dim)
-    _check_volume(polytope, sum(h))
-    if h[0] != 1:
-        raise InternalConsistencyError(f"h*_0 = {h[0]}, expected 1")
-    if min(h) < 0:
-        raise InternalConsistencyError(f"negative h* coefficient in {IntPolynomial(h).coeffs}")
-    return IntPolynomial(h)
+    """h*-polynomial: series numerator of the closed counts at n = 0..d,
+    with the volume, h*_0 and sign checks of :func:`_checked_h_star`."""
+    return _checked_h_star(_closed_counts(polytope, budget), polytope.dim, _volume_error(polytope))
 
 
 def open_numerator(hstar: IntPolynomial, d: int) -> IntPolynomial:

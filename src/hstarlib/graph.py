@@ -3,17 +3,24 @@
 Vertices are labeled 1..d.  An orientation is stored as the set of edges
 pointing against the label order: edge {i, j} with i < j runs i -> j by
 default and j -> i when the edge is in the ``flipped`` set.
+
+The orientation sweep and the map counts of the orientation route work on
+sets of vertices: vertex v is bit v - 1 of the set's index S, a 2^d-bit
+mask holds one bit per set, and a packed vector holds one field of w bits
+per set, field S at bit S * w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator
 
 from .budget import charge
 from .errors import InvalidInput
 from .polynomial import CountingPolynomial, IntPolynomial, interpolate
-from .poset import Poset, order_map_counts, read_pair_file
+from .poset import Poset, read_pair_file
 
 
 class Graph:
@@ -66,13 +73,14 @@ class Orientation:
     """Edge subset marking which edges point from the larger label down.
 
     An orientation yielded by :func:`acyclic_orientations` also carries the
-    sweep's transitive reach masks and the graph they were built for, which
-    lets :func:`orientation_poset` skip the closure.  Equality, hashing and
-    repr look at ``flipped`` only.
+    sweep's down-set mask and the graph it was built for, which lets
+    :func:`orientation_poset` and the map counts of the orientation route
+    skip the closure and the ideal lattice.  Equality, hashing and repr
+    look at ``flipped`` only.
     """
 
     flipped: frozenset[tuple[int, int]]
-    reach: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    ideals: int | None = field(default=None, compare=False, repr=False)
     graph: Graph | None = field(default=None, compare=False, repr=False)
 
     def directed_edges(self, graph: Graph) -> Iterator[tuple[int, int]]:
@@ -81,41 +89,51 @@ class Orientation:
             yield (j, i) if (i, j) in self.flipped else (i, j)
 
 
+@lru_cache(maxsize=32)
+def _packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
+    """Masks over 2^d fields of w bits.  Per vertex e: the fields of the
+    sets without e, all ones; and the zeta pass, those fields and the shift
+    that carries field S to S | e.  Then the (bits, shift) steps, highest
+    vertex first, that carry bit S of a 2^d-bit mask to field S."""
+    full = (1 << (w << d)) - 1
+    # low bit of every 2^(e+1)th field
+    groups = [full // ((1 << (w << (e + 1))) - 1) for e in range(d)]
+    without = tuple(g * ((1 << (w << e)) - 1) for e, g in enumerate(groups))
+    deposit = [(g * (((1 << (1 << k)) - 1) << (1 << k)), (w - 1) << k) for k, g in enumerate(groups)]
+    return without, tuple(zip(without, [w << e for e in range(d)])), tuple(reversed(deposit))
+
+
 def acyclic_orientations(graph: Graph) -> Iterator[Orientation]:
     """Enumerate every acyclic orientation exactly once.
 
-    Backtracks over the edges in lexicographic order, maintaining the
-    transitive closure of the partial orientation as per-vertex reachability
-    bitmasks; a direction whose reverse is already implied closes a cycle
-    and prunes that whole subtree.
+    Backtracks over the edges in lexicographic order, carrying one 2^d-bit
+    int ``ideals``: bit S is set iff the vertex set S is a down-set of the
+    partial orientation.  Orienting u -> v clears the sets that hold v
+    without u.  That direction closes a cycle iff no down-set holds u
+    without v (v already reaches u), which prunes the whole subtree.  The
+    2^d bits are charged to the default budget before any mask is built.
     """
-    edges = graph.sorted_edges()
     d = graph.d
-    reach = [1 << v for v in range(d)]  # vertices reachable from v, incl. v
+    charge(1 << d, None, f"down-set mask over 2^{d} vertex sets")
+    out = _packing(d, 1)[0]
+    edges = graph.sorted_edges()
+    # per edge {i, j}: the sets holding i without j, and j without i
+    splits = [(out[j - 1] & ~out[i - 1], out[i - 1] & ~out[j - 1]) for i, j in edges]
     flipped: list[tuple[int, int]] = []
 
-    def orient(k: int) -> Iterator[Orientation]:
+    def orient(k: int, ideals: int) -> Iterator[Orientation]:
         if k == len(edges):
-            yield Orientation(frozenset(flipped), tuple(reach), graph)
+            yield Orientation(frozenset(flipped), ideals, graph)
             return
-        i, j = edges[k]
-        for src, dst, flip in ((i - 1, j - 1, False), (j - 1, i - 1, True)):
-            if (reach[dst] >> src) & 1:
-                continue  # dst already reaches src: this direction closes a cycle
-            saved = reach.copy()
-            extra = reach[dst]
-            for v in range(d):
-                if (reach[v] >> src) & 1:
-                    reach[v] |= extra
-            if flip:
-                flipped.append((i, j))
-            yield from orient(k + 1)
-            if flip:
-                flipped.pop()
-            reach[:] = saved
-        return
+        i_only, j_only = splits[k]
+        if ideals & i_only:  # i -> j
+            yield from orient(k + 1, ideals & ~j_only)
+        if ideals & j_only:  # j -> i
+            flipped.append(edges[k])
+            yield from orient(k + 1, ideals & ~i_only)
+            flipped.pop()
 
-    return orient(0)
+    return orient(0, (1 << (1 << d)) - 1)
 
 
 def count_acyclic_orientations(graph: Graph) -> int:
@@ -126,17 +144,59 @@ def orientation_poset(graph: Graph, orientation: Orientation) -> Poset:
     """Poset induced by reachability along the oriented edges.
 
     v_i < v_j iff a directed path of length >= 1 runs from v_i to v_j.  An
-    orientation from the sweep over this graph brings its reach masks, which
-    are already closed and acyclic, so the poset is read off them with no
-    closure pass.  A hand-built orientation goes through the Poset
-    constructor, which closes the edges and reports a cycle; flipping an
-    edge the graph lacks is rejected.
+    orientation from the sweep over this graph brings its down-set mask,
+    from which u < v is read off: every down-set holding v holds u.  A
+    hand-built orientation brings its edges instead, which the Poset
+    constructor closes, reporting a cycle; flipping an edge the graph
+    lacks is rejected.
     """
-    if orientation.reach is not None and orientation.graph == graph:
-        return Poset._from_reach(orientation.reach)
+    if orientation.ideals is not None and orientation.graph == graph:
+        d, ideals, out = graph.d, orientation.ideals, _packing(graph.d, 1)[0]
+        pairs = ((u, v) for u in range(d) for v in range(d) if u != v)
+        return Poset(d, [(u + 1, v + 1) for u, v in pairs if not ideals & out[u] & ~out[v]])
     if not orientation.flipped <= graph.edges:
         raise InvalidInput("orientation flips edges the graph does not have")
     return Poset(graph.d, orientation.directed_edges(graph))
+
+
+def _mask_map_counts(
+    ideals: int, d: int, n_max: int, strict: bool = False, *, budget: int | None = None
+) -> list[int]:
+    """Weak or strict map counts for n = 0..n_max of the d-element poset whose
+    down-sets are the set bits of ``ideals``: the ideal multichains of
+    :func:`~hstarlib.poset.order_map_counts`, with the vector over vertex
+    sets packed into one int of w-bit fields.  w has a bit to spare over
+    n_max^d, which bounds every count and partial sum.  A weak step is the
+    subset zeta transform, one shift-and-add per element, and then zeroes
+    the non-ideal fields; a strict step zeroes them after each element,
+    taken in a reversed linear extension, so only antichains of maximal
+    elements are added.  The count is the top field, the full set.
+    Charges |J(P)| as ``order_ideals`` does.
+    """
+    charge(ideals.bit_count(), budget, "order-ideal lattice")
+    w = (n_max**d).bit_length() + 1
+    _, passes, deposit = _packing(d, w)
+    spread = ideals
+    for move, shift in deposit:
+        high = spread & move
+        spread ^= high ^ high << shift
+    spread *= (1 << w) - 1
+    if strict:  # the more down-sets miss e, the higher e sits
+        missed = [(ideals & m).bit_count() for m in _packing(d, 1)[0]]
+        passes = [passes[e] for e in sorted(range(d), key=missed.__getitem__, reverse=True)]
+    top = (w << d) - w
+    vec = 1
+    counts = [vec >> top]
+    for _ in range(n_max):
+        if strict:
+            for keep, shift in passes:
+                vec = (vec + ((vec & keep) << shift)) & spread
+        else:
+            for keep, shift in passes:
+                vec += (vec & keep) << shift
+            vec &= spread
+        counts.append(vec >> top)
+    return counts
 
 
 def count_proper_colorings(
@@ -223,6 +283,5 @@ def chromatic_via_orientations(graph: Graph) -> CountingPolynomial:
     d = graph.d
     totals = [0] * (d + 1)
     for rho in acyclic_orientations(graph):
-        counts = order_map_counts(orientation_poset(graph, rho), d, strict=True)
-        totals = [t + c for t, c in zip(totals, counts)]
+        totals = list(map(add, totals, _mask_map_counts(rho.ideals, d, d, strict=True)))
     return interpolate(totals)

@@ -9,7 +9,7 @@ corpus sizes this library targets.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .budget import charge
 from .errors import InvalidInput
@@ -50,21 +50,7 @@ class Poset:
                 raise InvalidInput(
                     "relations contain the cycle " + self._find_cycle(d, pairs, i)
                 )
-        self._set_above(above)
-
-    @classmethod
-    def _from_reach(cls, reach: Sequence[int]) -> "Poset":
-        """Poset from transitively closed, acyclic reach masks: bit j of
-        ``reach[i]`` is set iff element i+1 reaches j+1 (i itself included).
-        The caller vouches for closure and acyclicity; nothing is re-checked."""
-        poset = cls.__new__(cls)
-        poset.d = len(reach)
-        poset._set_above([r & ~(1 << i) for i, r in enumerate(reach)])
-        return poset
-
-    def _set_above(self, above: list[int]) -> None:
-        """Store the closed strict up-masks and their transpose."""
-        below = [0] * len(above)
+        below = [0] * d
         for i, m in enumerate(above):
             while m:
                 j = (m & -m).bit_length() - 1

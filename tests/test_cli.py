@@ -387,6 +387,15 @@ class TestInputFaults:
         assert out.splitlines()[-1] == "19 inputs, 0 failures, 95 skipped checks"
         assert err.startswith("error: no check ran")
 
+    def test_graph_budget_skip_names_the_ideal_count(self, capsys):
+        # the edgeless graph on 3 vertices has one orientation, with 8 down-sets
+        code, out, err = run_err(capsys, "verify", "--graphs", "3", "--budget", "3")
+        assert code == 2
+        lines = out.splitlines()
+        detail = "skipped: order-ideal lattice needs 8 steps, budget is 3"
+        assert f"SKIP #0 graph thm1.3: {detail}" in lines
+        assert lines[-1] == "8 inputs, 0 failures, 40 skipped checks"
+
     def test_inapplicable_checks_exit_2_after_summary(self, capsys):
         code, out, err = run_err(
             capsys, "verify", "--posets", "2", "--checks", "thm1.3", "--format", "json-lines"

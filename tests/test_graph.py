@@ -1,6 +1,7 @@
 """Graphs: orientations, induced posets, chromatic polynomials."""
 
-from itertools import product
+from itertools import islice, product
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import (
     Graph,
     Orientation,
+    _mask_map_counts,
     acyclic_orientations,
     chromatic_polynomial,
     chromatic_via_orientations,
@@ -17,7 +19,7 @@ from hstarlib.graph import (
 )
 from hstarlib.harness import enumerate_labeled_graphs, random_instances
 from hstarlib.polynomial import IntPolynomial, interpolate
-from hstarlib.poset import Poset
+from hstarlib.poset import Poset, count_order_maps, order_map_counts
 
 K2 = Graph(2, [(1, 2)])
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -49,6 +51,28 @@ def brute_acyclic_orientations(graph):
         if not any(has_cycle(v) for v in adj if state[v] == 0):
             found.append(flipped)
     return found
+
+
+def brute_down_sets(poset):
+    """The 2^d-bit mask of the vertex sets closed downwards, set by set."""
+    d, relations = poset.d, poset.relations
+    mask = 0
+    for S in range(1 << d):
+        if all(S >> (i - 1) & 1 for i, j in relations if S >> (j - 1) & 1):
+            mask |= 1 << S
+    return mask
+
+
+SWEEP_CORPORA = [
+    [g for d in range(5) for g in enumerate_labeled_graphs(d)],
+    list(random_instances("graph", 6, 6, seed=5)),
+    list(random_instances("graph", 7, 6, seed=9)),
+]
+SWEEP_IDS = ["all-d-le-4", "seeded-d6", "seeded-d7"]
+
+
+def complete_graph(d):
+    return Graph(d, [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
 
 
 def brute_proper_colorings(graph, n):
@@ -134,20 +158,12 @@ class TestOrientationPoset:
         with pytest.raises(InvalidInput):
             orientation_poset(PATH3, Orientation(frozenset({(1, 3)})))
 
-    @pytest.mark.parametrize(
-        "graphs",
-        [
-            [g for d in range(5) for g in enumerate_labeled_graphs(d)],
-            list(random_instances("graph", 6, 6, seed=5)),
-            list(random_instances("graph", 7, 6, seed=9)),
-        ],
-        ids=["all-d-le-4", "seeded-d6", "seeded-d7"],
-    )
+    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
     def test_sweep_masks_match_closure(self, graphs):
         seen = 0
         for graph in graphs:
             for rho in acyclic_orientations(graph):
-                assert rho.reach is not None
+                assert rho.ideals is not None
                 fast = orientation_poset(graph, rho)
                 slow = Poset(graph.d, rho.directed_edges(graph))
                 assert fast == slow
@@ -168,6 +184,76 @@ class TestOrientationPoset:
             bare = Orientation(rho.flipped)
             assert rho == bare and hash(rho) == hash(bare) and repr(rho) == repr(bare)
             assert orientation_poset(K3, bare) == orientation_poset(K3, rho)
+
+
+class TestMaskMapCounts:
+    """The orientation route's map counts, read off the sweep's down-set
+    mask, against the poset route and the brute-force oracle."""
+
+    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
+    def test_mask_is_the_down_sets(self, graphs):
+        for graph in graphs:
+            for rho in acyclic_orientations(graph):
+                assert rho.ideals == brute_down_sets(Poset(graph.d, rho.directed_edges(graph)))
+
+    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
+    def test_matches_order_map_counts(self, graphs):
+        for graph in graphs:
+            d = graph.d
+            # every n_max on the small graphs, including the bare n = 0 count
+            weak_tops = range(d + 2) if d <= 4 else [d + 1]
+            strict_tops = range(d + 1) if d <= 4 else [d]
+            for rho in acyclic_orientations(graph):
+                poset = orientation_poset(graph, rho)
+                for n_max in weak_tops:
+                    expected = order_map_counts(poset, n_max)
+                    assert _mask_map_counts(rho.ideals, d, n_max) == expected, (graph, rho)
+                for n_max in strict_tops:
+                    expected = order_map_counts(poset, n_max, strict=True)
+                    assert _mask_map_counts(rho.ideals, d, n_max, True) == expected, (graph, rho)
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_matches_brute_force(self, d):
+        for graph in enumerate_labeled_graphs(d):
+            for rho in acyclic_orientations(graph):
+                poset = Poset(d, rho.directed_edges(graph))
+                for strict in (False, True):
+                    counts = _mask_map_counts(rho.ideals, d, d + 1, strict)
+                    expected = [count_order_maps(poset, n, strict) for n in range(d + 2)]
+                    assert counts == expected, (graph, rho, strict)
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_edgeless_and_complete_graphs(self, d):
+        (rho,) = acyclic_orientations(Graph(d))
+        for strict in (False, True):
+            counts = _mask_map_counts(rho.ideals, d, d + 1, strict)
+            assert counts == [n**d for n in range(d + 2)]  # top field (d+1)^d
+        # every orientation of K_d is a chain; the first few are checked
+        # (K_0 is the edgeless graph above)
+        for rho in islice(acyclic_orientations(complete_graph(d)), 5 if d else 0):
+            assert _mask_map_counts(rho.ideals, d, d + 1) == [
+                comb(n + d - 1, d) for n in range(d + 2)
+            ]
+            assert _mask_map_counts(rho.ideals, d, d + 1, True) == [
+                comb(n, d) for n in range(d + 2)
+            ]
+
+    def test_budget_is_the_ideal_count(self):
+        for graph in (PATH3, K3, Graph(3), Graph(4, [(1, 2), (3, 4)])):
+            for rho in acyclic_orientations(graph):
+                size = rho.ideals.bit_count()
+                assert size == len(orientation_poset(graph, rho).order_ideals())
+                with pytest.raises(BudgetExceeded, match=f"needs {size} steps"):
+                    _mask_map_counts(rho.ideals, graph.d, 3, budget=size - 1)
+                _mask_map_counts(rho.ideals, graph.d, 3, budget=size)
+
+    def test_sweep_charges_the_mask_before_building_it(self):
+        # 2^23 bits exceed the default budget: refused at once, no mask built
+        with pytest.raises(BudgetExceeded, match="2\\^23 vertex sets"):
+            count_acyclic_orientations(Graph(23))
+        (rho,) = acyclic_orientations(Graph(0))
+        assert rho.flipped == frozenset() and rho.ideals == 1
+        assert _mask_map_counts(rho.ideals, 0, 1) == [1, 1]
 
 
 class TestColorings:

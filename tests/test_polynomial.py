@@ -6,6 +6,7 @@ the binomial expansion with math.comb for counting-polynomial evaluation,
 and direct index manipulation for the reversals.
 """
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -57,6 +58,15 @@ class TestIntPolynomial:
     def test_rejects_non_integer(self):
         with pytest.raises(InvalidInput):
             IntPolynomial([Fraction(1, 2)])
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 2.0, "2"])
+    def test_names_the_first_non_integer(self, bad):
+        with pytest.raises(InvalidInput, match=re.escape(f"got {bad!r}")):
+            IntPolynomial([1, bad, 0.5])
+
+    def test_accepts_bool(self):
+        p = IntPolynomial([True, False, True, False])
+        assert p.coeffs == (1, 0, 1) and p.degree == 2
 
     def test_arithmetic(self):
         p = IntPolynomial([1, 1])
