@@ -73,15 +73,13 @@ class Orientation:
     """Edge subset marking which edges point from the larger label down.
 
     An orientation yielded by :func:`acyclic_orientations` also carries the
-    sweep's down-set mask and the graph it was built for, which lets
-    :func:`orientation_poset` and the map counts of the orientation route
-    skip the closure and the ideal lattice.  Equality, hashing and repr
-    look at ``flipped`` only.
+    sweep's down-set mask, from which the orientation route reads its map
+    counts without building the poset or its ideal lattice.  Equality,
+    hashing and repr look at ``flipped`` only.
     """
 
     flipped: frozenset[tuple[int, int]]
     ideals: int | None = field(default=None, compare=False, repr=False)
-    graph: Graph | None = field(default=None, compare=False, repr=False)
 
     def directed_edges(self, graph: Graph) -> Iterator[tuple[int, int]]:
         """Yield each edge of the host graph as an ordered (source, target)."""
@@ -89,18 +87,26 @@ class Orientation:
             yield (j, i) if (i, j) in self.flipped else (i, j)
 
 
-@lru_cache(maxsize=32)
 def _packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
     """Masks over 2^d fields of w bits.  Per vertex e: the fields of the
     sets without e, all ones; and the zeta pass, those fields and the shift
     that carries field S to S | e.  Then the (bits, shift) steps, highest
     vertex first, that carry bit S of a 2^d-bit mask to field S."""
-    full = (1 << (w << d)) - 1
-    # low bit of every 2^(e+1)th field
-    groups = [full // ((1 << (w << (e + 1))) - 1) for e in range(d)]
-    without = tuple(g * ((1 << (w << e)) - 1) for e, g in enumerate(groups))
-    deposit = [(g * (((1 << (1 << k)) - 1) << (1 << k)), (w - 1) << k) for k, g in enumerate(groups)]
+    return (_small_packing if w << d <= 1 << 16 else _build_packing)(d, w)
+
+
+def _build_packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
+    def tiled(block: int, e: int) -> int:  # block copied to every 2^(e+1)th field
+        for k in range(e + 1, d):
+            block |= block << (w << k)
+        return block
+
+    without = tuple(tiled((1 << (w << e)) - 1, e) for e in range(d))
+    deposit = [(tiled(((1 << (1 << k)) - 1) << (1 << k), k), (w - 1) << k) for k in range(d)]
     return without, tuple(zip(without, [w << e for e in range(d)])), tuple(reversed(deposit))
+
+
+_small_packing = lru_cache(maxsize=32)(_build_packing)  # 3d + 1 ints of at most 2^16 bits
 
 
 def acyclic_orientations(graph: Graph) -> Iterator[Orientation]:
@@ -123,7 +129,7 @@ def acyclic_orientations(graph: Graph) -> Iterator[Orientation]:
 
     def orient(k: int, ideals: int) -> Iterator[Orientation]:
         if k == len(edges):
-            yield Orientation(frozenset(flipped), ideals, graph)
+            yield Orientation(frozenset(flipped), ideals)
             return
         i_only, j_only = splits[k]
         if ideals & i_only:  # i -> j
@@ -143,17 +149,10 @@ def count_acyclic_orientations(graph: Graph) -> int:
 def orientation_poset(graph: Graph, orientation: Orientation) -> Poset:
     """Poset induced by reachability along the oriented edges.
 
-    v_i < v_j iff a directed path of length >= 1 runs from v_i to v_j.  An
-    orientation from the sweep over this graph brings its down-set mask,
-    from which u < v is read off: every down-set holding v holds u.  A
-    hand-built orientation brings its edges instead, which the Poset
-    constructor closes, reporting a cycle; flipping an edge the graph
-    lacks is rejected.
+    v_i < v_j iff a directed path of length >= 1 runs from v_i to v_j.  The
+    Poset constructor closes the oriented edges and reports a cycle;
+    flipping an edge the graph lacks is rejected.
     """
-    if orientation.ideals is not None and orientation.graph == graph:
-        d, ideals, out = graph.d, orientation.ideals, _packing(graph.d, 1)[0]
-        pairs = ((u, v) for u in range(d) for v in range(d) if u != v)
-        return Poset(d, [(u + 1, v + 1) for u, v in pairs if not ideals & out[u] & ~out[v]])
     if not orientation.flipped <= graph.edges:
         raise InvalidInput("orientation flips edges the graph does not have")
     return Poset(graph.d, orientation.directed_edges(graph))
@@ -170,11 +169,12 @@ def _mask_map_counts(
     subset zeta transform, one shift-and-add per element, and then zeroes
     the non-ideal fields; a strict step zeroes them after each element,
     taken in a reversed linear extension, so only antichains of maximal
-    elements are added.  The count is the top field, the full set.
-    Charges |J(P)| as ``order_ideals`` does.
+    elements are added.  The count is the top field, the full set.  Charges
+    |J(P)| as ``order_ideals`` does, then 2^d * w to the default budget.
     """
     charge(ideals.bit_count(), budget, "order-ideal lattice")
     w = (n_max**d).bit_length() + 1
+    charge(w << d, None, f"packed vector of 2^{d} fields of {w} bits")
     _, passes, deposit = _packing(d, w)
     spread = ideals
     for move, shift in deposit:

@@ -20,7 +20,11 @@ from .errors import InvalidInput
 #: preconditions of the form ``degree(p) <= D`` hold vacuously for zero.
 NEG_INF = float("-inf")
 
-_INT = frozenset((int,))
+
+def _trim(coeffs: list) -> tuple:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 class IntPolynomial:
@@ -34,15 +38,12 @@ class IntPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        coeffs = tuple(coeffs)
-        if not _INT.issuperset(map(type, coeffs)):  # not all plain ints; bool still passes
-            for c in coeffs:
-                if not isinstance(c, int):
-                    raise InvalidInput(f"integer coefficient expected, got {c!r}")
-        n = len(coeffs)
-        while n and coeffs[n - 1] == 0:
-            n -= 1
-        self._coeffs = coeffs[:n]
+        cleaned = []
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise InvalidInput(f"integer coefficient expected, got {c!r}")
+            cleaned.append(c)
+        self._coeffs = _trim(cleaned)
 
     @classmethod
     def zero(cls) -> "IntPolynomial":

@@ -10,6 +10,7 @@ from hstarlib.graph import (
     Graph,
     Orientation,
     _mask_map_counts,
+    _small_packing,
     acyclic_orientations,
     chromatic_polynomial,
     chromatic_via_orientations,
@@ -254,6 +255,20 @@ class TestMaskMapCounts:
         (rho,) = acyclic_orientations(Graph(0))
         assert rho.flipped == frozenset() and rho.ideals == 1
         assert _mask_map_counts(rho.ideals, 0, 1) == [1, 1]
+
+    def test_packed_size_is_charged_before_packing(self):
+        # a 20-vertex path has 2^20 vertex sets but only 21 down-sets per
+        # orientation; its 2^20 fields of 88 bits exceed the default budget
+        # whatever budget the caller gives, and nothing large is cached
+        path = Graph(20, [(v, v + 1) for v in range(1, 20)])
+        cached = _small_packing.cache_info().currsize
+        with pytest.raises(BudgetExceeded, match="2\\^20 fields of 88 bits"):
+            chromatic_via_orientations(path)
+        rho = next(acyclic_orientations(path))
+        assert rho.ideals.bit_count() == 21
+        with pytest.raises(BudgetExceeded, match="packed vector"):
+            _mask_map_counts(rho.ideals, 20, 2, budget=10**12)
+        assert _small_packing.cache_info().currsize == cached
 
 
 class TestColorings:
