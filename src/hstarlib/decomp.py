@@ -92,12 +92,27 @@ def _split(h: tuple[int, ...], d: int) -> tuple[list[int], list[int]]:
     return a, [total - prefix[s - i] - prefix[i + 1] for i in range(s)]
 
 
-def stapledon_pair(hstar: IntPolynomial, d: int) -> SymmetricDecomposition:
-    """The a/b split of (1 + ... + z^{l-1}) h*, nonnegative for polytopal h*."""
+def _check_polytopal(hstar: IntPolynomial) -> None:
     if hstar[0] != 1:
         raise InvalidInput("h* must have constant term 1")
     if not hstar.is_nonnegative():
         raise InvalidInput("h* must have nonnegative coefficients")
+
+
+def _a_part(h: IntPolynomial, d: int) -> IntPolynomial:
+    """The a-part alone of the split of h at ambient degree d, checked
+    palindromic; for the derived splits, which drop the b-part."""
+    if h.degree > d:
+        raise InvalidInput(f"degree {h.degree} exceeds ambient degree {d}")
+    a = IntPolynomial(_split(h.coeffs, d)[0])
+    if a.coeffs != a.coeffs[::-1]:
+        raise InternalConsistencyError(f"a = {a.coeffs} is not symmetric about {d}")
+    return a
+
+
+def stapledon_pair(hstar: IntPolynomial, d: int) -> SymmetricDecomposition:
+    """The a/b split of (1 + ... + z^{l-1}) h*, nonnegative for polytopal h*."""
+    _check_polytopal(hstar)
     return ab_decompose(hstar, d)
 
 
@@ -109,8 +124,9 @@ def open_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, Int
     difference is exactly the reversed numerator, and both are nonnegative
     for polytopal input.
     """
-    a_p = stapledon_pair(hstar, d + 1).a
-    b_p = stapledon_pair(hstar, d).a
+    _check_polytopal(hstar)
+    a_p = _a_part(hstar, d + 1)
+    b_p = _a_part(hstar, d)
     if a_p - b_p != open_numerator(hstar, d):
         raise InternalConsistencyError(
             f"a_P - b_P does not reverse h* = {hstar.coeffs} at d = {d}"
@@ -135,8 +151,9 @@ def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, In
             raise InvalidInput(
                 f"h* of degree {hstar.degree} cannot come from a d = {d} order polytope"
             )
-        b_pi = stapledon_pair(hstar, d).a
-        a_pi = -(stapledon_pair(hstar, d - 1).a.shift(1))
+        _check_polytopal(hstar)
+        b_pi = _a_part(hstar, d)
+        a_pi = -(_a_part(hstar, d - 1).shift(1))
     if a_pi + b_pi.shift(1) != open_numerator(hstar, d):
         raise InternalConsistencyError(
             f"a_Pi + z b_Pi does not reverse h* = {hstar.coeffs} at d = {d}"

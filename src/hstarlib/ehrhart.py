@@ -6,6 +6,12 @@ lattice simplices (barycentric inequalities from an integer adjugate), and
 bounded H-representation polytopes.  Simplices and H-polytopes turn their
 inequalities into integer rows and share one lattice-box walker, which
 counts each line of the box along the last coordinate by floor division.
+Their h* comes from half the dilates: for a full-dimensional d-polytope,
+Ehrhart-Macdonald reciprocity L(-n) = (-1)^d L_{P°}(n) turns the closed
+counts at n = 0..ceil(d/2) and the interior counts at n = 1..floor(d/2)
+into L(0..d).  A simplex is full-dimensional by construction; an
+H-polytope is certified full-dimensional by a positive interior count, and
+without one it walks every closed dilate n = 0..d.
 Counts, Ehrhart polynomials and h* are integer arithmetic; only the
 H-representation box derivation uses rationals.
 """
@@ -64,6 +70,8 @@ def _count_box(
     every box point, although the walk is cheaper: for each point of the
     first d - 1 coordinates the admissible last coordinates form one
     interval, and floor division by each row's last coefficient narrows it.
+    Each call charges only its own box, so a budget bounds one walk, not
+    the sum over the dilates that ``_closed_counts`` walks.
     An interior count passes strict faces: limit - 1 on every row, and box
     faces moved one step inwards, which is right for any box containing the
     polytope, since an interior point of P is interior to such a box.
@@ -137,10 +145,11 @@ class Simplex:
     coordinates: with A the (vertex | 1) matrix, x lies in n*P iff
     adj(A) @ (x, n) is coordinatewise >= 0 (> 0 for the interior).  Each
     row of adj(A) is one integer inequality for the box walker, inside the
-    box spanned by the dilated vertices.
+    box spanned by the dilated vertices.  ``volume`` is the normalized
+    volume d! vol(P) = |det A|.
     """
 
-    __slots__ = ("vertices", "_adj")
+    __slots__ = ("vertices", "volume", "_adj")
 
     def __init__(self, vertices: Sequence[Sequence[int]]) -> None:
         verts = tuple(tuple(int(c) for c in v) for v in vertices)
@@ -159,6 +168,7 @@ class Simplex:
         det, adj = _adjugate(a)
         if det == 0:
             raise InvalidInput("vertices are affinely dependent")
+        self.volume = abs(det)
         # adj / det is the inverse, so with adj scaled by the sign of det,
         # membership reduces to integer sign tests: mu * |det| = adj @ (x, n)
         # and mu >= 0 iff adj @ (x, n) >= 0
@@ -327,10 +337,27 @@ def count_points(
 
 
 def _closed_counts(polytope: LatticePolytope, budget: int | None) -> list[int]:
+    """The closed counts L(0..d) of a d-polytope.
+
+    A simplex, or an H-polytope with an interior lattice point in a dilate
+    n <= d // 2, is full-dimensional, so L(-n) = (-1)^d L_{P°}(n): it walks
+    the closed dilates n <= d - d // 2 and the open ones n <= d // 2 only,
+    so the largest box walked, which the budget bounds, is the closed
+    dilate at ceil(d/2), not at d.  Any other H-polytope walks every closed
+    dilate, and the volume check rejects it if it is flat.
+    """
     d = polytope.dim
     if isinstance(polytope, OrderPolytope):
         return polytope.count_series(d, budget=budget)
-    return [polytope.count_points(n, budget=budget) for n in range(d + 1)]
+    half = d // 2
+    values = [polytope.count_points(n, True, budget=budget) for n in range(half, 0, -1)]
+    if isinstance(polytope, HRepPolytope) and not any(values):
+        return [polytope.count_points(n, budget=budget) for n in range(d + 1)]
+    if d % 2:
+        values = [-v for v in values]
+    values += [polytope.count_points(n, budget=budget) for n in range(d - half + 1)]
+    shifted = interpolate(values)  # n -> L(n - half)
+    return [shifted(n + half) for n in range(d + 1)]
 
 
 def _check_volume(volume: int, d: int, error: type[Exception]) -> None:
@@ -379,8 +406,17 @@ def ehrhart_polynomial(
 
 def h_star(polytope: LatticePolytope, *, budget: int | None = None) -> IntPolynomial:
     """h*-polynomial: series numerator of the closed counts at n = 0..d,
-    with the volume, h*_0 and sign checks of :func:`_checked_h_star`."""
-    return _checked_h_star(_closed_counts(polytope, budget), polytope.dim, _volume_error(polytope))
+    with the volume, h*_0 and sign checks of :func:`_checked_h_star`.
+
+    A simplex's h*(1) is then checked against its determinant, a second
+    route to the normalized volume.
+    """
+    hstar = _checked_h_star(_closed_counts(polytope, budget), polytope.dim, _volume_error(polytope))
+    if isinstance(polytope, Simplex) and hstar(1) != polytope.volume:
+        raise InternalConsistencyError(
+            f"h*(1) = {hstar(1)} but the determinant gives normalized volume {polytope.volume}"
+        )
+    return hstar
 
 
 def open_numerator(hstar: IntPolynomial, d: int) -> IntPolynomial:

@@ -276,6 +276,50 @@ class TestOrderDecomposition:
             assert (-a_pi).is_nonnegative() and b_pi.is_nonnegative()
 
 
+class TestDerivedSplitsBuildOnlyAParts:
+    """open_decomposition and order_decomposition take the a-parts of the
+    split alone; they must equal the a-parts of the full checked split."""
+
+    def test_match_full_split_on_corpus(self):
+        for poset in enumerate_labeled_posets(4):
+            hs, d = h_star(OrderPolytope(poset)), poset.d
+            assert open_decomposition(hs, d) == (
+                stapledon_pair(hs, d + 1).a,
+                stapledon_pair(hs, d).a,
+            )
+            if d:
+                assert order_decomposition(hs, d) == (
+                    -(stapledon_pair(hs, d - 1).a.shift(1)),
+                    stapledon_pair(hs, d).a,
+                )
+
+    @pytest.mark.parametrize(
+        "coeffs, d, message",
+        [
+            ([2], 1, "constant term 1"),
+            ([1, -1], 2, "nonnegative coefficients"),
+        ],
+    )
+    @pytest.mark.parametrize("split", [open_decomposition, order_decomposition])
+    def test_rejects_non_polytopal_h_star(self, split, coeffs, d, message):
+        with pytest.raises(InvalidInput, match=message):
+            split(IntPolynomial(coeffs), d)
+
+    @pytest.mark.parametrize("degree, ambient", [(2, 1), (3, 2)])
+    def test_open_split_names_the_ambient_degree_that_failed(self, degree, ambient):
+        # at d = 1, degree 2 fits the pyramid's split (ambient 2) but not
+        # P's own (ambient 1); degree 3 fits neither
+        with pytest.raises(InvalidInput, match=f"degree {degree} exceeds ambient degree {ambient}$"):
+            open_decomposition(IntPolynomial([1] * (degree + 1)), 1)
+
+    @pytest.mark.parametrize("split", [open_decomposition, order_decomposition])
+    def test_asymmetric_a_part_raises(self, monkeypatch, split):
+        real = decomp._split
+        monkeypatch.setattr(decomp, "_split", lambda h, d: ([2] + real(h, d)[0][1:], []))
+        with pytest.raises(InternalConsistencyError, match="a = .* is not symmetric about"):
+            split(IntPolynomial([1, 4, 1]), 3)
+
+
 def per_orientation_routes(graph):
     """h_G and the split of z h_G, one orientation at a time, each poset
     closed from its directed edges: the loop the grouped sums must equal."""

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hstarlib.ehrhart import (
     HRepPolytope,
     _adjugate,
+    _checked_h_star,
     OrderPolytope,
     Simplex,
     count_points,
@@ -27,7 +28,7 @@ from hstarlib.ehrhart import (
     parse_polytope,
 )
 from hstarlib import ehrhart
-from hstarlib.errors import InternalConsistencyError, InvalidInput
+from hstarlib.errors import BudgetExceeded, InternalConsistencyError, InvalidInput
 from hstarlib.harness import (
     dilated_cube,
     dilated_simplex,
@@ -246,6 +247,22 @@ class TestSimplex:
         simplex = Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert h_star(simplex).coeffs == (1,)
 
+    def test_volume_is_abs_det(self):
+        # reordering the vertices flips the sign of det, not the volume
+        assert TRIANGLE.volume == Simplex([(0, 0), (0, 2), (2, 0)]).volume == 4
+        assert Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).volume == 1
+
+    def test_h_star_checked_against_det(self):
+        # a wrong determinant route is a library bug, caught after the counts'
+        # own checks pass
+        simplex = Simplex([(0, 0), (2, 0), (0, 2)])
+        simplex.volume = 5
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"h\*\(1\) = 4 but the determinant gives normalized volume 5",
+        ):
+            h_star(simplex)
+
     def test_unit_segment(self):
         segment = Simplex([(0,), (1,)])
         ehr = ehrhart_polynomial(segment)
@@ -354,6 +371,76 @@ class TestHRep:
             h_star(flat)
 
 
+def cross_polytope(d, k):
+    """k times conv{+-e_i}; its box cannot be derived, so it is given."""
+    rows = [(signs, k) for signs in product((-1, 1), repeat=d)]
+    return HRepPolytope(rows, d, box=([-k] * d, [k] * d))
+
+
+def all_closed_counts_h_star(polytope):
+    d = polytope.dim
+    return _checked_h_star([count_points(polytope, n) for n in range(d + 1)], d)
+
+
+FLAT_MESSAGE = (
+    "normalized volume 0 is not positive; "
+    "declared dimension is wrong or the polytope is degenerate"
+)
+
+
+class TestHalfRoute:
+    """Simplices and certified full-dimensional H-polytopes get h* from the
+    closed counts at n <= ceil(d/2) and the interior counts at
+    n <= floor(d/2); the oracle reads h* off all closed counts n = 0..d."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("build", [dilated_simplex, dilated_cube])
+    def test_dilated(self, build, d, k):
+        polytope = build(d, k)
+        assert h_star(polytope) == all_closed_counts_h_star(polytope)
+
+    @pytest.mark.parametrize("d, high", [(3, 3), (4, 2)])
+    def test_random_simplices(self, d, high):
+        for simplex in random_simplices(40 + d, d, 10, high):
+            assert h_star(simplex) == all_closed_counts_h_star(simplex), simplex
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+    def test_boxed_cross_polytopes(self, d, k):
+        polytope = cross_polytope(d, k)
+        assert h_star(polytope) == all_closed_counts_h_star(polytope)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the segment [0, 2] x {0} declared 2-dimensional: L(-1..1) =
+            # 0, 1, 3 would pass for a degree-2 polynomial if it were used
+            "hrep 2 4\n1 0 2\n-1 0 0\n0 1 0\n0 -1 0\n",
+            # the unit square in the plane z = 0 declared 3-dimensional
+            "hrep 3 6\n1 0 0 1\n-1 0 0 0\n0 1 0 1\n0 -1 0 0\n0 0 1 0\n0 0 -1 0\n",
+            # a triangle cut to the segment [0, 3] x {1} by a box with lo = hi in y
+            "hrep 2 3\n1 1 4\n-1 0 0\n0 -1 0\nbox 0 1 4 1\n",
+        ],
+        ids=["segment", "square-in-3d", "flat-user-box"],
+    )
+    def test_flat_input_stays_invalid(self, text):
+        # no interior point certifies full dimension, so every closed
+        # dilate is counted and the zero volume is reported
+        flat = parse_polytope(text)
+        for route in (h_star, ehrhart_polynomial):
+            with pytest.raises(InvalidInput) as info:
+                route(flat)
+            assert str(info.value) == FLAT_MESSAGE
+
+    def test_budget_bounds_the_largest_box_walked(self):
+        # closed boxes of [0, 2]^4: 5^4 = 625 at n = 2, 9^4 = 6561 at n = 4;
+        # the half route walks nothing larger than the n = 2 box
+        cube = dilated_cube(4, 2)
+        assert h_star(cube, budget=1000) == all_closed_counts_h_star(cube)
+        with pytest.raises(BudgetExceeded, match="needs 6561 steps, budget is 1000"):
+            count_points(cube, 4, budget=1000)
+
+
 class TestHStar:
     def test_order_polytope_of_chain_unimodular(self):
         assert h_star(OrderPolytope(CHAIN2)).coeffs == (1,)
@@ -428,26 +515,24 @@ class TestHStar:
         # the unit square {0 <= x <= 1, y = 0} declared 2-dimensional has
         # Ehrhart degree 1: the user's declaration is wrong, not the library
         flat = parse_polytope("hrep 2 4\n1 0 1\n-1 0 0\n0 1 0\n0 -1 0\n")
-        message = (
-            "normalized volume 0 is not positive; "
-            "declared dimension is wrong or the polytope is degenerate"
-        )
         for route in (h_star, ehrhart_polynomial):
             with pytest.raises(InvalidInput) as info:
                 route(flat)
-            assert str(info.value) == message
+            assert str(info.value) == FLAT_MESSAGE
 
 
 class TestReciprocity:
     """Ehrhart-Macdonald: L_P(-n) = (-1)^d L_{P°}(n), P's interior counts."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("build", [dilated_simplex, dilated_cube])
     def test_dilated(self, build, d, k):
+        # the Ehrhart polynomial uses the interior counts at n <= d // 2;
+        # n up to d + 1 also checks nodes it never counted
         polytope = build(d, k)
         ehr = ehrhart_polynomial(polytope)
-        for n in range(1, 4):
+        for n in range(1, d + 2):
             assert ehr(-n) == (-1) ** d * count_points(polytope, n, interior=True)
 
     def test_user_box_cutting_the_polytope(self):
