@@ -64,14 +64,10 @@ def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
     """
     if not h:
         raise InvalidInput("cannot decompose the zero polynomial")
+    a, b = _checked_split(h, d)
     s = h.degree
-    if s > d:
-        raise InvalidInput(f"degree {s} exceeds ambient degree {d}")
     l = d + 1 - s
-    a, b = _split(h.coeffs, d)
     dec = SymmetricDecomposition(IntPolynomial(a), IntPolynomial(b), d, s, l)
-    if a != a[::-1]:
-        raise InternalConsistencyError(f"a = {dec.a.coeffs} is not symmetric about {d}")
     if b != b[::-1]:
         raise InternalConsistencyError(f"b = {dec.b.coeffs} is not symmetric about {s - 1}")
     multiplied = [sum(h.coeffs[max(k - l + 1, 0) : k + 1]) for k in range(d + 1)]
@@ -99,15 +95,20 @@ def _check_polytopal(hstar: IntPolynomial) -> None:
         raise InvalidInput("h* must have nonnegative coefficients")
 
 
-def _a_part(h: IntPolynomial, d: int) -> IntPolynomial:
-    """The a-part alone of the split of h at ambient degree d, checked
-    palindromic; for the derived splits, which drop the b-part."""
+def _checked_split(h: IntPolynomial, d: int) -> tuple[list[int], list[int]]:
+    """``_split`` of h at ambient degree d, after the degree guard, with a
+    checked palindromic about d."""
     if h.degree > d:
         raise InvalidInput(f"degree {h.degree} exceeds ambient degree {d}")
-    a = IntPolynomial(_split(h.coeffs, d)[0])
-    if a.coeffs != a.coeffs[::-1]:
-        raise InternalConsistencyError(f"a = {a.coeffs} is not symmetric about {d}")
-    return a
+    a, b = _split(h.coeffs, d)
+    if a != a[::-1]:
+        raise InternalConsistencyError(f"a = {IntPolynomial(a).coeffs} is not symmetric about {d}")
+    return a, b
+
+
+def _a_part(h: IntPolynomial, d: int) -> IntPolynomial:
+    """The a-part alone, for the derived splits, which drop the b-part."""
+    return IntPolynomial(_checked_split(h, d)[0])
 
 
 def stapledon_pair(hstar: IntPolynomial, d: int) -> SymmetricDecomposition:
