@@ -38,9 +38,8 @@ def _print_poly(label: str, coeffs: list[str]) -> None:
     print(f"{label} = [{', '.join(coeffs)}]")
 
 
-def _emit(record: dict, fmt: str) -> None:
-    if fmt == JSON_LINES:
-        print(json.dumps(record, separators=(",", ":")))
+def _emit(record: dict) -> None:
+    print(json.dumps(record, separators=(",", ":")))
 
 
 def cmd_chromatic(args) -> int:
@@ -50,7 +49,7 @@ def cmd_chromatic(args) -> int:
     chi_strs = _padded(chi, graph.d)
     h_strs = _padded(h_g, graph.d)
     if args.format == JSON_LINES:
-        _emit({"type": "chromatic", "d": str(graph.d), "chi": chi_strs, "h": h_strs}, args.format)
+        _emit({"type": "chromatic", "d": str(graph.d), "chi": chi_strs, "h": h_strs})
     else:
         _print_poly("chi", chi_strs)
         _print_poly("h", h_strs)
@@ -62,7 +61,7 @@ def cmd_hstar(args) -> int:
     hs = h_star(polytope, budget=args.budget)
     strs = [str(c) for c in hs.coeffs]
     if args.format == JSON_LINES:
-        _emit({"type": "hstar", "d": str(polytope.dim), "hstar": strs}, args.format)
+        _emit({"type": "hstar", "d": str(polytope.dim), "hstar": strs})
     else:
         print(f"d = {polytope.dim}")
         _print_poly("hstar", strs)
@@ -92,6 +91,7 @@ def cmd_decompose(args) -> int:
         graph = Graph.from_text(Path(args.file).read_text())
         d = graph.d
 
+    params = {"d": d, "s": d + 1, "l": 1}
     if kind == "stapledon":
         dec = decomp.stapledon_pair(hstar, d)
         a, b = dec.a, dec.b
@@ -99,15 +99,12 @@ def cmd_decompose(args) -> int:
         passed = dec.a_nonneg and dec.b_nonneg
     elif kind == "open":
         a, b = decomp.open_decomposition(hstar, d)
-        params = {"d": d, "s": d + 1, "l": 1}
         passed = a.is_nonnegative() and b.is_nonnegative()
     elif kind == "order":
         a, b = decomp.order_decomposition(hstar, d)
-        params = {"d": d, "s": d + 1, "l": 1}
         passed = (-a).is_nonnegative() and b.is_nonnegative()
     else:
         a, b = decomp.graph_decomposition(graph, budget=args.budget)
-        params = {"d": d, "s": d + 1, "l": 1}
         passed = (-a).is_nonnegative() and b.is_nonnegative()
 
     a_strs = [str(c) for c in a.coeffs]
@@ -123,8 +120,7 @@ def cmd_decompose(args) -> int:
                 "b": b_strs,
                 "symmetry": "confirmed",
                 "signs": verdict,
-            },
-            args.format,
+            }
         )
     else:
         print(f"kind = {kind}")
@@ -162,7 +158,7 @@ def cmd_verify(args) -> int:
     ):
         summary.add(report)
         if args.format == JSON_LINES:
-            _emit(report.to_record(), args.format)
+            _emit(report.to_record())
         elif report.failed or report.skipped:
             for check in report.checks:
                 if check.passed is True:
@@ -175,7 +171,7 @@ def cmd_verify(args) -> int:
                     for name, coeffs in check.witnesses.items():
                         print(f"    {name} = [{', '.join(coeffs)}]")
     if args.format == JSON_LINES:
-        _emit(summary.to_record(), args.format)
+        _emit(summary.to_record())
     else:
         print(summary.line())
     if summary.checks_run == 0:
@@ -191,7 +187,7 @@ def cmd_random(args) -> int:
     for index, item in enumerate(instances):
         text = item.to_text()
         if args.format == JSON_LINES:
-            _emit({"type": args.kind, "index": index, "text": text}, args.format)
+            _emit({"type": args.kind, "index": index, "text": text})
         else:
             print(f"c instance {index}")
             print(text, end="")

@@ -2,18 +2,19 @@
 
 Three kinds of polytope are supported: order polytopes of posets (counted
 combinatorially through order-preserving maps, never through geometry),
-lattice simplices (barycentric inequalities from an integer adjugate), and
-bounded H-representation polytopes.  Simplices and H-polytopes turn their
-inequalities into integer rows and share one lattice-box walker, which
-counts each line of the box along the last coordinate by floor division.
+bounded H-representation polytopes, and lattice simplices, which are
+H-polytopes cut out by their barycentric inequalities (the rows of an
+integer adjugate) inside their vertices' bounding box.  H-polytopes are
+counted by one lattice-box walker over integer rows, which counts each line
+of the box along the last coordinate by floor division.
 Their h* comes from half the dilates: for a full-dimensional d-polytope,
 Ehrhart-Macdonald reciprocity L(-n) = (-1)^d L_{P°}(n) turns the closed
 counts at n = 0..ceil(d/2) and the interior counts at n = 1..floor(d/2)
 into L(0..d).  A simplex is full-dimensional by construction; an
 H-polytope is certified full-dimensional by a positive interior count, and
 without one it walks every closed dilate n = 0..d.
-Counts, Ehrhart polynomials and h* are integer arithmetic; only the
-H-representation box derivation uses rationals.
+Counts, Ehrhart polynomials and h* are integer arithmetic; rationals remain
+only in the bounding boxes derived for H-polytopes given without a box.
 """
 
 from __future__ import annotations
@@ -138,67 +139,6 @@ class OrderPolytope:
         return f"OrderPolytope({self.poset!r})"
 
 
-class Simplex:
-    """Lattice simplex given by d+1 affinely independent vertices in Z^d.
-
-    Membership of a point in the n-th dilate is decided by exact barycentric
-    coordinates: with A the (vertex | 1) matrix, x lies in n*P iff
-    adj(A) @ (x, n) is coordinatewise >= 0 (> 0 for the interior).  Each
-    row of adj(A) is one integer inequality for the box walker, inside the
-    box spanned by the dilated vertices.  ``volume`` is the normalized
-    volume d! vol(P) = |det A|.
-    """
-
-    __slots__ = ("vertices", "volume", "_adj")
-
-    def __init__(self, vertices: Sequence[Sequence[int]]) -> None:
-        verts = tuple(tuple(int(c) for c in v) for v in vertices)
-        if not verts:
-            raise InvalidInput("simplex needs vertices")
-        d = len(verts[0])
-        if d < 1:
-            raise InvalidInput("simplex dimension must be at least 1")
-        if any(len(v) != d for v in verts):
-            raise InvalidInput("vertices of mixed dimension")
-        if len(verts) != d + 1:
-            raise InvalidInput(f"a {d}-simplex needs exactly {d + 1} vertices")
-        self.vertices = verts
-        a = [[verts[k][i] for k in range(d + 1)] for i in range(d)]
-        a.append([1] * (d + 1))
-        det, adj = _adjugate(a)
-        if det == 0:
-            raise InvalidInput("vertices are affinely dependent")
-        self.volume = abs(det)
-        # adj / det is the inverse, so with adj scaled by the sign of det,
-        # membership reduces to integer sign tests: mu * |det| = adj @ (x, n)
-        # and mu >= 0 iff adj @ (x, n) >= 0
-        self._adj = adj if det > 0 else [[-x for x in row] for row in adj]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices[0])
-
-    def count_points(self, n: int, interior: bool = False, *, budget: int | None = None) -> int:
-        if n < 0:
-            raise InvalidInput("n must be nonnegative")
-        d, strict = self.dim, int(interior)
-        # adj @ (x, n) >= 0 row by row is -adj[:d] . x <= adj[d] * n; a
-        # strict inequality between integers is the weak one with limit - 1
-        rows = [([-c for c in row[:d]], row[d] * n - strict) for row in self._adj]
-        columns = list(zip(*self.vertices))
-        lo = [n * min(col) + strict for col in columns]
-        hi = [n * max(col) - strict for col in columns]
-        return _count_box(rows, lo, hi, budget)
-
-    def to_text(self) -> str:
-        lines = [f"simplex {self.dim}"]
-        lines.extend(" ".join(str(c) for c in v) for v in self.vertices)
-        return "\n".join(lines) + "\n"
-
-    def __repr__(self) -> str:
-        return f"Simplex({list(self.vertices)!r})"
-
-
 class HRepPolytope:
     """Bounded polytope {x : a.x <= b for all rows}, declared dimension d.
 
@@ -206,7 +146,8 @@ class HRepPolytope:
     inequalities; input whose box cannot be derived (and that carries no
     user-supplied box) is rejected as potentially unbounded.  A user box is
     a constraint like the rows: the polytope counted is the part of
-    {a.x <= b} inside it, closed and interior.  The declared
+    {a.x <= b} inside it, closed and interior.  A user box is held as
+    integers; only a derived box may have rational bounds.  The declared
     dimension is trusted but sanity-checked downstream: a full-dimensional
     polytope must produce an Ehrhart polynomial of degree exactly d, and a
     flat one is InvalidInput.
@@ -234,11 +175,7 @@ class HRepPolytope:
             lo, hi = box
             if len(lo) != d or len(hi) != d:
                 raise InvalidInput("box must give d lower and d upper bounds")
-            self.user_box = (tuple(int(x) for x in lo), tuple(int(x) for x in hi))
-            self.box = (
-                tuple(Fraction(x) for x in self.user_box[0]),
-                tuple(Fraction(x) for x in self.user_box[1]),
-            )
+            self.user_box = self.box = (tuple(int(x) for x in lo), tuple(int(x) for x in hi))
         else:
             self.user_box = None
             self.box = self._derive_box()
@@ -318,7 +255,54 @@ class HRepPolytope:
         return f"HRepPolytope(d={self.d}, rows={len(self.inequalities)})"
 
 
-LatticePolytope = OrderPolytope | Simplex | HRepPolytope
+class Simplex(HRepPolytope):
+    """Lattice simplex given by d+1 affinely independent vertices in Z^d.
+
+    It is counted as the H-polytope of its barycentric inequalities: with A
+    the (vertex | 1) matrix, x lies in n*P iff adj(A) @ (x, n) is
+    coordinatewise >= 0 (> 0 for the interior), so each row of adj(A) is
+    one integer inequality, inside the vertices' bounding box.  ``volume``
+    is the normalized volume d! vol(P) = |det A|.
+    """
+
+    __slots__ = ("vertices", "volume")
+
+    def __init__(self, vertices: Sequence[Sequence[int]]) -> None:
+        verts = tuple(tuple(int(c) for c in v) for v in vertices)
+        if not verts:
+            raise InvalidInput("simplex needs vertices")
+        d = len(verts[0])
+        if d < 1:
+            raise InvalidInput("simplex dimension must be at least 1")
+        if any(len(v) != d for v in verts):
+            raise InvalidInput("vertices of mixed dimension")
+        if len(verts) != d + 1:
+            raise InvalidInput(f"a {d}-simplex needs exactly {d + 1} vertices")
+        self.vertices = verts
+        a = [[verts[k][i] for k in range(d + 1)] for i in range(d)]
+        a.append([1] * (d + 1))
+        det, adj = _adjugate(a)
+        if det == 0:
+            raise InvalidInput("vertices are affinely dependent")
+        self.volume = abs(det)
+        # adj / det is the inverse, so with adj scaled by the sign of det,
+        # membership reduces to integer sign tests: adj @ (x, n) >= 0 row by
+        # row is -adj[:d] . x <= adj[d] * n
+        sign = 1 if det > 0 else -1
+        rows = [([-sign * c for c in row[:d]], sign * row[d]) for row in adj]
+        columns = list(zip(*verts))
+        super().__init__(rows, d, ([min(col) for col in columns], [max(col) for col in columns]))
+
+    def to_text(self) -> str:
+        lines = [f"simplex {self.dim}"]
+        lines.extend(" ".join(str(c) for c in v) for v in self.vertices)
+        return "\n".join(lines) + "\n"
+
+    def __repr__(self) -> str:
+        return f"Simplex({list(self.vertices)!r})"
+
+
+LatticePolytope = OrderPolytope | HRepPolytope
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +323,8 @@ def count_points(
 def _closed_counts(polytope: LatticePolytope, budget: int | None) -> list[int]:
     """The closed counts L(0..d) of a d-polytope.
 
-    A simplex, or an H-polytope with an interior lattice point in a dilate
-    n <= d // 2, is full-dimensional, so L(-n) = (-1)^d L_{P°}(n): it walks
+    A simplex (by its nonzero determinant), or any other H-polytope with an
+    interior lattice point in a dilate n <= d // 2, is full-dimensional, so L(-n) = (-1)^d L_{P°}(n): it walks
     the closed dilates n <= d - d // 2 and the open ones n <= d // 2 only,
     so the largest box walked, which the budget bounds, is the closed
     dilate at ceil(d/2), not at d.  Any other H-polytope walks every closed
@@ -351,7 +335,7 @@ def _closed_counts(polytope: LatticePolytope, budget: int | None) -> list[int]:
         return polytope.count_series(d, budget=budget)
     half = d // 2
     values = [polytope.count_points(n, True, budget=budget) for n in range(half, 0, -1)]
-    if isinstance(polytope, HRepPolytope) and not any(values):
+    if not isinstance(polytope, Simplex) and not any(values):
         return [polytope.count_points(n, budget=budget) for n in range(d + 1)]
     if d % 2:
         values = [-v for v in values]
@@ -369,8 +353,9 @@ def _check_volume(volume: int, d: int, error: type[Exception]) -> None:
 
 
 def _volume_error(polytope: LatticePolytope) -> type[Exception]:
-    """A bad volume is InvalidInput for a user-declared dimension, else a bug."""
-    return InvalidInput if isinstance(polytope, HRepPolytope) else InternalConsistencyError
+    """A bad volume is InvalidInput for a user-declared H-polytope, else a bug."""
+    declared = isinstance(polytope, HRepPolytope) and not isinstance(polytope, Simplex)
+    return InvalidInput if declared else InternalConsistencyError
 
 
 def _checked_h_star(

@@ -296,12 +296,12 @@ class _Context:
             self.kind = "poset"
         elif isinstance(item, Graph):
             self.kind = "graph"
-        elif isinstance(item, (Simplex, HRepPolytope)):
+        elif isinstance(item, HRepPolytope):
             self.kind = "polytope"
         else:
             raise InvalidInput(f"unsupported corpus item {item!r}")
         self.item = item
-        self.d = item.dim if self.kind == "polytope" else item.d
+        self.d = item.d
         self.budget = budget
         self.mutate = mutate
         self._numerator: IntPolynomial | None = None

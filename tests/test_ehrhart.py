@@ -63,18 +63,21 @@ def order_polytope_points_brute(poset, n, interior=False):
 def box_points_brute(polytope, n, interior=False):
     """Test every point of the closed lattice box of n * P directly.
 
-    A simplex point is in n * P when its barycentric signs adj @ (x, n) are
-    all >= 0 (> 0 for the interior).  An H-polytope point must satisfy
-    every row, and the box: a user box constrains the polytope, so an
-    interior point lies strictly inside its dilate too.
+    A simplex point is in n * P when its barycentric coordinates, read off
+    adj @ (x, n) from the vertices here rather than the library's stored
+    rows, all have the sign of det (strictly for the interior).  An
+    H-polytope point must satisfy every row, and the box: a user box
+    constrains the polytope, so an interior point lies strictly inside its
+    dilate too.
     """
     if isinstance(polytope, Simplex):
         columns = list(zip(*polytope.vertices))
         lo = [n * min(col) for col in columns]
         hi = [n * max(col) for col in columns]
+        det, adj = _adjugate([list(col) for col in columns] + [[1] * len(polytope.vertices)])
 
         def inside(x):
-            bary = [sum(c * v for c, v in zip(row, (*x, n))) for row in polytope._adj]
+            bary = [det * sum(c * v for c, v in zip(row, (*x, n))) for row in adj]
             return all(b > 0 if interior else b >= 0 for b in bary)
 
     else:
@@ -263,6 +266,29 @@ class TestSimplex:
         ):
             h_star(simplex)
 
+    def test_rows_alone_cut_out_the_simplex(self):
+        # the vertices' bounding box is redundant: the barycentric rows in
+        # a box one step wider on every side count the same points
+        for simplex in random_simplices(7, 3, 6, 2):
+            lo, hi = simplex.box
+            wider = ([a - 1 for a in lo], [b + 1 for b in hi])
+            rows_only = HRepPolytope(simplex.inequalities, simplex.d, wider)
+            for n in range(4):
+                for interior in (False, True):
+                    expected = count_points(simplex, n, interior)
+                    assert count_points(rows_only, n, interior) == expected, (simplex, n)
+
+    @pytest.mark.parametrize(
+        "interior, steps, points", [(False, 125, 35), (True, 27, 1)], ids=["closed", "interior"]
+    )
+    def test_budget_charges_the_dilated_vertex_box(self, interior, steps, points):
+        # 2 * [0, 2]^3 = [0, 4]^3 holds 5^3 box points, its interior box
+        # [1, 3]^3 holds 3^3; the whole box is charged, not the points counted
+        simplex = dilated_simplex(3, 2)
+        with pytest.raises(BudgetExceeded, match=f"needs {steps} steps, budget is {steps - 1}"):
+            count_points(simplex, 2, interior, budget=steps - 1)
+        assert count_points(simplex, 2, interior, budget=steps) == points
+
     def test_unit_segment(self):
         segment = Simplex([(0,), (1,)])
         ehr = ehrhart_polynomial(segment)
@@ -360,6 +386,7 @@ class TestHRep:
 
     def test_user_box_accepted(self):
         p = HRepPolytope([((1, 0), 5)], 2, box=([0, 0], [5, 5]))
+        assert p.box == ((0, 0), (5, 5)) and all(type(x) is int for x in (*p.box[0], *p.box[1]))
         assert count_points(p, 1) == 36
 
     def test_wrong_declared_dimension_caught(self):
@@ -440,6 +467,16 @@ class TestHalfRoute:
         with pytest.raises(BudgetExceeded, match="needs 6561 steps, budget is 1000"):
             count_points(cube, 4, budget=1000)
 
+    def test_unimodular_simplex_needs_no_interior_point(self):
+        # the unit 3-simplex has no interior point at n = 1, but its
+        # determinant certifies full dimension: the largest box walked is
+        # the n = 2 box [0, 2]^3 of 27 points, not the n = 3 box of 64
+        simplex = dilated_simplex(3, 1)
+        assert count_points(simplex, 1, interior=True) == 0
+        assert h_star(simplex, budget=27).coeffs == (1,)
+        with pytest.raises(BudgetExceeded, match="needs 64 steps, budget is 27"):
+            count_points(simplex, 3, budget=27)
+
 
 class TestHStar:
     def test_order_polytope_of_chain_unimodular(self):
@@ -495,7 +532,9 @@ class TestHStar:
     def test_checks_in_order(self, monkeypatch, polytope, counts, error, message):
         monkeypatch.setattr(ehrhart, "_closed_counts", lambda polytope, budget: counts)
         if error is None:
-            error = InvalidInput if isinstance(polytope, HRepPolytope) else InternalConsistencyError
+            # a bad volume is the user's fault only for a declared H-polytope
+            declared = isinstance(polytope, HRepPolytope) and not isinstance(polytope, Simplex)
+            error = InvalidInput if declared else InternalConsistencyError
         with pytest.raises(error, match=message) as info:
             h_star(polytope)
         assert type(info.value) is error

@@ -18,7 +18,6 @@ from hstarlib.poset import (
     descent_h_star,
     ideal_chain_f_vector,
     linear_extensions,
-    natural_labeling,
     order_map_counts,
     order_polynomial,
 )
@@ -58,9 +57,11 @@ def brute_extensions(poset):
 
 
 def brute_descent_poly(poset):
-    rank = natural_labeling(poset)
+    """Descents against the lexicographically first extension's ranks."""
+    extensions = brute_extensions(poset)
+    rank = {e: pos for pos, e in enumerate(min(extensions))}
     counts = [0] * max(poset.d, 1)
-    for w in brute_extensions(poset):
+    for w in extensions:
         counts[sum(1 for a, b in zip(w, w[1:]) if rank[a] > rank[b])] += 1
     return IntPolynomial(counts)
 
