@@ -4,9 +4,9 @@ decompositions, with an exhaustive/random conjecture-hunting harness.
 All arithmetic is exact and lives in one integer domain: counting
 polynomials are held by their integer values at n = 0..d, numerators by
 their integer coefficients.  A lattice simplex is counted as the
-H-polytope of its barycentric inequalities.  Rationals appear only in the
-bounding boxes derived for H-representation polytopes given without a box;
-there is no floating point.
+H-polytope of its barycentric inequalities, and an H-polytope given
+without a box gets an integer one by Fourier-Motzkin elimination.  There
+are no rationals and no floating point.
 """
 
 from .decomp import (

@@ -96,7 +96,7 @@ def cmd_decompose(args) -> int:
         dec = decomp.stapledon_pair(hstar, d)
         a, b = dec.a, dec.b
         params = {"d": dec.d, "s": dec.s, "l": dec.l}
-        passed = dec.a_nonneg and dec.b_nonneg
+        passed = dec.a.is_nonnegative() and dec.b.is_nonnegative()
     elif kind == "open":
         a, b = decomp.open_decomposition(hstar, d)
         passed = a.is_nonnegative() and b.is_nonnegative()

@@ -44,14 +44,6 @@ class SymmetricDecomposition:
     s: int
     l: int
 
-    @property
-    def a_nonneg(self) -> bool:
-        return self.a.is_nonnegative()
-
-    @property
-    def b_nonneg(self) -> bool:
-        return self.b.is_nonnegative()
-
 
 def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
     """Unique symmetric split of (1 + ... + z^{l-1}) h, no sign constraint.

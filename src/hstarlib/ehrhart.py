@@ -13,15 +13,15 @@ counts at n = 0..ceil(d/2) and the interior counts at n = 1..floor(d/2)
 into L(0..d).  A simplex is full-dimensional by construction; an
 H-polytope is certified full-dimensional by a positive interior count, and
 without one it walks every closed dilate n = 0..d.
-Counts, Ehrhart polynomials and h* are integer arithmetic; rationals remain
-only in the bounding boxes derived for H-polytopes given without a box.
+Counts, boxes, Ehrhart polynomials and h* are integer arithmetic: an
+H-polytope given without a box gets one by integer Fourier-Motzkin
+elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import gcd
 from operator import mul
 from pathlib import Path
 from typing import Sequence
@@ -142,15 +142,14 @@ class OrderPolytope:
 class HRepPolytope:
     """Bounded polytope {x : a.x <= b for all rows}, declared dimension d.
 
-    A lattice bounding box is derived by interval propagation from the
-    inequalities; input whose box cannot be derived (and that carries no
-    user-supplied box) is rejected as potentially unbounded.  A user box is
-    a constraint like the rows: the polytope counted is the part of
-    {a.x <= b} inside it, closed and interior.  A user box is held as
-    integers; only a derived box may have rational bounds.  The declared
-    dimension is trusted but sanity-checked downstream: a full-dimensional
-    polytope must produce an Ehrhart polynomial of degree exactly d, and a
-    flat one is InvalidInput.
+    Without a user-supplied box, an integer bounding box is derived by
+    Fourier-Motzkin elimination (:meth:`_derive_box`); input with an
+    unbounded coordinate is rejected.  A user box is a constraint like the
+    rows: the polytope counted is the part of {a.x <= b} inside it, closed
+    and interior.  Every box is held as integers.  The declared dimension
+    is trusted but sanity-checked downstream: a full-dimensional polytope
+    must produce an Ehrhart polynomial of degree exactly d, and a flat one
+    is InvalidInput.
     """
 
     __slots__ = ("inequalities", "d", "box", "user_box")
@@ -182,46 +181,47 @@ class HRepPolytope:
         if any(l > h for l, h in zip(*self.box)):
             raise InvalidInput("empty bounding box; polytope has no points")
 
-    def _derive_box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    def _derive_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each coordinate's range by integer Fourier-Motzkin elimination.
+
+        For each coordinate i, every other coordinate j is eliminated in
+        turn from the rows (normal | bound): rows with a zero j-th entry
+        stay, and each pair p, q with p_j > 0 > q_j becomes p_j q - q_j p,
+        divided by the gcd of its entries, so equal rows merge in the set.
+        The rows left bound x_i alone; their bounds are rounded outwards,
+        which is exact for a lattice polytope (the vertex box) and keeps
+        n * box around n * P for any other.  Before each elimination the
+        running total of coefficients built, that elimination's pairs
+        included, is charged to the default budget.
+        """
         d = self.d
-        lo: list[Fraction | None] = [None] * d
-        hi: list[Fraction | None] = [None] * d
-        for _ in range(d * max(len(self.inequalities), 1)):
-            improved = False
-            for normal, bound in self.inequalities:
-                for i in range(d):
-                    if normal[i] == 0:
-                        continue
-                    rest = Fraction(0)
-                    feasible = True
-                    for j in range(d):
-                        if j == i or normal[j] == 0:
-                            continue
-                        # smallest possible contribution of term j
-                        side = lo[j] if normal[j] > 0 else hi[j]
-                        if side is None:
-                            feasible = False
-                            break
-                        rest += normal[j] * side
-                    if not feasible:
-                        continue
-                    value = Fraction(bound - rest, normal[i])
-                    if normal[i] > 0:
-                        if hi[i] is None or value < hi[i]:
-                            hi[i] = value
-                            improved = True
-                    else:
-                        if lo[i] is None or value > lo[i]:
-                            lo[i] = value
-                            improved = True
-            if not improved:
-                break
-        if any(b is None for b in lo) or any(b is None for b in hi):
-            raise InvalidInput(
-                "cannot derive a bounding box from the inequalities; "
-                "supply an explicit box or check that the polytope is bounded"
-            )
-        return tuple(lo), tuple(hi)  # type: ignore[arg-type]
+        lo, hi = [], []
+        built = 0
+        for i in range(d):
+            rows = {(*normal, bound) for normal, bound in self.inequalities}
+            for j in range(d):
+                if j == i:
+                    continue
+                pos = [r for r in rows if r[j] > 0]
+                neg = [r for r in rows if r[j] < 0]
+                built += len(pos) * len(neg) * (d + 1)
+                charge(built, None, "Fourier-Motzkin box derivation")
+                rows = {r for r in rows if r[j] == 0}
+                for p in pos:
+                    for q in neg:
+                        row = [p[j] * b - q[j] * a for a, b in zip(p, q)]
+                        g = gcd(*row) or 1
+                        rows.add(tuple(c // g for c in row))
+            uppers = [-(-r[d] // r[i]) for r in rows if r[i] > 0]
+            lowers = [r[d] // r[i] for r in rows if r[i] < 0]
+            if not uppers or not lowers:
+                raise InvalidInput(
+                    "cannot derive a bounding box from the inequalities; "
+                    "supply an explicit box or check that the polytope is bounded"
+                )
+            lo.append(max(lowers))
+            hi.append(min(uppers))
+        return tuple(lo), tuple(hi)
 
     @property
     def dim(self) -> int:
@@ -230,15 +230,10 @@ class HRepPolytope:
     def count_points(self, n: int, interior: bool = False, *, budget: int | None = None) -> int:
         if n < 0:
             raise InvalidInput("n must be nonnegative")
-        rows = [(normal, n * bound - int(interior)) for normal, bound in self.inequalities]
-        lo_q, hi_q = self.box
-        if interior:
-            lo = [floor(n * q) + 1 for q in lo_q]
-            hi = [ceil(n * q) - 1 for q in hi_q]
-        else:
-            lo = [ceil(n * q) for q in lo_q]
-            hi = [floor(n * q) for q in hi_q]
-        return _count_box(rows, lo, hi, budget)
+        k = int(interior)
+        rows = [(normal, n * bound - k) for normal, bound in self.inequalities]
+        lo, hi = self.box
+        return _count_box(rows, [n * a + k for a in lo], [n * b - k for b in hi], budget)
 
     def to_text(self) -> str:
         lines = [f"hrep {self.d} {len(self.inequalities)}"]

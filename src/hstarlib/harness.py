@@ -401,7 +401,7 @@ def _check_conj62(ctx: _Context) -> CheckResult:
     dec = decomp.ab_decompose(p, ctx.d)
     return _verdict(
         "conj6.2",
-        (-dec.a).is_nonnegative() and dec.b_nonneg,
+        (-dec.a).is_nonnegative() and dec.b.is_nonnegative(),
         "sign failure in the strict-series decomposition",
         {"p_Pi": p.coeffs, "a": dec.a.coeffs, "b": dec.b.coeffs},
     )
@@ -443,7 +443,7 @@ def _check_conj61(ctx: _Context) -> CheckResult:
     dec = decomp.ab_decompose(ctx.numerator(), ctx.d)
     return _verdict(
         "conj6.1",
-        (-dec.a).is_nonnegative() and dec.b_nonneg,
+        (-dec.a).is_nonnegative() and dec.b.is_nonnegative(),
         "sign failure in the h_G decomposition",
         {"h_G": ctx.numerator().coeffs, "a": dec.a.coeffs, "b": dec.b.coeffs},
     )

@@ -121,17 +121,6 @@ class IntPolynomial:
         """Multiply by z^k (k >= 0)."""
         return IntPolynomial([0] * k + list(self._coeffs))
 
-    def is_palindromic(self, center: int) -> bool:
-        """True iff p(z) = z^center * p(1/z), i.e. p_i = p_{center-i}.
-
-        The zero polynomial is palindromic for every center.
-        """
-        if not self._coeffs:
-            return True
-        if self.degree > center:
-            return False
-        return all(self[i] == self[center - i] for i in range(center + 1))
-
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self._coeffs)
 

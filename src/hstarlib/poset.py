@@ -80,10 +80,6 @@ class Poset:
 
     # -- relation queries ---------------------------------------------------
 
-    def less(self, i: int, j: int) -> bool:
-        """Strict comparison of elements by 1-based label."""
-        return bool((self._above[i - 1] >> (j - 1)) & 1)
-
     @property
     def relations(self) -> frozenset[tuple[int, int]]:
         """All strict pairs (i, j) with i < j in the closure."""

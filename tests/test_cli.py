@@ -81,6 +81,15 @@ class TestHstar:
         assert code == 0
         assert "hstar = [1, 4, 1]" in out
 
+    def test_tilted_triangle_as_rows(self, capsys, tmp_path):
+        # the triangle (0, 0), (2, 1), (1, 3) needs every row to bound a
+        # coordinate, so its box comes from elimination, not one row at a time
+        path = tmp_path / "tilted.hrep"
+        path.write_text("hrep 2 3\n2 1 5\n-3 1 0\n1 -2 0\n")
+        code, out = run(capsys, "hstar", str(path))
+        assert code == 0
+        assert "hstar = [1, 2, 2]" in out
+
 
 class TestDecompose:
     def test_graph_k2(self, capsys, tmp_path):

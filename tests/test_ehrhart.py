@@ -326,7 +326,15 @@ class TestBoxWalker:
         ],
     )
     def test_derived_boxes(self, rows, d):
-        assert_counts_match_brute(HRepPolytope(rows, d))
+        polytope = HRepPolytope(rows, d)
+        assert all(type(x) is int for x in (*polytope.box[0], *polytope.box[1]))
+        assert_counts_match_brute(polytope)
+        # the derived box, rounded outwards, cuts no dilate: a user box
+        # around every row's reach counts the same points
+        wide = HRepPolytope(rows, d, box=([-4] * d, [8] * d))
+        for n in range(d + 3):
+            for interior in (False, True):
+                assert count_points(polytope, n, interior) == count_points(wide, n, interior)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -376,13 +384,36 @@ class TestHRep:
         assert h_star(self.cube(3, 1)).coeffs == (1, 4, 1)
 
     def test_box_derived_by_propagation(self):
-        # x, y >= 0 and x + y <= 2: box only derivable through propagation
+        # x, y >= 0 and x + y <= 2: no row bounds a coordinate on its own
         simplex = HRepPolytope([((-1, 0), 0), ((0, -1), 0), ((1, 1), 2)], 2)
         assert [count_points(simplex, n) for n in range(3)] == [1, 6, 15]
 
     def test_rejects_unbounded(self):
         with pytest.raises(InvalidInput):
             HRepPolytope([((1, 0), 5)], 2)
+
+    @pytest.mark.parametrize("d, high", [(2, 3), (3, 2), (4, 1)])
+    def test_simplex_rows_derive_the_vertex_box(self, d, high):
+        # a lattice simplex given by its barycentric rows alone: elimination
+        # finds the exact vertex box, and so the same h*
+        for simplex in random_simplices(60 + d, d, 8, high):
+            rows_only = HRepPolytope(simplex.inequalities, simplex.d)
+            assert rows_only.box == simplex.box, simplex
+            assert h_star(rows_only) == h_star(simplex), simplex
+
+    def test_cross_polytope_without_a_box(self):
+        # every row uses every coordinate: 16 rows, 4 eliminations per coordinate
+        rows = [(signs, 1) for signs in product((-1, 1), repeat=4)]
+        polytope = HRepPolytope(rows, 4)
+        assert polytope.box == ((-1,) * 4, (1,) * 4)
+        assert h_star(polytope).coeffs == (1, 4, 6, 4, 1)
+
+    def test_elimination_is_charged_to_the_default_budget(self):
+        # the 6-d cross-polytope's 64 rows multiply pairwise in each
+        # elimination; the derivation is refused before it runs away
+        rows = [(signs, 1) for signs in product((-1, 1), repeat=6)]
+        with pytest.raises(BudgetExceeded, match="Fourier-Motzkin box derivation"):
+            HRepPolytope(rows, 6)
 
     def test_user_box_accepted(self):
         p = HRepPolytope([((1, 0), 5)], 2, box=([0, 0], [5, 5]))

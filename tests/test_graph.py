@@ -159,19 +159,6 @@ class TestOrientationPoset:
         with pytest.raises(InvalidInput):
             orientation_poset(PATH3, Orientation(frozenset({(1, 3)})))
 
-    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
-    def test_sweep_masks_match_closure(self, graphs):
-        seen = 0
-        for graph in graphs:
-            for rho in acyclic_orientations(graph):
-                assert rho.ideals is not None
-                fast = orientation_poset(graph, rho)
-                slow = Poset(graph.d, rho.directed_edges(graph))
-                assert fast == slow
-                assert fast.cover_relations == slow.cover_relations  # reads the down-masks
-                seen += 1
-        assert seen > len(graphs)
-
     def test_masks_of_another_graph_are_not_trusted(self):
         # 3 -> 1 is acyclic on its own graph but closes 1 -> 2 -> 3 -> 1 on K3
         (rho,) = [r for r in acyclic_orientations(Graph(3, [(1, 3)])) if r.flipped]
@@ -193,9 +180,13 @@ class TestMaskMapCounts:
 
     @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
     def test_mask_is_the_down_sets(self, graphs):
+        seen = 0
         for graph in graphs:
             for rho in acyclic_orientations(graph):
+                assert rho.ideals is not None
                 assert rho.ideals == brute_down_sets(Poset(graph.d, rho.directed_edges(graph)))
+                seen += 1
+        assert seen > len(graphs)
 
     @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
     def test_matches_order_map_counts(self, graphs):

@@ -75,12 +75,6 @@ class TestIntPolynomial:
         assert (2 * p).coeffs == (2, 2)
         assert p(3) == 4
 
-    def test_palindromic(self):
-        assert IntPolynomial([1, 4, 1]).is_palindromic(2)
-        assert not IntPolynomial([1, 3]).is_palindromic(2)
-        assert IntPolynomial([0, 2, 2]).is_palindromic(3)
-        assert IntPolynomial().is_palindromic(0)
-
 
 class TestReverse:
     def test_constant(self):
