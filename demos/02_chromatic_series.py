@@ -29,10 +29,12 @@ print("proper 3-colorings:", chi(3))
 
 # Every acyclic orientation induces a poset by reachability; summing their
 # strict order polynomials rebuilds chi (a classical identity, checked
-# exactly here).
+# exactly here).  The sweep yields each orientation as its down-set mask:
+# bit S is set iff the vertex set S (vertex v is bit v - 1) is closed
+# downwards.  The poset is read back off the mask.
 assert chromatic_via_orientations(graph) == chi
-for rho in list(acyclic_orientations(graph))[:3]:
-    print("orientation", sorted(rho.flipped), "->", orientation_poset(graph, rho))
+for ideals in list(acyclic_orientations(graph))[:3]:
+    print(f"orientation {ideals:#06x} ->", orientation_poset(graph, ideals))
 
 # The numerator h_G of the chromatic series.  Internally this is computed
 # both from chi and from the orientation sum, and the routes must agree.

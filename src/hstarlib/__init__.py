@@ -38,7 +38,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    Orientation,
     acyclic_orientations,
     chromatic_polynomial,
     chromatic_via_orientations,
@@ -85,7 +84,6 @@ __all__ = [
     "InternalConsistencyError",
     "InvalidInput",
     "OrderPolytope",
-    "Orientation",
     "Poset",
     "Simplex",
     "Summary",

@@ -17,4 +17,8 @@ def charge(amount: int, budget: int | None, what: str) -> None:
     """Raise BudgetExceeded if ``amount`` exceeds the effective budget."""
     limit = DEFAULT_WORK_BUDGET if budget is None else budget
     if amount > limit:
-        raise BudgetExceeded(f"{what} needs {amount} steps, budget is {limit}")
+        try:
+            needs = f"{amount}"
+        except ValueError:  # past the int-to-str digit limit
+            needs = f"at least 2^{amount.bit_length() - 1}"
+        raise BudgetExceeded(f"{what} needs {needs} steps, budget is {limit}")

@@ -44,8 +44,8 @@ def _emit(record: dict) -> None:
 
 def cmd_chromatic(args) -> int:
     graph = Graph.from_text(Path(args.file).read_text())
-    chi = chromatic_polynomial(graph)
-    h_g = decomp.graph_numerator(graph, budget=args.budget)
+    h_g = decomp.graph_numerator(graph, budget=args.budget)  # refuses before deletion-contraction
+    chi = chromatic_polynomial(graph)  # cached by graph_numerator
     chi_strs = _padded(chi, graph.d)
     h_strs = _padded(h_g, graph.d)
     if args.format == JSON_LINES:

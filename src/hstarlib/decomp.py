@@ -13,7 +13,7 @@ series) inherit their sign behavior from that fact.  Nothing here asserts
 signs: each result carries the parts, and callers read the verdict off
 them.  The chromatic series is built over acyclic orientations in one
 place, ``_orientation_sum``, and checked there against the
-deletion-contraction route.
+deletion-contraction route, which each graph runs once and caches.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def _orientation_sum(
     """
     d = graph.d
     closed = Counter(
-        tuple(_mask_map_counts(rho.ideals, d, d + 1, budget=budget)[1:])
-        for rho in acyclic_orientations(graph)
+        tuple(_mask_map_counts(ideals, d, d + 1, budget=budget)[1:])
+        for ideals in acyclic_orientations(graph)
     )
     hstars = {_checked_h_star(counts, d): k for counts, k in closed.items()}
     zh = IntPolynomial.zero()

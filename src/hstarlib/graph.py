@@ -1,18 +1,15 @@
 """Simple graphs, acyclic orientations, and chromatic polynomials.
 
-Vertices are labeled 1..d.  An orientation is stored as the set of edges
-pointing against the label order: edge {i, j} with i < j runs i -> j by
-default and j -> i when the edge is in the ``flipped`` set.
-
-The orientation sweep and the map counts of the orientation route work on
-sets of vertices: vertex v is bit v - 1 of the set's index S, a 2^d-bit
-mask holds one bit per set, and a packed vector holds one field of w bits
-per set, field S at bit S * w.
+Vertices are labeled 1..d.  The orientation sweep and the map counts of
+the orientation route work on sets of vertices: vertex v is bit v - 1 of
+the set's index S, a 2^d-bit mask holds one bit per set, and a packed
+vector holds one field of w bits per set, field S at bit S * w.  An
+acyclic orientation is its down-set mask: bit S is set iff no edge runs
+into S from outside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator
@@ -26,7 +23,7 @@ from .poset import Poset, read_pair_file
 class Graph:
     """Simple undirected graph on vertices 1..d; no loops, no multi-edges."""
 
-    __slots__ = ("d", "edges")
+    __slots__ = ("d", "edges", "_chi")
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if d < 0:
@@ -42,6 +39,7 @@ class Graph:
         if len(normalized) != len(set(normalized)):
             raise InvalidInput("duplicate edges")
         self.edges: frozenset[tuple[int, int]] = frozenset(normalized)
+        self._chi: IntPolynomial | None = None
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
@@ -68,25 +66,6 @@ class Graph:
         return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Edge subset marking which edges point from the larger label down.
-
-    An orientation yielded by :func:`acyclic_orientations` also carries the
-    sweep's down-set mask, from which the orientation route reads its map
-    counts without building the poset or its ideal lattice.  Equality,
-    hashing and repr look at ``flipped`` only.
-    """
-
-    flipped: frozenset[tuple[int, int]]
-    ideals: int | None = field(default=None, compare=False, repr=False)
-
-    def directed_edges(self, graph: Graph) -> Iterator[tuple[int, int]]:
-        """Yield each edge of the host graph as an ordered (source, target)."""
-        for i, j in graph.sorted_edges():
-            yield (j, i) if (i, j) in self.flipped else (i, j)
-
-
 def _packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
     """Masks over 2^d fields of w bits.  Per vertex e: the fields of the
     sets without e, all ones; and the zeta pass, those fields and the shift
@@ -109,53 +88,61 @@ def _build_packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
 _small_packing = lru_cache(maxsize=32)(_build_packing)  # 3d + 1 ints of at most 2^16 bits
 
 
-def acyclic_orientations(graph: Graph) -> Iterator[Orientation]:
-    """Enumerate every acyclic orientation exactly once.
+def _edge_splits(graph: Graph) -> list[tuple[int, int, int, int]]:
+    """Per edge {i, j}, sorted: i, j, and the masks of the sets holding i
+    without j, and j without i.  2^d is charged before any mask is built."""
+    d = graph.d
+    charge(1 << d, None, f"down-set mask over 2^{d} vertex sets")
+    out = _packing(d, 1)[0]
+    edges = graph.sorted_edges()
+    return [(i, j, out[j - 1] & ~out[i - 1], out[i - 1] & ~out[j - 1]) for i, j in edges]
+
+
+def acyclic_orientations(graph: Graph) -> Iterator[int]:
+    """Enumerate every acyclic orientation exactly once, as its down-set mask.
 
     Backtracks over the edges in lexicographic order, carrying one 2^d-bit
     int ``ideals``: bit S is set iff the vertex set S is a down-set of the
     partial orientation.  Orienting u -> v clears the sets that hold v
     without u.  That direction closes a cycle iff no down-set holds u
-    without v (v already reaches u), which prunes the whole subtree.  The
-    2^d bits are charged to the default budget before any mask is built.
+    without v (v already reaches u), which prunes the whole subtree.
     """
-    d = graph.d
-    charge(1 << d, None, f"down-set mask over 2^{d} vertex sets")
-    out = _packing(d, 1)[0]
-    edges = graph.sorted_edges()
-    # per edge {i, j}: the sets holding i without j, and j without i
-    splits = [(out[j - 1] & ~out[i - 1], out[i - 1] & ~out[j - 1]) for i, j in edges]
-    flipped: list[tuple[int, int]] = []
+    splits = _edge_splits(graph)
 
-    def orient(k: int, ideals: int) -> Iterator[Orientation]:
-        if k == len(edges):
-            yield Orientation(frozenset(flipped), ideals)
+    def orient(k: int, ideals: int) -> Iterator[int]:
+        if k == len(splits):
+            yield ideals
             return
-        i_only, j_only = splits[k]
+        _, _, i_only, j_only = splits[k]
         if ideals & i_only:  # i -> j
             yield from orient(k + 1, ideals & ~j_only)
         if ideals & j_only:  # j -> i
-            flipped.append(edges[k])
             yield from orient(k + 1, ideals & ~i_only)
-            flipped.pop()
 
-    return orient(0, (1 << (1 << d)) - 1)
+    return orient(0, (1 << (1 << graph.d)) - 1)
 
 
 def count_acyclic_orientations(graph: Graph) -> int:
     return sum(1 for _ in acyclic_orientations(graph))
 
 
-def orientation_poset(graph: Graph, orientation: Orientation) -> Poset:
-    """Poset induced by reachability along the oriented edges.
+def orientation_poset(graph: Graph, ideals: int) -> Poset:
+    """Poset of the orientation whose down-set mask is ``ideals``.
 
-    v_i < v_j iff a directed path of length >= 1 runs from v_i to v_j.  The
-    Poset constructor closes the oriented edges and reports a cycle;
-    flipping an edge the graph lacks is rejected.
+    Edge {i, j} runs i -> j iff no down-set holds j without i.  A mask that
+    orients an edge both ways or neither way, or that is not the down-set
+    mask of the poset its arcs generate, is rejected.
     """
-    if not orientation.flipped <= graph.edges:
-        raise InvalidInput("orientation flips edges the graph does not have")
-    return Poset(graph.d, orientation.directed_edges(graph))
+    arcs = []
+    for i, j, i_only, j_only in _edge_splits(graph):
+        if bool(ideals & i_only) == bool(ideals & j_only):
+            way = "neither way" if ideals & i_only else "both ways"
+            raise InvalidInput(f"mask orients edge ({i}, {j}) {way}")
+        arcs.append((i, j) if ideals & i_only else (j, i))
+    poset = Poset(graph.d, arcs)
+    if sum(1 << ideal for ideal in poset.order_ideals()) != ideals:
+        raise InvalidInput("mask is not the down-set mask of the poset its arcs generate")
+    return poset
 
 
 def _mask_map_counts(
@@ -246,12 +233,12 @@ def chromatic_polynomial(graph: Graph) -> IntPolynomial:
     Recursion keys on the lexicographically first remaining edge;
     contraction merges into the smaller endpoint and drops parallel
     duplicates (simple-graph convention).  The d = 0 graph has chi = 1.
+    Cached on the graph.
     """
 
     def chi(d: int, edges: frozenset[tuple[int, int]]) -> list[int]:
         if not edges:
-            coeffs = [0] * d + [1]  # n^d
-            return coeffs
+            return [0] * d + [1]  # n^d
         i, j = min(edges)
         deleted = chi(d, edges - {(i, j)})
         merged = set()
@@ -270,7 +257,9 @@ def chromatic_polynomial(graph: Graph) -> IntPolynomial:
             out[k] -= c
         return out
 
-    return IntPolynomial(chi(graph.d, graph.edges))
+    if graph._chi is None:
+        graph._chi = IntPolynomial(chi(graph.d, graph.edges))
+    return graph._chi
 
 
 def chromatic_via_orientations(graph: Graph) -> CountingPolynomial:
@@ -282,6 +271,6 @@ def chromatic_via_orientations(graph: Graph) -> CountingPolynomial:
     """
     d = graph.d
     totals = [0] * (d + 1)
-    for rho in acyclic_orientations(graph):
-        totals = list(map(add, totals, _mask_map_counts(rho.ideals, d, d, strict=True)))
+    for ideals in acyclic_orientations(graph):
+        totals = list(map(add, totals, _mask_map_counts(ideals, d, d, strict=True)))
     return interpolate(totals)

@@ -286,8 +286,8 @@ def _flip_leading(p: IntPolynomial) -> IntPolynomial:
 
 
 class _Context:
-    """One corpus item, its kind, its numerator and (for a graph) its
-    deletion-contraction chromatic polynomial, each computed once."""
+    """One corpus item, its kind and its numerator, computed once.  A
+    graph caches its own chromatic polynomial."""
 
     def __init__(self, item, budget: int | None, mutate: bool):
         if isinstance(item, OrderPolytope):
@@ -305,7 +305,6 @@ class _Context:
         self.budget = budget
         self.mutate = mutate
         self._numerator: IntPolynomial | None = None
-        self._chromatic: IntPolynomial | None = None
 
     def input_text(self) -> str:
         return self.item.to_text()
@@ -323,12 +322,6 @@ class _Context:
             self._numerator = _flip_leading(p) if self.mutate else p
         return self._numerator
 
-    def chromatic(self) -> IntPolynomial:
-        """The graph's chromatic polynomial by deletion-contraction."""
-        if self._chromatic is None:
-            self._chromatic = chromatic_polynomial(self.item)
-        return self._chromatic
-
 
 # ---------------------------------------------------------------------------
 # the checks
@@ -336,7 +329,7 @@ class _Context:
 
 def _check_hstar3way(ctx: _Context) -> CheckResult:
     counts_route = ctx.numerator()
-    descent_route = descent_h_star(ctx.item)
+    descent_route = descent_h_star(ctx.item, budget=ctx.budget)
     chain_route = f_to_h(ideal_chain_f_vector(ctx.item, budget=ctx.budget), ctx.d)
     return _verdict(
         "hstar3way",
@@ -426,7 +419,7 @@ def _check_thm14(ctx: _Context) -> CheckResult:
     if not h.is_nonnegative():
         problems.append("negative coefficient")
     orientations = count_acyclic_orientations(ctx.item)
-    chi_at_minus_one = (-1) ** d * ctx.chromatic()(-1)
+    chi_at_minus_one = (-1) ** d * chromatic_polynomial(ctx.item)(-1)
     if h[d] != orientations or orientations != chi_at_minus_one:
         problems.append(
             f"leading {h[d]} vs {orientations} orientations vs (-1)^d chi(-1) = {chi_at_minus_one}"
@@ -461,7 +454,7 @@ def _check_conj64(ctx: _Context) -> CheckResult:
 
 
 def _check_chromatic3(ctx: _Context) -> CheckResult:
-    dc = ctx.chromatic()
+    dc = chromatic_polynomial(ctx.item)
     via = chromatic_via_orientations(ctx.item)
     if dc != via:
         # the orientation route is held by its values at n = 0..d

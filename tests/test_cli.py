@@ -64,6 +64,30 @@ class TestChromatic:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["chromatic", str(tmp_path / "absent.graph")]) == 2
 
+    @pytest.mark.parametrize("command", [["chromatic"], ["decompose", "graph"]])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # 2^20000 has more digits than an int may print
+            ("p 20000 0\n", "2^20000 vertex sets needs at least 2^20000 steps"),
+            (
+                "p 23 253\n"
+                + "".join(f"e {i} {j}\n" for i in range(1, 24) for j in range(i + 1, 24)),
+                "2^23 vertex sets needs 8388608 steps",
+            ),
+        ],
+        ids=["edgeless-20000", "K23"],
+    )
+    def test_oversized_graph_is_refused_at_once(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "big.graph"
+        path.write_text(text)
+        start = time.perf_counter()
+        code = main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 5  # before any deletion-contraction
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: down-set mask over {message}, budget is 5000000\n"
+
 
 class TestHstar:
     def test_simplex_file(self, capsys, tmp_path):

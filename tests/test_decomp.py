@@ -23,6 +23,7 @@ from hstarlib.graph import Graph, acyclic_orientations, orientation_poset
 from hstarlib.harness import enumerate_labeled_graphs, enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial, reverse
 from hstarlib.poset import Poset
+from test_graph import brute_acyclic_orientations, brute_arcs
 
 K2 = Graph(2, [(1, 2)])
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -321,12 +322,12 @@ class TestDerivedSplitsBuildOnlyAParts:
 
 
 def per_orientation_routes(graph):
-    """h_G and the split of z h_G, one orientation at a time, each poset
-    closed from its directed edges: the loop the grouped sums must equal."""
+    """h_G and the split of z h_G, one brute-force orientation at a time,
+    each poset closed from its arcs: the loop the grouped sums must equal."""
     d = graph.d
     zh = a = b = IntPolynomial.zero()
-    for rho in acyclic_orientations(graph):
-        hs = h_star(OrderPolytope(Poset(d, rho.directed_edges(graph))))
+    for flipped in brute_acyclic_orientations(graph):
+        hs = h_star(OrderPolytope(Poset(d, brute_arcs(graph, flipped))))
         a_pi, b_pi = order_decomposition(hs, d)
         a, b = a + a_pi, b + b_pi
         zh = zh + open_numerator(hs, d)
@@ -350,8 +351,8 @@ class TestGroupedOrientationSums:
             assert graph_decomposition(graph) == (a, b)
         # grouping must matter: the last graph has fewer distinct h* than orientations
         hstars = [
-            h_star(OrderPolytope(orientation_poset(graph, rho)))
-            for rho in acyclic_orientations(graph)
+            h_star(OrderPolytope(orientation_poset(graph, mask)))
+            for mask in acyclic_orientations(graph)
         ]
         assert len(set(hstars)) < len(hstars)
 

@@ -8,7 +8,6 @@ import pytest
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import (
     Graph,
-    Orientation,
     _mask_map_counts,
     _small_packing,
     acyclic_orientations,
@@ -52,6 +51,20 @@ def brute_acyclic_orientations(graph):
         if not any(has_cycle(v) for v in adj if state[v] == 0):
             found.append(flipped)
     return found
+
+
+def brute_arcs(graph, flipped):
+    """The edges of ``graph`` as (source, target), each flipped edge j -> i."""
+    return [(j, i) if (i, j) in flipped else (i, j) for i, j in graph.sorted_edges()]
+
+
+def brute_masks(graph):
+    """The brute-force orientations as down-set masks of the posets their
+    flips generate."""
+    return [
+        brute_down_sets(Poset(graph.d, brute_arcs(graph, flipped)))
+        for flipped in brute_acyclic_orientations(graph)
+    ]
 
 
 def brute_down_sets(poset):
@@ -127,9 +140,9 @@ class TestAcyclicOrientations:
     def test_matches_brute_force(self):
         for d in range(5):
             for graph in enumerate_labeled_graphs(d):
-                ours = [o.flipped for o in acyclic_orientations(graph)]
+                ours = list(acyclic_orientations(graph))
                 assert len(ours) == len(set(ours))  # each exactly once
-                assert set(ours) == set(brute_acyclic_orientations(graph))
+                assert set(ours) == set(brute_masks(graph))
 
     def test_count_equals_chi_at_minus_one(self):
         for graph in enumerate_labeled_graphs(4):
@@ -139,39 +152,43 @@ class TestAcyclicOrientations:
 
 class TestOrientationPoset:
     def test_k2_default(self):
-        assert orientation_poset(K2, Orientation(frozenset())) == Poset(2, [(1, 2)])
+        mask = brute_down_sets(Poset(2, [(1, 2)]))
+        assert orientation_poset(K2, mask) == Poset(2, [(1, 2)])
 
     def test_k3_default_chain(self):
-        poset = orientation_poset(K3, Orientation(frozenset()))
-        assert poset == Poset(3, [(1, 2), (2, 3)])
+        chain = Poset(3, [(1, 2), (2, 3)])
+        assert orientation_poset(K3, brute_down_sets(chain)) == chain
 
     def test_path_toward_middle(self):
-        # 1 -> 2 <- 3: flip edge {2, 3}
-        poset = orientation_poset(PATH3, Orientation(frozenset({(2, 3)})))
+        # 1 -> 2 <- 3
+        poset = orientation_poset(PATH3, brute_down_sets(Poset(3, [(1, 2), (3, 2)])))
         assert poset.relations == frozenset({(1, 2), (3, 2)})
 
     def test_rejects_cyclic(self):
-        # 1 -> 2 -> 3 -> 1 on K3
-        with pytest.raises(InvalidInput, match="cycle"):
-            orientation_poset(K3, Orientation(frozenset({(1, 3)})))
+        # 1 -> 2 -> 3 -> 1 on K3: no down-set separates two vertices
+        with pytest.raises(InvalidInput, match="both ways"):
+            orientation_poset(K3, 1 << 0b000 | 1 << 0b111)
 
     def test_rejects_foreign_edges(self):
-        with pytest.raises(InvalidInput):
-            orientation_poset(PATH3, Orientation(frozenset({(1, 3)})))
+        # 1 < 3 is no edge of the path, whose edges the mask leaves unoriented
+        with pytest.raises(InvalidInput, match="neither way"):
+            orientation_poset(PATH3, brute_down_sets(Poset(3, [(1, 3)])))
 
     def test_masks_of_another_graph_are_not_trusted(self):
-        # 3 -> 1 is acyclic on its own graph but closes 1 -> 2 -> 3 -> 1 on K3
-        (rho,) = [r for r in acyclic_orientations(Graph(3, [(1, 3)])) if r.flipped]
-        with pytest.raises(InvalidInput, match="cycle"):
-            orientation_poset(K3, rho)
-        (rho,) = [r for r in acyclic_orientations(PATH3) if not r.flipped]
-        assert orientation_poset(K3, rho) == Poset(3, [(1, 2), (2, 3)])
-
-    def test_identity_is_the_flipped_set(self):
-        for rho in acyclic_orientations(K3):
-            bare = Orientation(rho.flipped)
-            assert rho == bare and hash(rho) == hash(bare) and repr(rho) == repr(bare)
-            assert orientation_poset(K3, bare) == orientation_poset(K3, rho)
+        # the flipped orientation 3 -> 1 of Graph(3, [(1, 3)]) leaves 2
+        # unrelated, so K3's edge {1, 2} runs neither way
+        one_edge = Graph(3, [(1, 3)])
+        (flipped,) = [f for f in brute_acyclic_orientations(one_edge) if f]
+        mask = brute_down_sets(Poset(3, brute_arcs(one_edge, flipped)))
+        assert mask in set(acyclic_orientations(one_edge))
+        with pytest.raises(InvalidInput, match=r"edge \(1, 2\) neither way"):
+            orientation_poset(K3, mask)
+        # a chain's mask orients every edge of K3, but Graph(3) has no arc
+        # that generates it
+        chain = brute_down_sets(Poset(3, [(1, 2), (2, 3)]))
+        with pytest.raises(InvalidInput, match="not the down-set mask"):
+            orientation_poset(Graph(3), chain)
+        assert orientation_poset(K3, chain) == Poset(3, [(1, 2), (2, 3)])
 
 
 class TestMaskMapCounts:
@@ -182,10 +199,9 @@ class TestMaskMapCounts:
     def test_mask_is_the_down_sets(self, graphs):
         seen = 0
         for graph in graphs:
-            for rho in acyclic_orientations(graph):
-                assert rho.ideals is not None
-                assert rho.ideals == brute_down_sets(Poset(graph.d, rho.directed_edges(graph)))
-                seen += 1
+            ours = sorted(acyclic_orientations(graph))
+            assert ours == sorted(brute_masks(graph))
+            seen += len(ours)
         assert seen > len(graphs)
 
     @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
@@ -195,57 +211,58 @@ class TestMaskMapCounts:
             # every n_max on the small graphs, including the bare n = 0 count
             weak_tops = range(d + 2) if d <= 4 else [d + 1]
             strict_tops = range(d + 1) if d <= 4 else [d]
-            for rho in acyclic_orientations(graph):
-                poset = orientation_poset(graph, rho)
+            for mask in acyclic_orientations(graph):
+                poset = orientation_poset(graph, mask)
                 for n_max in weak_tops:
                     expected = order_map_counts(poset, n_max)
-                    assert _mask_map_counts(rho.ideals, d, n_max) == expected, (graph, rho)
+                    assert _mask_map_counts(mask, d, n_max) == expected, (graph, mask)
                 for n_max in strict_tops:
                     expected = order_map_counts(poset, n_max, strict=True)
-                    assert _mask_map_counts(rho.ideals, d, n_max, True) == expected, (graph, rho)
+                    assert _mask_map_counts(mask, d, n_max, True) == expected, (graph, mask)
 
     @pytest.mark.parametrize("d", range(4))
     def test_matches_brute_force(self, d):
         for graph in enumerate_labeled_graphs(d):
-            for rho in acyclic_orientations(graph):
-                poset = Poset(d, rho.directed_edges(graph))
+            for flipped in brute_acyclic_orientations(graph):
+                poset = Poset(d, brute_arcs(graph, flipped))
+                mask = brute_down_sets(poset)
                 for strict in (False, True):
-                    counts = _mask_map_counts(rho.ideals, d, d + 1, strict)
+                    counts = _mask_map_counts(mask, d, d + 1, strict)
                     expected = [count_order_maps(poset, n, strict) for n in range(d + 2)]
-                    assert counts == expected, (graph, rho, strict)
+                    assert counts == expected, (graph, flipped, strict)
 
     @pytest.mark.parametrize("d", range(9))
     def test_edgeless_and_complete_graphs(self, d):
-        (rho,) = acyclic_orientations(Graph(d))
+        (mask,) = acyclic_orientations(Graph(d))
         for strict in (False, True):
-            counts = _mask_map_counts(rho.ideals, d, d + 1, strict)
+            counts = _mask_map_counts(mask, d, d + 1, strict)
             assert counts == [n**d for n in range(d + 2)]  # top field (d+1)^d
         # every orientation of K_d is a chain; the first few are checked
         # (K_0 is the edgeless graph above)
-        for rho in islice(acyclic_orientations(complete_graph(d)), 5 if d else 0):
-            assert _mask_map_counts(rho.ideals, d, d + 1) == [
+        for mask in islice(acyclic_orientations(complete_graph(d)), 5 if d else 0):
+            assert _mask_map_counts(mask, d, d + 1) == [
                 comb(n + d - 1, d) for n in range(d + 2)
             ]
-            assert _mask_map_counts(rho.ideals, d, d + 1, True) == [
+            assert _mask_map_counts(mask, d, d + 1, True) == [
                 comb(n, d) for n in range(d + 2)
             ]
 
     def test_budget_is_the_ideal_count(self):
         for graph in (PATH3, K3, Graph(3), Graph(4, [(1, 2), (3, 4)])):
-            for rho in acyclic_orientations(graph):
-                size = rho.ideals.bit_count()
-                assert size == len(orientation_poset(graph, rho).order_ideals())
+            for mask in acyclic_orientations(graph):
+                size = mask.bit_count()
+                assert size == len(orientation_poset(graph, mask).order_ideals())
                 with pytest.raises(BudgetExceeded, match=f"needs {size} steps"):
-                    _mask_map_counts(rho.ideals, graph.d, 3, budget=size - 1)
-                _mask_map_counts(rho.ideals, graph.d, 3, budget=size)
+                    _mask_map_counts(mask, graph.d, 3, budget=size - 1)
+                _mask_map_counts(mask, graph.d, 3, budget=size)
 
     def test_sweep_charges_the_mask_before_building_it(self):
         # 2^23 bits exceed the default budget: refused at once, no mask built
         with pytest.raises(BudgetExceeded, match="2\\^23 vertex sets"):
             count_acyclic_orientations(Graph(23))
-        (rho,) = acyclic_orientations(Graph(0))
-        assert rho.flipped == frozenset() and rho.ideals == 1
-        assert _mask_map_counts(rho.ideals, 0, 1) == [1, 1]
+        (mask,) = acyclic_orientations(Graph(0))
+        assert mask == 1  # the empty set is the only down-set
+        assert _mask_map_counts(mask, 0, 1) == [1, 1]
 
     def test_packed_size_is_charged_before_packing(self):
         # a 20-vertex path has 2^20 vertex sets but only 21 down-sets per
@@ -255,10 +272,10 @@ class TestMaskMapCounts:
         cached = _small_packing.cache_info().currsize
         with pytest.raises(BudgetExceeded, match="2\\^20 fields of 88 bits"):
             chromatic_via_orientations(path)
-        rho = next(acyclic_orientations(path))
-        assert rho.ideals.bit_count() == 21
+        mask = next(acyclic_orientations(path))
+        assert mask.bit_count() == 21
         with pytest.raises(BudgetExceeded, match="packed vector"):
-            _mask_map_counts(rho.ideals, 20, 2, budget=10**12)
+            _mask_map_counts(mask, 20, 2, budget=10**12)
         assert _small_packing.cache_info().currsize == cached
 
 
@@ -319,6 +336,14 @@ class TestChromaticPolynomial:
 
     def test_empty_graph_convention(self):
         assert chromatic_polynomial(Graph(0)).coeffs == (1,)
+
+    def test_cached_on_the_graph(self):
+        g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        assert chromatic_polynomial(g) is chromatic_polynomial(g)
+        # an equal graph keeps its own cache, with an equal value
+        twin = Graph(4, g.edges)
+        assert chromatic_polynomial(twin) is not chromatic_polynomial(g)
+        assert chromatic_polynomial(twin) == chromatic_polynomial(g)
 
     def test_matches_brute_force(self):
         for graph in enumerate_labeled_graphs(4):

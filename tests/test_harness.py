@@ -86,6 +86,28 @@ class TestVerifyAll:
         assert len(reports) == 8
         assert not any(r.failed for r in reports)
 
+    def test_deletion_contraction_runs_once_per_graph(self, monkeypatch):
+        import hstarlib.graph as graph_module
+
+        built = []
+        real = graph_module.IntPolynomial
+        monkeypatch.setattr(
+            graph_module, "IntPolynomial", lambda coeffs: built.append(coeffs) or real(coeffs)
+        )
+        corpus = list(enumerate_labeled_graphs(3))
+        reports = list(verify_all(corpus))
+        assert not any(r.failed or r.skipped for r in reports)
+        assert len(built) == len(corpus)
+
+    def test_hstar3way_skips_a_long_extension_walk(self):
+        # three disjoint 4-chains: 125 ideals fit the budget, 34650
+        # linear extensions do not
+        chains = Poset(12, [(c + k, c + k + 1) for c in (1, 5, 9) for k in range(3)])
+        (report,) = verify_all([chains], ["hstar3way"], budget=200)
+        (check,) = report.checks
+        assert check.status == "skip"
+        assert check.detail == "skipped: linear-extension walk needs 201 steps, budget is 200"
+
     def test_polytope_corpus(self):
         corpus = [dilated_simplex(2, 2), dilated_cube(2, 2)]
         reports = list(verify_all(corpus, ["thm1.1"]))

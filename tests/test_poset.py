@@ -184,6 +184,16 @@ class TestDescents:
             for poset in enumerate_labeled_posets(d):
                 assert descent_h_star(poset) == brute_descent_poly(poset)
 
+    def test_walk_is_charged_its_running_count(self):
+        # 3! extensions of the 3-antichain; three disjoint 4-chains have
+        # 12! / (4!)^3 = 34650, and the walk stops at the 201st
+        assert descent_h_star(ANTI3, budget=6).coeffs == (1, 4, 1)
+        with pytest.raises(BudgetExceeded, match="walk needs 6 steps, budget is 5$"):
+            descent_h_star(ANTI3, budget=5)
+        chains = Poset(12, [(c + k, c + k + 1) for c in (1, 5, 9) for k in range(3)])
+        with pytest.raises(BudgetExceeded, match="walk needs 201 steps, budget is 200$"):
+            descent_h_star(chains, budget=200)
+
     def test_labeling_independent_of_input_labels(self):
         # same unlabeled vee, relabeled: descent polynomial is unchanged
         relabeled = Poset(3, [(3, 1), (3, 2)])
