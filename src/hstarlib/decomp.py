@@ -24,6 +24,7 @@ from itertools import accumulate
 from operator import add
 from typing import Literal, NamedTuple
 
+from .budget import charge
 from .ehrhart import _checked_h_star, open_numerator
 from .errors import InternalConsistencyError, InvalidInput
 from .graph import Graph, _mask_map_counts, acyclic_orientations, chromatic_polynomial
@@ -170,13 +171,14 @@ def _orientation_sum(
     counted h* (every sum over orientations is linear in h*, so callers
     scale by the counts too) and z h_G.  Disagreement with the series
     numerator of the chromatic polynomial, shifted by z, would be a bug in
-    this library, not a property of the graph.
+    this library, not a property of the graph.  The running count of
+    orientations walked is charged after each one's counts are read.
     """
     d = graph.d
-    closed = Counter(
-        tuple(_mask_map_counts(ideals, d, d + 1, budget=budget)[1:])
-        for ideals in acyclic_orientations(graph)
-    )
+    closed: Counter[tuple[int, ...]] = Counter()
+    for walked, ideals in enumerate(acyclic_orientations(graph), 1):
+        closed[tuple(_mask_map_counts(ideals, d, d + 1, budget=budget)[1:])] += 1
+        charge(walked, budget, "acyclic-orientation sweep")
     hstars = {_checked_h_star(counts, d): k for counts, k in closed.items()}
     zh = IntPolynomial.zero()
     for hs, count in hstars.items():

@@ -15,7 +15,8 @@ H-polytope is certified full-dimensional by a positive interior count, and
 without one it walks every closed dilate n = 0..d.
 Counts, boxes, Ehrhart polynomials and h* are integer arithmetic: an
 H-polytope given without a box gets one by integer Fourier-Motzkin
-elimination.
+elimination.  Polytope files (``simplex``, ``hrep``, ``order``) are read
+and written by the shared text-format reader and writer of :mod:`.poset`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Sequence
 from .budget import charge
 from .errors import InternalConsistencyError, InvalidInput
 from .polynomial import CountingPolynomial, IntPolynomial, _numerator_coeffs, interpolate, reverse
-from .poset import Poset, order_map_counts, parse_ints
+from .poset import Poset, TextFormat, order_map_counts, read_text, write_text
 
 
 def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -236,15 +237,10 @@ class HRepPolytope:
         return _count_box(rows, [n * a + k for a in lo], [n * b - k for b in hi], budget)
 
     def to_text(self) -> str:
-        lines = [f"hrep {self.d} {len(self.inequalities)}"]
-        lines.extend(
-            " ".join(str(c) for c in normal) + f" {bound}"
-            for normal, bound in self.inequalities
-        )
+        rows = [(*normal, bound) for normal, bound in self.inequalities]
         if self.user_box is not None:
-            lo, hi = self.user_box
-            lines.append("box " + " ".join(str(x) for x in (*lo, *hi)))
-        return "\n".join(lines) + "\n"
+            rows.append(("box", *self.user_box[0], *self.user_box[1]))
+        return write_text(("hrep", self.d, len(self.inequalities)), rows)
 
     def __repr__(self) -> str:
         return f"HRepPolytope(d={self.d}, rows={len(self.inequalities)})"
@@ -289,9 +285,7 @@ class Simplex(HRepPolytope):
         super().__init__(rows, d, ([min(col) for col in columns], [max(col) for col in columns]))
 
     def to_text(self) -> str:
-        lines = [f"simplex {self.dim}"]
-        lines.extend(" ".join(str(c) for c in v) for v in self.vertices)
-        return "\n".join(lines) + "\n"
+        return write_text(("simplex", self.dim), self.vertices)
 
     def __repr__(self) -> str:
         return f"Simplex({list(self.vertices)!r})"
@@ -415,67 +409,35 @@ def open_numerator(hstar: IntPolynomial, d: int) -> IntPolynomial:
 # polytope file format
 
 
+SIMPLEX_FORMAT = TextFormat("simplex <d>", lambda d: (d + 1, d))
+HREP_FORMAT = TextFormat("hrep <d> <k>", lambda d, k: (k, d + 1), box=True)
+ORDER_FORMAT = TextFormat("order <poset-file>", None)
+
+
 def parse_polytope(text: str, base_dir: str | Path | None = None) -> LatticePolytope:
     """Parse the polytope file format.
 
     Either ``simplex <d>`` followed by d+1 vertex lines of d integers, or
     ``hrep <d> <k>`` followed by k inequality lines of d+1 integers (normal
     then bound) and an optional ``box`` line of 2d integers (d lows then d
-    highs), or ``order <poset-file>`` referencing a poset file relative to
-    ``base_dir``.
+    highs), or the single line ``order <poset-file>`` referencing a poset
+    file relative to ``base_dir``.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("c")]
-    if not lines:
-        raise InvalidInput("empty polytope file")
-    head = lines[0].split()
-    kind = head[0]
-    if kind == "simplex":
-        if len(head) != 2:
-            raise InvalidInput("simplex header must be 'simplex <d>'")
-        (d,) = parse_ints(head[1:], lines[0])
-        if len(lines) != d + 2:
-            raise InvalidInput(f"simplex in dimension {d} needs {d + 1} vertex lines")
-        vertices = []
-        for ln in lines[1:]:
-            coords = parse_ints(ln.split(), ln)
-            if len(coords) != d:
-                raise InvalidInput(f"vertex line {ln!r} must have {d} integers")
-            vertices.append(coords)
-        return Simplex(vertices)
-    if kind == "hrep":
-        if len(head) != 3:
-            raise InvalidInput("hrep header must be 'hrep <d> <k>'")
-        d, k = parse_ints(head[1:], lines[0])
-        body = lines[1:]
-        box = None
-        if body and body[-1].startswith("box"):
-            parts = parse_ints(body[-1].split()[1:], body[-1])
-            if len(parts) != 2 * d:
-                raise InvalidInput("box line must have 2d integers")
-            box = (parts[:d], parts[d:])
-            body = body[:-1]
-        if len(body) != k:
-            raise InvalidInput(f"expected {k} inequality lines, found {len(body)}")
-        rows = []
-        for ln in body:
-            nums = parse_ints(ln.split(), ln)
-            if len(nums) != d + 1:
-                raise InvalidInput(f"inequality line {ln!r} must have {d + 1} integers")
-            rows.append((nums[:d], nums[d]))
-        return HRepPolytope(rows, d, box)
-    if kind == "order":
-        if len(head) != 2:
-            raise InvalidInput("order header must be 'order <poset-file>'")
-        path = Path(head[1])
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        try:
-            poset_text = path.read_text()
-        except OSError as exc:
-            raise InvalidInput(f"cannot read poset file {path}: {exc}") from exc
-        return OrderPolytope(Poset.from_text(poset_text))
-    raise InvalidInput(f"unknown polytope kind {kind!r}")
+    fmt, fields, rows, box = read_text(text, "polytope", SIMPLEX_FORMAT, HREP_FORMAT, ORDER_FORMAT)
+    if fmt is SIMPLEX_FORMAT:
+        return Simplex(rows)
+    if fmt is HREP_FORMAT:
+        d = fields[0]
+        box = None if box is None else (box[:d], box[d:])
+        return HRepPolytope([(r[:d], r[d]) for r in rows], d, box)
+    path = Path(fields[0])
+    if base_dir is not None and not path.is_absolute():
+        path = Path(base_dir) / path
+    try:
+        poset_text = path.read_text()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read poset file {path}: {exc}") from exc
+    return OrderPolytope(Poset.from_text(poset_text))
 
 
 def load_polytope(path: str | Path) -> LatticePolytope:

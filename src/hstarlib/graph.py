@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 from .budget import charge
 from .errors import InvalidInput
 from .polynomial import CountingPolynomial, IntPolynomial, interpolate
-from .poset import Poset, read_pair_file
+from .poset import Poset, TextFormat, read_text, write_text
 
 
 class Graph:
@@ -57,13 +57,16 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        """Parse the shared graph format: `p <d> <m>` then m lines `e i j`."""
-        return cls(*read_pair_file(text, "graph", "e"))
+        """Parse the graph format: `p <d> <m>` then m lines `e i j`."""
+        _, (d, _), rows, _ = read_text(text, "graph", GRAPH_FORMAT)
+        return cls(d, rows)
 
     def to_text(self) -> str:
-        out = [f"p {self.d} {len(self.edges)}"]
-        out.extend(f"e {i} {j}" for i, j in self.sorted_edges())
-        return "\n".join(out) + "\n"
+        edges = (("e", i, j) for i, j in self.sorted_edges())
+        return write_text(("p", self.d, len(self.edges)), edges)
+
+
+GRAPH_FORMAT = TextFormat("p <d> <m>", lambda d, m: (m, 2), "e")
 
 
 def _packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:

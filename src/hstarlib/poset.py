@@ -4,12 +4,16 @@ Elements are labeled 1..d.  Internally each element keeps bitmasks of the
 elements strictly above and strictly below it (bit e-1 stands for element e),
 which makes extension enumeration and ideal-lattice walks cheap at the
 corpus sizes this library targets.
+
+The text formats of every input file (posets, graphs and polytopes) share
+one reader, :func:`read_text`, and one writer, :func:`write_text`; each
+format is a :class:`TextFormat` kept next to the class it builds.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import charge
 from .errors import InvalidInput
@@ -105,19 +109,6 @@ class Poset:
                     covers.append((i + 1, j + 1))
         return tuple(sorted(covers))
 
-    def longest_chain_length(self) -> int:
-        """Number of elements in a longest chain (0 for the empty poset)."""
-        depth = [0] * self.d
-        for i in sorted(range(self.d), key=lambda v: bin(self._below[v]).count("1")):
-            best = 0
-            m = self._below[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                best = max(best, depth[j])
-            depth[i] = best + 1
-        return max(depth, default=0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
@@ -133,14 +124,13 @@ class Poset:
 
     @classmethod
     def from_text(cls, text: str) -> "Poset":
-        """Parse the shared poset format: `p <d> <k>` then k lines `r i j`."""
-        return cls(*read_pair_file(text, "poset", "r"))
+        """Parse the poset format: `p <d> <k>` then k lines `r i j`."""
+        _, (d, _), rows, _ = read_text(text, "poset", POSET_FORMAT)
+        return cls(d, rows)
 
     def to_text(self) -> str:
         covers = self.cover_relations
-        out = [f"p {self.d} {len(covers)}"]
-        out.extend(f"r {i} {j}" for i, j in covers)
-        return "\n".join(out) + "\n"
+        return write_text(("p", self.d, len(covers)), (("r", i, j) for i, j in covers))
 
     # -- order-ideal lattice ------------------------------------------------
 
@@ -183,31 +173,65 @@ def parse_ints(tokens: Iterable[str], line: str) -> list[int]:
     return out
 
 
-def read_pair_file(text: str, kind: str, tag: str) -> tuple[int, list[tuple[int, int]]]:
-    """Read the shared poset/graph format: `p <d> <k>`, then k lines `<tag> i j`.
-
-    Blank lines and lines starting with ``c`` are skipped.  Returns d and the
-    (i, j) pairs; every malformed header, line or token is InvalidInput.
+class TextFormat(NamedTuple):
+    """An input format: a header of a keyword and fields, then rows of
+    integers, each after ``tag`` if there is one.  ``shape`` maps the
+    header's integers to the row count and width; without it the header
+    has one text field and no rows follow.  A ``box`` format may end with
+    a row ``box`` of 2d integers, d being the header's first integer.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("c")]
-    if not lines or not lines[0].startswith("p "):
-        raise InvalidInput(f"{kind} file must start with a 'p <d> <k>' header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise InvalidInput(f"malformed {kind} header {lines[0]!r}")
-    d, k = parse_ints(head[1:], lines[0])
-    body = lines[1:]
-    if len(body) != k:
-        raise InvalidInput(f"expected {k} '{tag}' lines, found {len(body)}")
-    pairs = []
+
+    header: str
+    shape: Callable[..., tuple[int, int]] | None
+    tag: str = ""
+    box: bool = False
+
+
+POSET_FORMAT = TextFormat("p <d> <k>", lambda d, k: (k, 2), "r")
+
+
+def read_text(
+    text: str, kind: str, *formats: TextFormat
+) -> tuple[TextFormat, list, list[list[int]], list[int] | None]:
+    """Read a ``kind`` file in whichever of ``formats`` its header names.
+
+    Blank lines and lines starting with ``c`` are skipped.  Returns the
+    format, the header's fields (integers, or the one text field), the rows'
+    integers without their tags, and the box row's integers or None.  Every
+    malformed header, row or token is InvalidInput.
+    """
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("c")]
+    head = lines[0].split() if lines else [""]
+    fmt = next((f for f in formats if f.header.split()[0] == head[0]), None)
+    if fmt is None:
+        headers = " or ".join(repr(f.header) for f in formats)
+        raise InvalidInput(f"{kind} file must start with a {headers} header")
+    if len(head) != len(fmt.header.split()):
+        raise InvalidInput(f"{kind} header {lines[0]!r} must be {fmt.header!r}")
+    fields = parse_ints(head[1:], lines[0]) if fmt.shape else head[1:]
+    count, width = fmt.shape(*fields) if fmt.shape else (0, 0)
+    body, box = lines[1:], None
+    if fmt.box and body and body[-1].split()[0] == "box":
+        ln = body.pop()
+        box = parse_ints(ln.split()[1:], ln)
+        if len(box) != 2 * fields[0]:
+            raise InvalidInput(f"box line {ln!r} must have 2d = {2 * fields[0]} integers")
+    if len(body) != count:
+        raise InvalidInput(f"expected {count} rows after {lines[0]!r}, found {len(body)}")
+    rows = []
     for ln in body:
-        parts = ln.split()
-        if len(parts) != 3 or parts[0] != tag:
-            raise InvalidInput(f"malformed {kind} line {ln!r}")
-        i, j = parse_ints(parts[1:], ln)
-        pairs.append((i, j))
-    return d, pairs
+        tokens = ln.split()
+        if fmt.tag and tokens[0] != fmt.tag:
+            raise InvalidInput(f"{kind} line {ln!r} must start with {fmt.tag!r}")
+        rows.append(parse_ints(tokens[1:] if fmt.tag else tokens, ln))
+        if len(rows[-1]) != width:
+            raise InvalidInput(f"{kind} line {ln!r} must have {width} integers")
+    return fmt, fields, rows, box
+
+
+def write_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
+    """The text of a file: the header's words on one line, then each row's."""
+    return "".join(" ".join(map(str, line)) + "\n" for line in (header, *rows))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import json
 import time
+from itertools import combinations
 
 import pytest
 
 from hstarlib.cli import main
+from hstarlib.graph import Graph
 
 K3_TEXT = "p 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 K2_TEXT = "p 2 1\ne 1 2\n"
@@ -377,6 +379,37 @@ class TestInputFaults:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "not an integer" in err
+
+    @pytest.mark.parametrize(
+        "command, name, text, message",
+        [
+            (["hstar"], "surplus.poly", "order chain.poset\n1 2 3\nnonsense\n",
+             "expected 0 rows after 'order chain.poset', found 2"),
+            (["hstar"], "shortbox.hrep", "hrep 2 1\n1 0 5\nbox 0 0 5\n",
+             "box line 'box 0 0 5' must have 2d = 4 integers"),
+            (["decompose", "order"], "k2.graph", "p 2 1\ne 1 2\n",
+             "poset line 'e 1 2' must start with 'r'"),
+        ],
+        ids=["order-surplus", "box-width", "graph-as-poset"],
+    )
+    def test_malformed_layout(self, capsys, tmp_path, command, name, text, message):
+        (tmp_path / "chain.poset").write_text(CHAIN2_TEXT)
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_err(capsys, *command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_budget_bounds_the_orientation_sweep(self, capsys, tmp_path):
+        # each of K7's 5040 orientations is a chain with 8 down-sets, so
+        # only the orientation count can exceed the budget
+        path = tmp_path / "k7.graph"
+        path.write_text(Graph(7, combinations(range(1, 8), 2)).to_text())
+        code, out, err = run_err(capsys, "chromatic", str(path), "--budget", "1000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: acyclic-orientation sweep needs 1001 steps, budget is 1000\n"
 
     def test_non_integer_coefficient(self, capsys):
         code, out, err = run_err(capsys, "decompose", "stapledon", "--coeffs", "1,x", "--d", "2")

@@ -2,6 +2,7 @@
 the derived splits, and the inequality reports."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hstarlib.decomp import (
     stapledon_pair,
 )
 from hstarlib.ehrhart import OrderPolytope, h_star, open_numerator
-from hstarlib.errors import InternalConsistencyError, InvalidInput
+from hstarlib.errors import BudgetExceeded, InternalConsistencyError, InvalidInput
 from hstarlib.graph import Graph, acyclic_orientations, orientation_poset
 from hstarlib.harness import enumerate_labeled_graphs, enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial, reverse
@@ -424,6 +425,17 @@ class TestOrientationSum:
         for graph in (K3, PATH3, Graph(0)):
             fn(graph)
         assert sweeps == [K3, PATH3, Graph(0)]
+
+    @pytest.mark.parametrize("fn", [graph_numerator, graph_decomposition])
+    def test_budget_counts_the_orientations_walked(self, fn):
+        # K4's 24 orientations are chains with 5 down-sets each; the ideal
+        # count is charged first, so it is the first refusal below 5
+        k4 = Graph(4, combinations(range(1, 5), 2))
+        assert fn(k4, budget=24) == fn(k4)
+        with pytest.raises(BudgetExceeded, match="^acyclic-orientation sweep needs 24 steps"):
+            fn(k4, budget=23)
+        with pytest.raises(BudgetExceeded, match="^order-ideal lattice needs 5 steps"):
+            fn(k4, budget=4)
 
     @pytest.mark.parametrize("fn", [graph_numerator, graph_decomposition])
     def test_wrong_chromatic_route_raises(self, monkeypatch, fn):

@@ -29,6 +29,7 @@ from hstarlib.ehrhart import (
 )
 from hstarlib import ehrhart
 from hstarlib.errors import BudgetExceeded, InternalConsistencyError, InvalidInput
+from hstarlib.graph import Graph
 from hstarlib.harness import (
     dilated_cube,
     dilated_simplex,
@@ -647,7 +648,35 @@ class TestOpenNumerator:
             assert count_points(TRIANGLE, n, interior=True) == series[n]
 
 
+TEXT_FORMAT_ITEMS = [
+    *random_instances("poset", 0, 1, seed=0),
+    *random_instances("poset", 5, 3, seed=2),
+    *random_instances("graph", 5, 3, seed=2),
+    dilated_simplex(1, 3),
+    dilated_simplex(3, 2),
+    dilated_cube(1, 2),
+    dilated_cube(3, 2),
+    *random_simplices(5, 3, 2, 3),
+    HRepPolytope([((1, 1), 3), ((-1, 2), 2)], 2, box=((0, -1), (3, 2))),
+    *random_hreps(13, 3),
+]
+
+
+def parse_as(item, text):
+    if isinstance(item, (Poset, Graph)):
+        return type(item).from_text(text)
+    return parse_polytope(text)
+
+
 class TestFileFormat:
+    @pytest.mark.parametrize(
+        "item", TEXT_FORMAT_ITEMS,
+        ids=[f"{type(x).__name__}-{k}" for k, x in enumerate(TEXT_FORMAT_ITEMS)],
+    )
+    def test_text_round_trip(self, item):
+        text = item.to_text()
+        assert parse_as(item, text).to_text() == text
+
     def test_simplex(self):
         p = parse_polytope("simplex 2\n0 0\n2 0\n0 2\n")
         assert isinstance(p, Simplex)
