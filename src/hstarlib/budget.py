@@ -17,8 +17,11 @@ def charge(amount: int, budget: int | None, what: str) -> None:
     """Raise BudgetExceeded if ``amount`` exceeds the effective budget."""
     limit = DEFAULT_WORK_BUDGET if budget is None else budget
     if amount > limit:
-        try:
-            needs = f"{amount}"
-        except ValueError:  # past the int-to-str digit limit
-            needs = f"at least 2^{amount.bit_length() - 1}"
-        raise BudgetExceeded(f"{what} needs {needs} steps, budget is {limit}")
+        raise BudgetExceeded(f"{what} needs {_steps(amount)} steps, budget is {_steps(limit)}")
+
+
+def _steps(count: int) -> str:
+    try:
+        return f"{count}"
+    except ValueError:  # past the int-to-str digit limit
+        return f"at least 2^{count.bit_length() - 1}"

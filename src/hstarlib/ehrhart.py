@@ -7,7 +7,10 @@ H-polytopes cut out by their barycentric inequalities (the rows of an
 integer adjugate) inside their vertices' bounding box.  H-polytopes are
 counted by one lattice-box walker over integer rows, which counts each line
 of the box along the last coordinate by floor division.
-Their h* comes from half the dilates: for a full-dimensional d-polytope,
+A simplex's h* comes from the |det| lattice points of its half-open
+fundamental parallelepiped, read off as residues modulo |det|, with no box
+walked.  The box route is every other H-polytope's h*, and the simplices'
+second one: for a full-dimensional d-polytope,
 Ehrhart-Macdonald reciprocity L(-n) = (-1)^d L_{P°}(n) turns the closed
 counts at n = 0..ceil(d/2) and the interior counts at n = 1..floor(d/2)
 into L(0..d).  A simplex is full-dimensional by construction; an
@@ -253,10 +256,11 @@ class Simplex(HRepPolytope):
     the (vertex | 1) matrix, x lies in n*P iff adj(A) @ (x, n) is
     coordinatewise >= 0 (> 0 for the interior), so each row of adj(A) is
     one integer inequality, inside the vertices' bounding box.  ``volume``
-    is the normalized volume d! vol(P) = |det A|.
+    is the normalized volume d! vol(P) = |det A|, and ``adjugate`` is
+    sign(det A) adj(A), so A @ adjugate = volume * I.
     """
 
-    __slots__ = ("vertices", "volume")
+    __slots__ = ("vertices", "volume", "adjugate")
 
     def __init__(self, vertices: Sequence[Sequence[int]]) -> None:
         verts = tuple(tuple(int(c) for c in v) for v in vertices)
@@ -280,7 +284,8 @@ class Simplex(HRepPolytope):
         # membership reduces to integer sign tests: adj @ (x, n) >= 0 row by
         # row is -adj[:d] . x <= adj[d] * n
         sign = 1 if det > 0 else -1
-        rows = [([-sign * c for c in row[:d]], sign * row[d]) for row in adj]
+        self.adjugate = tuple(tuple(sign * c for c in row) for row in adj)
+        rows = [([-c for c in row[:d]], row[d]) for row in self.adjugate]
         columns = list(zip(*verts))
         super().__init__(rows, d, ([min(col) for col in columns], [max(col) for col in columns]))
 
@@ -378,9 +383,9 @@ def ehrhart_polynomial(
     return ehr
 
 
-def h_star(polytope: LatticePolytope, *, budget: int | None = None) -> IntPolynomial:
-    """h*-polynomial: series numerator of the closed counts at n = 0..d,
-    with the volume, h*_0 and sign checks of :func:`_checked_h_star`.
+def _box_h_star(polytope: LatticePolytope, budget: int | None) -> IntPolynomial:
+    """h* as the series numerator of the closed counts at n = 0..d, with
+    the volume, h*_0 and sign checks of :func:`_checked_h_star`.
 
     A simplex's h*(1) is then checked against its determinant, a second
     route to the normalized volume.
@@ -391,6 +396,74 @@ def h_star(polytope: LatticePolytope, *, budget: int | None = None) -> IntPolyno
             f"h*(1) = {hstar(1)} but the determinant gives normalized volume {polytope.volume}"
         )
     return hstar
+
+
+def _coset_closure(generators: Sequence[tuple[int, ...]], modulus: int) -> set[tuple[int, ...]]:
+    """The subgroup of (Z/modulus)^n generated by ``generators``.
+
+    Starting from {0}, each generator g not yet in the subgroup S extends it
+    to the disjoint cosets S, S + g, ..., S + (t-1) g, where t g is the
+    first multiple back in S; each element is built once.
+    """
+    group = {(0,) * len(generators[0])}
+    for g in generators:
+        multiples = []
+        step = g
+        while step not in group:
+            multiples.append(step)
+            step = tuple((a + b) % modulus for a, b in zip(step, g))
+        base = list(group)
+        group.update(
+            tuple((a + b) % modulus for a, b in zip(x, m)) for m in multiples for x in base
+        )
+    return group
+
+
+def _parallelepiped_h_star(simplex: Simplex, budget: int | None) -> IntPolynomial:
+    """h* of a lattice simplex from the half-open fundamental parallelepiped
+    of its lifted vertices (Beck-Robins, Cor. 3.11).
+
+    With A the (vertex | 1) matrix and D = |det A|, the lattice points
+    A @ lam with 0 <= lam_i < 1 are one per class of Z^{d+1} / A Z^{d+1}, and
+    h*_k counts those at height lam_0 + ... + lam_d = k.  x -> D A^{-1} x
+    mod D maps that quotient onto the subgroup of (Z/D)^{d+1} generated by
+    the columns of sign(det A) adj(A) mod D, so h*_k is the number of its
+    elements whose residues sum to k D.  D is charged to the budget before
+    the closure; the group order D, the divisibility of every residue sum
+    by D and h*_0 = 1 are checked.
+    """
+    big = simplex.volume
+    charge(big, budget, "fundamental-parallelepiped enumeration")
+    generators = [tuple(c % big for c in column) for column in zip(*simplex.adjugate)]
+    group = _coset_closure(generators, big)
+    if len(group) != big:
+        raise InternalConsistencyError(
+            f"parallelepiped group has order {len(group)}, but |det| = {big}"
+        )
+    h = [0] * (simplex.d + 1)
+    for residues in group:
+        height, rest = divmod(sum(residues), big)
+        if rest:
+            raise InternalConsistencyError(
+                f"residue sum {sum(residues)} is not divisible by |det| = {big}"
+            )
+        h[height] += 1
+    if h[0] != 1:
+        raise InternalConsistencyError(f"h*_0 = {h[0]}, expected 1")
+    return IntPolynomial(h)
+
+
+def h_star(polytope: LatticePolytope, *, budget: int | None = None) -> IntPolynomial:
+    """h*-polynomial of a lattice polytope.
+
+    A simplex's comes from its fundamental parallelepiped
+    (:func:`_parallelepiped_h_star`), with no box walked.  Every other
+    polytope's is the series numerator of its closed counts at n = 0..d
+    (:func:`_box_h_star`), which stays the simplices' second route.
+    """
+    if isinstance(polytope, Simplex):
+        return _parallelepiped_h_star(polytope, budget)
+    return _box_h_star(polytope, budget)
 
 
 def open_numerator(hstar: IntPolynomial, d: int) -> IntPolynomial:

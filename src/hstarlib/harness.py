@@ -26,6 +26,8 @@ conj6.2        poset    h_Pi / z splits with -a, b nonnegative
 conj6.4        graph    strengthened partial-sum inequalities
 chromatic3     graph    deletion-contraction = orientation sum = counted
                         colorings
+hstar2way      polytope parallelepiped and box-count routes to a simplex's
+                        h* agree; a skip on other H-polytopes
 =============  =======  ====================================================
 
 Inputs are independent, so sweeps could fan out over workers; this driver
@@ -45,7 +47,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import decomp
-from .ehrhart import HRepPolytope, OrderPolytope, Simplex, h_star, open_numerator
+from .ehrhart import HRepPolytope, OrderPolytope, Simplex, _box_h_star, h_star, open_numerator
 from .errors import BudgetExceeded, HstarError, InvalidInput
 from .graph import (
     Graph,
@@ -310,9 +312,9 @@ class _Context:
         return self.item.to_text()
 
     def numerator(self) -> IntPolynomial:
-        """h_G of a graph, otherwise h* from the closed dilate counts (of
-        the order polytope for a poset); the mutation target for the
-        self-test."""
+        """h_G of a graph, otherwise ``h_star`` (of the order polytope for
+        a poset, from a simplex's parallelepiped); the mutation target for
+        the self-test."""
         if self._numerator is None:
             if self.kind == "graph":
                 p = decomp.graph_numerator(self.item, budget=self.budget)
@@ -476,6 +478,23 @@ def _check_chromatic3(ctx: _Context) -> CheckResult:
     return CheckResult("chromatic3", True)
 
 
+def _check_hstar2way(ctx: _Context) -> CheckResult:
+    if not isinstance(ctx.item, Simplex):
+        return CheckResult(
+            "hstar2way",
+            None,
+            "skipped: no second h* route for H-polytopes yet (ROADMAP item 6, triangulation)",
+        )
+    parallelepiped_route = ctx.numerator()
+    box_route = _box_h_star(ctx.item, ctx.budget)
+    return _verdict(
+        "hstar2way",
+        parallelepiped_route == box_route,
+        "h* routes disagree",
+        {"hstar_parallelepiped": parallelepiped_route.coeffs, "hstar_box": box_route.coeffs},
+    )
+
+
 _POSET_CHECKS = {
     "hstar3way": _check_hstar3way,
     "reciprocity": _check_reciprocity,
@@ -494,6 +513,7 @@ _GRAPH_CHECKS = {
 
 _POLYTOPE_CHECKS = {
     "thm1.1": _check_thm11,
+    "hstar2way": _check_hstar2way,
 }
 
 ALL_CHECKS = tuple(sorted({*_POSET_CHECKS, *_GRAPH_CHECKS, *_POLYTOPE_CHECKS}))

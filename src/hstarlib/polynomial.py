@@ -229,8 +229,8 @@ def _numerator_coeffs(values: Sequence[int], d: int) -> list[int]:
 def series_numerator(L: CountingPolynomial | IntPolynomial, d: int) -> IntPolynomial:
     """Numerator h with sum_{n>=0} L(n) z^n = h(z) / (1-z)^{d+1}.
 
-    Read off L(0..d) as ``ehrhart.h_star`` reads its counts; requires
-    degree(L) <= d.
+    Read off L(0..d) as the box route of ``ehrhart.h_star`` reads its
+    counts; requires degree(L) <= d.
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")

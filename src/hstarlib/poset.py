@@ -25,7 +25,8 @@ class Poset:
 
     Construction accepts any relation list (not necessarily covers),
     takes the transitive closure, and rejects cyclic input with a
-    diagnostic naming one cycle.
+    diagnostic naming one cycle.  The closure's d^2 steps are charged to
+    the default budget first.
     """
 
     __slots__ = ("d", "_above", "_below", "_ideals")
@@ -33,6 +34,7 @@ class Poset:
     def __init__(self, d: int, relations: Iterable[tuple[int, int]] = ()) -> None:
         if d < 0:
             raise InvalidInput("poset size must be nonnegative")
+        charge(d * d, None, "transitive closure")
         self.d = d
         above: list[int] = [0] * d
         pairs = []

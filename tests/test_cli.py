@@ -411,6 +411,16 @@ class TestInputFaults:
         assert out == ""
         assert err == "error: acyclic-orientation sweep needs 1001 steps, budget is 1000\n"
 
+    def test_oversized_poset_is_refused_before_its_closure(self, capsys, tmp_path):
+        path = tmp_path / "big.poset"
+        path.write_text("p 15000 0\n")
+        start = time.perf_counter()
+        code, out, err = run_err(capsys, "decompose", "order", str(path), "--budget", "10")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == "error: transitive closure needs 225000000 steps, budget is 5000000\n"
+
     def test_non_integer_coefficient(self, capsys):
         code, out, err = run_err(capsys, "decompose", "stapledon", "--coeffs", "1,x", "--d", "2")
         assert code == 2

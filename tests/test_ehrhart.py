@@ -6,6 +6,7 @@ independent of the order-preserving-map route the library uses.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, factorial, floor
@@ -257,15 +258,15 @@ class TestSimplex:
         assert Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).volume == 1
 
     def test_h_star_checked_against_det(self):
-        # a wrong determinant route is a library bug, caught after the counts'
-        # own checks pass
+        # on the box route a wrong determinant route is a library bug, caught
+        # after the counts' own checks pass
         simplex = Simplex([(0, 0), (2, 0), (0, 2)])
         simplex.volume = 5
         with pytest.raises(
             InternalConsistencyError,
             match=r"h\*\(1\) = 4 but the determinant gives normalized volume 5",
         ):
-            h_star(simplex)
+            ehrhart._box_h_star(simplex, None)
 
     def test_rows_alone_cut_out_the_simplex(self):
         # the vertices' bounding box is redundant: the barycentric rows in
@@ -510,6 +511,96 @@ class TestHalfRoute:
             count_points(simplex, 3, budget=27)
 
 
+def shift_one_residue(group, modulus):
+    """The group with one residue of its largest element moved by 1."""
+    top = max(group)
+    return group - {top} | {((top[0] + 1) % modulus, *top[1:])}
+
+
+def span_brute(generators, modulus):
+    """Every combination sum c_1 g_1 + ... + c_k g_k mod ``modulus``."""
+    return {
+        tuple(sum(c * x for c, x in zip(coeffs, column)) % modulus for column in zip(*generators))
+        for coeffs in product(range(modulus), repeat=len(generators))
+    }
+
+
+class TestParallelepipedRoute:
+    """A simplex's h* counts the residue classes of its fundamental
+    parallelepiped by height; the oracle reads h* off all closed counts."""
+
+    # (d, count, coordinate range) of the seeded simplices
+    SIMPLICES = [(1, 30, 5), (2, 50, 4), (3, 50, 3), (4, 50, 2), (5, 30, 1)]
+
+    def test_matches_all_closed_counts(self):
+        rng = random.Random(15)
+        signs = set()
+        checked = 0
+        for d, count, high in self.SIMPLICES:
+            for simplex in random_simplices(150 + d, d, count, high):
+                vertices = list(simplex.vertices)
+                rng.shuffle(vertices)
+                for polytope in (simplex, Simplex(vertices)):
+                    det, _ = _adjugate([list(c) for c in zip(*polytope.vertices)] + [[1] * (d + 1)])
+                    signs.add(det > 0)
+                    expected = all_closed_counts_h_star(polytope)
+                    assert ehrhart._parallelepiped_h_star(polytope, None) == expected, polytope
+                    checked += 1
+        assert checked >= 400 and signs == {False, True}
+
+    @pytest.mark.parametrize(
+        "generators, modulus",
+        [
+            ([(2, 0), (0, 3)], 6),
+            ([(1, 1), (2, 2)], 4),
+            ([(0, 0), (0, 0)], 3),
+            ([(2, 4, 0), (3, 0, 3), (0, 3, 3)], 6),
+        ],
+    )
+    def test_coset_closure_is_the_span(self, generators, modulus):
+        assert ehrhart._coset_closure(generators, modulus) == span_brute(generators, modulus)
+
+    @pytest.mark.parametrize("row, column", [(0, 0), (1, 2), (2, 1)])
+    def test_corrupted_generator_is_caught(self, row, column):
+        # every column of sign(det) adj sums to 0 or |det| = 4, so one
+        # entry moved by 1 breaks the order or the residue sums
+        simplex = Simplex([(0, 0), (2, 0), (0, 2)])
+        adjugate = [list(r) for r in simplex.adjugate]
+        adjugate[row][column] += 1
+        simplex.adjugate = tuple(map(tuple, adjugate))
+        with pytest.raises(InternalConsistencyError):
+            h_star(simplex)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda group, big: group - {max(group)}, "group has order 3, but [|]det[|] = 4"),
+            (shift_one_residue, r"residue sum \d+ is not divisible by [|]det[|] = 4"),
+            (lambda group, big: group - {(0, 0, 0)} | {(big, 0, 0)}, r"h\*_0 = 0, expected 1"),
+        ],
+        ids=["order", "residue-sum", "constant"],
+    )
+    def test_corrupted_group_is_caught(self, monkeypatch, corrupt, message):
+        closure = ehrhart._coset_closure
+        monkeypatch.setattr(
+            ehrhart, "_coset_closure", lambda gens, big: corrupt(closure(gens, big), big)
+        )
+        with pytest.raises(InternalConsistencyError, match=message):
+            h_star(TRIANGLE)
+
+    def test_budget_is_charged_the_determinant_up_front(self):
+        with pytest.raises(
+            BudgetExceeded, match="fundamental-parallelepiped enumeration needs 4 steps, budget is 3"
+        ):
+            h_star(TRIANGLE, budget=3)
+        assert h_star(TRIANGLE, budget=4).coeffs == (1, 3)
+        # |det| = 200^3 = 8 * 10^6 is over the default budget
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="needs 8000000 steps, budget is 5000000"):
+            h_star(dilated_simplex(3, 200))
+        assert time.perf_counter() - start < 1
+
+
 class TestHStar:
     def test_order_polytope_of_chain_unimodular(self):
         assert h_star(OrderPolytope(CHAIN2)).coeffs == (1,)
@@ -567,8 +658,10 @@ class TestHStar:
             # a bad volume is the user's fault only for a declared H-polytope
             declared = isinstance(polytope, HRepPolytope) and not isinstance(polytope, Simplex)
             error = InvalidInput if declared else InternalConsistencyError
+        # a simplex's counts are read only by its second route
+        route = ehrhart._box_h_star if isinstance(polytope, Simplex) else ehrhart.h_star
         with pytest.raises(error, match=message) as info:
-            h_star(polytope)
+            route(polytope, budget=None)
         assert type(info.value) is error
 
     def test_at_one_is_normalized_volume(self):

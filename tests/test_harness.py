@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from hstarlib.ehrhart import Simplex
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import Graph
 from hstarlib.harness import (
@@ -113,6 +114,27 @@ class TestVerifyAll:
         reports = list(verify_all(corpus, ["thm1.1"]))
         assert all(r.kind == "polytope" and not r.failed for r in reports)
         assert all(len(r.checks) == 1 for r in reports)
+
+    def test_hstar2way_passes_on_simplices_and_skips_other_hreps(self):
+        simplices = [dilated_simplex(d, k) for d in (1, 2, 3) for k in (1, 2)]
+        simplices.append(Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 4)]))
+        cubes = [dilated_cube(2, 1), dilated_cube(3, 2)]
+        reports = list(verify_all(simplices + cubes, ["hstar2way"]))
+        statuses = [check.status for r in reports for check in r.checks]
+        assert statuses == ["pass"] * len(simplices) + ["skip"] * len(cubes)
+        for report in reports[len(simplices):]:
+            (check,) = report.checks
+            assert check.detail == (
+                "skipped: no second h* route for H-polytopes yet (ROADMAP item 6, triangulation)"
+            )
+
+    def test_hstar2way_fails_every_mutated_simplex(self):
+        simplices = [dilated_simplex(d, k) for d in (1, 2, 3) for k in (1, 2)]
+        for report in verify_all(simplices, ["hstar2way"], mutate=True):
+            (check,) = report.checks
+            assert check.passed is False and check.detail == "h* routes disagree"
+            assert set(check.witnesses) == {"hstar_parallelepiped", "hstar_box"}
+            assert check.witnesses["hstar_parallelepiped"] != check.witnesses["hstar_box"]
 
     def test_named_check_selection(self):
         reports = list(verify_all(enumerate_labeled_posets(2), ["thm1.2"]))
