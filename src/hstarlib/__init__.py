@@ -64,7 +64,6 @@ from .polynomial import (
 )
 from .poset import (
     Poset,
-    count_order_maps,
     descent_h_star,
     ideal_chain_f_vector,
     linear_extensions,
@@ -94,7 +93,6 @@ __all__ = [
     "chromatic_polynomial",
     "chromatic_via_orientations",
     "count_acyclic_orientations",
-    "count_order_maps",
     "count_points",
     "count_proper_colorings",
     "descent_h_star",

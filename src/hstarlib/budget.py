@@ -14,10 +14,12 @@ DEFAULT_WORK_BUDGET = 5_000_000
 
 
 def charge(amount: int, budget: int | None, what: str) -> None:
-    """Raise BudgetExceeded if ``amount`` exceeds the effective budget."""
+    """Raise BudgetExceeded if ``amount`` exceeds the effective budget; the
+    message says when that is the default budget."""
     limit = DEFAULT_WORK_BUDGET if budget is None else budget
     if amount > limit:
-        raise BudgetExceeded(f"{what} needs {_steps(amount)} steps, budget is {_steps(limit)}")
+        name = "default budget" if budget is None else "budget"
+        raise BudgetExceeded(f"{what} needs {_steps(amount)} steps, {name} is {_steps(limit)}")
 
 
 def _steps(count: int) -> str:

@@ -77,35 +77,26 @@ def cmd_decompose(args) -> int:
     if kind in ("stapledon", "open"):
         if args.coeffs is None or args.ambient is None:
             raise InvalidInput(f"decompose {kind} needs --coeffs and --d")
-        hstar = _parse_coeffs(args.coeffs)
-        d = args.ambient
+        hstar, d = _parse_coeffs(args.coeffs), args.ambient
+        if kind == "stapledon":
+            dec = decomp.stapledon_pair(hstar, d)
+            a, b, params = dec.a, dec.b, {"d": dec.d, "s": dec.s, "l": dec.l}
+        else:
+            a, b = decomp.open_decomposition(hstar, d)
+    elif args.file is None:
+        raise InvalidInput(f"decompose {kind} needs a {'poset' if kind == 'order' else kind} file")
     elif kind == "order":
-        if args.file is None:
-            raise InvalidInput("decompose order needs a poset file")
         poset = Poset.from_text(Path(args.file).read_text())
-        hstar = h_star(OrderPolytope(poset), budget=args.budget)
         d = poset.d
+        a, b = decomp.order_decomposition(h_star(OrderPolytope(poset), budget=args.budget), d)
     else:  # graph
-        if args.file is None:
-            raise InvalidInput("decompose graph needs a graph file")
         graph = Graph.from_text(Path(args.file).read_text())
         d = graph.d
-
-    params = {"d": d, "s": d + 1, "l": 1}
-    if kind == "stapledon":
-        dec = decomp.stapledon_pair(hstar, d)
-        a, b = dec.a, dec.b
-        params = {"d": dec.d, "s": dec.s, "l": dec.l}
-        passed = dec.a.is_nonnegative() and dec.b.is_nonnegative()
-    elif kind == "open":
-        a, b = decomp.open_decomposition(hstar, d)
-        passed = a.is_nonnegative() and b.is_nonnegative()
-    elif kind == "order":
-        a, b = decomp.order_decomposition(hstar, d)
-        passed = (-a).is_nonnegative() and b.is_nonnegative()
-    else:
         a, b = decomp.graph_decomposition(graph, budget=args.budget)
-        passed = (-a).is_nonnegative() and b.is_nonnegative()
+    if kind != "stapledon":
+        params = {"d": d, "s": d + 1, "l": 1}
+    # Stapledon's split and Theorem 1.1 need a >= 0, Theorems 1.2 and 1.3 need -a >= 0
+    passed = (a if kind in ("stapledon", "open") else -a).is_nonnegative() and b.is_nonnegative()
 
     a_strs = [str(c) for c in a.coeffs]
     b_strs = [str(c) for c in b.coeffs]

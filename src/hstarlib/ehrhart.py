@@ -156,7 +156,7 @@ class HRepPolytope:
     is InvalidInput.
     """
 
-    __slots__ = ("inequalities", "d", "box", "user_box")
+    __slots__ = ("inequalities", "d", "box", "user_box", "non_lattice")
 
     def __init__(
         self,
@@ -174,6 +174,7 @@ class HRepPolytope:
                 raise InvalidInput("normal vector of wrong dimension")
             rows.append((normal, int(bound)))
         self.inequalities: tuple[tuple[tuple[int, ...], int], ...] = tuple(rows)
+        self.non_lattice: int | None = None
         if box is not None:
             lo, hi = box
             if len(lo) != d or len(hi) != d:
@@ -194,9 +195,11 @@ class HRepPolytope:
         divided by the gcd of its entries, so equal rows merge in the set.
         The rows left bound x_i alone; their bounds are rounded outwards,
         which is exact for a lattice polytope (the vertex box) and keeps
-        n * box around n * P for any other.  Before each elimination the
-        running total of coefficients built, that elimination's pairs
-        included, is charged to the default budget.
+        n * box around n * P for any other.  An end that rounding moved is
+        a vertex coordinate that is not an integer: the first such
+        coordinate (1-based) is kept as ``non_lattice``.  Before each
+        elimination the running total of coefficients built, that
+        elimination's pairs included, is charged to the default budget.
         """
         d = self.d
         lo, hi = [], []
@@ -225,6 +228,10 @@ class HRepPolytope:
                 )
             lo.append(max(lowers))
             hi.append(min(uppers))
+            # a rounded end is exact iff it still satisfies every row
+            moved = any(r[i] * x > r[d] for r in rows for x in (lo[i], hi[i]))
+            if moved and self.non_lattice is None:
+                self.non_lattice = i + 1
         return tuple(lo), tuple(hi)
 
     @property
@@ -323,10 +330,19 @@ def _closed_counts(polytope: LatticePolytope, budget: int | None) -> list[int]:
     so the largest box walked, which the budget bounds, is the closed
     dilate at ceil(d/2), not at d.  Any other H-polytope walks every closed
     dilate, and the volume check rejects it if it is flat.
+    An H-polytope flagged ``non_lattice`` by its derived box is InvalidInput.
+    Unchecked, and so possibly given a wrong h*: H-polytopes with a user
+    box, and non-lattice ones whose coordinate ranges all have integer ends
+    (ROADMAP item 4's vertices close this gap).
     """
     d = polytope.dim
     if isinstance(polytope, OrderPolytope):
         return polytope.count_series(d, budget=budget)
+    if polytope.non_lattice is not None:
+        raise InvalidInput(
+            f"coordinate {polytope.non_lattice} has a range end that is not an integer, "
+            "so a vertex is not a lattice point"
+        )
     half = d // 2
     values = [polytope.count_points(n, True, budget=budget) for n in range(half, 0, -1)]
     if not isinstance(polytope, Simplex) and not any(values):

@@ -56,8 +56,8 @@ from .graph import (
     count_acyclic_orientations,
     count_proper_colorings,
 )
-from .polynomial import IntPolynomial, expand_series, f_to_h
-from .poset import Poset, descent_h_star, ideal_chain_f_vector, order_polynomial
+from .polynomial import IntPolynomial, expand_series, f_to_h, interpolate
+from .poset import Poset, descent_h_star, ideal_chain_f_vector, order_polynomial, set_bits
 
 MAX_EXHAUSTIVE_SIZE = 5
 
@@ -85,22 +85,8 @@ def enumerate_labeled_posets(d: int, *, max_size: int = MAX_EXHAUSTIVE_SIZE) -> 
                 above[i] |= 1 << j
             elif state == 2:
                 above[j] |= 1 << i
-        transitive = True
-        for i in range(d):
-            m = above[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if above[j] & ~above[i]:
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        if transitive:
-            relations = [
-                (i + 1, j + 1) for i in range(d) for j in range(d) if (above[i] >> j) & 1
-            ]
-            yield Poset(d, relations)
+        if not any(above[j] & ~m for m in above for j in set_bits(m)):
+            yield Poset(d, [(i + 1, j + 1) for i, m in enumerate(above) for j in set_bits(m)])
 
 
 def enumerate_labeled_graphs(d: int, *, max_size: int = MAX_EXHAUSTIVE_SIZE) -> Iterator[Graph]:
@@ -348,11 +334,13 @@ def _check_hstar3way(ctx: _Context) -> CheckResult:
 def _check_reciprocity(ctx: _Context) -> CheckResult:
     d = ctx.d
     polytope = OrderPolytope(ctx.item)
+    # interior[n] is the strict map count at n - 1, so interior[1 : d + 2]
+    # holds the strict order polynomial's values at 0..d
     interior = polytope.count_series(d + 2, interior=True, budget=ctx.budget)
     expansion = expand_series(open_numerator(ctx.numerator(), d), d, d + 2)
     counts_ok = interior[1:] == expansion[1:]
     weak = order_polynomial(ctx.item, budget=ctx.budget)
-    strict = order_polynomial(ctx.item, strict=True, budget=ctx.budget)
+    strict = interpolate(interior[1 : d + 2])
     poly_ok = all(strict(n) == (-1) ** d * weak(-n) for n in range(1, d + 3))
     return _verdict(
         "reciprocity",
@@ -530,19 +518,11 @@ def _raise_time_up(signum, frame) -> None:
     raise _TimeUp
 
 
-def _run_check(name: str, fn, ctx: _Context, alarm: float | None, late: str) -> CheckResult:
-    """One check's outcome; with ``alarm`` (seconds) SIGALRM cuts it off
-    then, and the check is a skip with detail ``late``."""
+def _run_check(name: str, fn, ctx: _Context, late: str) -> CheckResult:
+    """One check's outcome; a check cut off by the input's deadline is a
+    skip with detail ``late``."""
     try:
-        if alarm is not None:
-            import signal
-
-            signal.setitimer(signal.ITIMER_REAL, alarm)
-        try:
-            return fn(ctx)
-        finally:
-            if alarm is not None:
-                signal.setitimer(signal.ITIMER_REAL, 0)
+        return fn(ctx)
     except _TimeUp:
         return CheckResult(name, None, late)
     except BudgetExceeded as exc:
@@ -576,15 +556,15 @@ def verify_all(
     as an ``error`` status and counts as a failure; exceeded element
     budgets record a skip.  With ``time_limit`` (seconds per input) the
     checks still pending when the limit elapses are skipped.  On the main
-    thread of a POSIX process a finite positive limit is preemptive: an
-    ``ITIMER_REAL`` alarm cuts off the running check, which is skipped too.
-    The timer is cancelled and the previous SIGALRM handler restored before
-    each report is yielded; a caller's own ``ITIMER_REAL`` is not kept.
-    Elsewhere, and for a zero limit, the clock is consulted between checks
-    only, so the first check always runs.  With
-    ``mutate`` the sign of one coefficient of each input's numerator
-    polynomial is flipped before checking, which must make the failure path
-    fire (the reporting self-test).
+    thread of a POSIX process a finite positive limit is preemptive: one
+    ``ITIMER_REAL`` alarm per input, armed for the whole limit, cuts off the
+    running check, which is skipped too.  The timer is cancelled and the
+    previous SIGALRM handler restored before each report is yielded; a
+    caller's own ``ITIMER_REAL`` is not kept.  Elsewhere, and for a zero
+    limit, the clock is consulted between checks only, so the first check
+    always runs.  With ``mutate`` the sign of one coefficient of each
+    input's numerator polynomial is flipped before checking, which must
+    make the failure path fire (the reporting self-test).
     """
     if checks is None:
         selected = list(ALL_CHECKS)
@@ -607,29 +587,27 @@ def verify_all(
     for index, item in enumerate(corpus):
         ctx = _Context(item, budget, mutate)
         table = tables[ctx.kind]
+        names = [name for name in selected if name in table]
         start = time.perf_counter()
         results = []
         previous = signal.signal(signal.SIGALRM, _raise_time_up) if preempt else None
         try:
-            for name in selected:
-                fn = table.get(name)
-                if fn is None:
-                    continue
+            if preempt:
+                signal.setitimer(signal.ITIMER_REAL, time_limit)
+            for name in names:
                 # the first check always starts
-                if (
-                    time_limit is not None
-                    and results
-                    and time.perf_counter() - start > time_limit
-                ):
-                    results.append(CheckResult(name, None, late))
-                    continue
-                # setitimer(0) would disarm, so a spent limit still arms a tick
-                alarm = max(start + time_limit - time.perf_counter(), 1e-6) if preempt else None
-                results.append(_run_check(name, fn, ctx, alarm, late))
+                if time_limit is not None and results and time.perf_counter() - start > time_limit:
+                    break
+                results.append(_run_check(name, table[name], ctx, late))
+            if preempt:  # disarmed here, so a late alarm is still caught below
+                signal.setitimer(signal.ITIMER_REAL, 0)
+        except _TimeUp:
+            pass  # the deadline landed between two checks
         finally:
             if preempt:
                 signal.setitimer(signal.ITIMER_REAL, 0)
                 signal.signal(signal.SIGALRM, previous)
+        results += [CheckResult(name, None, late) for name in names[len(results) :]]
         yield VerificationReport(
             index=index,
             kind=ctx.kind,

@@ -16,6 +16,13 @@ def test_refusal_names_amount_and_limit():
         charge(11, 10, "walk")
 
 
+def test_refusal_names_the_default_budget_when_none_is_given():
+    limit = DEFAULT_WORK_BUDGET
+    message = f"^walk needs {limit + 1} steps, default budget is {limit}$"
+    with pytest.raises(BudgetExceeded, match=message):
+        charge(limit + 1, None, "walk")
+
+
 def test_numbers_past_the_digit_limit_are_bounded_by_a_power_of_two():
     # 10^5000 has more digits than an int may print; 2^16609 <= 10^5000
     message = "x needs at least 2^20000 steps, budget is at least 2^16609"

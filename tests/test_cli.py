@@ -88,7 +88,7 @@ class TestChromatic:
         captured = capsys.readouterr()
         assert time.perf_counter() - start < 5  # before any deletion-contraction
         assert code == 2 and captured.out == ""
-        assert captured.err == f"error: down-set mask over {message}, budget is 5000000\n"
+        assert captured.err == f"error: down-set mask over {message}, default budget is 5000000\n"
 
 
 class TestHstar:
@@ -419,7 +419,30 @@ class TestInputFaults:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert err == "error: transitive closure needs 225000000 steps, budget is 5000000\n"
+        assert err == "error: transitive closure needs 225000000 steps, default budget is 5000000\n"
+
+    def test_default_budget_is_named(self, capsys, tmp_path):
+        # the closure is charged to the default budget, not to --budget
+        path = tmp_path / "big.poset"
+        path.write_text("p 3000 0\n")
+        code, out, err = run_err(capsys, "decompose", "order", str(path), "--budget", "100000000")
+        assert (code, out) == (2, "")
+        assert err == "error: transitive closure needs 9000000 steps, default budget is 5000000\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["hrep 1 2\n-1 0\n2 3\n", "hrep 2 3\n-1 0 0\n0 -1 0\n2 2 3\n"],
+        ids=["segment-to-3/2", "triangle-2x+2y<=3"],
+    )
+    def test_non_lattice_hrep_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "rational.hrep"
+        path.write_text(text)
+        code, out, err = run_err(capsys, "hstar", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: coordinate 1 has a range end that is not an integer, "
+            "so a vertex is not a lattice point\n"
+        )
 
     def test_non_integer_coefficient(self, capsys):
         code, out, err = run_err(capsys, "decompose", "stapledon", "--coeffs", "1,x", "--d", "2")

@@ -394,6 +394,32 @@ class TestHRep:
         with pytest.raises(InvalidInput):
             HRepPolytope([((1, 0), 5)], 2)
 
+    @pytest.mark.parametrize(
+        "rows, coordinate",
+        [
+            # x, y >= 0 and 2x + 2y <= 3: vertices (3/2, 0) and (0, 3/2)
+            ([((-1, 0), 0), ((0, -1), 0), ((2, 2), 3)], 1),
+            # the unit interval times [0, 3/2]
+            ([((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 2), 3)], 2),
+        ],
+    )
+    def test_non_lattice_vertex_is_refused(self, rows, coordinate):
+        polytope = HRepPolytope(rows, 2)
+        assert polytope.non_lattice == coordinate
+        message = f"^coordinate {coordinate} has a range end that is not an integer"
+        for route in (h_star, ehrhart_polynomial):
+            with pytest.raises(InvalidInput, match=message):
+                route(polytope)
+        # counting is unchanged: rational polytopes still count exactly
+        assert_counts_match_brute(polytope)
+
+    def test_lattice_and_user_boxed_polytopes_are_not_flagged(self):
+        assert self.cube(3, 2).non_lattice is None
+        assert TRIANGLE.non_lattice is None
+        # a user box skips the derivation, so nothing is checked (unflagged)
+        boxed = HRepPolytope([((-1, 0), 0), ((0, -1), 0), ((2, 2), 3)], 2, box=([0, 0], [2, 2]))
+        assert boxed.non_lattice is None
+
     @pytest.mark.parametrize("d, high", [(2, 3), (3, 2), (4, 1)])
     def test_simplex_rows_derive_the_vertex_box(self, d, high):
         # a lattice simplex given by its barycentric rows alone: elimination
@@ -596,7 +622,7 @@ class TestParallelepipedRoute:
         assert h_star(TRIANGLE, budget=4).coeffs == (1, 3)
         # |det| = 200^3 = 8 * 10^6 is over the default budget
         start = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match="needs 8000000 steps, budget is 5000000"):
+        with pytest.raises(BudgetExceeded, match="needs 8000000 steps, default budget is 5000000"):
             h_star(dilated_simplex(3, 200))
         assert time.perf_counter() - start < 1
 

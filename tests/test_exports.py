@@ -27,3 +27,26 @@ def test_no_module_imports_fractions():
                 continue
             offenders += [(path.name, m) for m in modules if m.partition(".")[0] == "fractions"]
     assert offenders == []
+
+
+def test_every_export_is_used_outside_the_tests():
+    # a public name that only the tests call is an oracle: it belongs in tests/
+    package, root = Path(hstarlib.__file__).parent, Path(__file__).resolve().parents[1]
+    files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    used = set()
+    for path in files:
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)  # a definition's own body does not count
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value  # perfbench looks functions up by name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    assert sorted(set(hstarlib.__all__) - used) == []

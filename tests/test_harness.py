@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hstarlib.ehrhart import Simplex
+from hstarlib.ehrhart import HRepPolytope, Simplex
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import Graph
 from hstarlib.harness import (
@@ -244,6 +244,24 @@ class TestVerifyAll:
         ]
         assert [c.status for c in after.checks] == ["pass", "pass"]
 
+    def test_deadline_between_two_checks(self, monkeypatch):
+        import hstarlib.harness as harness
+
+        run_check = harness._run_check
+
+        def alarm_after(*args):
+            run_check(*args)
+            raise harness._TimeUp  # the deadline lands once the check has returned
+
+        monkeypatch.setattr(harness, "_run_check", alarm_after)
+        previous = signal.getsignal(signal.SIGALRM)
+        reports = list(verify_all([Poset(1), Poset(2)], ["thm1.2", "conj6.2"], time_limit=60.0))
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is previous
+        late = {"status": "skip", "detail": "skipped: per-input time limit 60.0s"}
+        skipped = [{"name": "thm1.2", **late}, {"name": "conj6.2", **late}]
+        assert [[c.to_record() for c in r.checks] for r in reports] == [skipped, skipped]
+
     @pytest.mark.parametrize("limit,armed", [(60.0, True), (math.inf, False), (None, False)])
     def test_only_a_finite_limit_arms_the_timer(self, monkeypatch, limit, armed):
         import hstarlib.harness as harness
@@ -269,6 +287,13 @@ class TestVerifyAll:
         assert not worker.is_alive()
         (report,) = out
         assert [c.status for c in report.checks] == ["pass", "pass"]
+
+    def test_non_lattice_polytope_fails_with_its_invalid_input(self):
+        triangle = HRepPolytope([((-1, 0), 0), ((0, -1), 0), ((2, 2), 3)], 2)
+        (report,) = list(verify_all([triangle], ["thm1.1"]))
+        (check,) = report.checks
+        assert check.status == "fail"
+        assert check.detail.startswith("InvalidInput: coordinate 1 has a range end")
 
     def test_records_are_json_with_decimal_strings(self):
         (report,) = list(verify_all([Graph(2, [(1, 2)])], ["conj6.1"], mutate=True))

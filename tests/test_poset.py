@@ -1,7 +1,8 @@
 """Posets: extensions, descents, order maps, ideal chains.
 
-The brute-force oracles (permutation filtering, exhaustive map counting)
-live here and double-check the faster library routes on the small corpus.
+The brute-force oracles (permutation filtering here, exhaustive map
+counting in ``oracles``) double-check the faster library routes on the
+small corpus.
 """
 
 import random
@@ -14,13 +15,13 @@ from hstarlib.harness import enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial, f_to_h
 from hstarlib.poset import (
     Poset,
-    count_order_maps,
     descent_h_star,
     ideal_chain_f_vector,
     linear_extensions,
     order_map_counts,
     order_polynomial,
 )
+from oracles import count_order_maps
 
 
 def longest_chain(poset):
