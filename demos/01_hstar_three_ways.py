@@ -11,7 +11,6 @@ genuinely different ways, and they always agree.
 from hstarlib import (
     OrderPolytope,
     Poset,
-    count_points,
     descent_h_star,
     ehrhart_polynomial,
     f_to_h,
@@ -27,7 +26,7 @@ polytope = OrderPolytope(poset)
 # Route 1: count lattice points in the dilates 0..d and extract the series
 # numerator.  Counting never touches geometry; closed dilate counts are
 # order-preserving maps into a chain.
-print("dilate counts:", [count_points(polytope, n) for n in range(5)])
+print("dilate counts:", [polytope.count_points(n) for n in range(5)])
 # The Ehrhart polynomial is held by those counts at n = 0..d and their
 # forward differences (its coordinates in the binomial basis C(n, k)); it
 # evaluates exactly anywhere, and at -n it counts interior points.
@@ -35,7 +34,7 @@ ehr = ehrhart_polynomial(polytope)
 print("Ehrhart values at n = 0..d:  ", list(ehr.values))
 print("forward differences:         ", list(ehr.differences))
 print("L(-n) for n = 1..4:           ", [ehr(-n) for n in range(1, 5)])
-interior = [count_points(polytope, n, interior=True) for n in range(1, 5)]
+interior = [polytope.count_points(n, interior=True) for n in range(1, 5)]
 print("interior counts, n = 1..4:   ", interior)
 print("h* from counts:   ", h_star(polytope).coeffs)
 

@@ -23,7 +23,6 @@ from .ehrhart import (
     HRepPolytope,
     OrderPolytope,
     Simplex,
-    count_points,
     ehrhart_polynomial,
     h_star,
     load_polytope,
@@ -93,7 +92,6 @@ __all__ = [
     "chromatic_polynomial",
     "chromatic_via_orientations",
     "count_acyclic_orientations",
-    "count_points",
     "count_proper_colorings",
     "descent_h_star",
     "ehrhart_polynomial",

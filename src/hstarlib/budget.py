@@ -4,22 +4,41 @@ A "budget" bounds the number of elementary candidates an exhaustive
 enumeration may visit (maps n^d, colorings n^d, lattice points in a box,
 order ideals).  Exceeding it raises :class:`~hstarlib.errors.BudgetExceeded`
 rather than silently truncating; corpus sweeps report such inputs as
-skipped.
+skipped.  :func:`limit` puts one budget in force for a block and
+:func:`charge` reads it, so no function takes a budget.
 """
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import BudgetExceeded
 
 #: Default cap on elementary enumeration steps for a single operation.
 DEFAULT_WORK_BUDGET = 5_000_000
 
+_in_force: ContextVar[int | None] = ContextVar("budget", default=None)
 
-def charge(amount: int, budget: int | None, what: str) -> None:
-    """Raise BudgetExceeded if ``amount`` exceeds the effective budget; the
-    message says when that is the default budget."""
-    limit = DEFAULT_WORK_BUDGET if budget is None else budget
-    if amount > limit:
+
+@contextmanager
+def limit(steps: int | None):
+    """Put a budget of ``steps`` (None: the default) in force for the block.
+    A charge reads it when it is made, so a generator charges where it runs."""
+    token = _in_force.set(steps)
+    try:
+        yield
+    finally:
+        _in_force.reset(token)
+
+
+def charge(amount: int, what: str, *, allocation: bool = False) -> None:
+    """Raise BudgetExceeded if ``amount`` exceeds the budget in force; the
+    message says when that is the default budget.  An ``allocation``, one
+    object built at once, is held to the default budget whatever is in force."""
+    budget = None if allocation else _in_force.get()
+    cap = DEFAULT_WORK_BUDGET if budget is None else budget
+    if amount > cap:
         name = "default budget" if budget is None else "budget"
-        raise BudgetExceeded(f"{what} needs {_steps(amount)} steps, {name} is {_steps(limit)}")
+        raise BudgetExceeded(f"{what} needs {_steps(amount)} steps, {name} is {_steps(cap)}")
 
 
 def _steps(count: int) -> str:

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import decomp, harness
+from .budget import DEFAULT_WORK_BUDGET, limit
 from .ehrhart import OrderPolytope, h_star, load_polytope
 from .errors import HstarError, InvalidInput
 from .graph import Graph, chromatic_polynomial
@@ -44,7 +45,7 @@ def _emit(record: dict) -> None:
 
 def cmd_chromatic(args) -> int:
     graph = Graph.from_text(Path(args.file).read_text())
-    h_g = decomp.graph_numerator(graph, budget=args.budget)  # refuses before deletion-contraction
+    h_g = decomp.graph_numerator(graph)  # refuses before deletion-contraction
     chi = chromatic_polynomial(graph)  # cached by graph_numerator
     chi_strs = _padded(chi, graph.d)
     h_strs = _padded(h_g, graph.d)
@@ -58,7 +59,7 @@ def cmd_chromatic(args) -> int:
 
 def cmd_hstar(args) -> int:
     polytope = load_polytope(args.file)
-    hs = h_star(polytope, budget=args.budget)
+    hs = h_star(polytope)
     strs = [str(c) for c in hs.coeffs]
     if args.format == JSON_LINES:
         _emit({"type": "hstar", "d": str(polytope.dim), "hstar": strs})
@@ -88,11 +89,11 @@ def cmd_decompose(args) -> int:
     elif kind == "order":
         poset = Poset.from_text(Path(args.file).read_text())
         d = poset.d
-        a, b = decomp.order_decomposition(h_star(OrderPolytope(poset), budget=args.budget), d)
+        a, b = decomp.order_decomposition(h_star(OrderPolytope(poset)), d)
     else:  # graph
         graph = Graph.from_text(Path(args.file).read_text())
         d = graph.d
-        a, b = decomp.graph_decomposition(graph, budget=args.budget)
+        a, b = decomp.graph_decomposition(graph)
     if kind != "stapledon":
         params = {"d": d, "s": d + 1, "l": 1}
     # Stapledon's split and Theorem 1.1 need a >= 0, Theorems 1.2 and 1.3 need -a >= 0
@@ -141,11 +142,7 @@ def cmd_verify(args) -> int:
     checks = None if args.checks in (None, "all") else [c.strip() for c in args.checks.split(",")]
     summary = harness.Summary()
     for report in harness.verify_all(
-        corpus,
-        checks,
-        budget=args.budget,
-        time_limit=args.time_limit,
-        mutate=args.mutate_selftest,
+        corpus, checks, time_limit=args.time_limit, mutate=args.mutate_selftest
     ):
         summary.add(report)
         if args.format == JSON_LINES:
@@ -194,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=["text", JSON_LINES], default="text", help="output format"
     )
-    common.add_argument("--budget", type=int, default=None, help="work budget per operation")
+    common.add_argument(
+        "--budget", type=int, help=f"steps allowed per enumeration (default {DEFAULT_WORK_BUDGET})"
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -263,7 +262,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_options(args)
-        return args.fn(args)
+        with limit(args.budget):
+            return args.fn(args)
     except HstarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

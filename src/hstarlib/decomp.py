@@ -159,9 +159,7 @@ def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, In
 # chromatic series
 
 
-def _orientation_sum(
-    graph: Graph, budget: int | None
-) -> tuple[dict[IntPolynomial, int], IntPolynomial]:
+def _orientation_sum(graph: Graph) -> tuple[dict[IntPolynomial, int], IntPolynomial]:
     """The orientation route to z h_G, checked against deletion-contraction.
 
     One sweep of the acyclic orientations tallies their closed
@@ -177,8 +175,8 @@ def _orientation_sum(
     d = graph.d
     closed: Counter[tuple[int, ...]] = Counter()
     for walked, ideals in enumerate(acyclic_orientations(graph), 1):
-        closed[tuple(_mask_map_counts(ideals, d, d + 1, budget=budget)[1:])] += 1
-        charge(walked, budget, "acyclic-orientation sweep")
+        closed[tuple(_mask_map_counts(ideals, d, d + 1)[1:])] += 1
+        charge(walked, "acyclic-orientation sweep")
     hstars = {_checked_h_star(counts, d): k for counts, k in closed.items()}
     zh = IntPolynomial.zero()
     for hs, count in hstars.items():
@@ -192,20 +190,18 @@ def _orientation_sum(
     return hstars, zh
 
 
-def graph_numerator(graph: Graph, *, budget: int | None = None) -> IntPolynomial:
+def graph_numerator(graph: Graph) -> IntPolynomial:
     """Numerator h_G of sum_n chi_G(n) z^n over (1-z)^{d+1}.
 
     The sum over acyclic orientations of the reversed order-polytope
     numerators, divided by z; ``_orientation_sum`` has already checked it
     against the series numerator of the chromatic polynomial.
     """
-    _, zh = _orientation_sum(graph, budget)
+    _, zh = _orientation_sum(graph)
     return IntPolynomial(zh.coeffs[1:])
 
 
-def graph_decomposition(
-    graph: Graph, *, budget: int | None = None
-) -> tuple[IntPolynomial, IntPolynomial]:
+def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """Split z h_G as a + z b by summing order decompositions over orientations.
 
     Each distinct orientation h* is split once (with its reconstruction
@@ -218,7 +214,7 @@ def graph_decomposition(
     about d.  b and -a are nonnegative for every graph.
     """
     d = graph.d
-    hstars, zh = _orientation_sum(graph, budget)
+    hstars, zh = _orientation_sum(graph)
     a = IntPolynomial.zero()
     b = IntPolynomial.zero()
     for hs, count in hstars.items():

@@ -65,9 +65,7 @@ def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
     return prev, adj
 
 
-def _count_box(
-    rows: Sequence[tuple[Sequence[int], int]], lo: list[int], hi: list[int], budget: int | None
-) -> int:
+def _count_box(rows: Sequence[tuple[Sequence[int], int]], lo: list[int], hi: list[int]) -> int:
     """Number of integer x with lo <= x <= hi and normal . x <= limit for
     every (normal, limit) in rows.
 
@@ -86,7 +84,7 @@ def _count_box(
     volume = 1
     for a, b in zip(lo, hi):
         volume *= b - a + 1
-    charge(volume, budget, "bounding-box enumeration")
+    charge(volume, "bounding-box enumeration")
     split = [(normal[:-1], limit, normal[-1]) for normal, limit in rows]
     total = 0
     for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
@@ -123,21 +121,19 @@ class OrderPolytope:
     def dim(self) -> int:
         return self.poset.d
 
-    def count_series(
-        self, n_max: int, interior: bool = False, *, budget: int | None = None
-    ) -> list[int]:
+    def count_series(self, n_max: int, interior: bool = False) -> list[int]:
         if n_max < 0:
             raise InvalidInput("n must be nonnegative")
         if interior:
             # count at n is Omega°(n-1); the n = 0 entry is 0 by the
             # open-series convention
-            strict = order_map_counts(self.poset, max(n_max - 1, 0), True, budget=budget)
+            strict = order_map_counts(self.poset, max(n_max - 1, 0), True)
             return [0] + strict[: n_max]
-        weak = order_map_counts(self.poset, n_max + 1, False, budget=budget)
+        weak = order_map_counts(self.poset, n_max + 1, False)
         return weak[1:]
 
-    def count_points(self, n: int, interior: bool = False, *, budget: int | None = None) -> int:
-        return self.count_series(n, interior, budget=budget)[n]
+    def count_points(self, n: int, interior: bool = False) -> int:
+        return self.count_series(n, interior)[n]
 
     def __repr__(self) -> str:
         return f"OrderPolytope({self.poset!r})"
@@ -199,7 +195,7 @@ class HRepPolytope:
         a vertex coordinate that is not an integer: the first such
         coordinate (1-based) is kept as ``non_lattice``.  Before each
         elimination the running total of coefficients built, that
-        elimination's pairs included, is charged to the default budget.
+        elimination's pairs included, is charged.
         """
         d = self.d
         lo, hi = [], []
@@ -212,7 +208,7 @@ class HRepPolytope:
                 pos = [r for r in rows if r[j] > 0]
                 neg = [r for r in rows if r[j] < 0]
                 built += len(pos) * len(neg) * (d + 1)
-                charge(built, None, "Fourier-Motzkin box derivation")
+                charge(built, "Fourier-Motzkin box derivation")
                 rows = {r for r in rows if r[j] == 0}
                 for p in pos:
                     for q in neg:
@@ -238,13 +234,13 @@ class HRepPolytope:
     def dim(self) -> int:
         return self.d
 
-    def count_points(self, n: int, interior: bool = False, *, budget: int | None = None) -> int:
+    def count_points(self, n: int, interior: bool = False) -> int:
         if n < 0:
             raise InvalidInput("n must be nonnegative")
         k = int(interior)
         rows = [(normal, n * bound - k) for normal, bound in self.inequalities]
         lo, hi = self.box
-        return _count_box(rows, [n * a + k for a in lo], [n * b - k for b in hi], budget)
+        return _count_box(rows, [n * a + k for a in lo], [n * b - k for b in hi])
 
     def to_text(self) -> str:
         rows = [(*normal, bound) for normal, bound in self.inequalities]
@@ -310,18 +306,7 @@ LatticePolytope = OrderPolytope | HRepPolytope
 # counting operations
 
 
-def count_points(
-    polytope: LatticePolytope, n: int, interior: bool = False, *, budget: int | None = None
-) -> int:
-    """Exact number of lattice points in the n-th dilate (or its interior).
-
-    count_points(P, 0) = 1 and count_points(P, 0, interior) = 0 for every
-    supported polytope of dimension >= 1.
-    """
-    return polytope.count_points(n, interior, budget=budget)
-
-
-def _closed_counts(polytope: LatticePolytope, budget: int | None) -> list[int]:
+def _closed_counts(polytope: LatticePolytope) -> list[int]:
     """The closed counts L(0..d) of a d-polytope.
 
     A simplex (by its nonzero determinant), or any other H-polytope with an
@@ -337,19 +322,19 @@ def _closed_counts(polytope: LatticePolytope, budget: int | None) -> list[int]:
     """
     d = polytope.dim
     if isinstance(polytope, OrderPolytope):
-        return polytope.count_series(d, budget=budget)
+        return polytope.count_series(d)
     if polytope.non_lattice is not None:
         raise InvalidInput(
             f"coordinate {polytope.non_lattice} has a range end that is not an integer, "
             "so a vertex is not a lattice point"
         )
     half = d // 2
-    values = [polytope.count_points(n, True, budget=budget) for n in range(half, 0, -1)]
+    values = [polytope.count_points(n, True) for n in range(half, 0, -1)]
     if not isinstance(polytope, Simplex) and not any(values):
-        return [polytope.count_points(n, budget=budget) for n in range(d + 1)]
+        return [polytope.count_points(n) for n in range(d + 1)]
     if d % 2:
         values = [-v for v in values]
-    values += [polytope.count_points(n, budget=budget) for n in range(d - half + 1)]
+    values += [polytope.count_points(n) for n in range(d - half + 1)]
     shifted = interpolate(values)  # n -> L(n - half)
     return [shifted(n + half) for n in range(d + 1)]
 
@@ -386,27 +371,25 @@ def _checked_h_star(
     return IntPolynomial(h)
 
 
-def ehrhart_polynomial(
-    polytope: LatticePolytope, *, budget: int | None = None
-) -> CountingPolynomial:
+def ehrhart_polynomial(polytope: LatticePolytope) -> CountingPolynomial:
     """The Ehrhart polynomial, held by the closed dilate counts at n = 0..d.
 
     Its d-th forward difference is d! times the leading coefficient, the
     normalized volume; it must be positive, so the degree is exactly d.
     """
-    ehr = interpolate(_closed_counts(polytope, budget))
+    ehr = interpolate(_closed_counts(polytope))
     _check_volume(ehr.differences[polytope.dim], polytope.dim, _volume_error(polytope))
     return ehr
 
 
-def _box_h_star(polytope: LatticePolytope, budget: int | None) -> IntPolynomial:
+def _box_h_star(polytope: LatticePolytope) -> IntPolynomial:
     """h* as the series numerator of the closed counts at n = 0..d, with
     the volume, h*_0 and sign checks of :func:`_checked_h_star`.
 
     A simplex's h*(1) is then checked against its determinant, a second
     route to the normalized volume.
     """
-    hstar = _checked_h_star(_closed_counts(polytope, budget), polytope.dim, _volume_error(polytope))
+    hstar = _checked_h_star(_closed_counts(polytope), polytope.dim, _volume_error(polytope))
     if isinstance(polytope, Simplex) and hstar(1) != polytope.volume:
         raise InternalConsistencyError(
             f"h*(1) = {hstar(1)} but the determinant gives normalized volume {polytope.volume}"
@@ -435,7 +418,7 @@ def _coset_closure(generators: Sequence[tuple[int, ...]], modulus: int) -> set[t
     return group
 
 
-def _parallelepiped_h_star(simplex: Simplex, budget: int | None) -> IntPolynomial:
+def _parallelepiped_h_star(simplex: Simplex) -> IntPolynomial:
     """h* of a lattice simplex from the half-open fundamental parallelepiped
     of its lifted vertices (Beck-Robins, Cor. 3.11).
 
@@ -449,7 +432,7 @@ def _parallelepiped_h_star(simplex: Simplex, budget: int | None) -> IntPolynomia
     by D and h*_0 = 1 are checked.
     """
     big = simplex.volume
-    charge(big, budget, "fundamental-parallelepiped enumeration")
+    charge(big, "fundamental-parallelepiped enumeration")
     generators = [tuple(c % big for c in column) for column in zip(*simplex.adjugate)]
     group = _coset_closure(generators, big)
     if len(group) != big:
@@ -469,7 +452,7 @@ def _parallelepiped_h_star(simplex: Simplex, budget: int | None) -> IntPolynomia
     return IntPolynomial(h)
 
 
-def h_star(polytope: LatticePolytope, *, budget: int | None = None) -> IntPolynomial:
+def h_star(polytope: LatticePolytope) -> IntPolynomial:
     """h*-polynomial of a lattice polytope.
 
     A simplex's comes from its fundamental parallelepiped
@@ -478,8 +461,8 @@ def h_star(polytope: LatticePolytope, *, budget: int | None = None) -> IntPolyno
     (:func:`_box_h_star`), which stays the simplices' second route.
     """
     if isinstance(polytope, Simplex):
-        return _parallelepiped_h_star(polytope, budget)
-    return _box_h_star(polytope, budget)
+        return _parallelepiped_h_star(polytope)
+    return _box_h_star(polytope)
 
 
 def open_numerator(hstar: IntPolynomial, d: int) -> IntPolynomial:

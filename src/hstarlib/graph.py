@@ -95,7 +95,7 @@ def _edge_splits(graph: Graph) -> list[tuple[int, int, int, int]]:
     """Per edge {i, j}, sorted: i, j, and the masks of the sets holding i
     without j, and j without i.  2^d is charged before any mask is built."""
     d = graph.d
-    charge(1 << d, None, f"down-set mask over 2^{d} vertex sets")
+    charge(1 << d, f"down-set mask over 2^{d} vertex sets", allocation=True)
     out = _packing(d, 1)[0]
     edges = graph.sorted_edges()
     return [(i, j, out[j - 1] & ~out[i - 1], out[i - 1] & ~out[j - 1]) for i, j in edges]
@@ -148,9 +148,7 @@ def orientation_poset(graph: Graph, ideals: int) -> Poset:
     return poset
 
 
-def _mask_map_counts(
-    ideals: int, d: int, n_max: int, strict: bool = False, *, budget: int | None = None
-) -> list[int]:
+def _mask_map_counts(ideals: int, d: int, n_max: int, strict: bool = False) -> list[int]:
     """Weak or strict map counts for n = 0..n_max of the d-element poset whose
     down-sets are the set bits of ``ideals``: the ideal multichains of
     :func:`~hstarlib.poset.order_map_counts`, with the vector over vertex
@@ -160,11 +158,11 @@ def _mask_map_counts(
     the non-ideal fields; a strict step zeroes them after each element,
     taken in a reversed linear extension, so only antichains of maximal
     elements are added.  The count is the top field, the full set.  Charges
-    |J(P)| as ``order_ideals`` does, then 2^d * w to the default budget.
+    |J(P)| as ``order_ideals`` does, then 2^d * w as an allocation.
     """
-    charge(ideals.bit_count(), budget, "order-ideal lattice")
+    charge(ideals.bit_count(), "order-ideal lattice")
     w = (n_max**d).bit_length() + 1
-    charge(w << d, None, f"packed vector of 2^{d} fields of {w} bits")
+    charge(w << d, f"packed vector of 2^{d} fields of {w} bits", allocation=True)
     _, passes, deposit = _packing(d, w)
     spread = ideals
     for move, shift in deposit:
@@ -189,9 +187,7 @@ def _mask_map_counts(
     return counts
 
 
-def count_proper_colorings(
-    graph: Graph, n: int, *, budget: int | None = None
-) -> int:
+def count_proper_colorings(graph: Graph, n: int) -> int:
     """Count the proper colorings with colors {1..n} by backtracking.
 
     Vertices are colored in label order, each with every color its
@@ -207,7 +203,7 @@ def count_proper_colorings(
         return 1
     if n == 0:
         return 0
-    charge(n**d, budget, f"enumeration of {n}^{d} colorings")
+    charge(n**d, f"enumeration of {n}^{d} colorings")
     if n == 1:  # the search recurses d deep, and one color costs a charge of 1
         return 0 if graph.edges else 1
     earlier: list[list[int]] = [[] for _ in range(d)]  # neighbors with smaller labels

@@ -277,7 +277,7 @@ class _Context:
     """One corpus item, its kind and its numerator, computed once.  A
     graph caches its own chromatic polynomial."""
 
-    def __init__(self, item, budget: int | None, mutate: bool):
+    def __init__(self, item, mutate: bool):
         if isinstance(item, OrderPolytope):
             item = item.poset  # order polytopes get the full poset check set
         if isinstance(item, Poset):
@@ -290,7 +290,6 @@ class _Context:
             raise InvalidInput(f"unsupported corpus item {item!r}")
         self.item = item
         self.d = item.d
-        self.budget = budget
         self.mutate = mutate
         self._numerator: IntPolynomial | None = None
 
@@ -303,10 +302,10 @@ class _Context:
         the self-test."""
         if self._numerator is None:
             if self.kind == "graph":
-                p = decomp.graph_numerator(self.item, budget=self.budget)
+                p = decomp.graph_numerator(self.item)
             else:
                 polytope = OrderPolytope(self.item) if self.kind == "poset" else self.item
-                p = h_star(polytope, budget=self.budget)
+                p = h_star(polytope)
             self._numerator = _flip_leading(p) if self.mutate else p
         return self._numerator
 
@@ -317,8 +316,8 @@ class _Context:
 
 def _check_hstar3way(ctx: _Context) -> CheckResult:
     counts_route = ctx.numerator()
-    descent_route = descent_h_star(ctx.item, budget=ctx.budget)
-    chain_route = f_to_h(ideal_chain_f_vector(ctx.item, budget=ctx.budget), ctx.d)
+    descent_route = descent_h_star(ctx.item)
+    chain_route = f_to_h(ideal_chain_f_vector(ctx.item), ctx.d)
     return _verdict(
         "hstar3way",
         counts_route == descent_route == chain_route,
@@ -336,10 +335,10 @@ def _check_reciprocity(ctx: _Context) -> CheckResult:
     polytope = OrderPolytope(ctx.item)
     # interior[n] is the strict map count at n - 1, so interior[1 : d + 2]
     # holds the strict order polynomial's values at 0..d
-    interior = polytope.count_series(d + 2, interior=True, budget=ctx.budget)
+    interior = polytope.count_series(d + 2, interior=True)
     expansion = expand_series(open_numerator(ctx.numerator(), d), d, d + 2)
     counts_ok = interior[1:] == expansion[1:]
-    weak = order_polynomial(ctx.item, budget=ctx.budget)
+    weak = order_polynomial(ctx.item)
     strict = interpolate(interior[1 : d + 2])
     poly_ok = all(strict(n) == (-1) ** d * weak(-n) for n in range(1, d + 3))
     return _verdict(
@@ -391,7 +390,7 @@ def _check_conj62(ctx: _Context) -> CheckResult:
 
 
 def _check_thm13(ctx: _Context) -> CheckResult:
-    a, b = decomp.graph_decomposition(ctx.item, budget=ctx.budget)
+    a, b = decomp.graph_decomposition(ctx.item)
     return _verdict(
         "thm1.3",
         (-a).is_nonnegative() and b.is_nonnegative(),
@@ -444,7 +443,18 @@ def _check_conj64(ctx: _Context) -> CheckResult:
 
 
 def _check_chromatic3(ctx: _Context) -> CheckResult:
+    # the colorings go first: for d >= 1 they charge up to 4^d, past the
+    # 2^d ideals of any orientation, so they meet a tight budget first
     dc = chromatic_polynomial(ctx.item)
+    for n in range(5):
+        counted = count_proper_colorings(ctx.item, n)
+        if dc(n) != counted:
+            return _verdict(
+                "chromatic3",
+                False,
+                f"chi({n}) = {dc(n)} but {counted} colorings are counted",
+                {"chi_dc": dc.coeffs},
+            )
     via = chromatic_via_orientations(ctx.item)
     if dc != via:
         # the orientation route is held by its values at n = 0..d
@@ -454,15 +464,6 @@ def _check_chromatic3(ctx: _Context) -> CheckResult:
             "deletion-contraction and orientation sum disagree",
             {"chi_dc": dc.coeffs, "chi_ao_values": via.values},
         )
-    for n in range(5):
-        counted = count_proper_colorings(ctx.item, n, budget=ctx.budget)
-        if dc(n) != counted:
-            return _verdict(
-                "chromatic3",
-                False,
-                f"chi({n}) = {dc(n)} but {counted} colorings are counted",
-                {"chi_dc": dc.coeffs},
-            )
     return CheckResult("chromatic3", True)
 
 
@@ -474,7 +475,7 @@ def _check_hstar2way(ctx: _Context) -> CheckResult:
             "skipped: no second h* route for H-polytopes yet (ROADMAP item 6, triangulation)",
         )
     parallelepiped_route = ctx.numerator()
-    box_route = _box_h_star(ctx.item, ctx.budget)
+    box_route = _box_h_star(ctx.item)
     return _verdict(
         "hstar2way",
         parallelepiped_route == box_route,
@@ -544,7 +545,6 @@ def verify_all(
     corpus: Iterable,
     checks: Sequence[str] | None = None,
     *,
-    budget: int | None = None,
     time_limit: float | None = None,
     mutate: bool = False,
 ) -> Iterator[VerificationReport]:
@@ -553,17 +553,18 @@ def verify_all(
     ``checks`` defaults to every known check; names not applicable to an
     item's kind are silently inapplicable for that item.  A failing check is
     recorded, never raised; any other exception a check raises is recorded
-    as an ``error`` status and counts as a failure; exceeded element
-    budgets record a skip.  With ``time_limit`` (seconds per input) the
-    checks still pending when the limit elapses are skipped.  On the main
-    thread of a POSIX process a finite positive limit is preemptive: one
-    ``ITIMER_REAL`` alarm per input, armed for the whole limit, cuts off the
-    running check, which is skipped too.  The timer is cancelled and the
-    previous SIGALRM handler restored before each report is yielded; a
-    caller's own ``ITIMER_REAL`` is not kept.  Elsewhere, and for a zero
-    limit, the clock is consulted between checks only, so the first check
-    always runs.  With ``mutate`` the sign of one coefficient of each
-    input's numerator polynomial is flipped before checking, which must
+    as an ``error`` status and counts as a failure; a check over the budget
+    records a skip.  The budget is the one in force while the generator
+    runs, so callers iterate inside ``budget.limit``.  With ``time_limit``
+    (seconds per input) the checks still pending when the limit elapses are
+    skipped.  On the main thread of a POSIX process a finite positive limit
+    is preemptive: one ``ITIMER_REAL`` alarm per input, armed for the whole
+    limit, cuts off the running check, which is skipped too.  The timer is
+    cancelled and the previous SIGALRM handler restored before each report
+    is yielded; a caller's own ``ITIMER_REAL`` is not kept.  Elsewhere, and
+    for a zero limit, the clock is consulted between checks only, so the
+    first check always runs.  With ``mutate`` the sign of one coefficient of
+    each input's numerator polynomial is flipped before checking, which must
     make the failure path fire (the reporting self-test).
     """
     if checks is None:
@@ -585,7 +586,7 @@ def verify_all(
         preempt = hasattr(signal, "setitimer")
     late = f"skipped: per-input time limit {time_limit}s"
     for index, item in enumerate(corpus):
-        ctx = _Context(item, budget, mutate)
+        ctx = _Context(item, mutate)
         table = tables[ctx.kind]
         names = [name for name in selected if name in table]
         start = time.perf_counter()

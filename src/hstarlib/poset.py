@@ -31,8 +31,8 @@ class Poset:
 
     Construction accepts any relation list (not necessarily covers),
     takes the transitive closure, and rejects cyclic input with a
-    diagnostic naming one cycle.  The closure's d^2 steps are charged to
-    the default budget first.
+    diagnostic naming one cycle.  The closure's d^2 steps are charged
+    first.
     """
 
     __slots__ = ("d", "_above", "_below", "_ideals")
@@ -40,7 +40,7 @@ class Poset:
     def __init__(self, d: int, relations: Iterable[tuple[int, int]] = ()) -> None:
         if d < 0:
             raise InvalidInput("poset size must be nonnegative")
-        charge(d * d, None, "transitive closure")
+        charge(d * d, "transitive closure")
         self.d = d
         above: list[int] = [0] * d
         pairs = []
@@ -131,7 +131,7 @@ class Poset:
 
     # -- order-ideal lattice ------------------------------------------------
 
-    def order_ideals(self, budget: int | None = None) -> tuple[int, ...]:
+    def order_ideals(self) -> tuple[int, ...]:
         """All order ideals (down-sets) as bitmasks, sorted by size then value.
 
         Built by inserting the elements along a linear extension: once the
@@ -148,7 +148,7 @@ class Poset:
         for e in sorted(range(self.d), key=lambda v: below[v].bit_count()):
             bit, need = 1 << e, below[e]
             ideals += [ideal | bit for ideal in ideals if ideal & need == need]
-            charge(len(ideals), budget, "order-ideal lattice")
+            charge(len(ideals), "order-ideal lattice")
         ideals.sort()
         ideals.sort(key=int.bit_count)
         self._ideals = tuple(ideals)
@@ -260,7 +260,7 @@ def linear_extensions(poset: Poset) -> Iterator[tuple[int, ...]]:
     return extend(0)
 
 
-def descent_h_star(poset: Poset, *, budget: int | None = None) -> IntPolynomial:
+def descent_h_star(poset: Poset) -> IntPolynomial:
     """h*-polynomial of the order polytope via the descent statistic.
 
     Sum of z^{des(w)} over linear extensions w, descents taken against a
@@ -272,7 +272,7 @@ def descent_h_star(poset: Poset, *, budget: int | None = None) -> IntPolynomial:
     counts = [0] * max(poset.d, 1)
     rank: dict[int, int] = {}
     for walked, w in enumerate(linear_extensions(poset), 1):
-        charge(walked, budget, "linear-extension walk")
+        charge(walked, "linear-extension walk")
         rank = rank or {e: pos for pos, e in enumerate(w)}
         des = sum(1 for a, b in zip(w, w[1:]) if rank[a] > rank[b])
         counts[des] += 1
@@ -283,9 +283,7 @@ def descent_h_star(poset: Poset, *, budget: int | None = None) -> IntPolynomial:
 # order-preserving map counts
 
 
-def order_map_counts(
-    poset: Poset, n_max: int, strict: bool = False, *, budget: int | None = None
-) -> list[int]:
+def order_map_counts(poset: Poset, n_max: int, strict: bool = False) -> list[int]:
     """Exact map counts for n = 0..n_max via the order-ideal lattice.
 
     A weak map into {1..n} is a multichain of ideals empty = I_0 <= ... <= I_n
@@ -298,7 +296,7 @@ def order_map_counts(
     """
     if n_max < 0:
         raise InvalidInput("n must be nonnegative")
-    ideals = poset.order_ideals(budget)
+    ideals = poset.order_ideals()
     # sorting by the number of elements below gives a linear extension
     sizes = [m.bit_count() for m in poset._below]
     index = dict(zip(ideals, range(len(ideals))))
@@ -316,23 +314,21 @@ def order_map_counts(
     return counts
 
 
-def order_polynomial(
-    poset: Poset, strict: bool = False, *, budget: int | None = None
-) -> CountingPolynomial:
+def order_polynomial(poset: Poset, strict: bool = False) -> CountingPolynomial:
     """The (weak or strict) order polynomial, exact.
 
     Held by its map counts at n = 0..d, which fix the unique polynomial of
     degree at most d.  Counts come from the ideal-lattice walk, which
     matches the brute-force oracle everywhere it can run.
     """
-    return interpolate(order_map_counts(poset, poset.d, strict, budget=budget))
+    return interpolate(order_map_counts(poset, poset.d, strict))
 
 
 # ---------------------------------------------------------------------------
 # ideal-chain face counts
 
 
-def ideal_chain_f_vector(poset: Poset, *, budget: int | None = None) -> IntPolynomial:
+def ideal_chain_f_vector(poset: Poset) -> IntPolynomial:
     """Face-count polynomial of the canonical triangulation of the order polytope.
 
     Coefficient of z^i is the number of i-element chains in the lattice of
@@ -341,7 +337,7 @@ def ideal_chain_f_vector(poset: Poset, *, budget: int | None = None) -> IntPolyn
     :func:`~hstarlib.polynomial.f_to_h` with ambient dimension d reproduces
     the h*-polynomial.
     """
-    ideals = poset.order_ideals(budget)
+    ideals = poset.order_ideals()
     k = len(ideals)
     # strict-subset predecessor lists; ideals are sorted by popcount so
     # predecessors always precede their supersets

@@ -1,31 +1,65 @@
-"""The work-budget choke point."""
+"""The work-budget choke point and the budget in force."""
 
 import pytest
 
-from hstarlib.budget import DEFAULT_WORK_BUDGET, charge
+from hstarlib.budget import DEFAULT_WORK_BUDGET, charge, limit
 from hstarlib.errors import BudgetExceeded
 
 
 def test_amount_at_the_limit_is_admitted():
-    charge(10, 10, "walk")
-    charge(DEFAULT_WORK_BUDGET, None, "walk")
+    with limit(10):
+        charge(10, "walk")
+    charge(DEFAULT_WORK_BUDGET, "walk")
 
 
 def test_refusal_names_amount_and_limit():
-    with pytest.raises(BudgetExceeded, match="^walk needs 11 steps, budget is 10$"):
-        charge(11, 10, "walk")
+    with limit(10), pytest.raises(BudgetExceeded, match="^walk needs 11 steps, budget is 10$"):
+        charge(11, "walk")
 
 
 def test_refusal_names_the_default_budget_when_none_is_given():
-    limit = DEFAULT_WORK_BUDGET
-    message = f"^walk needs {limit + 1} steps, default budget is {limit}$"
+    cap = DEFAULT_WORK_BUDGET
+    message = f"^walk needs {cap + 1} steps, default budget is {cap}$"
     with pytest.raises(BudgetExceeded, match=message):
-        charge(limit + 1, None, "walk")
+        charge(cap + 1, "walk")
+    with limit(None), pytest.raises(BudgetExceeded, match=message):
+        charge(cap + 1, "walk")
 
 
 def test_numbers_past_the_digit_limit_are_bounded_by_a_power_of_two():
     # 10^5000 has more digits than an int may print; 2^16609 <= 10^5000
     message = "x needs at least 2^20000 steps, budget is at least 2^16609"
-    with pytest.raises(BudgetExceeded) as info:
-        charge(2**20000, 10**5000, "x")
+    with limit(10**5000), pytest.raises(BudgetExceeded) as info:
+        charge(2**20000, "x")
     assert str(info.value) == message
+
+
+def test_limits_nest_and_are_restored_on_the_way_out():
+    with limit(100):
+        with limit(5), pytest.raises(BudgetExceeded, match="budget is 5$"):
+            charge(6, "walk")
+        charge(100, "walk")
+        with pytest.raises(BudgetExceeded, match="budget is 100$"):
+            charge(101, "walk")
+    charge(DEFAULT_WORK_BUDGET, "walk")
+
+
+def test_an_allocation_is_held_to_the_default_budget():
+    cap = DEFAULT_WORK_BUDGET
+    message = f"^mask needs {cap + 1} steps, default budget is {cap}$"
+    with limit(10**12), pytest.raises(BudgetExceeded, match=message):
+        charge(cap + 1, "mask", allocation=True)
+    with limit(0):
+        charge(cap, "mask", allocation=True)
+
+
+def test_a_generator_charges_against_the_budget_where_it_is_iterated():
+    def walk():
+        charge(7, "walk")
+        yield
+
+    steps = walk()
+    with limit(6), pytest.raises(BudgetExceeded, match="budget is 6$"):
+        next(steps)
+    with limit(7):
+        assert list(walk()) == [None]

@@ -90,6 +90,18 @@ class TestChromatic:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: down-set mask over {message}, default budget is 5000000\n"
 
+    def test_mask_is_held_to_the_default_budget_under_a_raised_one(self, capsys, tmp_path):
+        # the 2^23-bit mask is an allocation: --budget does not raise its cap
+        path = tmp_path / "k23.graph"
+        path.write_text(Graph(23, combinations(range(1, 24), 2)).to_text())
+        code = main(["chromatic", str(path), "--budget", "1000000000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: down-set mask over 2^23 vertex sets needs 8388608 steps, "
+            "default budget is 5000000\n"
+        )
+
 
 class TestHstar:
     def test_simplex_file(self, capsys, tmp_path):
@@ -419,15 +431,19 @@ class TestInputFaults:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert err == "error: transitive closure needs 225000000 steps, default budget is 5000000\n"
+        assert err == "error: transitive closure needs 225000000 steps, budget is 10\n"
 
     def test_default_budget_is_named(self, capsys, tmp_path):
-        # the closure is charged to the default budget, not to --budget
+        # the closure is charged to --budget, and to the default without it
         path = tmp_path / "big.poset"
-        path.write_text("p 3000 0\n")
-        code, out, err = run_err(capsys, "decompose", "order", str(path), "--budget", "100000000")
+        path.write_text("p 40 0\n")
+        code, out, err = run_err(capsys, "decompose", "order", str(path), "--budget", "1000")
         assert (code, out) == (2, "")
-        assert err == "error: transitive closure needs 9000000 steps, default budget is 5000000\n"
+        assert err == "error: transitive closure needs 1600 steps, budget is 1000\n"
+        path.write_text("p 15000 0\n")
+        code, out, err = run_err(capsys, "decompose", "order", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: transitive closure needs 225000000 steps, default budget is 5000000\n"
 
     @pytest.mark.parametrize(
         "text",
@@ -480,11 +496,15 @@ class TestInputFaults:
         assert len(err.splitlines()) == 1 and err.startswith("error: normalized volume 0")
 
     def test_run_that_checked_nothing_exits_2(self, capsys):
-        # a zero budget skips all 95 checks on the 19 posets of size 3
-        code, out, err = run_err(capsys, "verify", "--posets", "3", "--budget", "0")
+        # a zero budget skips all 40 checks on the 8 graphs on 3 vertices
+        code, out, err = run_err(capsys, "verify", "--graphs", "3", "--budget", "0")
         assert code == 2
-        assert out.splitlines()[-1] == "19 inputs, 0 failures, 95 skipped checks"
+        assert out.splitlines()[-1] == "8 inputs, 0 failures, 40 skipped checks"
         assert err.startswith("error: no check ran")
+        # and refuses the 3 x 3 closure of every poset on 3 elements
+        code, out, err = run_err(capsys, "verify", "--posets", "3", "--budget", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: transitive closure needs 9 steps, budget is 0\n"
 
     def test_graph_budget_skip_names_the_ideal_count(self, capsys):
         # the edgeless graph on 3 vertices has one orientation, with 8 down-sets

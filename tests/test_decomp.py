@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstarlib import decomp
+from hstarlib.budget import limit
 from hstarlib.decomp import (
     ab_decompose,
     graph_decomposition,
@@ -431,11 +432,14 @@ class TestOrientationSum:
         # K4's 24 orientations are chains with 5 down-sets each; the ideal
         # count is charged first, so it is the first refusal below 5
         k4 = Graph(4, combinations(range(1, 5), 2))
-        assert fn(k4, budget=24) == fn(k4)
-        with pytest.raises(BudgetExceeded, match="^acyclic-orientation sweep needs 24 steps"):
-            fn(k4, budget=23)
-        with pytest.raises(BudgetExceeded, match="^order-ideal lattice needs 5 steps"):
-            fn(k4, budget=4)
+        with limit(24):
+            bounded = fn(k4)
+        assert bounded == fn(k4)
+        message = "^acyclic-orientation sweep needs 24 steps, budget is 23$"
+        with limit(23), pytest.raises(BudgetExceeded, match=message):
+            fn(k4)
+        with limit(4), pytest.raises(BudgetExceeded, match="^order-ideal lattice needs 5 steps"):
+            fn(k4)
 
     @pytest.mark.parametrize("fn", [graph_numerator, graph_decomposition])
     def test_wrong_chromatic_route_raises(self, monkeypatch, fn):

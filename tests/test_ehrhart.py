@@ -21,7 +21,6 @@ from hstarlib.ehrhart import (
     _checked_h_star,
     OrderPolytope,
     Simplex,
-    count_points,
     ehrhart_polynomial,
     h_star,
     load_polytope,
@@ -29,6 +28,7 @@ from hstarlib.ehrhart import (
     parse_polytope,
 )
 from hstarlib import ehrhart
+from hstarlib.budget import limit
 from hstarlib.errors import BudgetExceeded, InternalConsistencyError, InvalidInput
 from hstarlib.graph import Graph
 from hstarlib.harness import (
@@ -129,20 +129,20 @@ def assert_counts_match_brute(polytope):
     for n in range(polytope.dim + 3):
         for interior in (False, True):
             expected = box_points_brute(polytope, n, interior)
-            assert count_points(polytope, n, interior) == expected, (polytope, n, interior)
+            assert polytope.count_points(n, interior) == expected, (polytope, n, interior)
 
 
 class TestOrderPolytopeCounts:
     def test_chain2_dilate2(self):
-        assert count_points(OrderPolytope(CHAIN2), 2) == 6
+        assert OrderPolytope(CHAIN2).count_points(2) == 6
 
     def test_unit_square_corners(self):
-        assert count_points(OrderPolytope(ANTI2), 1) == 4
+        assert OrderPolytope(ANTI2).count_points(1) == 4
 
     def test_dilate_zero(self):
         op = OrderPolytope(CHAIN2)
-        assert count_points(op, 0) == 1
-        assert count_points(op, 0, interior=True) == 0
+        assert op.count_points(0) == 1
+        assert op.count_points(0, interior=True) == 0
 
     @pytest.mark.parametrize("interior", [False, True])
     def test_negative_n_rejected(self, interior):
@@ -150,7 +150,7 @@ class TestOrderPolytopeCounts:
         op = OrderPolytope(CHAIN2)
         for n in (-1, -2):
             with pytest.raises(InvalidInput, match="n must be nonnegative"):
-                count_points(op, n, interior)
+                op.count_points(n, interior)
             with pytest.raises(InvalidInput, match="n must be nonnegative"):
                 op.count_series(n, interior)
 
@@ -160,7 +160,7 @@ class TestOrderPolytopeCounts:
                 op = OrderPolytope(poset)
                 for n in range(4):
                     for interior in (False, True):
-                        assert count_points(op, n, interior) == order_polytope_points_brute(
+                        assert op.count_points(n, interior) == order_polytope_points_brute(
                             poset, n, interior
                         )
 
@@ -174,7 +174,7 @@ class TestOrderPolytopeCounts:
             for n in range(poset.d + 3):
                 assert ehr(n) == weak(n + 1)
                 if n >= 1:
-                    assert count_points(op, n, interior=True) == strict(n - 1)
+                    assert op.count_points(n, interior=True) == strict(n - 1)
 
 
 def fraction_det(matrix):
@@ -219,7 +219,7 @@ class TestSimplex:
         flipped = Simplex([(0, 0), (0, 2), (2, 0)])
         for n in range(4):
             for interior in (False, True):
-                assert count_points(flipped, n, interior) == count_points(TRIANGLE, n, interior)
+                assert flipped.count_points(n, interior) == TRIANGLE.count_points(n, interior)
 
     def test_rejects_affinely_dependent(self):
         with pytest.raises(InvalidInput):
@@ -235,10 +235,10 @@ class TestSimplex:
             Simplex([[]])
 
     def test_triangle_interior(self):
-        assert count_points(TRIANGLE, 2, interior=True) == 3
+        assert TRIANGLE.count_points(2, interior=True) == 3
 
     def test_triangle_closed_counts(self):
-        assert [count_points(TRIANGLE, n) for n in range(3)] == [1, 6, 15]
+        assert [TRIANGLE.count_points(n) for n in range(3)] == [1, 6, 15]
 
     def test_ehrhart(self):
         ehr = ehrhart_polynomial(TRIANGLE)
@@ -266,7 +266,7 @@ class TestSimplex:
             InternalConsistencyError,
             match=r"h\*\(1\) = 4 but the determinant gives normalized volume 5",
         ):
-            ehrhart._box_h_star(simplex, None)
+            ehrhart._box_h_star(simplex)
 
     def test_rows_alone_cut_out_the_simplex(self):
         # the vertices' bounding box is redundant: the barycentric rows in
@@ -277,8 +277,8 @@ class TestSimplex:
             rows_only = HRepPolytope(simplex.inequalities, simplex.d, wider)
             for n in range(4):
                 for interior in (False, True):
-                    expected = count_points(simplex, n, interior)
-                    assert count_points(rows_only, n, interior) == expected, (simplex, n)
+                    expected = simplex.count_points(n, interior)
+                    assert rows_only.count_points(n, interior) == expected, (simplex, n)
 
     @pytest.mark.parametrize(
         "interior, steps, points", [(False, 125, 35), (True, 27, 1)], ids=["closed", "interior"]
@@ -287,9 +287,11 @@ class TestSimplex:
         # 2 * [0, 2]^3 = [0, 4]^3 holds 5^3 box points, its interior box
         # [1, 3]^3 holds 3^3; the whole box is charged, not the points counted
         simplex = dilated_simplex(3, 2)
-        with pytest.raises(BudgetExceeded, match=f"needs {steps} steps, budget is {steps - 1}"):
-            count_points(simplex, 2, interior, budget=steps - 1)
-        assert count_points(simplex, 2, interior, budget=steps) == points
+        message = f"^bounding-box enumeration needs {steps} steps, budget is {steps - 1}$"
+        with limit(steps - 1), pytest.raises(BudgetExceeded, match=message):
+            simplex.count_points(2, interior)
+        with limit(steps):
+            assert simplex.count_points(2, interior) == points
 
     def test_unit_segment(self):
         segment = Simplex([(0,), (1,)])
@@ -315,7 +317,7 @@ class TestBoxWalker:
         # the seeded corpus covers the walker's corner cases
         assert any(p.dim == 1 for p in corpus)
         assert any(normal[-1] == 0 for p in corpus for normal, _ in p.inequalities)
-        assert any(count_points(p, 1) == 0 for p in corpus)
+        assert any(p.count_points(1) == 0 for p in corpus)
 
     @pytest.mark.parametrize(
         "rows, d",
@@ -336,7 +338,7 @@ class TestBoxWalker:
         wide = HRepPolytope(rows, d, box=([-4] * d, [8] * d))
         for n in range(d + 3):
             for interior in (False, True):
-                assert count_points(polytope, n, interior) == count_points(wide, n, interior)
+                assert polytope.count_points(n, interior) == wide.count_points(n, interior)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -363,7 +365,7 @@ class TestBoxWalker:
         image = Simplex([move(v) for v in vertices])
         for n in range(d + 2):
             for interior in (False, True):
-                assert count_points(image, n, interior) == count_points(simplex, n, interior)
+                assert image.count_points(n, interior) == simplex.count_points(n, interior)
 
 
 class TestHRep:
@@ -379,8 +381,8 @@ class TestHRep:
 
     def test_unit_square_counts(self):
         square = self.cube(2, 1)
-        assert [count_points(square, n) for n in range(3)] == [1, 4, 9]
-        assert count_points(square, 2, interior=True) == 1
+        assert [square.count_points(n) for n in range(3)] == [1, 4, 9]
+        assert square.count_points(2, interior=True) == 1
 
     def test_cube_h_star_is_eulerian(self):
         assert h_star(self.cube(3, 1)).coeffs == (1, 4, 1)
@@ -388,7 +390,7 @@ class TestHRep:
     def test_box_derived_by_propagation(self):
         # x, y >= 0 and x + y <= 2: no row bounds a coordinate on its own
         simplex = HRepPolytope([((-1, 0), 0), ((0, -1), 0), ((1, 1), 2)], 2)
-        assert [count_points(simplex, n) for n in range(3)] == [1, 6, 15]
+        assert [simplex.count_points(n) for n in range(3)] == [1, 6, 15]
 
     def test_rejects_unbounded(self):
         with pytest.raises(InvalidInput):
@@ -443,10 +445,20 @@ class TestHRep:
         with pytest.raises(BudgetExceeded, match="Fourier-Motzkin box derivation"):
             HRepPolytope(rows, 6)
 
+    def test_elimination_is_charged_to_the_budget_in_force(self):
+        # the 2-d cross-polytope: each of its two eliminations pairs 2 rows
+        # with 2 rows of 3 entries, 24 coefficients in all
+        rows = [(signs, 1) for signs in product((-1, 1), repeat=2)]
+        message = "^Fourier-Motzkin box derivation needs 24 steps, budget is 23$"
+        with limit(23), pytest.raises(BudgetExceeded, match=message):
+            HRepPolytope(rows, 2)
+        with limit(24):
+            assert HRepPolytope(rows, 2).box == ((-1, -1), (1, 1))
+
     def test_user_box_accepted(self):
         p = HRepPolytope([((1, 0), 5)], 2, box=([0, 0], [5, 5]))
         assert p.box == ((0, 0), (5, 5)) and all(type(x) is int for x in (*p.box[0], *p.box[1]))
-        assert count_points(p, 1) == 36
+        assert p.count_points(1) == 36
 
     def test_wrong_declared_dimension_caught(self):
         # a segment in the plane is not full-dimensional
@@ -465,7 +477,7 @@ def cross_polytope(d, k):
 
 def all_closed_counts_h_star(polytope):
     d = polytope.dim
-    return _checked_h_star([count_points(polytope, n) for n in range(d + 1)], d)
+    return _checked_h_star([polytope.count_points(n) for n in range(d + 1)], d)
 
 
 FLAT_MESSAGE = (
@@ -522,19 +534,22 @@ class TestHalfRoute:
         # closed boxes of [0, 2]^4: 5^4 = 625 at n = 2, 9^4 = 6561 at n = 4;
         # the half route walks nothing larger than the n = 2 box
         cube = dilated_cube(4, 2)
-        assert h_star(cube, budget=1000) == all_closed_counts_h_star(cube)
-        with pytest.raises(BudgetExceeded, match="needs 6561 steps, budget is 1000"):
-            count_points(cube, 4, budget=1000)
+        expected = all_closed_counts_h_star(cube)
+        with limit(1000):
+            assert h_star(cube) == expected
+            with pytest.raises(BudgetExceeded, match="needs 6561 steps, budget is 1000$"):
+                cube.count_points(4)
 
     def test_unimodular_simplex_needs_no_interior_point(self):
         # the unit 3-simplex has no interior point at n = 1, but its
         # determinant certifies full dimension: the largest box walked is
         # the n = 2 box [0, 2]^3 of 27 points, not the n = 3 box of 64
         simplex = dilated_simplex(3, 1)
-        assert count_points(simplex, 1, interior=True) == 0
-        assert h_star(simplex, budget=27).coeffs == (1,)
-        with pytest.raises(BudgetExceeded, match="needs 64 steps, budget is 27"):
-            count_points(simplex, 3, budget=27)
+        assert simplex.count_points(1, interior=True) == 0
+        with limit(27):
+            assert h_star(simplex).coeffs == (1,)
+            with pytest.raises(BudgetExceeded, match="needs 64 steps, budget is 27$"):
+                simplex.count_points(3)
 
 
 def shift_one_residue(group, modulus):
@@ -570,7 +585,7 @@ class TestParallelepipedRoute:
                     det, _ = _adjugate([list(c) for c in zip(*polytope.vertices)] + [[1] * (d + 1)])
                     signs.add(det > 0)
                     expected = all_closed_counts_h_star(polytope)
-                    assert ehrhart._parallelepiped_h_star(polytope, None) == expected, polytope
+                    assert ehrhart._parallelepiped_h_star(polytope) == expected, polytope
                     checked += 1
         assert checked >= 400 and signs == {False, True}
 
@@ -615,11 +630,11 @@ class TestParallelepipedRoute:
             h_star(TRIANGLE)
 
     def test_budget_is_charged_the_determinant_up_front(self):
-        with pytest.raises(
-            BudgetExceeded, match="fundamental-parallelepiped enumeration needs 4 steps, budget is 3"
-        ):
-            h_star(TRIANGLE, budget=3)
-        assert h_star(TRIANGLE, budget=4).coeffs == (1, 3)
+        message = "^fundamental-parallelepiped enumeration needs 4 steps, budget is 3$"
+        with limit(3), pytest.raises(BudgetExceeded, match=message):
+            h_star(TRIANGLE)
+        with limit(4):
+            assert h_star(TRIANGLE).coeffs == (1, 3)
         # |det| = 200^3 = 8 * 10^6 is over the default budget
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="needs 8000000 steps, default budget is 5000000"):
@@ -679,7 +694,7 @@ class TestHStar:
         ids=["simplex", "order", "hrep"],
     )
     def test_checks_in_order(self, monkeypatch, polytope, counts, error, message):
-        monkeypatch.setattr(ehrhart, "_closed_counts", lambda polytope, budget: counts)
+        monkeypatch.setattr(ehrhart, "_closed_counts", lambda polytope: counts)
         if error is None:
             # a bad volume is the user's fault only for a declared H-polytope
             declared = isinstance(polytope, HRepPolytope) and not isinstance(polytope, Simplex)
@@ -687,7 +702,7 @@ class TestHStar:
         # a simplex's counts are read only by its second route
         route = ehrhart._box_h_star if isinstance(polytope, Simplex) else ehrhart.h_star
         with pytest.raises(error, match=message) as info:
-            route(polytope, budget=None)
+            route(polytope)
         assert type(info.value) is error
 
     def test_at_one_is_normalized_volume(self):
@@ -723,7 +738,7 @@ class TestReciprocity:
         polytope = build(d, k)
         ehr = ehrhart_polynomial(polytope)
         for n in range(1, max(4, d + 2)):
-            assert ehr(-n) == (-1) ** d * count_points(polytope, n, interior=True)
+            assert ehr(-n) == (-1) ** d * polytope.count_points(n, interior=True)
 
     def test_user_box_cutting_the_polytope(self):
         # {x <= 5} inside the box [0, 5]^2 is the square [0, 5]^2: the box
@@ -731,7 +746,7 @@ class TestReciprocity:
         p = HRepPolytope([((1, 0), 5)], 2, box=([0, 0], [5, 5]))
         ehr = ehrhart_polynomial(p)
         for n in range(1, 4):
-            assert count_points(p, n, interior=True) == ehr(-n) == (5 * n - 1) ** 2
+            assert p.count_points(n, interior=True) == ehr(-n) == (5 * n - 1) ** 2
 
     def test_closed_forms(self):
         # the cube [0, 2]^2 has (2n+1)^2 points and (2n-1)^2 interior points
@@ -759,12 +774,12 @@ class TestOpenNumerator:
             d = poset.d
             series = expand_series(open_numerator(h_star(op), d), d, d + 2)
             for n in range(1, d + 3):
-                assert count_points(op, n, interior=True) == series[n]
+                assert op.count_points(n, interior=True) == series[n]
 
     def test_reciprocity_for_simplex(self):
         series = expand_series(open_numerator(h_star(TRIANGLE), 2), 2, 4)
         for n in range(1, 5):
-            assert count_points(TRIANGLE, n, interior=True) == series[n]
+            assert TRIANGLE.count_points(n, interior=True) == series[n]
 
 
 TEXT_FORMAT_ITEMS = [
@@ -805,7 +820,7 @@ class TestFileFormat:
         text = "hrep 2 1\n1 0 5\nbox 0 0 5 5\n"
         p = parse_polytope(text)
         assert isinstance(p, HRepPolytope)
-        assert count_points(p, 1) == 36
+        assert p.count_points(1) == 36
 
     def test_order_reference(self, tmp_path):
         (tmp_path / "chain.poset").write_text("p 2 1\nr 1 2\n")

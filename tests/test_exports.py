@@ -50,3 +50,17 @@ def test_every_export_is_used_outside_the_tests():
                 if name != own:
                     used.add(name)
     assert sorted(set(hstarlib.__all__) - used) == []
+
+
+def test_no_function_takes_a_budget():
+    # the budget in force is set by budget.limit and read by budget.charge
+    package = Path(hstarlib.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                offenders += [(path.name, node.lineno) for a in params if a.arg == "budget"]
+    assert offenders == []

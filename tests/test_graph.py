@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from hstarlib.budget import limit
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import (
     Graph,
@@ -253,9 +254,11 @@ class TestMaskMapCounts:
             for mask in acyclic_orientations(graph):
                 size = mask.bit_count()
                 assert size == len(orientation_poset(graph, mask).order_ideals())
-                with pytest.raises(BudgetExceeded, match=f"needs {size} steps"):
-                    _mask_map_counts(mask, graph.d, 3, budget=size - 1)
-                _mask_map_counts(mask, graph.d, 3, budget=size)
+                message = f"^order-ideal lattice needs {size} steps, budget is {size - 1}$"
+                with limit(size - 1), pytest.raises(BudgetExceeded, match=message):
+                    _mask_map_counts(mask, graph.d, 3)
+                with limit(size):
+                    _mask_map_counts(mask, graph.d, 3)
 
     def test_sweep_charges_the_mask_before_building_it(self):
         # 2^23 bits exceed the default budget: refused at once, no mask built
@@ -268,15 +271,15 @@ class TestMaskMapCounts:
     def test_packed_size_is_charged_before_packing(self):
         # a 20-vertex path has 2^20 vertex sets but only 21 down-sets per
         # orientation; its 2^20 fields of 88 bits exceed the default budget
-        # whatever budget the caller gives, and nothing large is cached
+        # whatever budget is in force, and nothing large is cached
         path = Graph(20, [(v, v + 1) for v in range(1, 20)])
         cached = _small_packing.cache_info().currsize
         with pytest.raises(BudgetExceeded, match="2\\^20 fields of 88 bits"):
             chromatic_via_orientations(path)
         mask = next(acyclic_orientations(path))
         assert mask.bit_count() == 21
-        with pytest.raises(BudgetExceeded, match="packed vector"):
-            _mask_map_counts(mask, 20, 2, budget=10**12)
+        with limit(10**12), pytest.raises(BudgetExceeded, match="packed vector"):
+            _mask_map_counts(mask, 20, 2)
         assert _small_packing.cache_info().currsize == cached
 
 
@@ -291,18 +294,23 @@ class TestColorings:
         assert count_proper_colorings(Graph(3), 2) == 8
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            count_proper_colorings(K3, 1000, budget=100)
+        message = "^enumeration of 1000\\^3 colorings needs 1000000000 steps, budget is 100$"
+        with limit(100), pytest.raises(BudgetExceeded, match=message):
+            count_proper_colorings(K3, 1000)
 
     def test_budget_is_charged_n_to_the_d(self):
-        assert count_proper_colorings(K3, 3, budget=27) == 6
-        with pytest.raises(BudgetExceeded):
-            count_proper_colorings(K3, 3, budget=26)
+        with limit(27):
+            assert count_proper_colorings(K3, 3) == 6
+        message = "^enumeration of 3\\^3 colorings needs 27 steps, budget is 26$"
+        with limit(26), pytest.raises(BudgetExceeded, match=message):
+            count_proper_colorings(K3, 3)
 
     def test_budget_refuses_before_searching(self):
         # 2^64 colorings: a search started before the charge would not end
-        with pytest.raises(BudgetExceeded):
-            count_proper_colorings(Graph(64), 2)
+        edgeless = Graph(64)
+        message = "^enumeration of 2\\^64 colorings needs 18446744073709551616 steps, default"
+        with pytest.raises(BudgetExceeded, match=message):
+            count_proper_colorings(edgeless, 2)
 
     def test_one_color_on_many_vertices(self):
         # deeper than the recursion limit; one color is charged only 1

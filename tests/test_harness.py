@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from hstarlib.budget import limit
 from hstarlib.ehrhart import HRepPolytope, Simplex
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import Graph
@@ -104,7 +105,8 @@ class TestVerifyAll:
         # three disjoint 4-chains: 125 ideals fit the budget, 34650
         # linear extensions do not
         chains = Poset(12, [(c + k, c + k + 1) for c in (1, 5, 9) for k in range(3)])
-        (report,) = verify_all([chains], ["hstar3way"], budget=200)
+        with limit(200):
+            (report,) = verify_all([chains], ["hstar3way"])
         (check,) = report.checks
         assert check.status == "skip"
         assert check.detail == "skipped: linear-extension walk needs 201 steps, budget is 200"
@@ -200,10 +202,12 @@ class TestVerifyAll:
         assert (summary.failures, summary.checks_run) == (2, 4)
 
     def test_budget_exhaustion_reported_as_skip(self):
-        (report,) = list(verify_all([Poset(5)], ["hstar3way"], budget=3))
+        antichain = Poset(5)
+        with limit(3):
+            (report,) = verify_all([antichain], ["hstar3way"])
         (check,) = report.checks
         assert check.passed is None
-        assert "skip" in check.detail
+        assert check.detail == "skipped: order-ideal lattice needs 4 steps, budget is 3"
 
     def test_time_limit_skips_remaining_checks(self):
         (report,) = list(verify_all([Poset(4)], ["thm1.2", "conj6.2"], time_limit=0.0))

@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from hstarlib.budget import limit
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.harness import enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial, f_to_h
@@ -85,6 +86,15 @@ class TestConstruction:
     def test_cover_relations_drop_implied(self):
         p = Poset(3, [(1, 2), (2, 3), (1, 3)])
         assert p.cover_relations == ((1, 2), (2, 3))
+
+    def test_closure_is_charged_to_the_budget_in_force(self):
+        # 2237^2 closure steps are one past the default budget
+        steps = 2237**2
+        message = f"^transitive closure needs {steps} steps, default budget is 5000000$"
+        with pytest.raises(BudgetExceeded, match=message):
+            Poset(2237)
+        with limit(steps):
+            assert Poset(2237).d == 2237
 
     def test_rejects_cycle_with_diagnostic(self):
         with pytest.raises(InvalidInput, match="cycle"):
@@ -194,12 +204,14 @@ class TestDescents:
     def test_walk_is_charged_its_running_count(self):
         # 3! extensions of the 3-antichain; three disjoint 4-chains have
         # 12! / (4!)^3 = 34650, and the walk stops at the 201st
-        assert descent_h_star(ANTI3, budget=6).coeffs == (1, 4, 1)
-        with pytest.raises(BudgetExceeded, match="walk needs 6 steps, budget is 5$"):
-            descent_h_star(ANTI3, budget=5)
+        with limit(6):
+            assert descent_h_star(ANTI3).coeffs == (1, 4, 1)
+        with limit(5), pytest.raises(BudgetExceeded, match="walk needs 6 steps, budget is 5$"):
+            descent_h_star(ANTI3)
         chains = Poset(12, [(c + k, c + k + 1) for c in (1, 5, 9) for k in range(3)])
-        with pytest.raises(BudgetExceeded, match="walk needs 201 steps, budget is 200$"):
-            descent_h_star(chains, budget=200)
+        message = "walk needs 201 steps, budget is 200$"
+        with limit(200), pytest.raises(BudgetExceeded, match=message):
+            descent_h_star(chains)
 
     def test_labeling_independent_of_input_labels(self):
         # same unlabeled vee, relabeled: descent polynomial is unchanged
@@ -222,8 +234,9 @@ class TestOrderMaps:
         assert count_order_maps(Poset(0), 0) == 1
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
-            count_order_maps(ANTI3, 100, budget=1000)
+        message = "^enumeration of 100\\^3 maps needs 1000000 steps, budget is 1000$"
+        with limit(1000), pytest.raises(BudgetExceeded, match=message):
+            count_order_maps(ANTI3, 100)
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_ideal_walk_rejects_negative_n(self, strict):
@@ -301,23 +314,28 @@ class TestOrderIdealBudget:
     """The lattice is charged its size, so it refuses exactly above |J(P)|."""
 
     def test_antichain_threshold(self):
-        with pytest.raises(BudgetExceeded):
-            Poset(10).order_ideals(budget=1023)
-        assert len(Poset(10).order_ideals(budget=1024)) == 1024
+        refused, built = Poset(10), Poset(10)
+        message = "^order-ideal lattice needs 1024 steps, budget is 1023$"
+        with limit(1023), pytest.raises(BudgetExceeded, match=message):
+            refused.order_ideals()
+        with limit(1024):
+            assert len(built.order_ideals()) == 1024
 
     def test_chain_threshold(self):
-        def chain():
-            return Poset(10, [(i, i + 1) for i in range(1, 10)])
-
-        with pytest.raises(BudgetExceeded):
-            chain().order_ideals(budget=10)
-        assert len(chain().order_ideals(budget=11)) == 11
+        refused, built = (Poset(10, [(i, i + 1) for i in range(1, 10)]) for _ in range(2))
+        message = "^order-ideal lattice needs 11 steps, budget is 10$"
+        with limit(10), pytest.raises(BudgetExceeded, match=message):
+            refused.order_ideals()
+        with limit(11):
+            assert len(built.order_ideals()) == 11
 
     def test_refusal_caches_nothing(self):
         poset = Poset(10)
-        with pytest.raises(BudgetExceeded):
-            poset.order_ideals(budget=1023)
-        assert len(poset.order_ideals(budget=1024)) == 1024
+        message = "^order-ideal lattice needs 1024 steps, budget is 1023$"
+        with limit(1023), pytest.raises(BudgetExceeded, match=message):
+            poset.order_ideals()
+        with limit(1024):
+            assert len(poset.order_ideals()) == 1024
 
 
 class TestIdealChains:
@@ -331,8 +349,10 @@ class TestIdealChains:
         assert ideal_chain_f_vector(Poset(1)).coeffs == (1, 2, 1)
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
-            Poset(10).order_ideals(budget=100)
+        antichain = Poset(10)
+        message = "^order-ideal lattice needs 128 steps, budget is 100$"
+        with limit(100), pytest.raises(BudgetExceeded, match=message):
+            ideal_chain_f_vector(antichain)
 
     def test_f_to_h_bridge(self):
         for poset in enumerate_labeled_posets(4):
