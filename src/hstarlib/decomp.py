@@ -14,6 +14,16 @@ signs: each result carries the parts, and callers read the verdict off
 them.  The chromatic series is built over acyclic orientations in one
 place, ``_orientation_sum``, and checked there against the
 deletion-contraction route, which each graph runs once and caches.
+
+That route is memoised by value for the whole run, because a graph's
+checks sweep its orientations more than once and different graphs share
+orientation posets: each down-set mask's map counts (in ``graph``), each
+count vector's checked h*, and, for ``graph_decomposition``, each h*'s
+order split.  The memos are bounded (``hstarlib.memo``), and every check
+that compares two routes still runs on every call.  Every budget charge
+is made on every call too, hit or miss, so whether an input is refused
+never depends on what earlier inputs left in a memo.  The public
+``order_decomposition`` and ``ehrhart._checked_h_star`` are not memoised.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .budget import charge
 from .ehrhart import _checked_h_star, open_numerator
 from .errors import InternalConsistencyError, InvalidInput
 from .graph import Graph, _mask_map_counts, acyclic_orientations, chromatic_polynomial
+from .memo import Memo
 from .polynomial import IntPolynomial, series_numerator
 
 
@@ -171,13 +182,20 @@ def _orientation_sum(graph: Graph) -> tuple[dict[IntPolynomial, int], IntPolynom
     numerator of the chromatic polynomial, shifted by z, would be a bug in
     this library, not a property of the graph.  The running count of
     orientations walked is charged after each one's counts are read.
+
+    The map counts and the checked h* come from the run-wide memos (see
+    the module docstring), so the second sweep of a graph, and any mask or
+    count vector an earlier graph met, costs lookups only; the sweep, its
+    charges and the deletion-contraction check run on every call.
     """
     d = graph.d
     closed: Counter[tuple[int, ...]] = Counter()
     for walked, ideals in enumerate(acyclic_orientations(graph), 1):
         closed[tuple(_mask_map_counts(ideals, d, d + 1)[1:])] += 1
         charge(walked, "acyclic-orientation sweep")
-    hstars = {_checked_h_star(counts, d): k for counts, k in closed.items()}
+    hstars = {
+        _h_stars(counts, lambda: _checked_h_star(counts, d)): k for counts, k in closed.items()
+    }
     zh = IntPolynomial.zero()
     for hs, count in hstars.items():
         zh = zh + count * open_numerator(hs, d)
@@ -204,21 +222,22 @@ def graph_numerator(graph: Graph) -> IntPolynomial:
 def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """Split z h_G as a + z b by summing order decompositions over orientations.
 
-    Each distinct orientation h* is split once (with its reconstruction
-    checks) and its parts are added with that h*'s count.  The closed
-    formulas are linear, so the sums must equal the direct split
-    ``ab_decompose(z h_G, d + 1)``, which is compared.  That split's own
-    verification covers the rest: z h_G has degree d + 1 (its top
-    coefficient counts the acyclic orientations, at least one), so l = 1,
-    s = d + 1, and a + z b = z h_G with a palindromic about d + 1 and b
-    about d.  b and -a are nonnegative for every graph.
+    Each distinct orientation h* is split once per run (with its
+    reconstruction checks), memoised by (h*, d), and its parts are added
+    with that h*'s count.  The closed formulas are linear, so the sums
+    must equal the direct split ``ab_decompose(z h_G, d + 1)``, which is
+    compared on every call.  That split's own verification covers the rest:
+    z h_G has degree d + 1 (its top coefficient counts the acyclic
+    orientations, at least one), so l = 1, s = d + 1, and a + z b = z h_G
+    with a palindromic about d + 1 and b about d.  b and -a are
+    nonnegative for every graph.
     """
     d = graph.d
     hstars, zh = _orientation_sum(graph)
     a = IntPolynomial.zero()
     b = IntPolynomial.zero()
     for hs, count in hstars.items():
-        a_pi, b_pi = order_decomposition(hs, d)
+        a_pi, b_pi = _order_splits((hs, d), lambda: order_decomposition(hs, d))
         a = a + count * a_pi
         b = b + count * b_pi
     direct = ab_decompose(zh, d + 1)
@@ -227,6 +246,12 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
             f"orientation sum disagrees with the direct split of z h_G for {graph!r}"
         )
     return a, b
+
+
+# run-wide memos of the orientation route: the checked h* of each closed
+# count vector (its length fixes d), and the order split of each (h*, d)
+_h_stars = Memo(1 << 12)
+_order_splits = Memo(1 << 12)
 
 
 class InequalityLine(NamedTuple):

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 
 from .budget import charge
 from .errors import InvalidInput
+from .memo import Memo
 from .polynomial import CountingPolynomial, IntPolynomial, interpolate
 from .poset import Poset, TextFormat, read_text, write_text
 
@@ -108,21 +109,31 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
     int ``ideals``: bit S is set iff the vertex set S is a down-set of the
     partial orientation.  Orienting u -> v clears the sets that hold v
     without u.  That direction closes a cycle iff no down-set holds u
-    without v (v already reaches u), which prunes the whole subtree.
+    without v (v already reaches u), which prunes the whole subtree.  The
+    walk keeps its own stack of (edges oriented, ideals), i -> j on top, so
+    the orientations come depth first, i -> j before j -> i at every edge.
     """
     splits = _edge_splits(graph)
+    full = (1 << (1 << graph.d)) - 1
+    # per edge: the test and the narrowed mask of i -> j, then of j -> i
+    steps = [(i_only, full ^ j_only, j_only, full ^ i_only) for _, _, i_only, j_only in splits]
+    last = len(steps)
 
-    def orient(k: int, ideals: int) -> Iterator[int]:
-        if k == len(splits):
-            yield ideals
-            return
-        _, _, i_only, j_only = splits[k]
-        if ideals & i_only:  # i -> j
-            yield from orient(k + 1, ideals & ~j_only)
-        if ideals & j_only:  # j -> i
-            yield from orient(k + 1, ideals & ~i_only)
+    def walk() -> Iterator[int]:
+        stack = [(0, full)]
+        while stack:
+            k, ideals = stack.pop()
+            if k == last:
+                yield ideals
+                continue
+            i_only, i_to_j, j_only, j_to_i = steps[k]
+            k += 1
+            if ideals & j_only:
+                stack.append((k, ideals & j_to_i))
+            if ideals & i_only:
+                stack.append((k, ideals & i_to_j))
 
-    return orient(0, (1 << (1 << graph.d)) - 1)
+    return walk()
 
 
 def count_acyclic_orientations(graph: Graph) -> int:
@@ -157,12 +168,25 @@ def _mask_map_counts(ideals: int, d: int, n_max: int, strict: bool = False) -> l
     subset zeta transform, one shift-and-add per element, and then zeroes
     the non-ideal fields; a strict step zeroes them after each element,
     taken in a reversed linear extension, so only antichains of maximal
-    elements are added.  The count is the top field, the full set.  Charges
-    |J(P)| as ``order_ideals`` does, then 2^d * w as an allocation.
+    elements are added.  The count is the top field, the full set.
+
+    Charges |J(P)| as ``order_ideals`` does, then 2^d * w as an allocation.
+    The transform is memoised for the whole run by (mask, d, n_max,
+    strict), so a mask that an earlier sweep met, of this graph or of
+    another, is not transformed again.  Both charges are made on every
+    call, hit or miss, so whether a call is refused never depends on what
+    the memo holds.  Each call gets a list of its own.
     """
     charge(ideals.bit_count(), "order-ideal lattice")
     w = (n_max**d).bit_length() + 1
     charge(w << d, f"packed vector of 2^{d} fields of {w} bits", allocation=True)
+    key = (ideals, d, n_max, strict)
+    return list(_map_counts(key, lambda: _packed_counts(ideals, d, n_max, w, strict)))
+
+
+def _packed_counts(ideals: int, d: int, n_max: int, w: int, strict: bool) -> tuple[int, ...]:
+    """The transform of :func:`_mask_map_counts` in fields of w bits, as the
+    one tuple kept per distinct count vector."""
     _, passes, deposit = _packing(d, w)
     spread = ideals
     for move, shift in deposit:
@@ -184,7 +208,15 @@ def _mask_map_counts(ideals: int, d: int, n_max: int, strict: bool = False) -> l
                 vec += (vec & keep) << shift
             vec &= spread
         counts.append(vec >> top)
-    return counts
+    vector = tuple(counts)
+    return _count_vectors(vector, lambda: vector)
+
+
+# run-wide memos: the transform of each (mask, d, n_max, strict), at most
+# 16 384 of them (their mask keys dominate: 2^d bits each), and one shared
+# tuple per distinct count vector, of which there are far fewer
+_map_counts = Memo(1 << 14)
+_count_vectors = Memo(1 << 12)
 
 
 def count_proper_colorings(graph: Graph, n: int) -> int:

@@ -136,9 +136,10 @@ class Poset:
 
         Built by inserting the elements along a linear extension: once the
         elements below e are in, the ideals gained by e are I | e for every
-        ideal I so far that contains all of them.  Cached on the poset; the
-        lattice size is charged after each element, so it refuses exactly
-        when |J(P)| exceeds the budget.
+        ideal I so far that contains all of them.  Cached on the poset.  The
+        ideals e gains are counted, and the lattice size with them charged,
+        before they are built, so the budget refuses exactly when |J(P)|
+        exceeds it, and with no more than the budget's worth built.
         """
         if self._ideals is not None:
             return self._ideals
@@ -147,8 +148,9 @@ class Poset:
         # sorting by the number of elements below gives a linear extension
         for e in sorted(range(self.d), key=lambda v: below[v].bit_count()):
             bit, need = 1 << e, below[e]
-            ideals += [ideal | bit for ideal in ideals if ideal & need == need]
-            charge(len(ideals), "order-ideal lattice")
+            fits = [ideal for ideal in ideals if ideal & need == need]
+            charge(len(ideals) + len(fits), "order-ideal lattice")
+            ideals += [ideal | bit for ideal in fits]
         ideals.sort()
         ideals.sort(key=int.bit_count)
         self._ideals = tuple(ideals)

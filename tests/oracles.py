@@ -4,6 +4,7 @@ from itertools import product
 
 from hstarlib.budget import charge
 from hstarlib.errors import InvalidInput
+from hstarlib.graph import _edge_splits
 from hstarlib.poset import Poset
 
 
@@ -32,3 +33,24 @@ def count_order_maps(poset: Poset, n: int, strict: bool = False) -> int:
             if all(phi[i] <= phi[j] for i, j in covers):
                 total += 1
     return total
+
+
+def recursive_acyclic_orientations(graph):
+    """The orientation walk as a recursive generator, one ``yield from``
+    per edge: i -> j is walked before j -> i at every edge, and a direction
+    that no down-set allows closes a cycle and prunes its subtree.  The
+    library's explicit-stack walk must yield the same masks in this order.
+    """
+    splits = _edge_splits(graph)
+
+    def orient(k, ideals):
+        if k == len(splits):
+            yield ideals
+            return
+        _, _, i_only, j_only = splits[k]
+        if ideals & i_only:  # i -> j
+            yield from orient(k + 1, ideals & ~j_only)
+        if ideals & j_only:  # j -> i
+            yield from orient(k + 1, ideals & ~i_only)
+
+    return orient(0, (1 << (1 << graph.d)) - 1)

@@ -21,7 +21,7 @@ from hstarlib.graph import (
 from hstarlib.harness import enumerate_labeled_graphs, random_instances
 from hstarlib.polynomial import IntPolynomial, interpolate
 from hstarlib.poset import Poset, order_map_counts
-from oracles import count_order_maps
+from oracles import count_order_maps, recursive_acyclic_orientations
 
 K2 = Graph(2, [(1, 2)])
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -145,6 +145,12 @@ class TestAcyclicOrientations:
                 ours = list(acyclic_orientations(graph))
                 assert len(ours) == len(set(ours))  # each exactly once
                 assert set(ours) == set(brute_masks(graph))
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_order_matches_the_recursive_walk(self, d):
+        for graph in enumerate_labeled_graphs(d):
+            walked = list(acyclic_orientations(graph))
+            assert walked == list(recursive_acyclic_orientations(graph)), graph
 
     def test_count_equals_chi_at_minus_one(self):
         for graph in enumerate_labeled_graphs(4):

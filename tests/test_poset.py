@@ -6,6 +6,7 @@ small corpus.
 """
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -336,6 +337,23 @@ class TestOrderIdealBudget:
             poset.order_ideals()
         with limit(1024):
             assert len(poset.order_ideals()) == 1024
+
+    def test_refusal_comes_before_the_lattice_is_built(self):
+        # the antichain on 20 elements has 2^20 ideals; refused at 10^6, it
+        # holds at most the 2^19 ideals of its first 19 elements
+        message = "^order-ideal lattice needs 1048576 steps, budget is 1000000$"
+        tracemalloc.start()
+        try:
+            with limit(10**6), pytest.raises(BudgetExceeded, match=message):
+                Poset(20).order_ideals()
+            refused = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with limit(2**20):
+                assert len(Poset(20).order_ideals()) == 2**20
+            built = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused < 0.6 * built, (refused, built)
 
 
 class TestIdealChains:
