@@ -19,17 +19,17 @@ That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share
 orientation posets: each down-set mask's map counts (in ``graph``), each
 count vector's checked h*, and, for ``graph_decomposition``, each h*'s
-order split.  The memos are bounded (``hstarlib.memo``), and every check
-that compares two routes still runs on every call.  Every budget charge
-is made on every call too, hit or miss, so whether an input is refused
-never depends on what earlier inputs left in a memo.  The public
-``order_decomposition`` and ``ehrhart._checked_h_star`` are not memoised.
+order split, in bounded ``lru_cache``s.  Every cross-route check and every
+charge against the budget in force runs on every call; the one charge
+made on a miss only, an allocation, is held to the default budget, so no
+refusal depends on what a cache holds.  The public
+``order_decomposition`` and ``ehrhart._checked_h_star`` are not cached.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Literal, NamedTuple
@@ -38,12 +38,10 @@ from .budget import charge
 from .ehrhart import _checked_h_star, open_numerator
 from .errors import InternalConsistencyError, InvalidInput
 from .graph import Graph, _mask_map_counts, acyclic_orientations, chromatic_polynomial
-from .memo import Memo
 from .polynomial import IntPolynomial, series_numerator
 
 
-@dataclass(frozen=True)
-class SymmetricDecomposition:
+class SymmetricDecomposition(NamedTuple):
     """Result of splitting (1 + ... + z^{l-1}) h into a + z^l b.
 
     d is the ambient degree parameter, s the degree of the decomposed h,
@@ -183,19 +181,16 @@ def _orientation_sum(graph: Graph) -> tuple[dict[IntPolynomial, int], IntPolynom
     this library, not a property of the graph.  The running count of
     orientations walked is charged after each one's counts are read.
 
-    The map counts and the checked h* come from the run-wide memos (see
-    the module docstring), so the second sweep of a graph, and any mask or
-    count vector an earlier graph met, costs lookups only; the sweep, its
-    charges and the deletion-contraction check run on every call.
+    The map counts and checked h* come from the run-wide caches, so a mask
+    or count vector met before, in this graph or another, costs a lookup;
+    the sweep, its charges and the deletion-contraction check always run.
     """
     d = graph.d
     closed: Counter[tuple[int, ...]] = Counter()
     for walked, ideals in enumerate(acyclic_orientations(graph), 1):
         closed[tuple(_mask_map_counts(ideals, d, d + 1)[1:])] += 1
         charge(walked, "acyclic-orientation sweep")
-    hstars = {
-        _h_stars(counts, lambda: _checked_h_star(counts, d)): k for counts, k in closed.items()
-    }
+    hstars = {_h_stars(counts, d): k for counts, k in closed.items()}
     zh = IntPolynomial.zero()
     for hs, count in hstars.items():
         zh = zh + count * open_numerator(hs, d)
@@ -223,7 +218,7 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """Split z h_G as a + z b by summing order decompositions over orientations.
 
     Each distinct orientation h* is split once per run (with its
-    reconstruction checks), memoised by (h*, d), and its parts are added
+    reconstruction checks), cached by (h*, d), and its parts are added
     with that h*'s count.  The closed formulas are linear, so the sums
     must equal the direct split ``ab_decompose(z h_G, d + 1)``, which is
     compared on every call.  That split's own verification covers the rest:
@@ -237,7 +232,7 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     a = IntPolynomial.zero()
     b = IntPolynomial.zero()
     for hs, count in hstars.items():
-        a_pi, b_pi = _order_splits((hs, d), lambda: order_decomposition(hs, d))
+        a_pi, b_pi = _order_splits(hs, d)
         a = a + count * a_pi
         b = b + count * b_pi
     direct = ab_decompose(zh, d + 1)
@@ -248,10 +243,15 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     return a, b
 
 
-# run-wide memos of the orientation route: the checked h* of each closed
-# count vector (its length fixes d), and the order split of each (h*, d)
-_h_stars = Memo(1 << 12)
-_order_splits = Memo(1 << 12)
+# run-wide caches of the orientation route: the checked h* of each closed
+# count vector and its d, and the order split of each (h*, d), found through
+# the module global, so ``order_decomposition`` stays uncached
+_h_stars = lru_cache(maxsize=1 << 12)(_checked_h_star)
+
+
+@lru_cache(maxsize=1 << 12)
+def _order_splits(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, IntPolynomial]:
+    return order_decomposition(hstar, d)
 
 
 class InequalityLine(NamedTuple):

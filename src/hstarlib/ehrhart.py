@@ -33,7 +33,7 @@ from typing import Sequence
 from .budget import charge
 from .errors import InternalConsistencyError, InvalidInput
 from .polynomial import CountingPolynomial, IntPolynomial, _numerator_coeffs, interpolate, reverse
-from .poset import Poset, TextFormat, order_map_counts, read_text, write_text
+from .poset import Poset, TextFormat, integer, order_map_counts, read_text, write_text
 
 
 def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -160,22 +160,23 @@ class HRepPolytope:
         d: int,
         box: tuple[Sequence[int], Sequence[int]] | None = None,
     ) -> None:
+        d = integer(d)
         if d < 1:
             raise InvalidInput("HRep dimension must be at least 1")
         self.d = d
         rows = []
         for normal, bound in inequalities:
-            normal = tuple(int(c) for c in normal)
+            normal = tuple(map(integer, normal))
             if len(normal) != d:
                 raise InvalidInput("normal vector of wrong dimension")
-            rows.append((normal, int(bound)))
+            rows.append((normal, integer(bound)))
         self.inequalities: tuple[tuple[tuple[int, ...], int], ...] = tuple(rows)
         self.non_lattice: int | None = None
         if box is not None:
             lo, hi = box
             if len(lo) != d or len(hi) != d:
                 raise InvalidInput("box must give d lower and d upper bounds")
-            self.user_box = self.box = (tuple(int(x) for x in lo), tuple(int(x) for x in hi))
+            self.user_box = self.box = (tuple(map(integer, lo)), tuple(map(integer, hi)))
         else:
             self.user_box = None
             self.box = self._derive_box()
@@ -266,7 +267,7 @@ class Simplex(HRepPolytope):
     __slots__ = ("vertices", "volume", "adjugate")
 
     def __init__(self, vertices: Sequence[Sequence[int]]) -> None:
-        verts = tuple(tuple(int(c) for c in v) for v in vertices)
+        verts = tuple(tuple(map(integer, v)) for v in vertices)
         if not verts:
             raise InvalidInput("simplex needs vertices")
         d = len(verts[0])

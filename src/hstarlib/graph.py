@@ -16,9 +16,8 @@ from typing import Iterable, Iterator
 
 from .budget import charge
 from .errors import InvalidInput
-from .memo import Memo
 from .polynomial import CountingPolynomial, IntPolynomial, interpolate
-from .poset import Poset, TextFormat, read_text, write_text
+from .poset import Poset, TextFormat, integer, read_text, write_text
 
 
 class Graph:
@@ -27,11 +26,13 @@ class Graph:
     __slots__ = ("d", "edges", "_chi")
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        d = integer(d)
         if d < 0:
             raise InvalidInput("vertex count must be nonnegative")
         self.d = d
         normalized = []
         for i, j in edges:
+            i, j = integer(i), integer(j)
             if not (1 <= i <= d and 1 <= j <= d):
                 raise InvalidInput(f"edge ({i}, {j}) out of range 1..{d}")
             if i == j:
@@ -170,23 +171,22 @@ def _mask_map_counts(ideals: int, d: int, n_max: int, strict: bool = False) -> l
     taken in a reversed linear extension, so only antichains of maximal
     elements are added.  The count is the top field, the full set.
 
-    Charges |J(P)| as ``order_ideals`` does, then 2^d * w as an allocation.
-    The transform is memoised for the whole run by (mask, d, n_max,
-    strict), so a mask that an earlier sweep met, of this graph or of
-    another, is not transformed again.  Both charges are made on every
-    call, hit or miss, so whether a call is refused never depends on what
-    the memo holds.  Each call gets a list of its own.
+    Charges |J(P)| as ``order_ideals`` does, on every call.  The transform
+    is cached for the whole run by (mask, d, n_max, strict), so a mask that
+    an earlier sweep met, of this graph or of another, is not transformed
+    again; it charges 2^d * w as an allocation, and no refusal is cached.
+    Each call gets a list of its own.
     """
     charge(ideals.bit_count(), "order-ideal lattice")
-    w = (n_max**d).bit_length() + 1
-    charge(w << d, f"packed vector of 2^{d} fields of {w} bits", allocation=True)
-    key = (ideals, d, n_max, strict)
-    return list(_map_counts(key, lambda: _packed_counts(ideals, d, n_max, w, strict)))
+    return list(_packed_counts(ideals, d, n_max, strict))
 
 
-def _packed_counts(ideals: int, d: int, n_max: int, w: int, strict: bool) -> tuple[int, ...]:
+@lru_cache(maxsize=1 << 14)  # its mask keys dominate: 2^d bits each
+def _packed_counts(ideals: int, d: int, n_max: int, strict: bool) -> tuple[int, ...]:
     """The transform of :func:`_mask_map_counts` in fields of w bits, as the
     one tuple kept per distinct count vector."""
+    w = (n_max**d).bit_length() + 1
+    charge(w << d, f"packed vector of 2^{d} fields of {w} bits", allocation=True)
     _, passes, deposit = _packing(d, w)
     spread = ideals
     for move, shift in deposit:
@@ -208,15 +208,12 @@ def _packed_counts(ideals: int, d: int, n_max: int, w: int, strict: bool) -> tup
                 vec += (vec & keep) << shift
             vec &= spread
         counts.append(vec >> top)
-    vector = tuple(counts)
-    return _count_vectors(vector, lambda: vector)
+    return _count_vectors(tuple(counts))
 
 
-# run-wide memos: the transform of each (mask, d, n_max, strict), at most
-# 16 384 of them (their mask keys dominate: 2^d bits each), and one shared
-# tuple per distinct count vector, of which there are far fewer
-_map_counts = Memo(1 << 14)
-_count_vectors = Memo(1 << 12)
+# one tuple per distinct count vector, of which there are far fewer than
+# masks: ``tuple`` returns a tuple unchanged, so the first one met is kept
+_count_vectors = lru_cache(maxsize=1 << 12)(tuple)
 
 
 def count_proper_colorings(graph: Graph, n: int) -> int:

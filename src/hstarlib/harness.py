@@ -41,10 +41,10 @@ import math
 import random
 import threading
 import time
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import decomp
 from .ehrhart import HRepPolytope, OrderPolytope, Simplex, _box_h_star, h_star, open_numerator
@@ -155,8 +155,7 @@ def dilated_cube(d: int, k: int) -> HRepPolytope:
 # reports
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check on one input; passed is None when skipped.
 
     ``error`` marks a failure that is an unexpected exception (not an
@@ -167,7 +166,7 @@ class CheckResult:
     name: str
     passed: bool | None
     detail: str = ""
-    witnesses: dict[str, list[str]] = field(default_factory=dict)
+    witnesses: Mapping[str, list[str]] = MappingProxyType({})  # shared, so read-only
     error: bool = False
 
     @property
@@ -185,8 +184,7 @@ class CheckResult:
         return record
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-input record: serialized input, check outcomes, wall-clock time."""
 
     index: int
@@ -214,12 +212,9 @@ class VerificationReport:
         }
 
 
-@dataclass
 class Summary:
-    inputs: int = 0
-    failures: int = 0
-    skipped: int = 0
-    checks_run: int = 0
+    def __init__(self) -> None:
+        self.inputs = self.failures = self.skipped = self.checks_run = 0
 
     def add(self, report: VerificationReport) -> None:
         self.inputs += 1

@@ -12,6 +12,7 @@ format is a :class:`TextFormat` kept next to the class it builds.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import charge
@@ -38,6 +39,7 @@ class Poset:
     __slots__ = ("d", "_above", "_below", "_ideals")
 
     def __init__(self, d: int, relations: Iterable[tuple[int, int]] = ()) -> None:
+        d = integer(d)
         if d < 0:
             raise InvalidInput("poset size must be nonnegative")
         charge(d * d, "transitive closure")
@@ -45,6 +47,7 @@ class Poset:
         above: list[int] = [0] * d
         pairs = []
         for i, j in relations:
+            i, j = integer(i), integer(j)
             if not (1 <= i <= d and 1 <= j <= d):
                 raise InvalidInput(f"relation ({i}, {j}) out of range 1..{d}")
             if i == j:
@@ -159,6 +162,14 @@ class Poset:
 
 # ---------------------------------------------------------------------------
 # text formats
+
+
+def integer(value) -> int:
+    """``value`` through ``operator.index``; InvalidInput names a non-integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidInput(f"{value!r} is not an integer") from None
 
 
 def parse_ints(tokens: Iterable[str], line: str) -> list[int]:

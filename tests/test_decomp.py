@@ -2,6 +2,7 @@
 the derived splits, and the inequality reports."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -23,7 +24,6 @@ from hstarlib.ehrhart import OrderPolytope, h_star, open_numerator
 from hstarlib.errors import BudgetExceeded, InternalConsistencyError, InvalidInput
 from hstarlib.graph import Graph, acyclic_orientations, orientation_poset
 from hstarlib.harness import enumerate_labeled_graphs, enumerate_labeled_posets, random_instances
-from hstarlib.memo import Memo
 from hstarlib.polynomial import IntPolynomial, reverse
 from hstarlib.poset import Poset
 from test_graph import brute_acyclic_orientations, brute_arcs
@@ -457,9 +457,10 @@ class TestOrientationSum:
             return a_pi, b_pi + IntPolynomial([1])
 
         monkeypatch.setattr(decomp, "order_decomposition", perturbed)
-        # a memo of its own, so the perturbed parts are computed and then
-        # dropped with it, not left to later calls
-        monkeypatch.setattr(decomp, "_order_splits", Memo(16))
+        # a cache of its own over the same function, so the perturbed parts
+        # are computed and then dropped with it, not left to later calls
+        own = lru_cache(maxsize=16)(decomp._order_splits.__wrapped__)
+        monkeypatch.setattr(decomp, "_order_splits", own)
         with pytest.raises(InternalConsistencyError, match="direct split"):
             graph_decomposition(K3)
         # the numerator does not split, so it is untouched

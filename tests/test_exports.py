@@ -1,6 +1,9 @@
 """The package's public export list and its import discipline."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hstarlib
@@ -64,3 +67,21 @@ def test_no_function_takes_a_budget():
                 params += [a for a in (args.vararg, args.kwarg) if a is not None]
                 offenders += [(path.name, node.lineno) for a in params if a.arg == "budget"]
     assert offenders == []
+
+
+def test_cli_start_up_loads_no_dataclasses():
+    # records are NamedTuples and run-wide caches lru_caches, so the CLI's
+    # start-up needs neither dataclasses nor the inspect module it pulls in;
+    # a fresh interpreter, since pytest itself imports both
+    src = Path(hstarlib.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = (
+        "import hstarlib.cli, sys; "
+        "print(*sorted({'dataclasses', 'inspect', 'hstarlib.memo'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []

@@ -1,6 +1,6 @@
-"""The run-wide memos of the orientation route: hits give the values a
-cleared memo computes, refusals do not depend on what a memo holds, callers
-cannot reach a stored value, and every memo is bounded."""
+"""The run-wide caches of the orientation route: hits give the values a
+cleared cache computes, refusals do not depend on what a cache holds,
+callers cannot reach a stored value, and every cache is bounded."""
 
 import importlib
 import pkgutil
@@ -13,56 +13,46 @@ from hstarlib.budget import limit
 from hstarlib.decomp import _orientation_sum, graph_decomposition, graph_numerator
 from hstarlib.errors import BudgetExceeded
 from hstarlib.graph import _mask_map_counts, acyclic_orientations, chromatic_via_orientations
-from hstarlib.memo import Memo
+from hstarlib.harness import random_instances, verify_all
 from test_graph import SWEEP_CORPORA, SWEEP_IDS
 
-MEMOS = (graph._map_counts, graph._count_vectors, decomp._h_stars, decomp._order_splits)
+CACHES = (graph._packed_counts, graph._count_vectors, decomp._h_stars, decomp._order_splits)
 
 
 def clear_all():
-    for memo in MEMOS:
-        memo.cache_clear()
-
-
-class TestMemo:
-    def test_computes_each_key_once(self):
-        memo, computed = Memo(8), []
-        for key in (1, 2, 1, 1, 2):
-            assert memo(key, lambda: computed.append(key) or -key) == -key
-        assert computed == [1, 2]
-
-    def test_empties_when_full(self):
-        memo = Memo(2)
-        for key in range(5):
-            memo(key, lambda: key)
-            assert len(memo) <= 2
-        assert memo(3, lambda: "recomputed") == "recomputed"
-
-    def test_a_failed_computation_stores_nothing(self):
-        memo = Memo(8)
-
-        def fail():
-            raise BudgetExceeded("refused")
-
-        with pytest.raises(BudgetExceeded):
-            memo("key", fail)
-        assert len(memo) == 0
-        assert memo("key", lambda: "value") == "value"
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 def test_every_cache_is_bounded():
-    # every memo and lru_cache anywhere in the package has a finite maxsize
-    found = []
+    # every lru_cache anywhere in the package has a finite maxsize
+    found = {}
     for info in pkgutil.iter_modules(hstarlib.__path__):
         module = importlib.import_module(f"hstarlib.{info.name}")
         for name, value in vars(module).items():
-            if isinstance(value, Memo):
-                found.append(name)
-                assert isinstance(value.maxsize, int) and value.maxsize > 0, name
-            elif hasattr(value, "cache_info"):
-                found.append(name)
-                assert value.cache_info().maxsize is not None, name
-    assert {"_map_counts", "_count_vectors", "_h_stars", "_order_splits"} <= set(found)
+            if hasattr(value, "cache_info"):
+                found[name] = value.cache_info().maxsize
+                assert found[name] is not None, name
+    expected = {
+        "_packed_counts": 1 << 14,
+        "_count_vectors": 1 << 12,
+        "_h_stars": 1 << 12,
+        "_order_splits": 1 << 12,
+    }
+    assert {name: found.get(name) for name in expected} == expected
+
+
+def test_hit_profile_of_a_graphs_random_5_pass():
+    # one pass over the benchmark's graph corpus, from cleared caches: the
+    # 6864 map-count calls need 2584 transforms, and 28 h* and splits
+    clear_all()
+    for _ in verify_all(random_instances("graph", 5, 81, 701)):
+        pass
+    transforms = graph._packed_counts.cache_info()
+    assert (transforms.misses, transforms.hits) == (2584, 4280)
+    assert graph._count_vectors.cache_info().currsize == 56
+    assert decomp._h_stars.cache_info().misses == 28
+    assert decomp._order_splits.cache_info().misses == 28
 
 
 class TestMapCountMemo:
@@ -95,6 +85,26 @@ class TestMapCountMemo:
             cleared.append(_mask_map_counts(*call))
         assert stored == cleared
 
+    def test_equal_counts_share_one_tuple(self):
+        # the two orientations of an edge are different masks of one chain
+        clear_all()
+        first, second = acyclic_orientations(graph.Graph(2, [(1, 2)]))
+        assert first != second
+        counts = graph._packed_counts(first, 2, 3, False)
+        assert graph._packed_counts(second, 2, 3, False) is counts
+        assert graph._packed_counts.cache_info().currsize == 2
+        assert _mask_map_counts(first, 2, 3) == _mask_map_counts(second, 2, 3) == [0, 1, 3, 6]
+
+    def test_a_refused_size_is_refused_on_every_call(self):
+        # the allocation charge runs inside the cache, which stores no refusal
+        path = graph.Graph(20, [(v, v + 1) for v in range(1, 20)])
+        mask = next(acyclic_orientations(path))
+        clear_all()
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match="packed vector of 2\\^20 fields"):
+                _mask_map_counts(mask, 20, 2)
+        assert graph._packed_counts.cache_info().currsize == 0
+
     def test_a_changed_result_does_not_change_the_memo(self):
         (mask,) = acyclic_orientations(graph.Graph(2))
         counts = _mask_map_counts(mask, 2, 3)
@@ -107,8 +117,8 @@ class TestMapCountMemo:
 class TestOrientationRouteMemo:
     @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
     def test_stored_results_equal_cleared_ones(self, graphs):
-        # all graphs in one memo, so an h* or a split met at one d is met
-        # again at another
+        # all graphs through the same caches, so an h* or a split met at
+        # one d is met again at another
         route = (graph_numerator, graph_decomposition, chromatic_via_orientations)
         clear_all()
         stored = [fn(g) for g in graphs for fn in route]

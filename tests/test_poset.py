@@ -6,13 +6,17 @@ small corpus.
 """
 
 import random
+import re
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from hstarlib.budget import limit
+from hstarlib.ehrhart import HRepPolytope, Simplex
 from hstarlib.errors import BudgetExceeded, InvalidInput
+from hstarlib.graph import Graph
 from hstarlib.harness import enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial, f_to_h
 from hstarlib.poset import (
@@ -139,6 +143,38 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInput):
             Poset(2, [(1, 3)])
+
+
+UNIT_INTERVAL = [((-1,), 0)]
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        # 1.5x <= 3 was read as x <= 3, and given h* [1, 2] for [1, 1]
+        pytest.param(lambda: HRepPolytope([((1.5,), 3), *UNIT_INTERVAL], 1), 1.5, id="normal"),
+        pytest.param(lambda: HRepPolytope([((1,), 2.5), *UNIT_INTERVAL], 1), 2.5, id="bound"),
+        pytest.param(
+            lambda: HRepPolytope([((Fraction(1, 2),), 3), *UNIT_INTERVAL], 1),
+            Fraction(1, 2),
+            id="fraction-normal",
+        ),
+        pytest.param(
+            lambda: HRepPolytope([((1,), 3), *UNIT_INTERVAL], 1, ([0], [2.0])), 2.0, id="box"
+        ),
+        pytest.param(lambda: HRepPolytope([((1,), 3), *UNIT_INTERVAL], 1.0), 1.0, id="hrep-d"),
+        # read as the simplex (0, 0), (2, 0), (0, 1)
+        pytest.param(lambda: Simplex([[0.9, 0], [2.7, 0], [0, 1.2]]), 0.9, id="vertex"),
+        pytest.param(lambda: Poset(2, [(1.0, 2)]), 1.0, id="relation"),
+        pytest.param(lambda: Poset(2.0), 2.0, id="poset-d"),
+        pytest.param(lambda: Graph(3, [(1.0, 2)]), 1.0, id="edge"),
+        pytest.param(lambda: Graph(3.0), 3.0, id="graph-d"),
+    ],
+)
+def test_constructors_refuse_non_integers(build, value):
+    # a value that is not an integer is refused by name, never truncated
+    with pytest.raises(InvalidInput, match=f"^{re.escape(repr(value))} is not an integer$"):
+        build()
 
 
 class TestTextFormat:
