@@ -62,9 +62,9 @@ def cmd_hstar(args) -> int:
     hs = h_star(polytope)
     strs = [str(c) for c in hs.coeffs]
     if args.format == JSON_LINES:
-        _emit({"type": "hstar", "d": str(polytope.dim), "hstar": strs})
+        _emit({"type": "hstar", "d": str(polytope.d), "hstar": strs})
     else:
-        print(f"d = {polytope.dim}")
+        print(f"d = {polytope.d}")
         _print_poly("hstar", strs)
     return 0
 
@@ -149,11 +149,11 @@ def cmd_verify(args) -> int:
             _emit(report.to_record())
         elif report.failed or report.skipped:
             for check in report.checks:
-                if check.passed is True:
+                if check.status == "pass":
                     continue
                 status = check.status.upper()
                 print(f"{status} #{report.index} {report.kind} {check.name}: {check.detail}")
-                if check.passed is False:
+                if check.status != "skip":
                     for line in report.input_text.rstrip().splitlines():
                         print(f"    {line}")
                     for name, coeffs in check.witnesses.items():

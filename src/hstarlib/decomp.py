@@ -17,12 +17,12 @@ deletion-contraction route, which each graph runs once and caches.
 
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share
-orientation posets: each down-set mask's map counts (in ``graph``), each
-count vector's checked h*, and, for ``graph_decomposition``, each h*'s
-order split, in bounded ``lru_cache``s.  Every cross-route check and every
-charge against the budget in force runs on every call; the one charge
-made on a miss only, an allocation, is held to the default budget, so no
-refusal depends on what a cache holds.  The public
+orientation posets: each down-set mask's map counts (in ``graph``), and
+each orientation class's term, its checked h* and order split keyed by
+its count vector, in bounded ``lru_cache``s.  Every cross-route check and
+every charge against the budget in force runs on every call; the one
+charge made on a miss only, an allocation, is held to the default budget,
+so no refusal depends on what a cache holds.  The public
 ``order_decomposition`` and ``ehrhart._checked_h_star`` are not cached.
 """
 
@@ -168,39 +168,38 @@ def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, In
 # chromatic series
 
 
-def _orientation_sum(graph: Graph) -> tuple[dict[IntPolynomial, int], IntPolynomial]:
+def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynomial]:
     """The orientation route to z h_G, checked against deletion-contraction.
 
-    One sweep of the acyclic orientations tallies their closed
-    order-polytope count vectors; each distinct vector becomes a checked h*
-    once (distinct counts give distinct h*), and z h_G is the sum of the
-    reversed numerators weighted by their tallies.  Returns the
-    counted h* (every sum over orientations is linear in h*, so callers
+    One sweep of the acyclic orientations tallies their weak map count
+    vectors at n = 0..d + 1; each distinct vector is one orientation class,
+    whose term (:func:`_orientation_term`) holds its checked h*, and z h_G
+    is the sum of the reversed numerators weighted by the tallies.  Returns
+    the tally (every sum over orientations is linear in h*, so callers
     scale by the counts too) and z h_G.  Disagreement with the series
     numerator of the chromatic polynomial, shifted by z, would be a bug in
     this library, not a property of the graph.  The running count of
     orientations walked is charged after each one's counts are read.
 
-    The map counts and checked h* come from the run-wide caches, so a mask
-    or count vector met before, in this graph or another, costs a lookup;
+    The map counts and terms come from the run-wide caches, so a mask or
+    count vector met before, in this graph or another, costs a lookup;
     the sweep, its charges and the deletion-contraction check always run.
     """
     d = graph.d
-    closed: Counter[tuple[int, ...]] = Counter()
+    tally: Counter[tuple[int, ...]] = Counter()
     for walked, ideals in enumerate(acyclic_orientations(graph), 1):
-        closed[tuple(_mask_map_counts(ideals, d, d + 1)[1:])] += 1
+        tally[tuple(_mask_map_counts(ideals, d, d + 1))] += 1
         charge(walked, "acyclic-orientation sweep")
-    hstars = {_h_stars(counts, d): k for counts, k in closed.items()}
     zh = IntPolynomial.zero()
-    for hs, count in hstars.items():
-        zh = zh + count * open_numerator(hs, d)
+    for counts, k in tally.items():
+        zh = zh + k * open_numerator(_orientation_term(counts, d)[0], d)
     direct = series_numerator(chromatic_polynomial(graph), d)
     if zh != direct.shift(1):
         raise InternalConsistencyError(
             f"chromatic route z * {direct.coeffs} != orientation route "
             f"{zh.coeffs} for {graph!r}"
         )
-    return hstars, zh
+    return tally, zh
 
 
 def graph_numerator(graph: Graph) -> IntPolynomial:
@@ -217,9 +216,9 @@ def graph_numerator(graph: Graph) -> IntPolynomial:
 def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """Split z h_G as a + z b by summing order decompositions over orientations.
 
-    Each distinct orientation h* is split once per run (with its
-    reconstruction checks), cached by (h*, d), and its parts are added
-    with that h*'s count.  The closed formulas are linear, so the sums
+    Each orientation class is split once per run (with its
+    reconstruction checks), in its cached term, and its parts are added
+    with that class's count.  The closed formulas are linear, so the sums
     must equal the direct split ``ab_decompose(z h_G, d + 1)``, which is
     compared on every call.  That split's own verification covers the rest:
     z h_G has degree d + 1 (its top coefficient counts the acyclic
@@ -228,13 +227,13 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     nonnegative for every graph.
     """
     d = graph.d
-    hstars, zh = _orientation_sum(graph)
+    tally, zh = _orientation_sum(graph)
     a = IntPolynomial.zero()
     b = IntPolynomial.zero()
-    for hs, count in hstars.items():
-        a_pi, b_pi = _order_splits(hs, d)
-        a = a + count * a_pi
-        b = b + count * b_pi
+    for counts, k in tally.items():
+        _, a_pi, b_pi = _orientation_term(counts, d)
+        a = a + k * a_pi
+        b = b + k * b_pi
     direct = ab_decompose(zh, d + 1)
     if direct.a != a or direct.b != b:
         raise InternalConsistencyError(
@@ -243,15 +242,13 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     return a, b
 
 
-# run-wide caches of the orientation route: the checked h* of each closed
-# count vector and its d, and the order split of each (h*, d), found through
-# the module global, so ``order_decomposition`` stays uncached
-_h_stars = lru_cache(maxsize=1 << 12)(_checked_h_star)
-
-
 @lru_cache(maxsize=1 << 12)
-def _order_splits(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, IntPolynomial]:
-    return order_decomposition(hstar, d)
+def _orientation_term(counts: tuple[int, ...], d: int) -> tuple[IntPolynomial, ...]:
+    """(h*, a_Pi, b_Pi) of the orientation class with weak map counts
+    ``counts`` at n = 0..d + 1, run-wide; ``order_decomposition`` is found
+    through the module global, so the public function stays uncached."""
+    hstar = _checked_h_star(counts[1:], d)
+    return (hstar, *order_decomposition(hstar, d))
 
 
 class InequalityLine(NamedTuple):

@@ -118,7 +118,7 @@ class OrderPolytope:
         self.poset = poset
 
     @property
-    def dim(self) -> int:
+    def d(self) -> int:
         return self.poset.d
 
     def count_series(self, n_max: int, interior: bool = False) -> list[int]:
@@ -231,10 +231,6 @@ class HRepPolytope:
                 self.non_lattice = i + 1
         return tuple(lo), tuple(hi)
 
-    @property
-    def dim(self) -> int:
-        return self.d
-
     def count_points(self, n: int, interior: bool = False) -> int:
         if n < 0:
             raise InvalidInput("n must be nonnegative")
@@ -294,7 +290,7 @@ class Simplex(HRepPolytope):
         super().__init__(rows, d, ([min(col) for col in columns], [max(col) for col in columns]))
 
     def to_text(self) -> str:
-        return write_text(("simplex", self.dim), self.vertices)
+        return write_text(("simplex", self.d), self.vertices)
 
     def __repr__(self) -> str:
         return f"Simplex({list(self.vertices)!r})"
@@ -321,7 +317,7 @@ def _closed_counts(polytope: LatticePolytope) -> list[int]:
     box, and non-lattice ones whose coordinate ranges all have integer ends
     (ROADMAP item 4's vertices close this gap).
     """
-    d = polytope.dim
+    d = polytope.d
     if isinstance(polytope, OrderPolytope):
         return polytope.count_series(d)
     if polytope.non_lattice is not None:
@@ -340,14 +336,6 @@ def _closed_counts(polytope: LatticePolytope) -> list[int]:
     return [shifted(n + half) for n in range(d + 1)]
 
 
-def _check_volume(volume: int, d: int, error: type[Exception]) -> None:
-    if d > 0 and volume <= 0:
-        raise error(
-            f"normalized volume {volume} is not positive; "
-            "declared dimension is wrong or the polytope is degenerate"
-        )
-
-
 def _volume_error(polytope: LatticePolytope) -> type[Exception]:
     """A bad volume is InvalidInput for a user-declared H-polytope, else a bug."""
     declared = isinstance(polytope, HRepPolytope) and not isinstance(polytope, Simplex)
@@ -364,7 +352,11 @@ def _checked_h_star(
     lattice polytope.
     """
     h = _numerator_coeffs(counts, d)
-    _check_volume(sum(h), d, error)
+    if d > 0 and sum(h) <= 0:
+        raise error(
+            f"normalized volume {sum(h)} is not positive; "
+            "declared dimension is wrong or the polytope is degenerate"
+        )
     if h[0] != 1:
         raise InternalConsistencyError(f"h*_0 = {h[0]}, expected 1")
     if min(h) < 0:
@@ -375,12 +367,13 @@ def _checked_h_star(
 def ehrhart_polynomial(polytope: LatticePolytope) -> CountingPolynomial:
     """The Ehrhart polynomial, held by the closed dilate counts at n = 0..d.
 
-    Its d-th forward difference is d! times the leading coefficient, the
-    normalized volume; it must be positive, so the degree is exactly d.
+    The counts pass the checks of :func:`_checked_h_star`: the normalized
+    volume h*(1), d! times the leading coefficient, must be positive, so
+    the degree is exactly d.
     """
-    ehr = interpolate(_closed_counts(polytope))
-    _check_volume(ehr.differences[polytope.dim], polytope.dim, _volume_error(polytope))
-    return ehr
+    counts = _closed_counts(polytope)
+    _checked_h_star(counts, polytope.d, _volume_error(polytope))
+    return interpolate(counts)
 
 
 def _box_h_star(polytope: LatticePolytope) -> IntPolynomial:
@@ -390,7 +383,7 @@ def _box_h_star(polytope: LatticePolytope) -> IntPolynomial:
     A simplex's h*(1) is then checked against its determinant, a second
     route to the normalized volume.
     """
-    hstar = _checked_h_star(_closed_counts(polytope), polytope.dim, _volume_error(polytope))
+    hstar = _checked_h_star(_closed_counts(polytope), polytope.d, _volume_error(polytope))
     if isinstance(polytope, Simplex) and hstar(1) != polytope.volume:
         raise InternalConsistencyError(
             f"h*(1) = {hstar(1)} but the determinant gives normalized volume {polytope.volume}"

@@ -44,7 +44,7 @@ import time
 from itertools import combinations, product
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from . import decomp
 from .ehrhart import HRepPolytope, OrderPolytope, Simplex, _box_h_star, h_star, open_numerator
@@ -156,7 +156,7 @@ def dilated_cube(d: int, k: int) -> HRepPolytope:
 
 
 class CheckResult(NamedTuple):
-    """Outcome of one named check on one input; passed is None when skipped.
+    """Outcome of one named check on one input: pass, fail, skip or error.
 
     ``error`` marks a failure that is an unexpected exception (not an
     HstarError) escaping the check: a library bug, never a verdict.  Its
@@ -164,16 +164,9 @@ class CheckResult(NamedTuple):
     """
 
     name: str
-    passed: bool | None
+    status: Literal["pass", "fail", "skip", "error"]
     detail: str = ""
     witnesses: Mapping[str, list[str]] = MappingProxyType({})  # shared, so read-only
-    error: bool = False
-
-    @property
-    def status(self) -> str:
-        if self.error:
-            return "error"
-        return "skip" if self.passed is None else ("pass" if self.passed else "fail")
 
     def to_record(self) -> dict:
         record: dict = {"name": self.name, "status": self.status}
@@ -195,11 +188,11 @@ class VerificationReport(NamedTuple):
 
     @property
     def failed(self) -> bool:
-        return any(c.passed is False for c in self.checks)
+        return any(c.status in ("fail", "error") for c in self.checks)
 
     @property
     def skipped(self) -> bool:
-        return any(c.passed is None for c in self.checks)
+        return any(c.status == "skip" for c in self.checks)
 
     def to_record(self) -> dict:
         return {
@@ -221,7 +214,7 @@ class Summary:
         if report.failed:
             self.failures += 1
         for check in report.checks:
-            if check.passed is None:
+            if check.status == "skip":
                 self.skipped += 1
             else:
                 self.checks_run += 1
@@ -251,9 +244,9 @@ def _verdict(
     """A bare pass, or a failure carrying ``detail`` and the witnesses'
     integers as decimal strings."""
     if ok:
-        return CheckResult(name, True)
+        return CheckResult(name, "pass")
     return CheckResult(
-        name, False, detail, {key: [str(c) for c in w] for key, w in witnesses.items()}
+        name, "fail", detail, {key: [str(c) for c in w] for key, w in witnesses.items()}
     )
 
 
@@ -370,7 +363,7 @@ def _check_thm12(ctx: _Context) -> CheckResult:
 
 def _check_conj62(ctx: _Context) -> CheckResult:
     if ctx.d == 0:
-        return CheckResult("conj6.2", None, "skipped: degenerate at d = 0")
+        return CheckResult("conj6.2", "skip", "skipped: degenerate at d = 0")
     numerator = open_numerator(ctx.numerator(), ctx.d)
     if numerator[0] != 0:
         raise InvalidInput("open numerator must be divisible by z")
@@ -416,7 +409,7 @@ def _check_thm14(ctx: _Context) -> CheckResult:
 
 def _check_conj61(ctx: _Context) -> CheckResult:
     if ctx.d == 0:
-        return CheckResult("conj6.1", None, "skipped: degenerate at d = 0")
+        return CheckResult("conj6.1", "skip", "skipped: degenerate at d = 0")
     dec = decomp.ab_decompose(ctx.numerator(), ctx.d)
     return _verdict(
         "conj6.1",
@@ -459,14 +452,14 @@ def _check_chromatic3(ctx: _Context) -> CheckResult:
             "deletion-contraction and orientation sum disagree",
             {"chi_dc": dc.coeffs, "chi_ao_values": via.values},
         )
-    return CheckResult("chromatic3", True)
+    return CheckResult("chromatic3", "pass")
 
 
 def _check_hstar2way(ctx: _Context) -> CheckResult:
     if not isinstance(ctx.item, Simplex):
         return CheckResult(
             "hstar2way",
-            None,
+            "skip",
             "skipped: no second h* route for H-polytopes yet (ROADMAP item 6, triangulation)",
         )
     parallelepiped_route = ctx.numerator()
@@ -520,11 +513,11 @@ def _run_check(name: str, fn, ctx: _Context, late: str) -> CheckResult:
     try:
         return fn(ctx)
     except _TimeUp:
-        return CheckResult(name, None, late)
+        return CheckResult(name, "skip", late)
     except BudgetExceeded as exc:
-        return CheckResult(name, None, f"skipped: {exc}")
+        return CheckResult(name, "skip", f"skipped: {exc}")
     except HstarError as exc:
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+        return CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # a bug in a check must not end the sweep
         import traceback  # only on this path; keeps start-up lean
 
@@ -533,7 +526,7 @@ def _run_check(name: str, fn, ctx: _Context, late: str) -> CheckResult:
             for f in traceback.extract_tb(exc.__traceback__)
         ]
         detail = f"{type(exc).__name__}: {exc}"
-        return CheckResult(name, False, detail, {"traceback": frames}, error=True)
+        return CheckResult(name, "error", detail, {"traceback": frames})
 
 
 def verify_all(
@@ -565,7 +558,7 @@ def verify_all(
     if checks is None:
         selected = list(ALL_CHECKS)
     else:
-        selected = list(checks)
+        selected = list(dict.fromkeys(checks))  # each name runs once
         unknown = [name for name in selected if name not in ALL_CHECKS]
         if unknown:
             raise InvalidInput(f"unknown checks {unknown}; known: {list(ALL_CHECKS)}")
@@ -603,7 +596,7 @@ def verify_all(
             if preempt:
                 signal.setitimer(signal.ITIMER_REAL, 0)
                 signal.signal(signal.SIGALRM, previous)
-        results += [CheckResult(name, None, late) for name in names[len(results) :]]
+        results += [CheckResult(name, "skip", late) for name in names[len(results) :]]
         yield VerificationReport(
             index=index,
             kind=ctx.kind,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import mul, sub
+from operator import index, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
@@ -40,9 +40,10 @@ class IntPolynomial:
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cleaned = []
         for c in coeffs:
-            if not isinstance(c, int):
-                raise InvalidInput(f"integer coefficient expected, got {c!r}")
-            cleaned.append(c)
+            try:
+                cleaned.append(index(c))
+            except TypeError:
+                raise InvalidInput(f"integer coefficient expected, got {c!r}") from None
         self._coeffs = _trim(cleaned)
 
     @classmethod
@@ -199,14 +200,15 @@ def reverse(p: IntPolynomial, D: int) -> IntPolynomial:
 def interpolate(values: Sequence[int]) -> CountingPolynomial:
     """The polynomial of degree < len(values) taking ``values[n]`` at n = 0, 1, ....
 
-    The values must be integers; their forward differences are read off
-    the difference table.
+    The values must be integers (read through ``operator.index``); their
+    forward differences are read off the difference table.
     """
-    values = tuple(values)
+    try:
+        values = tuple(map(index, values))
+    except TypeError:
+        raise InvalidInput(f"integer values expected, got {list(values)!r}") from None
     if not values:
         raise InvalidInput("interpolation needs at least one value")
-    if not all(isinstance(v, int) for v in values):
-        raise InvalidInput(f"integer values expected, got {list(values)!r}")
     differences = []
     row = values
     while row:

@@ -205,7 +205,7 @@ def test_criterion_8_conjecture_harness(posets5, graph_corpus):
     witnessed = True
     for rep in verify_all(enumerate_labeled_graphs(3), ["conj6.1"], mutate=True):
         for check in rep.checks:
-            if check.passed is False:
+            if check.status == "fail":
                 mutated_failures += 1
                 witnessed = witnessed and bool(check.witnesses) and bool(rep.input_text)
     exit_code = cli_main(

@@ -459,8 +459,8 @@ class TestOrientationSum:
         monkeypatch.setattr(decomp, "order_decomposition", perturbed)
         # a cache of its own over the same function, so the perturbed parts
         # are computed and then dropped with it, not left to later calls
-        own = lru_cache(maxsize=16)(decomp._order_splits.__wrapped__)
-        monkeypatch.setattr(decomp, "_order_splits", own)
+        own = lru_cache(maxsize=16)(decomp._orientation_term.__wrapped__)
+        monkeypatch.setattr(decomp, "_orientation_term", own)
         with pytest.raises(InternalConsistencyError, match="direct split"):
             graph_decomposition(K3)
         # the numerator does not split, so it is untouched

@@ -126,7 +126,7 @@ def random_hreps(seed, count):
 
 
 def assert_counts_match_brute(polytope):
-    for n in range(polytope.dim + 3):
+    for n in range(polytope.d + 3):
         for interior in (False, True):
             expected = box_points_brute(polytope, n, interior)
             assert polytope.count_points(n, interior) == expected, (polytope, n, interior)
@@ -315,7 +315,7 @@ class TestBoxWalker:
         for polytope in corpus:
             assert_counts_match_brute(polytope)
         # the seeded corpus covers the walker's corner cases
-        assert any(p.dim == 1 for p in corpus)
+        assert any(p.d == 1 for p in corpus)
         assert any(normal[-1] == 0 for p in corpus for normal, _ in p.inequalities)
         assert any(p.count_points(1) == 0 for p in corpus)
 
@@ -476,7 +476,7 @@ def cross_polytope(d, k):
 
 
 def all_closed_counts_h_star(polytope):
-    d = polytope.dim
+    d = polytope.d
     return _checked_h_star([polytope.count_points(n) for n in range(d + 1)], d)
 
 
@@ -673,7 +673,7 @@ class TestHStar:
         ]
         polytopes += random_simplices(11, 2, 10, 3) + random_simplices(12, 3, 6, 2)
         for polytope in polytopes:
-            expected = series_numerator(ehrhart_polynomial(polytope), polytope.dim)
+            expected = series_numerator(ehrhart_polynomial(polytope), polytope.d)
             assert h_star(polytope) == expected, polytope
 
     @pytest.mark.parametrize(
@@ -709,12 +709,27 @@ class TestHStar:
         # the d-th difference of n -> L(n) is d! times the leading coefficient;
         # the triangle has area 2 and the unit cube volume 1
         for polytope, volume in ((TRIANGLE, 2), (OrderPolytope(ANTI3), 1)):
-            d = polytope.dim
+            d = polytope.d
             ehr = ehrhart_polynomial(polytope)
             difference = sum((-1) ** (d - k) * comb(d, k) * ehr(k) for k in range(d + 1))
             assert ehr.degree == d
             assert difference == factorial(d) * volume
             assert h_star(polytope)(1) == difference
+
+    @pytest.mark.parametrize(
+        "poset, counts, message",
+        [
+            # volume 2, but h*_0 = L(0) = 2
+            (Poset(1), [2, 4], r"^h\*_0 = 2, expected 1$"),
+            # volume 4, but h* = 1 - 2z + 5z^2
+            (Poset(2), [1, 1, 5], r"^negative h\* coefficient in \(1, -2, 5\)$"),
+        ],
+        ids=["constant-term", "negative"],
+    )
+    def test_counts_no_lattice_polytope_has_are_a_bug(self, monkeypatch, poset, counts, message):
+        monkeypatch.setattr(ehrhart, "_closed_counts", lambda polytope: counts)
+        with pytest.raises(InternalConsistencyError, match=message):
+            ehrhart_polynomial(OrderPolytope(poset))
 
     def test_flat_hrep_is_invalid_input(self):
         # the unit square {0 <= x <= 1, y = 0} declared 2-dimensional has

@@ -134,13 +134,20 @@ class TestVerifyAll:
         simplices = [dilated_simplex(d, k) for d in (1, 2, 3) for k in (1, 2)]
         for report in verify_all(simplices, ["hstar2way"], mutate=True):
             (check,) = report.checks
-            assert check.passed is False and check.detail == "h* routes disagree"
+            assert check.status == "fail" and check.detail == "h* routes disagree"
             assert set(check.witnesses) == {"hstar_parallelepiped", "hstar_box"}
             assert check.witnesses["hstar_parallelepiped"] != check.witnesses["hstar_box"]
 
     def test_named_check_selection(self):
         reports = list(verify_all(enumerate_labeled_posets(2), ["thm1.2"]))
         assert all([c.name for c in r.checks] == ["thm1.2"] for r in reports)
+
+    def test_a_repeated_check_name_runs_once(self):
+        summary = Summary()
+        for report in verify_all(enumerate_labeled_posets(1), ["thm1.2", "thm1.1", "thm1.2"]):
+            assert [c.name for c in report.checks] == ["thm1.2", "thm1.1"]
+            summary.add(report)
+        assert (summary.inputs, summary.checks_run) == (1, 2)
 
     def test_unknown_check_rejected(self):
         with pytest.raises(InvalidInput):
@@ -151,7 +158,7 @@ class TestVerifyAll:
         failures = 0
         for report in verify_all(corpus, ["conj6.1", "thm1.4"], mutate=True):
             for check in report.checks:
-                if check.passed is False:
+                if check.status == "fail":
                     failures += 1
                     assert check.witnesses or check.detail
         assert failures > 0
@@ -160,7 +167,7 @@ class TestVerifyAll:
         graph = Graph(2, [(1, 2)])
         (report,) = list(verify_all([graph], ["conj6.1"], mutate=True))
         (check,) = report.checks
-        assert check.passed is False
+        assert check.status == "fail"
         assert "h_G" in check.witnesses
         assert report.input_text == graph.to_text()
 
@@ -173,7 +180,7 @@ class TestVerifyAll:
         monkeypatch.setattr(harness, "chromatic_via_orientations", lambda graph: broken)
         (report,) = list(verify_all([Graph(2, [(1, 2)])], ["chromatic3"]))
         (check,) = report.checks
-        assert check.passed is False
+        assert check.status == "fail"
         assert check.witnesses == {"chi_dc": ["0", "-1", "1"], "chi_ao_values": ["0", "1", "2"]}
 
     def test_foreign_exception_is_an_error_record(self, monkeypatch):
@@ -195,7 +202,7 @@ class TestVerifyAll:
             )
             assert record["witnesses"]["traceback"][-1].startswith("test_harness.py:")
             assert report.failed
-            assert after.passed is True  # the next check still runs
+            assert after.status == "pass"  # the next check still runs
         summary = Summary()
         for report in reports:
             summary.add(report)
@@ -206,14 +213,14 @@ class TestVerifyAll:
         with limit(3):
             (report,) = verify_all([antichain], ["hstar3way"])
         (check,) = report.checks
-        assert check.passed is None
+        assert check.status == "skip"
         assert check.detail == "skipped: order-ideal lattice needs 4 steps, budget is 3"
 
     def test_time_limit_skips_remaining_checks(self):
         (report,) = list(verify_all([Poset(4)], ["thm1.2", "conj6.2"], time_limit=0.0))
         # the first check starts before the clock is consulted; the rest skip
         assert report.checks[0].name == "thm1.2"
-        assert report.checks[1].passed is None
+        assert report.checks[1].status == "skip"
         assert "time limit" in report.checks[1].detail
 
     def test_time_limit_preempts_a_spinning_check(self, monkeypatch):
@@ -230,7 +237,7 @@ class TestVerifyAll:
                         pass
                 except Exception:  # the alarm is not an Exception
                     pass
-            return harness.CheckResult("thm1.2", True)
+            return harness.CheckResult("thm1.2", "pass")
 
         monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", spin)
         previous = signal.getsignal(signal.SIGALRM)
@@ -274,11 +281,11 @@ class TestVerifyAll:
 
         def probe(ctx):
             seen.append(signal.getitimer(signal.ITIMER_REAL)[0] > 0)
-            return harness.CheckResult("thm1.2", True)
+            return harness.CheckResult("thm1.2", "pass")
 
         monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", probe)
         (report,) = list(verify_all([Poset(2)], ["thm1.2"], time_limit=limit))
-        assert seen == [armed] and report.checks[0].passed
+        assert seen == [armed] and report.checks[0].status == "pass"
 
     def test_time_limit_off_the_main_thread(self):
         # signals belong to the main thread; elsewhere the limit is checked between checks

@@ -16,7 +16,7 @@ from hstarlib.graph import _mask_map_counts, acyclic_orientations, chromatic_via
 from hstarlib.harness import random_instances, verify_all
 from test_graph import SWEEP_CORPORA, SWEEP_IDS
 
-CACHES = (graph._packed_counts, graph._count_vectors, decomp._h_stars, decomp._order_splits)
+CACHES = (graph._packed_counts, graph._count_vectors, decomp._orientation_term)
 
 
 def clear_all():
@@ -36,23 +36,21 @@ def test_every_cache_is_bounded():
     expected = {
         "_packed_counts": 1 << 14,
         "_count_vectors": 1 << 12,
-        "_h_stars": 1 << 12,
-        "_order_splits": 1 << 12,
+        "_orientation_term": 1 << 12,
     }
     assert {name: found.get(name) for name in expected} == expected
 
 
 def test_hit_profile_of_a_graphs_random_5_pass():
     # one pass over the benchmark's graph corpus, from cleared caches: the
-    # 6864 map-count calls need 2584 transforms, and 28 h* and splits
+    # 6864 map-count calls need 2584 transforms, and 28 orientation terms
     clear_all()
     for _ in verify_all(random_instances("graph", 5, 81, 701)):
         pass
     transforms = graph._packed_counts.cache_info()
     assert (transforms.misses, transforms.hits) == (2584, 4280)
     assert graph._count_vectors.cache_info().currsize == 56
-    assert decomp._h_stars.cache_info().misses == 28
-    assert decomp._order_splits.cache_info().misses == 28
+    assert decomp._orientation_term.cache_info().misses == 28
 
 
 class TestMapCountMemo:
@@ -117,8 +115,8 @@ class TestMapCountMemo:
 class TestOrientationRouteMemo:
     @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
     def test_stored_results_equal_cleared_ones(self, graphs):
-        # all graphs through the same caches, so an h* or a split met at
-        # one d is met again at another
+        # all graphs through the same caches, so a term stored for one
+        # graph is met again by another
         route = (graph_numerator, graph_decomposition, chromatic_via_orientations)
         clear_all()
         stored = [fn(g) for g in graphs for fn in route]
@@ -131,7 +129,7 @@ class TestOrientationRouteMemo:
 
     def test_a_changed_result_does_not_change_the_memo(self):
         g = SWEEP_CORPORA[1][0]
-        hstars, zh = _orientation_sum(g)
-        expected = dict(hstars)
-        hstars.clear()
+        tally, zh = _orientation_sum(g)
+        expected = dict(tally)
+        tally.clear()
         assert _orientation_sum(g) == (expected, zh)

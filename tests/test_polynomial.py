@@ -67,6 +67,18 @@ class TestIntPolynomial:
     def test_accepts_bool(self):
         p = IntPolynomial([True, False, True, False])
         assert p.coeffs == (1, 0, 1) and p.degree == 2
+        assert all(type(c) is int for c in p.coeffs)
+        assert repr(p) == "IntPolynomial([1, 0, 1])"
+        L = interpolate([True, 2])
+        assert L.values == (1, 2) and type(L.values[0]) is int
+
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        p = IntPolynomial([np.int64(1), np.uint8(2)])
+        assert p == IntPolynomial([1, 2]) and all(type(c) is int for c in p.coeffs)
+        L = interpolate(np.array([1, 3, 5]))
+        assert L.values == (1, 3, 5) and all(type(v) is int for v in L.values)
+        assert L == p
 
     def test_arithmetic(self):
         p = IntPolynomial([1, 1])
