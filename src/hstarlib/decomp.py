@@ -13,7 +13,8 @@ series) inherit their sign behavior from that fact.  Nothing here asserts
 signs: each result carries the parts, and callers read the verdict off
 them.  The chromatic series is built over acyclic orientations in one
 place, ``_orientation_sum``, and checked there against the
-deletion-contraction route, which each graph runs once and caches.
+deletion-contraction route, which each graph runs once and caches,
+behind the sweep whose charged orientations bound it.
 
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share
@@ -34,7 +35,6 @@ from itertools import accumulate
 from operator import add
 from typing import Literal, NamedTuple
 
-from .budget import charge
 from .ehrhart import _checked_h_star, open_numerator
 from .errors import InternalConsistencyError, InvalidInput
 from .graph import Graph, _mask_map_counts, acyclic_orientations, chromatic_polynomial
@@ -178,18 +178,17 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
     the tally (every sum over orientations is linear in h*, so callers
     scale by the counts too) and z h_G.  Disagreement with the series
     numerator of the chromatic polynomial, shifted by z, would be a bug in
-    this library, not a property of the graph.  The running count of
-    orientations walked is charged after each one's counts are read.
+    this library, not a property of the graph.  The sweep charges itself,
+    so deletion-contraction runs only once the budget has passed it.
 
-    The map counts and terms come from the run-wide caches, so a mask or
-    count vector met before, in this graph or another, costs a lookup;
+    The map counts (tallied as the cached tuples) and terms come from the
+    run-wide caches, so a mask or count vector met before costs a lookup;
     the sweep, its charges and the deletion-contraction check always run.
     """
     d = graph.d
     tally: Counter[tuple[int, ...]] = Counter()
-    for walked, ideals in enumerate(acyclic_orientations(graph), 1):
-        tally[tuple(_mask_map_counts(ideals, d, d + 1))] += 1
-        charge(walked, "acyclic-orientation sweep")
+    for ideals in acyclic_orientations(graph):
+        tally[_mask_map_counts(ideals, d, d + 1)] += 1
     zh = IntPolynomial.zero()
     for counts, k in tally.items():
         zh = zh + k * open_numerator(_orientation_term(counts, d)[0], d)

@@ -71,15 +71,13 @@ class Graph:
 GRAPH_FORMAT = TextFormat("p <d> <m>", lambda d, m: (m, 2), "e")
 
 
+@lru_cache(maxsize=8)  # a graph's checks use three (d, w) keys
 def _packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
     """Masks over 2^d fields of w bits.  Per vertex e: the fields of the
     sets without e, all ones; and the zeta pass, those fields and the shift
     that carries field S to S | e.  Then the (bits, shift) steps, highest
     vertex first, that carry bit S of a 2^d-bit mask to field S."""
-    return (_small_packing if w << d <= 1 << 16 else _build_packing)(d, w)
 
-
-def _build_packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
     def tiled(block: int, e: int) -> int:  # block copied to every 2^(e+1)th field
         for k in range(e + 1, d):
             block |= block << (w << k)
@@ -88,9 +86,6 @@ def _build_packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
     without = tuple(tiled((1 << (w << e)) - 1, e) for e in range(d))
     deposit = [(tiled(((1 << (1 << k)) - 1) << (1 << k), k), (w - 1) << k) for k in range(d)]
     return without, tuple(zip(without, [w << e for e in range(d)])), tuple(reversed(deposit))
-
-
-_small_packing = lru_cache(maxsize=32)(_build_packing)  # 3d + 1 ints of at most 2^16 bits
 
 
 def _edge_splits(graph: Graph) -> list[tuple[int, int, int, int]]:
@@ -113,6 +108,8 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
     without v (v already reaches u), which prunes the whole subtree.  The
     walk keeps its own stack of (edges oriented, ideals), i -> j on top, so
     the orientations come depth first, i -> j before j -> i at every edge.
+    It charges its running count as the caller asks for the next one, so
+    every sweep is bounded, after the caller's charges for the last one.
     """
     splits = _edge_splits(graph)
     full = (1 << (1 << graph.d)) - 1
@@ -121,11 +118,14 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
     last = len(steps)
 
     def walk() -> Iterator[int]:
+        walked = 0
         stack = [(0, full)]
         while stack:
             k, ideals = stack.pop()
             if k == last:
                 yield ideals
+                walked += 1
+                charge(walked, "acyclic-orientation sweep")
                 continue
             i_only, i_to_j, j_only, j_to_i = steps[k]
             k += 1
@@ -160,7 +160,7 @@ def orientation_poset(graph: Graph, ideals: int) -> Poset:
     return poset
 
 
-def _mask_map_counts(ideals: int, d: int, n_max: int, strict: bool = False) -> list[int]:
+def _mask_map_counts(ideals: int, d: int, n_max: int, strict: bool = False) -> tuple[int, ...]:
     """Weak or strict map counts for n = 0..n_max of the d-element poset whose
     down-sets are the set bits of ``ideals``: the ideal multichains of
     :func:`~hstarlib.poset.order_map_counts`, with the vector over vertex
@@ -175,10 +175,10 @@ def _mask_map_counts(ideals: int, d: int, n_max: int, strict: bool = False) -> l
     is cached for the whole run by (mask, d, n_max, strict), so a mask that
     an earlier sweep met, of this graph or of another, is not transformed
     again; it charges 2^d * w as an allocation, and no refusal is cached.
-    Each call gets a list of its own.
+    Every call gets the cached tuple, shared by all equal count vectors.
     """
     charge(ideals.bit_count(), "order-ideal lattice")
-    return list(_packed_counts(ideals, d, n_max, strict))
+    return _packed_counts(ideals, d, n_max, strict)
 
 
 @lru_cache(maxsize=1 << 14)  # its mask keys dominate: 2^d bits each
@@ -261,7 +261,9 @@ def chromatic_polynomial(graph: Graph) -> IntPolynomial:
     Recursion keys on the lexicographically first remaining edge;
     contraction merges into the smaller endpoint and drops parallel
     duplicates (simple-graph convention).  The d = 0 graph has chi = 1.
-    Cached on the graph.
+    Cached on the graph.  Uncharged: it makes exactly 2a(G) - 1 calls for
+    the a(G) = |chi_G(-1)| acyclic orientations (the same recurrence), so
+    the library runs it only behind a sweep that the budget has passed.
     """
 
     def chi(d: int, edges: frozenset[tuple[int, int]]) -> list[int]:

@@ -364,10 +364,8 @@ def _check_thm12(ctx: _Context) -> CheckResult:
 def _check_conj62(ctx: _Context) -> CheckResult:
     if ctx.d == 0:
         return CheckResult("conj6.2", "skip", "skipped: degenerate at d = 0")
-    numerator = open_numerator(ctx.numerator(), ctx.d)
-    if numerator[0] != 0:
-        raise InvalidInput("open numerator must be divisible by z")
-    p = IntPolynomial(numerator.coeffs[1:])
+    # open_numerator refuses degree > d, so the constant term h*_{d+1} is 0
+    p = IntPolynomial(open_numerator(ctx.numerator(), ctx.d).coeffs[1:])
     dec = decomp.ab_decompose(p, ctx.d)
     return _verdict(
         "conj6.2",
@@ -431,11 +429,12 @@ def _check_conj64(ctx: _Context) -> CheckResult:
 
 
 def _check_chromatic3(ctx: _Context) -> CheckResult:
-    # the colorings go first: for d >= 1 they charge up to 4^d, past the
-    # 2^d ideals of any orientation, so they meet a tight budget first
+    # colorings first: for d >= 1 they charge up to 4^d, past the 2^d ideals
+    # of any orientation; deletion-contraction last, behind the sweep
+    counts = [count_proper_colorings(ctx.item, n) for n in range(5)]
+    via = chromatic_via_orientations(ctx.item)
     dc = chromatic_polynomial(ctx.item)
-    for n in range(5):
-        counted = count_proper_colorings(ctx.item, n)
+    for n, counted in enumerate(counts):
         if dc(n) != counted:
             return _verdict(
                 "chromatic3",
@@ -443,7 +442,6 @@ def _check_chromatic3(ctx: _Context) -> CheckResult:
                 f"chi({n}) = {dc(n)} but {counted} colorings are counted",
                 {"chi_dc": dc.coeffs},
             )
-    via = chromatic_via_orientations(ctx.item)
     if dc != via:
         # the orientation route is held by its values at n = 0..d
         return _verdict(

@@ -110,6 +110,9 @@ class TestHstar:
         code, out = run(capsys, "hstar", str(path))
         assert code == 0
         assert "hstar = [1, 3]" in out
+        code, out = run(capsys, "hstar", str(path), "--format", "json-lines")
+        assert code == 0
+        assert json.loads(out) == {"type": "hstar", "d": "2", "hstar": ["1", "3"]}
 
     def test_order_file(self, capsys, tmp_path):
         (tmp_path / "anti3.poset").write_text("p 3 0\n")
@@ -195,6 +198,15 @@ class TestVerify:
         code, out = run(capsys, "verify", "--graphs", "4", "--checks", "thm1.4,conj6.4")
         assert code == 0
         assert "64 inputs, 0 failures" in out
+
+    @pytest.mark.parametrize("kind,name", [("poset", "conj6.2"), ("graph", "conj6.1")])
+    def test_empty_input_skips_the_degenerate_check(self, capsys, kind, name):
+        code, out = run(capsys, "verify", f"--{kind}s", "0")
+        assert code == 0
+        assert out.splitlines() == [
+            f"SKIP #0 {kind} {name}: skipped: degenerate at d = 0",
+            "1 inputs, 0 failures, 1 skipped checks",
+        ]
 
     def test_mutate_selftest_exit_1(self, capsys):
         code, out = run(
@@ -473,6 +485,7 @@ class TestInputFaults:
             ["hstar", "missing.poly", "--budget", "-1"],
             ["verify", "--posets", "2", "--time-limit", "-1"],
             ["verify", "--posets", "2", "--time-limit", "nan"],
+            ["verify", "--random", "graph,5"],
             ["random", "poset", "--d", "3", "--relation-probability", "7"],
             ["random", "poset", "--d", "3", "--relation-probability", "-0.5"],
         ],

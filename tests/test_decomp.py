@@ -22,7 +22,13 @@ from hstarlib.decomp import (
 )
 from hstarlib.ehrhart import OrderPolytope, h_star, open_numerator
 from hstarlib.errors import BudgetExceeded, InternalConsistencyError, InvalidInput
-from hstarlib.graph import Graph, acyclic_orientations, orientation_poset
+from hstarlib.graph import (
+    Graph,
+    acyclic_orientations,
+    chromatic_via_orientations,
+    count_acyclic_orientations,
+    orientation_poset,
+)
 from hstarlib.harness import enumerate_labeled_graphs, enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial, reverse
 from hstarlib.poset import Poset
@@ -32,6 +38,14 @@ K2 = Graph(2, [(1, 2)])
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 PATH3 = Graph(3, [(1, 2), (2, 3)])
 PATH3_CHI = IntPolynomial([0, 1, -2, 1])
+K4 = Graph(4, combinations(range(1, 5), 2))
+# every function that sweeps the acyclic orientations
+SWEEPS = [
+    count_acyclic_orientations,
+    chromatic_via_orientations,
+    graph_numerator,
+    graph_decomposition,
+]
 
 
 def solve_ab_linear_system(h: IntPolynomial, d: int):
@@ -428,19 +442,23 @@ class TestOrientationSum:
             fn(graph)
         assert sweeps == [K3, PATH3, Graph(0)]
 
-    @pytest.mark.parametrize("fn", [graph_numerator, graph_decomposition])
+    @pytest.mark.parametrize("fn", SWEEPS)
     def test_budget_counts_the_orientations_walked(self, fn):
-        # K4's 24 orientations are chains with 5 down-sets each; the ideal
-        # count is charged first, so it is the first refusal below 5
-        k4 = Graph(4, combinations(range(1, 5), 2))
+        # the sweep charges itself, so every function that walks K4's 24
+        # orientations is refused at 23
         with limit(24):
-            bounded = fn(k4)
-        assert bounded == fn(k4)
+            bounded = fn(K4)
+        assert bounded == fn(K4)
         message = "^acyclic-orientation sweep needs 24 steps, budget is 23$"
         with limit(23), pytest.raises(BudgetExceeded, match=message):
-            fn(k4)
+            fn(K4)
+
+    @pytest.mark.parametrize("fn", SWEEPS[1:])
+    def test_ideal_count_is_charged_before_the_walk(self, fn):
+        # K4's orientations are chains with 5 down-sets each; each one's
+        # ideal count is charged before the sweep charges it walked
         with limit(4), pytest.raises(BudgetExceeded, match="^order-ideal lattice needs 5 steps"):
-            fn(k4)
+            fn(K4)
 
     @pytest.mark.parametrize("fn", [graph_numerator, graph_decomposition])
     def test_wrong_chromatic_route_raises(self, monkeypatch, fn):

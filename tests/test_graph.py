@@ -1,5 +1,6 @@
 """Graphs: orientations, induced posets, chromatic polynomials."""
 
+import sys
 from itertools import islice, product
 from math import comb
 
@@ -10,7 +11,7 @@ from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import (
     Graph,
     _mask_map_counts,
-    _small_packing,
+    _packing,
     acyclic_orientations,
     chromatic_polynomial,
     chromatic_via_orientations,
@@ -222,10 +223,10 @@ class TestMaskMapCounts:
             for mask in acyclic_orientations(graph):
                 poset = orientation_poset(graph, mask)
                 for n_max in weak_tops:
-                    expected = order_map_counts(poset, n_max)
+                    expected = tuple(order_map_counts(poset, n_max))
                     assert _mask_map_counts(mask, d, n_max) == expected, (graph, mask)
                 for n_max in strict_tops:
-                    expected = order_map_counts(poset, n_max, strict=True)
+                    expected = tuple(order_map_counts(poset, n_max, strict=True))
                     assert _mask_map_counts(mask, d, n_max, True) == expected, (graph, mask)
 
     @pytest.mark.parametrize("d", range(4))
@@ -236,7 +237,7 @@ class TestMaskMapCounts:
                 mask = brute_down_sets(poset)
                 for strict in (False, True):
                     counts = _mask_map_counts(mask, d, d + 1, strict)
-                    expected = [count_order_maps(poset, n, strict) for n in range(d + 2)]
+                    expected = tuple(count_order_maps(poset, n, strict) for n in range(d + 2))
                     assert counts == expected, (graph, flipped, strict)
 
     @pytest.mark.parametrize("d", range(9))
@@ -244,16 +245,16 @@ class TestMaskMapCounts:
         (mask,) = acyclic_orientations(Graph(d))
         for strict in (False, True):
             counts = _mask_map_counts(mask, d, d + 1, strict)
-            assert counts == [n**d for n in range(d + 2)]  # top field (d+1)^d
+            assert counts == tuple(n**d for n in range(d + 2))  # top field (d+1)^d
         # every orientation of K_d is a chain; the first few are checked
         # (K_0 is the edgeless graph above)
         for mask in islice(acyclic_orientations(complete_graph(d)), 5 if d else 0):
-            assert _mask_map_counts(mask, d, d + 1) == [
+            assert _mask_map_counts(mask, d, d + 1) == tuple(
                 comb(n + d - 1, d) for n in range(d + 2)
-            ]
-            assert _mask_map_counts(mask, d, d + 1, True) == [
+            )
+            assert _mask_map_counts(mask, d, d + 1, True) == tuple(
                 comb(n, d) for n in range(d + 2)
-            ]
+            )
 
     def test_budget_is_the_ideal_count(self):
         for graph in (PATH3, K3, Graph(3), Graph(4, [(1, 2), (3, 4)])):
@@ -272,21 +273,21 @@ class TestMaskMapCounts:
             count_acyclic_orientations(Graph(23))
         (mask,) = acyclic_orientations(Graph(0))
         assert mask == 1  # the empty set is the only down-set
-        assert _mask_map_counts(mask, 0, 1) == [1, 1]
+        assert _mask_map_counts(mask, 0, 1) == (1, 1)
 
     def test_packed_size_is_charged_before_packing(self):
         # a 20-vertex path has 2^20 vertex sets but only 21 down-sets per
         # orientation; its 2^20 fields of 88 bits exceed the default budget
-        # whatever budget is in force, and nothing large is cached
+        # whatever budget is in force, and no packing of that size is built
         path = Graph(20, [(v, v + 1) for v in range(1, 20)])
-        cached = _small_packing.cache_info().currsize
+        _packing.cache_clear()
         with pytest.raises(BudgetExceeded, match="2\\^20 fields of 88 bits"):
             chromatic_via_orientations(path)
         mask = next(acyclic_orientations(path))
         assert mask.bit_count() == 21
         with limit(10**12), pytest.raises(BudgetExceeded, match="packed vector"):
             _mask_map_counts(mask, 20, 2)
-        assert _small_packing.cache_info().currsize == cached
+        assert _packing.cache_info().currsize == 1  # the sweep's 1-bit packing
 
 
 class TestColorings:
@@ -365,6 +366,27 @@ class TestChromaticPolynomial:
             chi = chromatic_polynomial(graph)
             brute = interpolate([count_proper_colorings(graph, n) for n in range(graph.d + 1)])
             assert chi == brute
+
+    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
+    def test_calls_are_bounded_by_the_orientations(self, graphs):
+        # 2a(G) - 1 calls for a(G) acyclic orientations: the bound that a
+        # charged sweep of the orientations puts on deletion-contraction
+        (chi,) = (c for c in chromatic_polynomial.__code__.co_consts if hasattr(c, "co_name"))
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is chi:
+                calls.append(1)
+
+        for graph in graphs:
+            fresh = Graph(graph.d, graph.edges)  # chi is cached on the graph
+            calls.clear()
+            sys.setprofile(profile)
+            try:
+                chromatic_polynomial(fresh)
+            finally:
+                sys.setprofile(None)
+            assert len(calls) == 2 * count_acyclic_orientations(graph) - 1, graph
 
     def test_monic_alternating(self):
         for graph in enumerate_labeled_graphs(4):

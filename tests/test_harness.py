@@ -5,11 +5,12 @@ import math
 import signal
 import threading
 import time
+from itertools import combinations
 
 import pytest
 
 from hstarlib.budget import limit
-from hstarlib.ehrhart import HRepPolytope, Simplex
+from hstarlib.ehrhart import HRepPolytope, OrderPolytope, Simplex
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import Graph
 from hstarlib.harness import (
@@ -117,6 +118,20 @@ class TestVerifyAll:
         assert all(r.kind == "polytope" and not r.failed for r in reports)
         assert all(len(r.checks) == 1 for r in reports)
 
+    def test_an_order_polytope_gets_the_poset_checks(self):
+        chain = Poset(3, [(1, 2), (2, 3)])
+        (report,) = verify_all([OrderPolytope(chain)])
+        (direct,) = verify_all([chain])
+        assert (report.kind, report.input_text) == ("poset", chain.to_text())
+        assert report.checks == direct.checks
+        assert [c.name for c in report.checks] == [
+            "conj6.2",
+            "hstar3way",
+            "reciprocity",
+            "thm1.1",
+            "thm1.2",
+        ]
+
     def test_hstar2way_passes_on_simplices_and_skips_other_hreps(self):
         simplices = [dilated_simplex(d, k) for d in (1, 2, 3) for k in (1, 2)]
         simplices.append(Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 4)]))
@@ -182,6 +197,36 @@ class TestVerifyAll:
         (check,) = report.checks
         assert check.status == "fail"
         assert check.witnesses == {"chi_dc": ["0", "-1", "1"], "chi_ao_values": ["0", "1", "2"]}
+
+    def test_chromatic3_colorings_mismatch_names_the_first_n(self, monkeypatch):
+        import hstarlib.harness as harness
+
+        # chi_K2 is n(n-1): 0, 0, 2, 6, 12; one coloring too many at n = 2
+        wrong = [0, 0, 3, 6, 12]
+        monkeypatch.setattr(harness, "count_proper_colorings", lambda graph, n: wrong[n])
+        (report,) = list(verify_all([Graph(2, [(1, 2)])], ["chromatic3"]))
+        (check,) = report.checks
+        assert (check.status, check.detail) == ("fail", "chi(2) = 2 but 3 colorings are counted")
+        assert check.witnesses == {"chi_dc": ["0", "-1", "1"]}
+
+    def test_chromatic3_deletion_contraction_waits_for_the_sweep(self, monkeypatch):
+        import hstarlib.harness as harness
+
+        # K5's colorings pass uncharged; its 120 orientations do not fit 100,
+        # so deletion-contraction, which follows the sweep, never runs
+        k5 = Graph(5, combinations(range(1, 6), 2))
+        # (fewer than 5 colors leave K5 uncolored)
+        monkeypatch.setattr(harness, "count_proper_colorings", lambda graph, n: 0)
+        spied = []
+        monkeypatch.setattr(harness, "chromatic_polynomial", spied.append)
+        with limit(100):
+            (report,) = verify_all([k5], ["chromatic3"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "skip",
+            "skipped: acyclic-orientation sweep needs 101 steps, budget is 100",
+        )
+        assert spied == []
 
     def test_foreign_exception_is_an_error_record(self, monkeypatch):
         import hstarlib.harness as harness

@@ -1,6 +1,7 @@
 """The run-wide caches of the orientation route: hits give the values a
 cleared cache computes, refusals do not depend on what a cache holds,
-callers cannot reach a stored value, and every cache is bounded."""
+callers get the stored tuple or a fresh tally, and every cache is
+bounded."""
 
 import importlib
 import pkgutil
@@ -37,6 +38,7 @@ def test_every_cache_is_bounded():
         "_packed_counts": 1 << 14,
         "_count_vectors": 1 << 12,
         "_orientation_term": 1 << 12,
+        "_packing": 8,
     }
     assert {name: found.get(name) for name in expected} == expected
 
@@ -91,7 +93,8 @@ class TestMapCountMemo:
         counts = graph._packed_counts(first, 2, 3, False)
         assert graph._packed_counts(second, 2, 3, False) is counts
         assert graph._packed_counts.cache_info().currsize == 2
-        assert _mask_map_counts(first, 2, 3) == _mask_map_counts(second, 2, 3) == [0, 1, 3, 6]
+        assert _mask_map_counts(first, 2, 3) is _mask_map_counts(second, 2, 3) is counts
+        assert counts == (0, 1, 3, 6)
 
     def test_a_refused_size_is_refused_on_every_call(self):
         # the allocation charge runs inside the cache, which stores no refusal
@@ -103,13 +106,12 @@ class TestMapCountMemo:
                 _mask_map_counts(mask, 20, 2)
         assert graph._packed_counts.cache_info().currsize == 0
 
-    def test_a_changed_result_does_not_change_the_memo(self):
+    def test_a_second_call_gets_the_same_tuple(self):
+        # callers share the stored tuple, which they cannot change
         (mask,) = acyclic_orientations(graph.Graph(2))
         counts = _mask_map_counts(mask, 2, 3)
-        assert counts == [0, 1, 4, 9]
-        counts[1] = 99
-        counts.append(16)
-        assert _mask_map_counts(mask, 2, 3) == [0, 1, 4, 9]
+        assert counts == (0, 1, 4, 9)
+        assert _mask_map_counts(mask, 2, 3) is counts
 
 
 class TestOrientationRouteMemo:
