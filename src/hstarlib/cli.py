@@ -70,6 +70,8 @@ def cmd_hstar(args) -> int:
 
 
 def _parse_coeffs(text: str) -> IntPolynomial:
+    if "," in text and not all(field.strip() for field in text.split(",")):
+        raise InvalidInput(f"empty coefficient field in {text!r}")
     return IntPolynomial(parse_ints(text.replace(",", " ").split(), text))
 
 
@@ -264,10 +266,7 @@ def main(argv=None) -> int:
         _check_options(args)
         with limit(args.budget):
             return args.fn(args)
-    except HstarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HstarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -191,7 +191,7 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
         tally[_mask_map_counts(ideals, d, d + 1)] += 1
     zh = IntPolynomial.zero()
     for counts, k in tally.items():
-        zh = zh + k * open_numerator(_orientation_term(counts, d)[0], d)
+        zh = zh + k * open_numerator(_orientation_term(counts)[0], d)
     direct = series_numerator(chromatic_polynomial(graph), d)
     if zh != direct.shift(1):
         raise InternalConsistencyError(
@@ -230,7 +230,7 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     a = IntPolynomial.zero()
     b = IntPolynomial.zero()
     for counts, k in tally.items():
-        _, a_pi, b_pi = _orientation_term(counts, d)
+        _, a_pi, b_pi = _orientation_term(counts)
         a = a + k * a_pi
         b = b + k * b_pi
     direct = ab_decompose(zh, d + 1)
@@ -242,12 +242,12 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
 
 
 @lru_cache(maxsize=1 << 12)
-def _orientation_term(counts: tuple[int, ...], d: int) -> tuple[IntPolynomial, ...]:
+def _orientation_term(counts: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
     """(h*, a_Pi, b_Pi) of the orientation class with weak map counts
     ``counts`` at n = 0..d + 1, run-wide; ``order_decomposition`` is found
     through the module global, so the public function stays uncached."""
-    hstar = _checked_h_star(counts[1:], d)
-    return (hstar, *order_decomposition(hstar, d))
+    hstar = _checked_h_star(counts[1:])
+    return (hstar, *order_decomposition(hstar, len(counts) - 2))
 
 
 class InequalityLine(NamedTuple):

@@ -307,11 +307,13 @@ def _closed_counts(polytope: LatticePolytope) -> list[int]:
     """The closed counts L(0..d) of a d-polytope.
 
     A simplex (by its nonzero determinant), or any other H-polytope with an
-    interior lattice point in a dilate n <= d // 2, is full-dimensional, so L(-n) = (-1)^d L_{P°}(n): it walks
-    the closed dilates n <= d - d // 2 and the open ones n <= d // 2 only,
-    so the largest box walked, which the budget bounds, is the closed
-    dilate at ceil(d/2), not at d.  Any other H-polytope walks every closed
-    dilate, and the volume check rejects it if it is flat.
+    interior lattice point in a dilate n <= d // 2, is full-dimensional,
+    so L(-n) = (-1)^d L_{P°}(n): it walks the closed dilates n <= d - d // 2
+    and the open ones n <= d // 2 only, so the largest box walked, which the
+    budget bounds, is the closed dilate at ceil(d/2), not at d.  Any other
+    H-polytope walks every closed dilate.  Either walk's top forward
+    difference, d! vol(P), must be positive, or the declared dimension is
+    wrong: InvalidInput.
     An H-polytope flagged ``non_lattice`` by its derived box is InvalidInput.
     Unchecked, and so possibly given a wrong h*: H-polytopes with a user
     box, and non-lattice ones whose coordinate ranges all have integer ends
@@ -328,35 +330,27 @@ def _closed_counts(polytope: LatticePolytope) -> list[int]:
     half = d // 2
     values = [polytope.count_points(n, True) for n in range(half, 0, -1)]
     if not isinstance(polytope, Simplex) and not any(values):
-        return [polytope.count_points(n) for n in range(d + 1)]
+        half, values = 0, []
     if d % 2:
         values = [-v for v in values]
     values += [polytope.count_points(n) for n in range(d - half + 1)]
     shifted = interpolate(values)  # n -> L(n - half)
+    volume = shifted.differences[d]
+    if volume <= 0:
+        raise InvalidInput(
+            f"normalized volume {volume} is not positive; "
+            "declared dimension is wrong or the polytope is degenerate"
+        )
     return [shifted(n + half) for n in range(d + 1)]
 
 
-def _volume_error(polytope: LatticePolytope) -> type[Exception]:
-    """A bad volume is InvalidInput for a user-declared H-polytope, else a bug."""
-    declared = isinstance(polytope, HRepPolytope) and not isinstance(polytope, Simplex)
-    return InvalidInput if declared else InternalConsistencyError
-
-
-def _checked_h_star(
-    counts: list[int], d: int, error: type[Exception] = InternalConsistencyError
-) -> IntPolynomial:
+def _checked_h_star(counts: Sequence[int]) -> IntPolynomial:
     """h* from the closed counts of a d-polytope at n = 0..d.
 
-    Checks the normalized volume h*(1) (the d-th difference of the counts),
-    raising ``error``, then h*_0 = 1 and h* >= 0, which hold for every
-    lattice polytope.
+    Checks h*_0 = 1 and h* >= 0, which hold for every lattice polytope and
+    so imply a positive normalized volume h*(1).
     """
-    h = _numerator_coeffs(counts, d)
-    if d > 0 and sum(h) <= 0:
-        raise error(
-            f"normalized volume {sum(h)} is not positive; "
-            "declared dimension is wrong or the polytope is degenerate"
-        )
+    h = _numerator_coeffs(counts)
     if h[0] != 1:
         raise InternalConsistencyError(f"h*_0 = {h[0]}, expected 1")
     if min(h) < 0:
@@ -367,23 +361,23 @@ def _checked_h_star(
 def ehrhart_polynomial(polytope: LatticePolytope) -> CountingPolynomial:
     """The Ehrhart polynomial, held by the closed dilate counts at n = 0..d.
 
-    The counts pass the checks of :func:`_checked_h_star`: the normalized
-    volume h*(1), d! times the leading coefficient, must be positive, so
-    the degree is exactly d.
+    The counts pass the checks of :func:`_checked_h_star`, so the
+    normalized volume h*(1), d! times the leading coefficient, is positive
+    and the degree is exactly d.
     """
     counts = _closed_counts(polytope)
-    _checked_h_star(counts, polytope.d, _volume_error(polytope))
+    _checked_h_star(counts)
     return interpolate(counts)
 
 
 def _box_h_star(polytope: LatticePolytope) -> IntPolynomial:
     """h* as the series numerator of the closed counts at n = 0..d, with
-    the volume, h*_0 and sign checks of :func:`_checked_h_star`.
+    the h*_0 and sign checks of :func:`_checked_h_star`.
 
     A simplex's h*(1) is then checked against its determinant, a second
     route to the normalized volume.
     """
-    hstar = _checked_h_star(_closed_counts(polytope), polytope.d, _volume_error(polytope))
+    hstar = _checked_h_star(_closed_counts(polytope))
     if isinstance(polytope, Simplex) and hstar(1) != polytope.volume:
         raise InternalConsistencyError(
             f"h*(1) = {hstar(1)} but the determinant gives normalized volume {polytope.volume}"

@@ -37,16 +37,17 @@ reproducible byte for byte (timings aside).
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 import time
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from . import decomp
+from .budget import charge
 from .ehrhart import HRepPolytope, OrderPolytope, Simplex, _box_h_star, h_star, open_numerator
 from .errors import BudgetExceeded, HstarError, InvalidInput
 from .graph import (
@@ -113,12 +114,13 @@ def random_instances(
     Graphs take each edge with probability 1/2.  Posets come from a random
     DAG on the label order (each pair i < j related with
     ``relation_probability``), then transitively closed, so validity is
-    guaranteed by construction.
+    guaranteed by construction.  The label pairs are an allocation.
     """
     if kind not in ("poset", "graph"):
         raise InvalidInput(f"unknown instance kind {kind!r}")
     if d < 0 or count < 0:
         raise InvalidInput("d and count must be nonnegative")
+    charge(comb(d, 2), f"pairs of {d} labels", allocation=True)
     rng = random.Random(seed)
     pairs = [(i + 1, j + 1) for i, j in combinations(range(d), 2)]
     for _ in range(count):
@@ -505,13 +507,10 @@ def _raise_time_up(signum, frame) -> None:
     raise _TimeUp
 
 
-def _run_check(name: str, fn, ctx: _Context, late: str) -> CheckResult:
-    """One check's outcome; a check cut off by the input's deadline is a
-    skip with detail ``late``."""
+def _run_check(name: str, fn, ctx: _Context) -> CheckResult:
+    """One check's outcome; the deadline's ``_TimeUp`` passes through."""
     try:
         return fn(ctx)
-    except _TimeUp:
-        return CheckResult(name, "skip", late)
     except BudgetExceeded as exc:
         return CheckResult(name, "skip", f"skipped: {exc}")
     except HstarError as exc:
@@ -543,13 +542,14 @@ def verify_all(
     records a skip.  The budget is the one in force while the generator
     runs, so callers iterate inside ``budget.limit``.  With ``time_limit``
     (seconds per input) the checks still pending when the limit elapses are
-    skipped.  On the main thread of a POSIX process a finite positive limit
-    is preemptive: one ``ITIMER_REAL`` alarm per input, armed for the whole
-    limit, cuts off the running check, which is skipped too.  The timer is
-    cancelled and the previous SIGALRM handler restored before each report
-    is yielded; a caller's own ``ITIMER_REAL`` is not kept.  Elsewhere, and
-    for a zero limit, the clock is consulted between checks only, so the
-    first check always runs.  With ``mutate`` the sign of one coefficient of
+    skipped.  On the main thread of a POSIX process a positive limit below
+    2^31 s (every POSIX timer holds it) is preemptive: one ``ITIMER_REAL``
+    alarm per input, armed for the whole limit, cuts off the running check,
+    which is skipped too.  The timer is cancelled and the previous SIGALRM
+    handler restored before each report is yielded; a caller's own
+    ``ITIMER_REAL`` is not kept.  Elsewhere, and for other limits, the
+    clock is consulted between checks only, so the first check always
+    runs.  With ``mutate`` the sign of one coefficient of
     each input's numerator polynomial is flipped before checking, which must
     make the failure path fire (the reporting self-test).
     """
@@ -563,7 +563,7 @@ def verify_all(
     tables = {"poset": _POSET_CHECKS, "graph": _GRAPH_CHECKS, "polytope": _POLYTOPE_CHECKS}
     preempt = (
         time_limit is not None
-        and 0 < time_limit < math.inf
+        and 0 < time_limit < 1 << 31
         and threading.current_thread() is threading.main_thread()
     )
     if preempt:
@@ -585,11 +585,11 @@ def verify_all(
                 # the first check always starts
                 if time_limit is not None and results and time.perf_counter() - start > time_limit:
                     break
-                results.append(_run_check(name, table[name], ctx, late))
+                results.append(_run_check(name, table[name], ctx))
             if preempt:  # disarmed here, so a late alarm is still caught below
                 signal.setitimer(signal.ITIMER_REAL, 0)
         except _TimeUp:
-            pass  # the deadline landed between two checks
+            pass  # the deadline cut off a check, or landed between two
         finally:
             if preempt:
                 signal.setitimer(signal.ITIMER_REAL, 0)

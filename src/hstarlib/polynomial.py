@@ -222,8 +222,9 @@ def _signed_binomials(d: int) -> tuple[int, ...]:
     return tuple((-1) ** i * comb(d + 1, i) for i in range(d + 1))
 
 
-def _numerator_coeffs(values: Sequence[int], d: int) -> list[int]:
-    """h_j = sum_{i=0..j} (-1)^i C(d+1, i) values[j-i] for j = 0..d."""
+def _numerator_coeffs(values: Sequence[int]) -> list[int]:
+    """h_j = sum_{i=0..j} (-1)^i C(d+1, i) values[j-i], j = 0..d = len(values) - 1."""
+    d = len(values) - 1
     signed = _signed_binomials(d)
     return [sum(map(mul, signed, values[j::-1])) for j in range(d + 1)]
 
@@ -238,7 +239,7 @@ def series_numerator(L: CountingPolynomial | IntPolynomial, d: int) -> IntPolyno
         raise InvalidInput("d must be nonnegative")
     if L.degree > d:
         raise InvalidInput(f"degree {L.degree} exceeds ambient d = {d}")
-    return IntPolynomial(_numerator_coeffs([L(n) for n in range(d + 1)], d))
+    return IntPolynomial(_numerator_coeffs([L(n) for n in range(d + 1)]))
 
 
 def expand_series(h: IntPolynomial, d: int, N: int) -> list[int]:

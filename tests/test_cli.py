@@ -270,6 +270,18 @@ class TestVerify:
         assert records[1]["checks"] == [{"name": "thm1.2", "status": "pass"}]
         assert (records[2]["inputs"], records[2]["skipped_checks"]) == (2, 1)
 
+    def test_time_limit_too_long_for_the_timer_runs_unarmed(self, capsys):
+        def stream(*extra):
+            code, out = run(capsys, "verify", "--posets", "2", *extra, "--format", "json-lines")
+            records = [json.loads(line) for line in out.splitlines()]
+            for record in records:
+                record.pop("seconds", None)
+            return code, records
+
+        code, records = stream("--time-limit", "1e10")
+        assert code == 0 and records[-1]["type"] == "summary"
+        assert (code, records) == stream()
+
     def test_foreign_exception_text_mode(self, capsys, monkeypatch):
         import hstarlib.harness as harness
 
@@ -477,6 +489,16 @@ class TestInputFaults:
         assert code == 2
         assert out == ""
         assert err == "error: 'x' is not an integer in line '1,x'\n"
+
+    @pytest.mark.parametrize("coeffs", ["1,,2", "1,2,"])
+    def test_empty_coefficient_field(self, capsys, coeffs):
+        code, out, err = run_err(capsys, "decompose", "stapledon", "--coeffs", coeffs, "--d", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: empty coefficient field in {coeffs!r}\n"
+        # one field to a comma, blanks around it allowed
+        for text in ("1,3", "1, 3"):
+            code, out = run(capsys, "decompose", "stapledon", "--coeffs", text, "--d", "2")
+            assert code == 0 and "a = [1, 4, 1]" in out
 
     @pytest.mark.parametrize(
         "argv",

@@ -72,6 +72,21 @@ class TestRandomInstances:
         with pytest.raises(InvalidInput):
             next(random_instances("matroid", 3, 1, seed=0))
 
+    def test_label_pairs_are_charged_before_they_are_built(self, monkeypatch):
+        import hstarlib.budget as budget
+        import hstarlib.harness as harness
+
+        built = []
+        real = harness.combinations
+        monkeypatch.setattr(harness, "combinations", lambda *a: built.append(a) or real(*a))
+        monkeypatch.setattr(budget, "DEFAULT_WORK_BUDGET", 9)
+        with pytest.raises(BudgetExceeded, match=r"needs 10 steps, default budget is 9$"):
+            next(random_instances("graph", 5, 1, seed=0))
+        assert built == []
+        # an allocation, so the budget in force does not move the threshold
+        with limit(0):
+            assert len(list(random_instances("graph", 4, 2, seed=0))) == 2
+
 
 class TestVerifyAll:
     def test_posets_clean(self):
@@ -318,7 +333,10 @@ class TestVerifyAll:
         skipped = [{"name": "thm1.2", **late}, {"name": "conj6.2", **late}]
         assert [[c.to_record() for c in r.checks] for r in reports] == [skipped, skipped]
 
-    @pytest.mark.parametrize("limit,armed", [(60.0, True), (math.inf, False), (None, False)])
+    @pytest.mark.parametrize(
+        "limit,armed",
+        [(60.0, True), (math.inf, False), (None, False), (1e10, False), (1e300, False)],
+    )
     def test_only_a_finite_limit_arms_the_timer(self, monkeypatch, limit, armed):
         import hstarlib.harness as harness
 
@@ -331,6 +349,29 @@ class TestVerifyAll:
         monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", probe)
         (report,) = list(verify_all([Poset(2)], ["thm1.2"], time_limit=limit))
         assert seen == [armed] and report.checks[0].status == "pass"
+
+    def test_a_check_raising_the_deadline_ends_the_input(self, monkeypatch):
+        import hstarlib.harness as harness
+
+        def cut_off(ctx):
+            raise harness._TimeUp
+
+        monkeypatch.setitem(harness._POSET_CHECKS, "conj6.2", cut_off)
+        (report,) = list(verify_all([Poset(2)], ["conj6.2", "thm1.2"], time_limit=60.0))
+        late = {"status": "skip", "detail": "skipped: per-input time limit 60.0s"}
+        assert [c.to_record() for c in report.checks] == [
+            {"name": "conj6.2", **late},
+            {"name": "thm1.2", **late},
+        ]
+
+    def test_run_check_lets_the_deadline_through(self):
+        import hstarlib.harness as harness
+
+        def cut_off(ctx):
+            raise harness._TimeUp
+
+        with pytest.raises(harness._TimeUp):
+            harness._run_check("thm1.2", cut_off, harness._Context(Poset(1), False))
 
     def test_time_limit_off_the_main_thread(self):
         # signals belong to the main thread; elsewhere the limit is checked between checks
