@@ -8,6 +8,7 @@ skipped.  :func:`limit` puts one budget in force for a block and
 :func:`charge` reads it, so no function takes a budget.
 """
 
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -39,6 +40,16 @@ def charge(amount: int, what: str, *, allocation: bool = False) -> None:
     if amount > cap:
         name = "default budget" if budget is None else "budget"
         raise BudgetExceeded(f"{what} needs {_steps(amount)} steps, {name} is {_steps(cap)}")
+
+
+def charge_power_of_two(k: int, what: str) -> None:
+    """Charge 2^k as an allocation.  2^k has more than k / 4 digits, so once
+    k / 4 passes the int-to-str digit limit the message reads ``at least
+    2^k`` and the refusal is made without building 2^k."""
+    if 0 < sys.get_int_max_str_digits() < k // 4:
+        cap = _steps(DEFAULT_WORK_BUDGET)
+        raise BudgetExceeded(f"{what} needs at least 2^{k} steps, default budget is {cap}")
+    charge(1 << k, what, allocation=True)
 
 
 def _steps(count: int) -> str:

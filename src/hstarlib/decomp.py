@@ -19,11 +19,12 @@ behind the sweep whose charged orientations bound it.
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share
 orientation posets: each down-set mask's map counts (in ``graph``), and
-each orientation class's term, its checked h* and order split keyed by
-its count vector, in bounded ``lru_cache``s.  Every cross-route check and
-every charge against the budget in force runs on every call; the one
-charge made on a miss only, an allocation, is held to the default budget,
-so no refusal depends on what a cache holds.  The public
+each orientation class's term, the open numerator and order split of its
+checked h* keyed by its count vector, in bounded ``lru_cache``s; a call
+adds each class's terms, times its count, as ints.  Every cross-route
+check and every charge against the budget in force runs on every call;
+the one charge made on a miss only, an allocation, is held to the default
+budget, so no refusal depends on what a cache holds.  The public
 ``order_decomposition`` and ``ehrhart._checked_h_star`` are not cached.
 """
 
@@ -173,13 +174,13 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
 
     One sweep of the acyclic orientations tallies their weak map count
     vectors at n = 0..d + 1; each distinct vector is one orientation class,
-    whose term (:func:`_orientation_term`) holds its checked h*, and z h_G
-    is the sum of the reversed numerators weighted by the tallies.  Returns
-    the tally (every sum over orientations is linear in h*, so callers
-    scale by the counts too) and z h_G.  Disagreement with the series
-    numerator of the chromatic polynomial, shifted by z, would be a bug in
-    this library, not a property of the graph.  The sweep charges itself,
-    so deletion-contraction runs only once the budget has passed it.
+    whose term (:func:`_orientation_term`) holds its open numerator, and
+    z h_G is their sum weighted by the tallies.  Returns the tally
+    (every sum over orientations is linear in h*, so callers scale by the
+    counts too) and z h_G.  Disagreement with the series numerator of the
+    chromatic polynomial, shifted by z, would be a bug in this library,
+    not a property of the graph.  The sweep charges itself, so
+    deletion-contraction runs only once the budget has passed it.
 
     The map counts (tallied as the cached tuples) and terms come from the
     run-wide caches, so a mask or count vector met before costs a lookup;
@@ -189,9 +190,7 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
     tally: Counter[tuple[int, ...]] = Counter()
     for ideals in acyclic_orientations(graph):
         tally[_mask_map_counts(ideals, d, d + 1)] += 1
-    zh = IntPolynomial.zero()
-    for counts, k in tally.items():
-        zh = zh + k * open_numerator(_orientation_term(counts)[0], d)
+    zh = _class_sum(tally, 0, d)
     direct = series_numerator(chromatic_polynomial(graph), d)
     if zh != direct.shift(1):
         raise InternalConsistencyError(
@@ -199,6 +198,16 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
             f"{zh.coeffs} for {graph!r}"
         )
     return tally, zh
+
+
+def _class_sum(tally: Counter[tuple[int, ...]], part: int, d: int) -> IntPolynomial:
+    """Sum over the classes of ``tally`` of k times part ``part`` of their
+    terms, each of degree at most d + 1, added into one list of ints."""
+    total = [0] * (d + 2)
+    for counts, k in tally.items():
+        for i, c in enumerate(_orientation_term(counts)[part].coeffs):
+            total[i] += k * c
+    return IntPolynomial(total)
 
 
 def graph_numerator(graph: Graph) -> IntPolynomial:
@@ -227,12 +236,8 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """
     d = graph.d
     tally, zh = _orientation_sum(graph)
-    a = IntPolynomial.zero()
-    b = IntPolynomial.zero()
-    for counts, k in tally.items():
-        _, a_pi, b_pi = _orientation_term(counts)
-        a = a + k * a_pi
-        b = b + k * b_pi
+    a = _class_sum(tally, 1, d)
+    b = _class_sum(tally, 2, d)
     direct = ab_decompose(zh, d + 1)
     if direct.a != a or direct.b != b:
         raise InternalConsistencyError(
@@ -243,11 +248,13 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
 
 @lru_cache(maxsize=1 << 12)
 def _orientation_term(counts: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
-    """(h*, a_Pi, b_Pi) of the orientation class with weak map counts
-    ``counts`` at n = 0..d + 1, run-wide; ``order_decomposition`` is found
-    through the module global, so the public function stays uncached."""
+    """(open numerator, a_Pi, b_Pi) of the checked h* of the orientation
+    class with weak map counts ``counts`` at n = 0..d + 1, run-wide;
+    ``order_decomposition`` is found through the module global, so the
+    public function stays uncached."""
+    d = len(counts) - 2
     hstar = _checked_h_star(counts[1:])
-    return (hstar, *order_decomposition(hstar, len(counts) - 2))
+    return (open_numerator(hstar, d), *order_decomposition(hstar, d))
 
 
 class InequalityLine(NamedTuple):

@@ -11,10 +11,9 @@ into S from outside it.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import Iterable, Iterator
 
-from .budget import charge
+from .budget import charge, charge_power_of_two
 from .errors import InvalidInput
 from .polynomial import CountingPolynomial, IntPolynomial, interpolate
 from .poset import Poset, TextFormat, integer, read_text, write_text
@@ -92,7 +91,7 @@ def _edge_splits(graph: Graph) -> list[tuple[int, int, int, int]]:
     """Per edge {i, j}, sorted: i, j, and the masks of the sets holding i
     without j, and j without i.  2^d is charged before any mask is built."""
     d = graph.d
-    charge(1 << d, f"down-set mask over 2^{d} vertex sets", allocation=True)
+    charge_power_of_two(d, f"down-set mask over 2^{d} vertex sets")
     out = _packing(d, 1)[0]
     edges = graph.sorted_edges()
     return [(i, j, out[j - 1] & ~out[i - 1], out[i - 1] & ~out[j - 1]) for i, j in edges]
@@ -242,12 +241,14 @@ def count_proper_colorings(graph: Graph, n: int) -> int:
     last = d - 1
 
     def extend(v: int) -> int:
-        taken = {color[u] for u in earlier[v]}
+        taken = 0  # bit c: color c is on an earlier neighbor
+        for u in earlier[v]:
+            taken |= 1 << color[u]
         if v == last:
-            return n - len(taken)
+            return n - taken.bit_count()
         total = 0
         for c in range(n):
-            if c not in taken:
+            if not taken >> c & 1:
                 color[v] = c
                 total += extend(v + 1)
         return total
@@ -294,13 +295,23 @@ def chromatic_polynomial(graph: Graph) -> IntPolynomial:
 
 def chromatic_via_orientations(graph: Graph) -> CountingPolynomial:
     """Chromatic polynomial as the sum of strict order polynomials over all
-    acyclic orientations; must agree with deletion-contraction.
+    acyclic orientations (Stanley, *Acyclic orientations of graphs*, 1973);
+    must agree with deletion-contraction.
 
-    The strict map counts at n = 0..d are summed orientation-wise; the sums
-    are the values of chi at those nodes, which fix it (degree d).
+    The sweep tallies the orientations by class, their weak map counts at
+    n = 0..d + 1 (the cached tuples that ``decomp`` tallies), keeping the
+    first mask met in each.  The strict map counts at n = 0..d are a class
+    property: the weak counts fix Omega_P, of degree d, and reciprocity,
+    Omega°_P(n) = (-1)^d Omega_P(-n), fixes the strict ones.  So the strict
+    kernel runs once per class, on its first mask, and the count-weighted
+    sums are the values of chi at n = 0..d, which fix it (degree d).
     """
     d = graph.d
-    totals = [0] * (d + 1)
+    classes: dict[tuple[int, ...], list[int]] = {}  # weak counts: [first mask, orientations]
     for ideals in acyclic_orientations(graph):
-        totals = list(map(add, totals, _mask_map_counts(ideals, d, d, strict=True)))
+        classes.setdefault(_mask_map_counts(ideals, d, d + 1), [ideals, 0])[1] += 1
+    totals = [0] * (d + 1)
+    for ideals, k in classes.values():
+        strict = _mask_map_counts(ideals, d, d, strict=True)
+        totals = [total + k * c for total, c in zip(totals, strict)]
     return interpolate(totals)

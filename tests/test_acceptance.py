@@ -151,7 +151,7 @@ def test_criterion_5_chromatic_decomposition(graph_corpus):
         assert h_g[d] == orientations == (-1) ** d * chromatic_polynomial(graph)(-1)
         assert all(line.holds for line in inequality_report(h_g, d, "theorem4")), graph
     elapsed = time.perf_counter() - start
-    ok = len(graph_corpus) == 1224 and elapsed < 12
+    ok = len(graph_corpus) == 1224 and elapsed < 8
     report(5, ok, f"thm 1.3/1.4 on {len(graph_corpus)} graphs in {elapsed:.1f}s")
 
 
@@ -163,7 +163,7 @@ def test_criterion_6_chromatic_triple_agreement(graph_corpus):
         for n in range(5):
             assert chi(n) == count_proper_colorings(graph, n), graph
     elapsed = time.perf_counter() - start
-    ok = elapsed < 10
+    ok = elapsed < 8
     report(6, ok, f"chromatic triple agreement on {len(graph_corpus)} graphs in {elapsed:.1f}s")
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hstarlib.budget import DEFAULT_WORK_BUDGET, charge, limit
+from hstarlib.budget import DEFAULT_WORK_BUDGET, charge, charge_power_of_two, limit
 from hstarlib.errors import BudgetExceeded
 
 
@@ -32,6 +32,24 @@ def test_numbers_past_the_digit_limit_are_bounded_by_a_power_of_two():
     with limit(10**5000), pytest.raises(BudgetExceeded) as info:
         charge(2**20000, "x")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("k", [0, 22, 23, 14000, 14300, 17300, 20000])
+def test_a_power_of_two_is_charged_as_the_int_it_names(k):
+    # below the digit limit, at it and past it, under any budget in force
+    with limit(10**12):
+        try:
+            charge(1 << k, "mask", allocation=True)
+        except BudgetExceeded as refused:
+            expected = str(refused)
+        else:
+            expected = None
+        try:
+            charge_power_of_two(k, "mask")
+        except BudgetExceeded as refused:
+            assert str(refused) == expected
+        else:
+            assert expected is None
 
 
 def test_limits_nest_and_are_restored_on_the_way_out():

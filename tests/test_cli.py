@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -72,21 +73,29 @@ class TestChromatic:
         [
             # 2^20000 has more digits than an int may print
             ("p 20000 0\n", "2^20000 vertex sets needs at least 2^20000 steps"),
+            # so has 2^(10^9), which would take 125 MB to build
+            ("p 1000000000 0\n", "2^1000000000 vertex sets needs at least 2^1000000000 steps"),
             (
                 "p 23 253\n"
                 + "".join(f"e {i} {j}\n" for i in range(1, 24) for j in range(i + 1, 24)),
                 "2^23 vertex sets needs 8388608 steps",
             ),
         ],
-        ids=["edgeless-20000", "K23"],
+        ids=["edgeless-20000", "edgeless-10^9", "K23"],
     )
     def test_oversized_graph_is_refused_at_once(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "big.graph"
         path.write_text(text)
         start = time.perf_counter()
-        code = main([*command, str(path)])
+        tracemalloc.start()
+        try:
+            code = main([*command, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         captured = capsys.readouterr()
         assert time.perf_counter() - start < 5  # before any deletion-contraction
+        assert peak < 1 << 23  # nothing near 2^d bits is built
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: down-set mask over {message}, default budget is 5000000\n"
 

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from hstarlib import graph as graph_module
 from hstarlib.budget import limit
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import (
@@ -19,7 +20,7 @@ from hstarlib.graph import (
     count_proper_colorings,
     orientation_poset,
 )
-from hstarlib.harness import enumerate_labeled_graphs, random_instances
+from hstarlib.harness import enumerate_labeled_graphs, random_instances, verify_all
 from hstarlib.polynomial import IntPolynomial, interpolate
 from hstarlib.poset import Poset, order_map_counts
 from oracles import count_order_maps, recursive_acyclic_orientations
@@ -277,11 +278,13 @@ class TestMaskMapCounts:
 
     def test_packed_size_is_charged_before_packing(self):
         # a 20-vertex path has 2^20 vertex sets but only 21 down-sets per
-        # orientation; its 2^20 fields of 88 bits exceed the default budget
-        # whatever budget is in force, and no packing of that size is built
+        # orientation; its 2^20 fields exceed the default budget whatever
+        # budget is in force, and no packing of that size is built.  The
+        # sweep's weak counts at n = 0..21 come first, so w is one bit over
+        # 21^20's 88 bits, not over the 87 of the strict counts' 20^20
         path = Graph(20, [(v, v + 1) for v in range(1, 20)])
         _packing.cache_clear()
-        with pytest.raises(BudgetExceeded, match="2\\^20 fields of 88 bits"):
+        with pytest.raises(BudgetExceeded, match="2\\^20 fields of 89 bits"):
             chromatic_via_orientations(path)
         mask = next(acyclic_orientations(path))
         assert mask.bit_count() == 21
@@ -439,3 +442,53 @@ class TestChromaticViaOrientations:
         for d in range(5):
             for graph in enumerate_labeled_graphs(d):
                 assert chromatic_via_orientations(graph) == chromatic_polynomial(graph)
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [*SWEEP_CORPORA, list(enumerate_labeled_graphs(5))],
+        ids=[*SWEEP_IDS, "all-d5"],
+    )
+    def test_equal_weak_counts_give_equal_strict_counts(self, graphs):
+        # the weak counts at n = 0..d + 1 fix Omega_P, and reciprocity fixes
+        # the strict counts from it, so the strict kernel may run per class
+        strict_of = {}
+        for graph in graphs:
+            d = graph.d
+            for mask in acyclic_orientations(graph):
+                strict = _mask_map_counts(mask, d, d, strict=True)
+                weak = _mask_map_counts(mask, d, d + 1)
+                assert strict_of.setdefault(weak, strict) == strict, (graph, mask)
+        assert len(strict_of) < sum(map(count_acyclic_orientations, graphs))
+
+    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
+    def test_equals_the_per_orientation_strict_sum(self, graphs):
+        for graph in graphs:
+            d = graph.d
+            totals = [0] * (d + 1)
+            for mask in acyclic_orientations(graph):
+                for n, count in enumerate(_mask_map_counts(mask, d, d, strict=True)):
+                    totals[n] += count
+            chi = chromatic_polynomial(graph)
+            assert chromatic_via_orientations(graph) == interpolate(totals) == chi, graph
+
+    def test_the_strict_kernel_still_decides(self, monkeypatch):
+        # one class's strict counts, one too many at n = d: the orientation
+        # route must then disagree with deletion-contraction in chromatic3
+        real = graph_module._mask_map_counts
+        chain = real(next(acyclic_orientations(K3)), 3, 4)  # K3's classes are all chains
+
+        def perturbed(ideals, d, n_max, strict=False):
+            counts = real(ideals, d, n_max, strict)
+            if strict and real(ideals, d, d + 1) == chain:
+                counts = (*counts[:-1], counts[-1] + 1)
+            return counts
+
+        monkeypatch.setattr(graph_module, "_mask_map_counts", perturbed)
+        (report,) = verify_all([K3], ["chromatic3"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "fail",
+            "deletion-contraction and orientation sum disagree",
+        )
+        # six orientations in one class: chi(3) = 6 is read as 12
+        assert check.witnesses["chi_ao_values"] == ["0", "0", "0", "12"]

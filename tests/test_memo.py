@@ -45,12 +45,13 @@ def test_every_cache_is_bounded():
 
 def test_hit_profile_of_a_graphs_random_5_pass():
     # one pass over the benchmark's graph corpus, from cleared caches: the
-    # 6864 map-count calls need 2584 transforms, and 28 orientation terms
+    # 7241 map-count calls need 1601 transforms (the strict ones once per
+    # class of each graph), and 28 orientation terms
     clear_all()
     for _ in verify_all(random_instances("graph", 5, 81, 701)):
         pass
     transforms = graph._packed_counts.cache_info()
-    assert (transforms.misses, transforms.hits) == (2584, 4280)
+    assert (transforms.misses, transforms.hits) == (1601, 5640)
     assert graph._count_vectors.cache_info().currsize == 56
     assert decomp._orientation_term.cache_info().misses == 28
 
@@ -128,6 +129,28 @@ class TestOrientationRouteMemo:
                 clear_all()
                 cleared.append(fn(g))
         assert stored == cleared
+
+    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
+    def test_strict_counts_once_per_class(self, monkeypatch, graphs):
+        # every orientation gets its weak lookup; the strict kernel runs on
+        # the first mask of each class, one class per distinct weak vector
+        real = graph._mask_map_counts
+        calls = []
+
+        def spy(ideals, d, n_max, strict=False):
+            calls.append((ideals, n_max, strict))
+            return real(ideals, d, n_max, strict)
+
+        monkeypatch.setattr(graph, "_mask_map_counts", spy)
+        for g in graphs:
+            calls.clear()
+            chromatic_via_orientations(g)
+            firsts = {}
+            for mask in acyclic_orientations(g):
+                firsts.setdefault(real(mask, g.d, g.d + 1), mask)
+            weak = [mask for mask, n_max, strict in calls if not strict]
+            assert weak == list(acyclic_orientations(g))
+            assert calls[len(weak) :] == [(mask, g.d, True) for mask in firsts.values()]
 
     def test_a_changed_result_does_not_change_the_memo(self):
         g = SWEEP_CORPORA[1][0]
