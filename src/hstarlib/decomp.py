@@ -14,7 +14,9 @@ signs: each result carries the parts, and callers read the verdict off
 them.  The chromatic series is built over acyclic orientations in one
 place, ``_orientation_sum``, and checked there against the
 deletion-contraction route, which each graph runs once and caches,
-behind the sweep whose charged orientations bound it.
+behind the sweep whose charged orientations bound it; ``graph`` memoises
+its (d, edges) subproblems for the whole run, in a bounded ``lru_cache``
+shared by every graph, so a pass pays once per distinct subproblem.
 
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share

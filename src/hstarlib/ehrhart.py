@@ -122,6 +122,7 @@ class OrderPolytope:
         return self.poset.d
 
     def count_series(self, n_max: int, interior: bool = False) -> list[int]:
+        n_max = integer(n_max)
         if n_max < 0:
             raise InvalidInput("n must be nonnegative")
         if interior:
@@ -133,6 +134,7 @@ class OrderPolytope:
         return weak[1:]
 
     def count_points(self, n: int, interior: bool = False) -> int:
+        n = integer(n)
         return self.count_series(n, interior)[n]
 
     def __repr__(self) -> str:
@@ -232,6 +234,7 @@ class HRepPolytope:
         return tuple(lo), tuple(hi)
 
     def count_points(self, n: int, interior: bool = False) -> int:
+        n = integer(n)
         if n < 0:
             raise InvalidInput("n must be nonnegative")
         k = int(interior)

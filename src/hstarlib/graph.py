@@ -11,6 +11,7 @@ into S from outside it.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import perm
 from typing import Iterable, Iterator
 
 from .budget import charge, charge_power_of_two
@@ -216,14 +217,19 @@ _count_vectors = lru_cache(maxsize=1 << 12)(tuple)
 
 
 def count_proper_colorings(graph: Graph, n: int) -> int:
-    """Count the proper colorings with colors {1..n} by backtracking.
+    """Count the proper colorings with colors {1..n}, one search leaf per
+    coloring up to a permutation of the colors.
 
-    Vertices are colored in label order, each with every color its
-    already-colored neighbors leave free; the last vertex contributes the
-    number of free colors without being tried.  One color is answered
-    without a search.  The budget is charged the n^d candidate colorings
-    up front, before any search.
+    Vertices are colored in label order.  Each takes any color already used
+    that its earlier neighbors leave free, or, while fewer than n are used,
+    the next new one, so every partition of the vertices into r independent
+    sets is met once, and stands for the (n)_r = n(n-1)...(n-r+1) colorings
+    that give its blocks distinct colors.  The last vertex adds (free used
+    colors) * (n)_r + (n)_(r+1) without being tried.  One color is answered
+    without a search.  The budget is charged the n^d candidate colorings up
+    front, before any search: an upper bound on the leaves.
     """
+    n = integer(n)
     if n < 0:
         raise InvalidInput("n must be nonnegative")
     d = graph.d
@@ -237,23 +243,27 @@ def count_proper_colorings(graph: Graph, n: int) -> int:
     earlier: list[list[int]] = [[] for _ in range(d)]  # neighbors with smaller labels
     for i, j in graph.edges:
         earlier[j - 1].append(i - 1)
+    falling = [perm(n, r) for r in range(d + 2)]  # (n)_r, zero from r = n + 1 on
     color = [0] * d
     last = d - 1
 
-    def extend(v: int) -> int:
+    def extend(v: int, used: int) -> int:
         taken = 0  # bit c: color c is on an earlier neighbor
         for u in earlier[v]:
             taken |= 1 << color[u]
         if v == last:
-            return n - taken.bit_count()
+            return (used - taken.bit_count()) * falling[used] + falling[used + 1]
         total = 0
-        for c in range(n):
+        for c in range(used):
             if not taken >> c & 1:
                 color[v] = c
-                total += extend(v + 1)
+                total += extend(v + 1, used)
+        if used < n:
+            color[v] = used
+            total += extend(v + 1, used + 1)
         return total
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def chromatic_polynomial(graph: Graph) -> IntPolynomial:
@@ -262,35 +272,41 @@ def chromatic_polynomial(graph: Graph) -> IntPolynomial:
     Recursion keys on the lexicographically first remaining edge;
     contraction merges into the smaller endpoint and drops parallel
     duplicates (simple-graph convention).  The d = 0 graph has chi = 1.
-    Cached on the graph.  Uncharged: it makes exactly 2a(G) - 1 calls for
-    the a(G) = |chi_G(-1)| acyclic orientations (the same recurrence), so
-    the library runs it only behind a sweep that the budget has passed.
+    Cached on the graph, and each (d, edges) subproblem, of this graph or
+    of another, is memoised for the whole run in a 4096-entry
+    ``lru_cache`` (:func:`_deletion_contraction`).  Uncharged: a call either returns
+    from the memo or makes the two calls of the unmemoised recurrence, so
+    there are at most 2a(G) - 1 calls for the a(G) = |chi_G(-1)| acyclic
+    orientations (the same recurrence), and the library runs it only
+    behind a sweep that the budget has passed.
     """
-
-    def chi(d: int, edges: frozenset[tuple[int, int]]) -> list[int]:
-        if not edges:
-            return [0] * d + [1]  # n^d
-        i, j = min(edges)
-        deleted = chi(d, edges - {(i, j)})
-        merged = set()
-        for a, b in edges:
-            if (a, b) == (i, j):
-                continue
-            a2 = i if a == j else a
-            b2 = i if b == j else b
-            a2 = a2 if a2 < j else a2 - 1
-            b2 = b2 if b2 < j else b2 - 1
-            if a2 != b2:
-                merged.add((min(a2, b2), max(a2, b2)))
-        contracted = chi(d - 1, frozenset(merged))
-        out = list(deleted)
-        for k, c in enumerate(contracted):
-            out[k] -= c
-        return out
-
     if graph._chi is None:
-        graph._chi = IntPolynomial(chi(graph.d, graph.edges))
+        graph._chi = IntPolynomial(_deletion_contraction(graph.d, graph.edges))
     return graph._chi
+
+
+@lru_cache(maxsize=1 << 12)  # about 1 KB an entry on d = 7..12 graphs: 4-5 MB when full
+def _deletion_contraction(d: int, edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
+    """Coefficients of chi for the graph on 1..d with ``edges``, constant first."""
+    if not edges:
+        return (0,) * d + (1,)  # n^d
+    i, j = min(edges)
+    deleted = _deletion_contraction(d, edges - {(i, j)})
+    merged = set()
+    for a, b in edges:
+        if (a, b) == (i, j):
+            continue
+        a2 = i if a == j else a
+        b2 = i if b == j else b
+        a2 = a2 if a2 < j else a2 - 1
+        b2 = b2 if b2 < j else b2 - 1
+        if a2 != b2:
+            merged.add((min(a2, b2), max(a2, b2)))
+    contracted = _deletion_contraction(d - 1, frozenset(merged))
+    out = list(deleted)
+    for k, c in enumerate(contracted):
+        out[k] -= c
+    return tuple(out)
 
 
 def chromatic_via_orientations(graph: Graph) -> CountingPolynomial:

@@ -307,6 +307,7 @@ def order_map_counts(poset: Poset, n_max: int, strict: bool = False) -> list[int
     for every ideal I with e maximal, over (I, I - e) position pairs looked
     up once in a dict of the ideals.  The tests check it by brute force.
     """
+    n_max = integer(n_max)
     if n_max < 0:
         raise InvalidInput("n must be nonnegative")
     ideals = poset.order_ideals()

@@ -163,7 +163,7 @@ def test_criterion_6_chromatic_triple_agreement(graph_corpus):
         for n in range(5):
             assert chi(n) == count_proper_colorings(graph, n), graph
     elapsed = time.perf_counter() - start
-    ok = elapsed < 8
+    ok = elapsed < 6
     report(6, ok, f"chromatic triple agreement on {len(graph_corpus)} graphs in {elapsed:.1f}s")
 
 

@@ -559,6 +559,20 @@ class TestInputFaults:
         assert f"SKIP #0 graph thm1.3: {detail}" in lines
         assert lines[-1] == "8 inputs, 0 failures, 40 skipped checks"
 
+    def test_coloring_skip_names_the_n_to_the_d_charge(self, capsys):
+        # the n^d charge bounds the colorings counted up to a permutation of
+        # the colors, and refuses with the message of the full enumeration
+        code, out, err = run_err(
+            capsys, "verify", "--graphs", "3", "--checks", "chromatic3", "--budget", "20"
+        )
+        assert code == 2
+        detail = "skipped: enumeration of 3^3 colorings needs 27 steps, budget is 20"
+        assert out.splitlines() == [
+            *(f"SKIP #{k} graph chromatic3: {detail}" for k in range(8)),
+            "8 inputs, 0 failures, 8 skipped checks",
+        ]
+        assert err.startswith("error: no check ran")
+
     def test_inapplicable_checks_exit_2_after_summary(self, capsys):
         code, out, err = run_err(
             capsys, "verify", "--posets", "2", "--checks", "thm1.3", "--format", "json-lines"

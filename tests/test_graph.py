@@ -1,8 +1,8 @@
 """Graphs: orientations, induced posets, chromatic polynomials."""
 
-import sys
+import time
 from itertools import islice, product
-from math import comb
+from math import comb, perm, prod
 
 import pytest
 
@@ -23,7 +23,7 @@ from hstarlib.graph import (
 from hstarlib.harness import enumerate_labeled_graphs, random_instances, verify_all
 from hstarlib.polynomial import IntPolynomial, interpolate
 from hstarlib.poset import Poset, order_map_counts
-from oracles import count_order_maps, recursive_acyclic_orientations
+from oracles import count_colorings_by_color, count_order_maps, recursive_acyclic_orientations
 
 K2 = Graph(2, [(1, 2)])
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -329,9 +329,11 @@ class TestColorings:
 
     @pytest.mark.parametrize("d", range(5))
     def test_matches_brute_force_on_every_small_graph(self, d):
+        # n <= d + 2 reaches past n = d, where the (n)_r weights stop at r = d
         for graph in enumerate_labeled_graphs(d):
-            for n in range(5):
+            for n in range(d + 3):
                 expected = brute_proper_colorings(graph, n)
+                assert count_colorings_by_color(graph, n) == expected, (graph, n)
                 assert count_proper_colorings(graph, n) == expected, (graph, n)
 
     @pytest.mark.parametrize("d", (6, 7))
@@ -340,6 +342,17 @@ class TestColorings:
             for n in range(4):
                 expected = brute_proper_colorings(graph, n)
                 assert count_proper_colorings(graph, n) == expected, (graph, n)
+            for n in range(d + 3):  # past n = 3 the n^d candidates are too many
+                expected = count_colorings_by_color(graph, n)
+                assert count_proper_colorings(graph, n) == expected, (graph, n)
+
+    def test_a_wrong_weight_fails_chromatic3(self, monkeypatch):
+        # (n)_r + 1 colorings per partition into r independent sets: K3 at
+        # n = 2 has one partition, into three singletons, so one coloring
+        monkeypatch.setattr(graph_module, "perm", lambda n, r: perm(n, r) + 1)
+        (report,) = verify_all([K3], ["chromatic3"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == ("fail", "chi(2) = 0 but 1 colorings are counted")
 
 
 class TestChromaticPolynomial:
@@ -372,24 +385,32 @@ class TestChromaticPolynomial:
 
     @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
     def test_calls_are_bounded_by_the_orientations(self, graphs):
-        # 2a(G) - 1 calls for a(G) acyclic orientations: the bound that a
-        # charged sweep of the orientations puts on deletion-contraction
-        (chi,) = (c for c in chromatic_polynomial.__code__.co_consts if hasattr(c, "co_name"))
-        calls = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is chi:
-                calls.append(1)
-
+        # the bound a charged sweep of the a(G) acyclic orientations puts
+        # on deletion-contraction: the unmemoised recurrence makes 2a(G) - 1
+        # calls, and a memoised call returns at once or makes the same two
+        memo = graph_module._deletion_contraction
+        saved = 0
         for graph in graphs:
-            fresh = Graph(graph.d, graph.edges)  # chi is cached on the graph
-            calls.clear()
-            sys.setprofile(profile)
-            try:
-                chromatic_polynomial(fresh)
-            finally:
-                sys.setprofile(None)
-            assert len(calls) == 2 * count_acyclic_orientations(graph) - 1, graph
+            memo.cache_clear()
+            chromatic_polynomial(Graph(graph.d, graph.edges))  # chi is cached on the graph
+            info = memo.cache_info()
+            unmemoised = 2 * count_acyclic_orientations(graph) - 1
+            assert info.hits + info.misses <= unmemoised, graph
+            saved += unmemoised - info.hits - info.misses
+        assert saved > 0
+
+    @pytest.mark.parametrize("d", range(11))
+    def test_complete_graph_is_the_falling_factorial(self, d):
+        chi = chromatic_polynomial(complete_graph(d))
+        assert chi.degree == d
+        assert all(chi(n) == prod(n - k for k in range(d)) for n in range(-1, d + 2))
+
+    def test_cold_k10_takes_under_a_tenth_of_a_second(self):
+        k10 = complete_graph(10)
+        graph_module._deletion_contraction.cache_clear()
+        start = time.perf_counter()
+        chromatic_polynomial(k10)
+        assert time.perf_counter() - start < 0.1
 
     def test_monic_alternating(self):
         for graph in enumerate_labeled_graphs(4):

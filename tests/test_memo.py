@@ -1,5 +1,5 @@
-"""The run-wide caches of the orientation route: hits give the values a
-cleared cache computes, refusals do not depend on what a cache holds,
+"""The run-wide caches of the orientation route and of deletion-contraction:
+hits give the values a cleared cache computes, refusals do not depend on what a cache holds,
 callers get the stored tuple or a fresh tally, and every cache is
 bounded."""
 
@@ -13,11 +13,21 @@ from hstarlib import decomp, graph
 from hstarlib.budget import limit
 from hstarlib.decomp import _orientation_sum, graph_decomposition, graph_numerator
 from hstarlib.errors import BudgetExceeded
-from hstarlib.graph import _mask_map_counts, acyclic_orientations, chromatic_via_orientations
+from hstarlib.graph import (
+    _mask_map_counts,
+    acyclic_orientations,
+    chromatic_polynomial,
+    chromatic_via_orientations,
+)
 from hstarlib.harness import random_instances, verify_all
 from test_graph import SWEEP_CORPORA, SWEEP_IDS
 
-CACHES = (graph._packed_counts, graph._count_vectors, decomp._orientation_term)
+CACHES = (
+    graph._packed_counts,
+    graph._count_vectors,
+    decomp._orientation_term,
+    graph._deletion_contraction,
+)
 
 
 def clear_all():
@@ -39,6 +49,7 @@ def test_every_cache_is_bounded():
         "_count_vectors": 1 << 12,
         "_orientation_term": 1 << 12,
         "_packing": 8,
+        "_deletion_contraction": 1 << 12,
     }
     assert {name: found.get(name) for name in expected} == expected
 
@@ -46,7 +57,8 @@ def test_every_cache_is_bounded():
 def test_hit_profile_of_a_graphs_random_5_pass():
     # one pass over the benchmark's graph corpus, from cleared caches: the
     # 7241 map-count calls need 1601 transforms (the strict ones once per
-    # class of each graph), and 28 orientation terms
+    # class of each graph), and 28 orientation terms; deletion-contraction
+    # meets 269 distinct subproblems in 609 calls, where it made 4495
     clear_all()
     for _ in verify_all(random_instances("graph", 5, 81, 701)):
         pass
@@ -54,6 +66,8 @@ def test_hit_profile_of_a_graphs_random_5_pass():
     assert (transforms.misses, transforms.hits) == (1601, 5640)
     assert graph._count_vectors.cache_info().currsize == 56
     assert decomp._orientation_term.cache_info().misses == 28
+    subproblems = graph._deletion_contraction.cache_info()
+    assert (subproblems.misses, subproblems.hits) == (269, 340)
 
 
 class TestMapCountMemo:
@@ -158,3 +172,16 @@ class TestOrientationRouteMemo:
         expected = dict(tally)
         tally.clear()
         assert _orientation_sum(g) == (expected, zh)
+
+
+class TestDeletionContractionMemo:
+    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
+    def test_stored_results_equal_cleared_ones(self, graphs):
+        # fresh graphs, since chi is also cached on the graph
+        clear_all()
+        stored = [chromatic_polynomial(graph.Graph(g.d, g.edges)) for g in graphs]
+        cleared = []
+        for g in graphs:
+            clear_all()
+            cleared.append(chromatic_polynomial(graph.Graph(g.d, g.edges)))
+        assert stored == cleared

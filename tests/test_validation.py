@@ -5,7 +5,7 @@ import re
 import pytest
 
 from hstarlib.decomp import inequality_report, order_decomposition
-from hstarlib.ehrhart import HRepPolytope, Simplex, open_numerator
+from hstarlib.ehrhart import HRepPolytope, OrderPolytope, Simplex, open_numerator
 from hstarlib.errors import InvalidInput
 from hstarlib.graph import Graph, count_proper_colorings
 from hstarlib.harness import (
@@ -15,7 +15,7 @@ from hstarlib.harness import (
     verify_all,
 )
 from hstarlib.polynomial import IntPolynomial, expand_series, interpolate, reverse, series_numerator
-from hstarlib.poset import Poset
+from hstarlib.poset import Poset, order_map_counts
 
 SQUARE = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
 H = IntPolynomial([1, 1, 1])  # degree 2
@@ -48,6 +48,30 @@ CASES = {
     "colorings-negative": (
         lambda: count_proper_colorings(Graph(2), -1),
         "n must be nonnegative",
+    ),
+    "colorings-non-integer": (
+        lambda: count_proper_colorings(Graph(1), 2.5),
+        "2.5 is not an integer",
+    ),
+    "colorings-non-integer-on-an-edge": (
+        lambda: count_proper_colorings(Graph(2, [(1, 2)]), 2.5),
+        "2.5 is not an integer",
+    ),
+    "order-map-counts-non-integer": (
+        lambda: order_map_counts(Poset(2), 2.0),
+        "2.0 is not an integer",
+    ),
+    "order-polytope-series-non-integer": (
+        lambda: OrderPolytope(Poset(2)).count_series(2.0),
+        "2.0 is not an integer",
+    ),
+    "order-polytope-count-non-integer": (
+        lambda: OrderPolytope(Poset(2)).count_points(2.0),
+        "2.0 is not an integer",
+    ),
+    "hrep-count-non-integer": (
+        lambda: HRepPolytope(SQUARE, 2).count_points(2.5),
+        "2.5 is not an integer",
     ),
     "enumerate-posets-negative": (
         lambda: list(enumerate_labeled_posets(-1)),
