@@ -134,7 +134,6 @@ class OrderPolytope:
         return weak[1:]
 
     def count_points(self, n: int, interior: bool = False) -> int:
-        n = integer(n)
         return self.count_series(n, interior)[n]
 
     def __repr__(self) -> str:

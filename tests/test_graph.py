@@ -329,9 +329,10 @@ class TestColorings:
 
     @pytest.mark.parametrize("d", range(5))
     def test_matches_brute_force_on_every_small_graph(self, d):
-        # n <= d + 2 reaches past n = d, where the (n)_r weights stop at r = d
+        # n <= d + 2 reaches past n = d, where the (n)_r weights stop at r = d;
+        # n <= 4 is kept for the smallest d
         for graph in enumerate_labeled_graphs(d):
-            for n in range(d + 3):
+            for n in range(max(5, d + 3)):
                 expected = brute_proper_colorings(graph, n)
                 assert count_colorings_by_color(graph, n) == expected, (graph, n)
                 assert count_proper_colorings(graph, n) == expected, (graph, n)
