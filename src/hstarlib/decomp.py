@@ -27,7 +27,11 @@ adds each class's terms, times its count, as ints.  Every cross-route
 check and every charge against the budget in force runs on every call;
 the one charge made on a miss only, an allocation, is held to the default
 budget, so no refusal depends on what a cache holds.  The public
-``order_decomposition`` and ``ehrhart._checked_h_star`` are not cached.
+``order_decomposition``, ``open_decomposition``, ``ab_decompose`` and
+``ehrhart._checked_h_star`` are not cached here: the harness memoises its
+numerator-only verdicts, each split with its reconstruction checks, by
+(h, d) in ``harness._numerator_verdict``, so a split is reached through
+this module on every miss and every direct call.
 """
 
 from __future__ import annotations

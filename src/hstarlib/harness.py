@@ -30,6 +30,12 @@ hstar2way      polytope parallelepiped and box-count routes to a simplex's
                         h* agree; a skip on other H-polytopes
 =============  =======  ====================================================
 
+thm1.1, thm1.2, conj6.1, conj6.2 and conj6.4 read only the numerator and d,
+so each verdict is memoised by value for the whole run (``_numerator_verdict``,
+a bounded ``lru_cache``), as is reciprocity's expansion of the series: inputs
+with equal numerators pay for the split once, while the numerator itself,
+every route that reads the input and every charge still run on every input.
+
 Inputs are independent, so sweeps could fan out over workers; this driver
 stays sequential and emits reports in input order, which keeps them
 reproducible byte for byte (timings aside).
@@ -40,6 +46,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
@@ -168,14 +175,14 @@ class CheckResult(NamedTuple):
     name: str
     status: Literal["pass", "fail", "skip", "error"]
     detail: str = ""
-    witnesses: Mapping[str, list[str]] = MappingProxyType({})  # shared, so read-only
+    witnesses: Mapping[str, tuple[str, ...]] = MappingProxyType({})  # shared, so read-only
 
     def to_record(self) -> dict:
         record: dict = {"name": self.name, "status": self.status}
         if self.detail:
             record["detail"] = self.detail
         if self.witnesses:
-            record["witnesses"] = self.witnesses
+            record["witnesses"] = {key: list(w) for key, w in self.witnesses.items()}
         return record
 
 
@@ -244,12 +251,12 @@ def _verdict(
     name: str, ok: bool, detail: str, witnesses: dict[str, Sequence[int]]
 ) -> CheckResult:
     """A bare pass, or a failure carrying ``detail`` and the witnesses'
-    integers as decimal strings."""
+    integers as decimal strings, read-only, since a cached verdict is shared
+    by every input with its numerator."""
     if ok:
         return CheckResult(name, "pass")
-    return CheckResult(
-        name, "fail", detail, {key: [str(c) for c in w] for key, w in witnesses.items()}
-    )
+    frozen = {key: tuple(map(str, w)) for key, w in witnesses.items()}
+    return CheckResult(name, "fail", detail, MappingProxyType(frozen))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +271,10 @@ def _flip_leading(p: IntPolynomial) -> IntPolynomial:
 
 
 class _Context:
-    """One corpus item, its kind and its numerator, computed once.  A
-    graph caches its own chromatic polynomial."""
+    """One corpus item, its kind and its numerator, computed once per input
+    and read by every check; the numerator-only verdicts are cached across
+    inputs by the numerator's value.  A graph caches its own chromatic
+    polynomial."""
 
     def __init__(self, item, mutate: bool):
         if isinstance(item, OrderPolytope):
@@ -326,8 +335,8 @@ def _check_reciprocity(ctx: _Context) -> CheckResult:
     # interior[n] is the strict map count at n - 1, so interior[1 : d + 2]
     # holds the strict order polynomial's values at 0..d
     interior = polytope.count_series(d + 2, interior=True)
-    expansion = expand_series(open_numerator(ctx.numerator(), d), d, d + 2)
-    counts_ok = interior[1:] == expansion[1:]
+    expansion = _series_expansion(ctx.numerator(), d)
+    counts_ok = tuple(interior[1:]) == expansion[1:]
     weak = order_polynomial(ctx.item)
     strict = interpolate(interior[1 : d + 2])
     poly_ok = all(strict(n) == (-1) ** d * weak(-n) for n in range(1, d + 3))
@@ -343,38 +352,92 @@ def _check_reciprocity(ctx: _Context) -> CheckResult:
     )
 
 
-def _check_thm11(ctx: _Context) -> CheckResult:
-    a_p, b_p = decomp.open_decomposition(ctx.numerator(), ctx.d)
+@lru_cache(maxsize=1 << 12)
+def _series_expansion(h: IntPolynomial, d: int) -> tuple[int, ...]:
+    """The interior series of h* through n = d + 2, once per distinct (h, d)."""
+    return tuple(expand_series(open_numerator(h, d), d, d + 2))
+
+
+# The checks below read only the numerator h and d, so each is a function of
+# (h, d) and its table entry is ``_numerator_only(check)``.
+
+
+def _check_thm11(h: IntPolynomial, d: int) -> CheckResult:
+    a_p, b_p = decomp.open_decomposition(h, d)
     return _verdict(
         "thm1.1",
         a_p.is_nonnegative() and b_p.is_nonnegative(),
         "negative coefficient in the open decomposition",
-        {"hstar": ctx.numerator().coeffs, "a_P": a_p.coeffs, "b_P": b_p.coeffs},
+        {"hstar": h.coeffs, "a_P": a_p.coeffs, "b_P": b_p.coeffs},
     )
 
 
-def _check_thm12(ctx: _Context) -> CheckResult:
-    a_pi, b_pi = decomp.order_decomposition(ctx.numerator(), ctx.d)
+def _check_thm12(h: IntPolynomial, d: int) -> CheckResult:
+    a_pi, b_pi = decomp.order_decomposition(h, d)
     return _verdict(
         "thm1.2",
         (-a_pi).is_nonnegative() and b_pi.is_nonnegative(),
         "sign failure in the order decomposition",
-        {"hstar": ctx.numerator().coeffs, "a_Pi": a_pi.coeffs, "b_Pi": b_pi.coeffs},
+        {"hstar": h.coeffs, "a_Pi": a_pi.coeffs, "b_Pi": b_pi.coeffs},
     )
 
 
-def _check_conj62(ctx: _Context) -> CheckResult:
-    if ctx.d == 0:
+def _check_conj62(h: IntPolynomial, d: int) -> CheckResult:
+    if d == 0:
         return CheckResult("conj6.2", "skip", "skipped: degenerate at d = 0")
     # open_numerator refuses degree > d, so the constant term h*_{d+1} is 0
-    p = IntPolynomial(open_numerator(ctx.numerator(), ctx.d).coeffs[1:])
-    dec = decomp.ab_decompose(p, ctx.d)
+    p = IntPolynomial(open_numerator(h, d).coeffs[1:])
+    dec = decomp.ab_decompose(p, d)
     return _verdict(
         "conj6.2",
         (-dec.a).is_nonnegative() and dec.b.is_nonnegative(),
         "sign failure in the strict-series decomposition",
         {"p_Pi": p.coeffs, "a": dec.a.coeffs, "b": dec.b.coeffs},
     )
+
+
+def _check_conj61(h: IntPolynomial, d: int) -> CheckResult:
+    if d == 0:
+        return CheckResult("conj6.1", "skip", "skipped: degenerate at d = 0")
+    dec = decomp.ab_decompose(h, d)
+    return _verdict(
+        "conj6.1",
+        (-dec.a).is_nonnegative() and dec.b.is_nonnegative(),
+        "sign failure in the h_G decomposition",
+        {"h_G": h.coeffs, "a": dec.a.coeffs, "b": dec.b.coeffs},
+    )
+
+
+def _check_conj64(h: IntPolynomial, d: int) -> CheckResult:
+    bad = [line for line in decomp.inequality_report(h, d, "conjecture64") if not line.holds]
+    return _verdict(
+        "conj6.4",
+        not bad,
+        f"inequality fails at i = {[line.i for line in bad]}",
+        {"h_G": h.coeffs},
+    )
+
+
+@lru_cache(maxsize=1 << 12)
+def _numerator_verdict(check, h: IntPolynomial, d: int) -> CheckResult:
+    """``check(h, d)``, computed once per distinct (check, h, d) in a run.
+
+    A miss runs the whole check, every reconstruction check of its split
+    included, so a stored verdict is the one recomputing would give; an
+    exception (``InvalidInput``, ``BudgetExceeded``, the deadline's
+    ``_TimeUp``) is never stored and is raised again on every input.
+    """
+    return check(h, d)
+
+
+def _numerator_only(check):
+    """The table entry of a check of (h, d): the input's numerator is built
+    and charged on every input, the verdict looked up by value."""
+
+    def entry(ctx: _Context) -> CheckResult:
+        return _numerator_verdict(check, ctx.numerator(), ctx.d)
+
+    return entry
 
 
 def _check_thm13(ctx: _Context) -> CheckResult:
@@ -405,29 +468,6 @@ def _check_thm14(ctx: _Context) -> CheckResult:
     if bad:
         problems.append(f"inequality fails at i = {[line.i for line in bad]}")
     return _verdict("thm1.4", not problems, "; ".join(problems), {"h_G": h.coeffs})
-
-
-def _check_conj61(ctx: _Context) -> CheckResult:
-    if ctx.d == 0:
-        return CheckResult("conj6.1", "skip", "skipped: degenerate at d = 0")
-    dec = decomp.ab_decompose(ctx.numerator(), ctx.d)
-    return _verdict(
-        "conj6.1",
-        (-dec.a).is_nonnegative() and dec.b.is_nonnegative(),
-        "sign failure in the h_G decomposition",
-        {"h_G": ctx.numerator().coeffs, "a": dec.a.coeffs, "b": dec.b.coeffs},
-    )
-
-
-def _check_conj64(ctx: _Context) -> CheckResult:
-    lines = decomp.inequality_report(ctx.numerator(), ctx.d, "conjecture64")
-    bad = [line for line in lines if not line.holds]
-    return _verdict(
-        "conj6.4",
-        not bad,
-        f"inequality fails at i = {[line.i for line in bad]}",
-        {"h_G": ctx.numerator().coeffs},
-    )
 
 
 def _check_chromatic3(ctx: _Context) -> CheckResult:
@@ -472,24 +512,28 @@ def _check_hstar2way(ctx: _Context) -> CheckResult:
     )
 
 
+# Each table maps a check name to ``ctx -> CheckResult``.  A numerator-only
+# entry builds ``ctx.numerator()`` first and then looks up its verdict, by
+# the check function, the numerator and d, so an entry replaced in a table
+# runs as it is.
 _POSET_CHECKS = {
     "hstar3way": _check_hstar3way,
     "reciprocity": _check_reciprocity,
-    "thm1.1": _check_thm11,
-    "thm1.2": _check_thm12,
-    "conj6.2": _check_conj62,
+    "thm1.1": _numerator_only(_check_thm11),
+    "thm1.2": _numerator_only(_check_thm12),
+    "conj6.2": _numerator_only(_check_conj62),
 }
 
 _GRAPH_CHECKS = {
     "thm1.3": _check_thm13,
     "thm1.4": _check_thm14,
-    "conj6.1": _check_conj61,
-    "conj6.4": _check_conj64,
+    "conj6.1": _numerator_only(_check_conj61),
+    "conj6.4": _numerator_only(_check_conj64),
     "chromatic3": _check_chromatic3,
 }
 
 _POLYTOPE_CHECKS = {
-    "thm1.1": _check_thm11,
+    "thm1.1": _numerator_only(_check_thm11),
     "hstar2way": _check_hstar2way,
 }
 
@@ -518,12 +562,12 @@ def _run_check(name: str, fn, ctx: _Context) -> CheckResult:
     except Exception as exc:  # a bug in a check must not end the sweep
         import traceback  # only on this path; keeps start-up lean
 
-        frames = [
+        frames = tuple(
             f"{Path(f.filename).name}:{f.lineno} {f.name}"
             for f in traceback.extract_tb(exc.__traceback__)
-        ]
+        )
         detail = f"{type(exc).__name__}: {exc}"
-        return CheckResult(name, "error", detail, {"traceback": frames})
+        return CheckResult(name, "error", detail, MappingProxyType({"traceback": frames}))
 
 
 def verify_all(
@@ -551,7 +595,10 @@ def verify_all(
     clock is consulted between checks only, so the first check always
     runs.  With ``mutate`` the sign of one coefficient of
     each input's numerator polynomial is flipped before checking, which must
-    make the failure path fire (the reporting self-test).
+    make the failure path fire (the reporting self-test).  Verdicts of the
+    numerator-only checks are shared by inputs with equal numerators and d,
+    for the whole run; a shared failure's witnesses are read-only, and no
+    exception is cached, so a refusal or a cut-off recurs on every input.
     """
     if checks is None:
         selected = list(ALL_CHECKS)

@@ -21,12 +21,6 @@ from .errors import InvalidInput
 NEG_INF = float("-inf")
 
 
-def _trim(coeffs: list) -> tuple:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 class IntPolynomial:
     """Polynomial with integer coefficients, stored densely ascending.
 
@@ -44,7 +38,9 @@ class IntPolynomial:
                 cleaned.append(index(c))
             except TypeError:
                 raise InvalidInput(f"integer coefficient expected, got {c!r}") from None
-        self._coeffs = _trim(cleaned)
+        while cleaned and not cleaned[-1]:
+            cleaned.pop()
+        self._coeffs = tuple(cleaned)
 
     @classmethod
     def zero(cls) -> "IntPolynomial":

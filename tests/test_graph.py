@@ -513,4 +513,4 @@ class TestChromaticViaOrientations:
             "deletion-contraction and orientation sum disagree",
         )
         # six orientations in one class: chi(3) = 6 is read as 12
-        assert check.witnesses["chi_ao_values"] == ["0", "0", "0", "12"]
+        assert check.witnesses["chi_ao_values"] == ("0", "0", "0", "12")

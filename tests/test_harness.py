@@ -211,7 +211,7 @@ class TestVerifyAll:
         (report,) = list(verify_all([Graph(2, [(1, 2)])], ["chromatic3"]))
         (check,) = report.checks
         assert check.status == "fail"
-        assert check.witnesses == {"chi_dc": ["0", "-1", "1"], "chi_ao_values": ["0", "1", "2"]}
+        assert check.witnesses == {"chi_dc": ("0", "-1", "1"), "chi_ao_values": ("0", "1", "2")}
 
     def test_chromatic3_colorings_mismatch_names_the_first_n(self, monkeypatch):
         import hstarlib.harness as harness
@@ -222,7 +222,7 @@ class TestVerifyAll:
         (report,) = list(verify_all([Graph(2, [(1, 2)])], ["chromatic3"]))
         (check,) = report.checks
         assert (check.status, check.detail) == ("fail", "chi(2) = 2 but 3 colorings are counted")
-        assert check.witnesses == {"chi_dc": ["0", "-1", "1"]}
+        assert check.witnesses == {"chi_dc": ("0", "-1", "1")}
 
     def test_chromatic3_deletion_contraction_waits_for_the_sweep(self, monkeypatch):
         import hstarlib.harness as harness

@@ -1,7 +1,7 @@
-"""The run-wide caches of the orientation route and of deletion-contraction:
-hits give the values a cleared cache computes, refusals do not depend on what a cache holds,
-callers get the stored tuple or a fresh tally, and every cache is
-bounded."""
+"""The run-wide caches of the orientation route, of deletion-contraction and
+of the harness's numerator-only verdicts: hits give the values a cleared
+cache computes, refusals do not depend on what a cache holds, callers get
+the stored tuple or a fresh tally, and every cache is bounded."""
 
 import importlib
 import pkgutil
@@ -9,7 +9,7 @@ import pkgutil
 import pytest
 
 import hstarlib
-from hstarlib import decomp, graph
+from hstarlib import decomp, graph, harness
 from hstarlib.budget import limit
 from hstarlib.decomp import _orientation_sum, graph_decomposition, graph_numerator
 from hstarlib.errors import BudgetExceeded
@@ -19,7 +19,13 @@ from hstarlib.graph import (
     chromatic_polynomial,
     chromatic_via_orientations,
 )
-from hstarlib.harness import random_instances, verify_all
+from hstarlib.harness import (
+    dilated_cube,
+    dilated_simplex,
+    enumerate_labeled_posets,
+    random_instances,
+    verify_all,
+)
 from test_graph import SWEEP_CORPORA, SWEEP_IDS
 
 CACHES = (
@@ -27,6 +33,8 @@ CACHES = (
     graph._count_vectors,
     decomp._orientation_term,
     graph._deletion_contraction,
+    harness._numerator_verdict,
+    harness._series_expansion,
 )
 
 
@@ -50,6 +58,8 @@ def test_every_cache_is_bounded():
         "_orientation_term": 1 << 12,
         "_packing": 8,
         "_deletion_contraction": 1 << 12,
+        "_numerator_verdict": 1 << 12,
+        "_series_expansion": 1 << 12,
     }
     assert {name: found.get(name) for name in expected} == expected
 
@@ -185,3 +195,91 @@ class TestDeletionContractionMemo:
             clear_all()
             cleared.append(chromatic_polynomial(graph.Graph(g.d, g.edges)))
         assert stored == cleared
+
+
+def records(reports):
+    out = []
+    for report in reports:
+        record = report.to_record()
+        del record["seconds"]
+        out.append(record)
+    return out
+
+
+class TestNumeratorVerdictMemo:
+    def test_hit_profile_of_a_posets_exhaustive_4_pass(self):
+        # the 219 posets have 10 distinct h*: thm1.1, thm1.2 and conj6.2
+        # judge each once, and reciprocity expands each series once
+        clear_all()
+        for _ in verify_all(enumerate_labeled_posets(4)):
+            pass
+        verdicts = harness._numerator_verdict.cache_info()
+        assert (verdicts.misses, verdicts.hits) == (30, 627)
+        expansions = harness._series_expansion.cache_info()
+        assert (expansions.misses, expansions.hits) == (10, 209)
+
+    @pytest.mark.parametrize("mutate", [False, True])
+    def test_a_warm_pass_gives_the_records_of_a_cold_one(self, mutate):
+        # the unit triangle shares thm1.1's verdict with the 2-chains (h* = 1),
+        # and d = 0 inputs share their conj6.1 and conj6.2 skips
+        corpus = [
+            *enumerate_labeled_posets(3),
+            *random_instances("poset", 5, 20, 4),
+            *random_instances("graph", 4, 20, 4),
+            *enumerate_labeled_posets(2),
+            dilated_simplex(2, 1),
+            dilated_cube(2, 1),
+            *enumerate_labeled_posets(0),
+            graph.Graph(0),
+            graph.Graph(0),
+        ]
+        clear_all()
+        cold = records(verify_all(corpus, mutate=mutate))
+        assert harness._numerator_verdict.cache_info().hits > 0
+        assert records(verify_all(corpus, mutate=mutate)) == cold
+
+    def test_a_mutated_sweep_fails_every_input_and_caches_no_exception(self):
+        # the 24 chains' h* = 1 flips to -1, which open_numerator refuses;
+        # the other 195 get a negative leading coefficient, which the open and
+        # order splits refuse: every refusal runs again on every input, and
+        # only conj6.2's 9 distinct verdicts are stored
+        clear_all()
+        mutated = records(verify_all(enumerate_labeled_posets(4), mutate=True))
+        assert len(mutated) == 219
+        # checks in name order: conj6.2, hstar3way, reciprocity, thm1.1, thm1.2
+        assert all(c["status"] == "fail" for r in mutated for c in r["checks"][1:])
+        refusals = [
+            c for r in mutated for c in r["checks"] if "InvalidInput" in c.get("detail", "")
+        ]
+        assert len(refusals) == 4 * 24 + 2 * 195
+        verdicts = harness._numerator_verdict.cache_info()
+        assert (verdicts.misses, verdicts.currsize) == (2 * 219 + 24 + 9, 9)
+        expansions = harness._series_expansion.cache_info()
+        assert (expansions.misses, expansions.currsize) == (24 + 9, 9)
+        assert records(verify_all(enumerate_labeled_posets(4), mutate=True)) == mutated
+
+    def test_a_patched_table_entry_bypasses_the_memo(self, monkeypatch):
+        seen = []
+
+        def probe(ctx):
+            seen.append(ctx.numerator())
+            return harness.CheckResult("thm1.2", "pass")
+
+        monkeypatch.setitem(harness._POSET_CHECKS, "thm1.2", probe)
+        clear_all()
+        posets = list(enumerate_labeled_posets(3))
+        for _ in verify_all(posets, ["thm1.2"]):
+            pass
+        assert len(seen) == len(posets) == 19
+        assert harness._numerator_verdict.cache_info().currsize == 0
+
+    def test_a_cached_failure_is_shared_and_read_only(self):
+        clear_all()
+        g = graph.Graph(2, [(1, 2)])
+        first, second = (
+            report.checks[0] for report in verify_all([g, g], ["conj6.1"], mutate=True)
+        )
+        assert first.status == "fail" and first is second
+        with pytest.raises(TypeError):
+            first.witnesses["h_G"] = ()
+        assert first.witnesses["h_G"] == ("0", "0", "-2")

@@ -64,6 +64,19 @@ class TestIntPolynomial:
         with pytest.raises(InvalidInput, match=re.escape(f"got {bad!r}")):
             IntPolynomial([1, bad, 0.5])
 
+    def test_names_the_first_non_integer_of_a_generator(self):
+        with pytest.raises(InvalidInput, match=re.escape("got 2.0")):
+            IntPolynomial(c for c in (1, 2.0, "3"))
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [([0, 0], ()), ((0, 1, 0), (0, 1)), (iter([3, 0, 2, 0]), (3, 0, 2)), ([False, 0], ())],
+    )
+    def test_trims_every_trailing_zero(self, coeffs, expected):
+        p = IntPolynomial(coeffs)
+        assert p.coeffs == expected and type(p.coeffs) is tuple
+        assert p.degree == (len(expected) - 1 if expected else NEG_INF)
+
     def test_accepts_bool(self):
         p = IntPolynomial([True, False, True, False])
         assert p.coeffs == (1, 0, 1) and p.degree == 2
