@@ -2,8 +2,8 @@
 
 Elements are labeled 1..d.  Internally each element keeps bitmasks of the
 elements strictly above and strictly below it (bit e-1 stands for element e),
-which makes extension enumeration and ideal-lattice walks cheap at the
-corpus sizes this library targets.
+so down-sets are ints.  Of the three h* routes, map counts and ideal chains
+read :meth:`Poset.order_ideals`; the descent DP grows its own down-sets.
 
 The text formats of every input file (posets, graphs and polytopes) share
 one reader, :func:`read_text`, and one writer, :func:`write_text`; each
@@ -12,6 +12,8 @@ format is a :class:`TextFormat` kept next to the class it builds.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import factorial
 from operator import index
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -277,19 +279,50 @@ def descent_h_star(poset: Poset) -> IntPolynomial:
     """h*-polynomial of the order polytope via the descent statistic.
 
     Sum of z^{des(w)} over linear extensions w, descents taken against a
-    natural labeling: the first extension yielded, the lexicographically
-    first.  Any natural labeling gives the same polynomial; this one is
+    natural labeling: the ranks along the lexicographically first
+    extension.  Any natural labeling gives the same polynomial; this one is
     fixed for determinism.  Agrees with the lattice-point and ideal-chain
-    routes.  The running count of extensions walked is charged at each one.
+    routes.
+
+    A DP over (down-set I, last element e) in O(|J(P)| d^2) steps, a layer
+    of down-sets at a time, grown from the lower sets (P-partitions, EC1
+    3.15).  A state packs the descent polynomial of the orderings of I that
+    end in e into one int, a field per coefficient; adding f moves it to
+    (I + f, f), a field up if rank(e) > rank(f).  The running count of
+    states is charged before each layer is built.
     """
-    counts = [0] * max(poset.d, 1)
-    rank: dict[int, int] = {}
-    for walked, w in enumerate(linear_extensions(poset), 1):
-        charge(walked, "linear-extension walk")
-        rank = rank or {e: pos for pos, e in enumerate(w)}
-        des = sum(1 for a, b in zip(w, w[1:]) if rank[a] > rank[b])
-        counts[des] += 1
-    return IntPolynomial(counts)
+    d, below = poset.d, poset._below
+    moves, placed = [], 0  # (f with its lower set, f, 1 + rank(f)) by rank
+    for r in range(1, d + 1):
+        for e in range(d):
+            if not placed >> e & 1 and not below[e] & ~placed:
+                break
+        placed |= 1 << e
+        moves.append((below[e] | 1 << e, 1 << e, r))
+    width = factorial(d).bit_length() + 1
+    # a layer holds (I, row, the moves ready at I); row[r] packs the
+    # orderings of I ending at rank r - 1, and row[0] the empty one
+    ready = [(bit, r) for need, bit, r in moves if need == bit]
+    layer, states = [(0, [1] + [0] * d, ready)], len(ready)
+    for _ in range(d):
+        charge(states, "descent DP")
+        grown, rows = [], {}
+        for down, row, ready in layer:
+            prefix = list(accumulate(row))
+            for bit, r in ready:
+                up = down | bit
+                new = rows.get(up)
+                if new is None:
+                    new = rows[up] = [0] * (d + 1)
+                    free = ~up
+                    nxt = [(b, s) for need, b, s in moves if need & free == b]
+                    states += len(nxt)
+                    grown.append((up, new, nxt))
+                flat = prefix[r - 1]  # the orderings ending below rank r - 1
+                new[r] = flat + (prefix[-1] - flat << width)
+        layer = grown
+    packed, mask = sum(layer[0][1]), (1 << width) - 1
+    return IntPolynomial([packed >> i * width & mask for i in range(max(d, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +383,17 @@ def ideal_chain_f_vector(poset: Poset) -> IntPolynomial:
     constant term 1 stands for the empty chain).  Feeding the result to
     :func:`~hstarlib.polynomial.f_to_h` with ambient dimension d reproduces
     the h*-polynomial.
+
+    One pass over the ideals, subsets first: the chains topped by b count
+    z (1 + the chains topped by each a below b), packed into one int, a
+    field per coefficient.  The k(k - 1)/2 subset tests are charged first.
     """
     ideals = poset.order_ideals()
     k = len(ideals)
-    # strict-subset predecessor lists; ideals are sorted by popcount so
-    # predecessors always precede their supersets
-    preds = [
-        [a for a in range(k) if ideals[a] != ideals[b] and not (ideals[a] & ~ideals[b])]
-        for b in range(k)
-    ]
-    f = [1]  # empty chain
-    layer = [1] * k  # 1-element chains ending at each ideal
-    while any(layer):
-        f.append(sum(layer))
-        layer = [sum(layer[a] for a in preds[b]) for b in range(k)]
-    return IntPolynomial(f)
+    charge(k * (k - 1) // 2, "ideal-chain pass")
+    width = (k ** (poset.d + 1)).bit_length() + 1
+    tops: list[int] = []
+    for b in ideals:
+        tops.append((1 + sum(g for a, g in zip(ideals, tops) if a & b == a)) << width)
+    packed, mask = 1 + sum(tops), (1 << width) - 1
+    return IntPolynomial([packed >> i * width & mask for i in range(poset.d + 2)])

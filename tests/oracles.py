@@ -5,7 +5,8 @@ from itertools import product
 from hstarlib.budget import charge
 from hstarlib.errors import InvalidInput
 from hstarlib.graph import _edge_splits
-from hstarlib.poset import Poset
+from hstarlib.polynomial import IntPolynomial
+from hstarlib.poset import Poset, linear_extensions
 
 
 def count_order_maps(poset: Poset, n: int, strict: bool = False) -> int:
@@ -33,6 +34,34 @@ def count_order_maps(poset: Poset, n: int, strict: bool = False) -> int:
             if all(phi[i] <= phi[j] for i, j in covers):
                 total += 1
     return total
+
+
+def walk_descent_h_star(poset: Poset) -> IntPolynomial:
+    """The descent route as a walk over all linear extensions, up to d! of
+    them: z^des(w) summed over every extension w, with descents taken
+    against the ranks of the first one yielded, the lexicographically first.
+    """
+    counts = [0] * max(poset.d, 1)
+    rank: dict[int, int] = {}
+    for w in linear_extensions(poset):
+        rank = rank or {e: pos for pos, e in enumerate(w)}
+        counts[sum(1 for a, b in zip(w, w[1:]) if rank[a] > rank[b])] += 1
+    return IntPolynomial(counts)
+
+
+def layered_ideal_chain_f_vector(poset: Poset) -> IntPolynomial:
+    """Chains of order ideals counted a length at a time: each ideal's
+    strict subsets are listed once, in O(k^2) for k ideals, and every layer
+    sums the chains one shorter over those lists."""
+    ideals = poset.order_ideals()
+    k = len(ideals)
+    preds = [[a for a in range(k) if a != b and not ideals[a] & ~ideals[b]] for b in range(k)]
+    f = [1]  # the empty chain
+    layer = [1] * k  # the 1-element chains ending at each ideal
+    while any(layer):
+        f.append(sum(layer))
+        layer = [sum(layer[a] for a in preds[b]) for b in range(k)]
+    return IntPolynomial(f)
 
 
 def recursive_acyclic_orientations(graph):

@@ -77,7 +77,7 @@ def test_criterion_1_three_way_hstar(posets4, posets5):
         assert via_counts == via_descents == via_chains, poset
         checked += 1
     elapsed = time.perf_counter() - start
-    ok = checked == 219 + 4231 and elapsed < 60
+    ok = checked == 219 + 4231 and elapsed < 5
     report(1, ok, f"three-way h* agreement on {checked} posets in {elapsed:.1f}s")
 
 
@@ -94,7 +94,7 @@ def test_criterion_2_reciprocity(posets4, posets5):
         for n in range(1, d + 3):
             assert strict(n) == (-1) ** d * weak(-n), poset
     elapsed = time.perf_counter() - start
-    report(2, True, f"interior counts and order reciprocity exact in {elapsed:.1f}s")
+    report(2, elapsed < 5, f"interior counts and order reciprocity exact in {elapsed:.1f}s")
 
 
 def test_criterion_3_open_decomposition(posets5):

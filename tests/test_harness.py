@@ -117,15 +117,25 @@ class TestVerifyAll:
         assert not any(r.failed or r.skipped for r in reports)
         assert len(built) == len(corpus)
 
-    def test_hstar3way_skips_a_long_extension_walk(self):
-        # three disjoint 4-chains: 125 ideals fit the budget, 34650
-        # linear extensions do not
+    def test_hstar3way_skips_a_long_descent_dp(self):
+        # three disjoint 4-chains: 125 ideals fit the budget, but the
+        # descent DP's running count of states reaches 240 at its 8th layer
         chains = Poset(12, [(c + k, c + k + 1) for c in (1, 5, 9) for k in range(3)])
         with limit(200):
             (report,) = verify_all([chains], ["hstar3way"])
         (check,) = report.checks
         assert check.status == "skip"
-        assert check.detail == "skipped: linear-extension walk needs 201 steps, budget is 200"
+        assert check.detail == "skipped: descent DP needs 240 steps, budget is 200"
+
+    def test_hstar3way_skips_a_long_ideal_chain_pass(self):
+        # the 12-antichain's descent DP has 24576 states, but its 4096
+        # ideals make 8386560 pair tests, past the default budget
+        (report,) = verify_all([Poset(12)], ["hstar3way"])
+        (check,) = report.checks
+        assert check.status == "skip"
+        assert check.detail == (
+            "skipped: ideal-chain pass needs 8386560 steps, default budget is 5000000"
+        )
 
     def test_polytope_corpus(self):
         corpus = [dilated_simplex(2, 2), dilated_cube(2, 2)]

@@ -7,12 +7,15 @@ small corpus.
 
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
+import hstarlib.poset as poset_module
 from hstarlib.budget import limit
 from hstarlib.ehrhart import HRepPolytope, Simplex
 from hstarlib.errors import BudgetExceeded, InvalidInput
@@ -27,7 +30,7 @@ from hstarlib.poset import (
     order_map_counts,
     order_polynomial,
 )
-from oracles import count_order_maps
+from oracles import count_order_maps, layered_ideal_chain_f_vector, walk_descent_h_star
 
 
 def longest_chain(poset):
@@ -238,17 +241,50 @@ class TestDescents:
             for poset in enumerate_labeled_posets(d):
                 assert descent_h_star(poset) == brute_descent_poly(poset)
 
-    def test_walk_is_charged_its_running_count(self):
-        # 3! extensions of the 3-antichain; three disjoint 4-chains have
-        # 12! / (4!)^3 = 34650, and the walk stops at the 201st
-        with limit(6):
+    def test_dp_is_charged_its_running_count_of_states(self):
+        # the 3-antichain has 3, 6 and 3 (down-set, last element) states a
+        # layer; three disjoint 4-chains have 300, and the layer that
+        # takes the running count from 198 to 240 is refused under 200
+        with limit(12):
             assert descent_h_star(ANTI3).coeffs == (1, 4, 1)
-        with limit(5), pytest.raises(BudgetExceeded, match="walk needs 6 steps, budget is 5$"):
+        message = "^descent DP needs 12 steps, budget is 11$"
+        with limit(11), pytest.raises(BudgetExceeded, match=message):
             descent_h_star(ANTI3)
         chains = Poset(12, [(c + k, c + k + 1) for c in (1, 5, 9) for k in range(3)])
-        message = "walk needs 201 steps, budget is 200$"
-        with limit(200), pytest.raises(BudgetExceeded, match=message):
+        with limit(300):
+            assert descent_h_star(chains)(1) == 34650  # 12! / (4!)^3 extensions
+        with limit(299), pytest.raises(BudgetExceeded, match="DP needs 300 steps, budget is 299$"):
             descent_h_star(chains)
+        with limit(200), pytest.raises(BudgetExceeded, match="DP needs 240 steps, budget is 200$"):
+            descent_h_star(chains)
+
+    def test_matches_the_extension_walk(self):
+        posets = [p for d in range(6) for p in enumerate_labeled_posets(d)]
+        for d, seed in ((6, 61), (7, 71), (8, 81)):
+            posets += random_instances("poset", d, 40, seed=seed)
+        for poset in posets:
+            assert descent_h_star(poset) == walk_descent_h_star(poset), poset
+
+    def test_antichains_give_the_eulerian_numbers(self):
+        for d in range(11):
+            eulerian = [
+                sum((-1) ** j * comb(d + 1, j) * (m + 1 - j) ** d for j in range(m + 1))
+                for m in range(max(d, 1))
+            ]
+            assert descent_h_star(Poset(d)).coeffs == tuple(eulerian), d
+
+    def test_reads_neither_the_ideal_lattice_nor_the_extensions(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the descent route must stand alone")
+
+        monkeypatch.setattr(Poset, "order_ideals", refuse)
+        monkeypatch.setattr(poset_module, "linear_extensions", refuse)
+        assert descent_h_star(VEE).coeffs == (1, 1)
+
+    def test_d9_antichain_under_a_tenth_of_a_second(self):
+        start = time.perf_counter()
+        assert descent_h_star(Poset(9))(1) == 362880
+        assert time.perf_counter() - start < 0.1
 
     def test_labeling_independent_of_input_labels(self):
         # same unlabeled vee, relabeled: descent polynomial is unchanged
@@ -412,3 +448,28 @@ class TestIdealChains:
         for poset in enumerate_labeled_posets(4):
             f = ideal_chain_f_vector(poset)
             assert f_to_h(f, poset.d) == descent_h_star(poset)
+
+    def test_pair_tests_are_charged_first(self):
+        # the 3-antichain has 8 ideals and 28 pairs of them; the
+        # 12-antichain's 4096 ideals make 8386560 pairs
+        with limit(28):
+            assert ideal_chain_f_vector(ANTI3).coeffs == (1, 8, 19, 18, 6)
+        message = "^ideal-chain pass needs 28 steps, budget is 27$"
+        with limit(27), pytest.raises(BudgetExceeded, match=message):
+            ideal_chain_f_vector(ANTI3)
+        message = "^ideal-chain pass needs 8386560 steps, default budget is 5000000$"
+        with pytest.raises(BudgetExceeded, match=message):
+            ideal_chain_f_vector(Poset(12))
+
+    def test_matches_the_layered_count(self):
+        posets = [p for d in range(6) for p in enumerate_labeled_posets(d)]
+        for d, seed in ((6, 62), (7, 72), (8, 82)):
+            posets += random_instances("poset", d, 40, seed=seed)
+        for poset in posets:
+            assert ideal_chain_f_vector(poset) == layered_ideal_chain_f_vector(poset), poset
+
+    def test_d9_antichain_under_a_tenth_of_a_second(self):
+        start = time.perf_counter()
+        f = ideal_chain_f_vector(Poset(9))
+        assert time.perf_counter() - start < 0.1
+        assert f_to_h(f, 9)(1) == 362880
