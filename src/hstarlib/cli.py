@@ -6,15 +6,16 @@ decompositions with sign verdicts), ``verify`` (batch theorem/conjecture
 verification over corpora), ``random`` (seeded instance generation).
 
 Exit status: 0 success, 1 check or sign failures found, 2 usage or input
-error.  Structured output is line-delimited JSON with every integer
-serialized as a decimal string, so arbitrary-precision coefficients
-round-trip exactly.
+error, 141 (128 + SIGPIPE) when the reader closed stdout.  Structured
+output is line-delimited JSON with every integer serialized as a decimal
+string, so arbitrary-precision coefficients round-trip exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -46,7 +47,7 @@ def _emit(record: dict) -> None:
 def cmd_chromatic(args) -> int:
     graph = Graph.from_text(Path(args.file).read_text())
     h_g = decomp.graph_numerator(graph)  # refuses before deletion-contraction
-    chi = chromatic_polynomial(graph)  # cached by graph_numerator
+    chi = chromatic_polynomial(graph)  # memoised by graph_numerator's check
     chi_strs = _padded(chi, graph.d)
     h_strs = _padded(h_g, graph.d)
     if args.format == JSON_LINES:
@@ -265,7 +266,15 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         with limit(args.budget):
-            return args.fn(args)
+            status = args.fn(args)
+        sys.stdout.flush()  # output smaller than a pipe's buffer meets a closed one here
+        return status
+    except BrokenPipeError:
+        # the reader has gone: what is left goes to devnull, with no message
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (HstarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,11 +12,10 @@ derived decompositions below (open polytope, order polytope, chromatic
 series) inherit their sign behavior from that fact.  Nothing here asserts
 signs: each result carries the parts, and callers read the verdict off
 them.  The chromatic series is built over acyclic orientations in one
-place, ``_orientation_sum``, and checked there against the
-deletion-contraction route, which each graph runs once and caches,
-behind the sweep whose charged orientations bound it; ``graph`` memoises
-its (d, edges) subproblems for the whole run, in a bounded ``lru_cache``
-shared by every graph, so a pass pays once per distinct subproblem.
+place, ``_orientation_sum``, from ``graph._orientation_tally``, and
+checked there against deletion-contraction, behind the sweep whose
+charged orientations bound it; ``graph`` memoises its (d, edges)
+subproblems for the whole run, so a pass pays once per distinct one.
 
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share
@@ -44,7 +43,7 @@ from typing import Literal, NamedTuple
 
 from .ehrhart import _checked_h_star, open_numerator
 from .errors import InternalConsistencyError, InvalidInput
-from .graph import Graph, _mask_map_counts, acyclic_orientations, chromatic_polynomial
+from .graph import Graph, _orientation_tally, chromatic_polynomial
 from .polynomial import IntPolynomial, series_numerator
 
 
@@ -178,7 +177,7 @@ def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, In
 def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynomial]:
     """The orientation route to z h_G, checked against deletion-contraction.
 
-    One sweep of the acyclic orientations tallies their weak map count
+    One sweep, ``graph._orientation_tally``, tallies the weak map count
     vectors at n = 0..d + 1; each distinct vector is one orientation class,
     whose term (:func:`_orientation_term`) holds its open numerator, and
     z h_G is their sum weighted by the tallies.  Returns the tally
@@ -188,14 +187,11 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
     not a property of the graph.  The sweep charges itself, so
     deletion-contraction runs only once the budget has passed it.
 
-    The map counts (tallied as the cached tuples) and terms come from the
-    run-wide caches, so a mask or count vector met before costs a lookup;
-    the sweep, its charges and the deletion-contraction check always run.
+    The map counts and terms come from run-wide caches; the sweep, its
+    charges and the deletion-contraction check always run.
     """
     d = graph.d
-    tally: Counter[tuple[int, ...]] = Counter()
-    for ideals in acyclic_orientations(graph):
-        tally[_mask_map_counts(ideals, d, d + 1)] += 1
+    tally = _orientation_tally(graph)
     zh = _class_sum(tally, 0, d)
     direct = series_numerator(chromatic_polynomial(graph), d)
     if zh != direct.shift(1):

@@ -5,11 +5,13 @@ the orientation route work on sets of vertices: vertex v is bit v - 1 of
 the set's index S, a 2^d-bit mask holds one bit per set, and a packed
 vector holds one field of w bits per set, field S at bit S * w.  An
 acyclic orientation is its down-set mask: bit S is set iff no edge runs
-into S from outside it.
+into S from outside it.  Per orientation the route computes only its
+weak map counts, and every sum over orientations is read off their tally.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import perm
 from typing import Iterable, Iterator
@@ -23,7 +25,7 @@ from .poset import Poset, TextFormat, integer, read_text, write_text
 class Graph:
     """Simple undirected graph on vertices 1..d; no loops, no multi-edges."""
 
-    __slots__ = ("d", "edges", "_chi")
+    __slots__ = ("d", "edges")
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         d = integer(d)
@@ -41,7 +43,6 @@ class Graph:
         if len(normalized) != len(set(normalized)):
             raise InvalidInput("duplicate edges")
         self.edges: frozenset[tuple[int, int]] = frozenset(normalized)
-        self._chi: IntPolynomial | None = None
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
@@ -71,7 +72,7 @@ class Graph:
 GRAPH_FORMAT = TextFormat("p <d> <m>", lambda d, m: (m, 2), "e")
 
 
-@lru_cache(maxsize=8)  # a graph's checks use three (d, w) keys
+@lru_cache(maxsize=8)  # a graph's checks use two (d, w) keys
 def _packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
     """Masks over 2^d fields of w bits.  Per vertex e: the fields of the
     sets without e, all ones; and the zeta pass, those fields and the shift
@@ -160,32 +161,30 @@ def orientation_poset(graph: Graph, ideals: int) -> Poset:
     return poset
 
 
-def _mask_map_counts(ideals: int, d: int, n_max: int, strict: bool = False) -> tuple[int, ...]:
-    """Weak or strict map counts for n = 0..n_max of the d-element poset whose
+def _mask_map_counts(ideals: int, d: int) -> tuple[int, ...]:
+    """Weak map counts for n = 0..d + 1 of the d-element poset whose
     down-sets are the set bits of ``ideals``: the ideal multichains of
     :func:`~hstarlib.poset.order_map_counts`, with the vector over vertex
     sets packed into one int of w-bit fields.  w has a bit to spare over
-    n_max^d, which bounds every count and partial sum.  A weak step is the
+    (d + 1)^d, which bounds every count and partial sum.  A step is the
     subset zeta transform, one shift-and-add per element, and then zeroes
-    the non-ideal fields; a strict step zeroes them after each element,
-    taken in a reversed linear extension, so only antichains of maximal
-    elements are added.  The count is the top field, the full set.
+    the non-ideal fields.  The count is the top field, the full set.
 
     Charges |J(P)| as ``order_ideals`` does, on every call.  The transform
-    is cached for the whole run by (mask, d, n_max, strict), so a mask that
-    an earlier sweep met, of this graph or of another, is not transformed
-    again; it charges 2^d * w as an allocation, and no refusal is cached.
-    Every call gets the cached tuple, shared by all equal count vectors.
+    is cached for the whole run by (mask, d), so a mask that an earlier
+    sweep met, of this graph or of another, is not transformed again; it
+    charges 2^d * w as an allocation, and no refusal is cached.  Every call
+    gets the cached tuple, shared by all equal count vectors.
     """
     charge(ideals.bit_count(), "order-ideal lattice")
-    return _packed_counts(ideals, d, n_max, strict)
+    return _packed_counts(ideals, d)
 
 
 @lru_cache(maxsize=1 << 14)  # its mask keys dominate: 2^d bits each
-def _packed_counts(ideals: int, d: int, n_max: int, strict: bool) -> tuple[int, ...]:
+def _packed_counts(ideals: int, d: int) -> tuple[int, ...]:
     """The transform of :func:`_mask_map_counts` in fields of w bits, as the
     one tuple kept per distinct count vector."""
-    w = (n_max**d).bit_length() + 1
+    w = ((d + 1) ** d).bit_length() + 1
     charge(w << d, f"packed vector of 2^{d} fields of {w} bits", allocation=True)
     _, passes, deposit = _packing(d, w)
     spread = ideals
@@ -193,20 +192,13 @@ def _packed_counts(ideals: int, d: int, n_max: int, strict: bool) -> tuple[int, 
         high = spread & move
         spread ^= high ^ high << shift
     spread *= (1 << w) - 1
-    if strict:  # the more down-sets miss e, the higher e sits
-        missed = [(ideals & m).bit_count() for m in _packing(d, 1)[0]]
-        passes = [passes[e] for e in sorted(range(d), key=missed.__getitem__, reverse=True)]
     top = (w << d) - w
     vec = 1
     counts = [vec >> top]
-    for _ in range(n_max):
-        if strict:
-            for keep, shift in passes:
-                vec = (vec + ((vec & keep) << shift)) & spread
-        else:
-            for keep, shift in passes:
-                vec += (vec & keep) << shift
-            vec &= spread
+    for _ in range(d + 1):
+        for keep, shift in passes:
+            vec += (vec & keep) << shift
+        vec &= spread
         counts.append(vec >> top)
     return _count_vectors(tuple(counts))
 
@@ -214,6 +206,15 @@ def _packed_counts(ideals: int, d: int, n_max: int, strict: bool) -> tuple[int, 
 # one tuple per distinct count vector, of which there are far fewer than
 # masks: ``tuple`` returns a tuple unchanged, so the first one met is kept
 _count_vectors = lru_cache(maxsize=1 << 12)(tuple)
+
+
+def _orientation_tally(graph: Graph) -> Counter[tuple[int, ...]]:
+    """One sweep of the acyclic orientations, tallied by their weak map
+    counts at n = 0..d + 1 (the cached tuples).  Each distinct vector is one
+    orientation class, and every sum over the orientations is read off the
+    tally.  A fresh ``Counter`` on every call; the sweep charges itself."""
+    d = graph.d
+    return Counter(_mask_map_counts(ideals, d) for ideals in acyclic_orientations(graph))
 
 
 def count_proper_colorings(graph: Graph, n: int) -> int:
@@ -272,7 +273,7 @@ def chromatic_polynomial(graph: Graph) -> IntPolynomial:
     Recursion keys on the lexicographically first remaining edge;
     contraction merges into the smaller endpoint and drops parallel
     duplicates (simple-graph convention).  The d = 0 graph has chi = 1.
-    Cached on the graph, and each (d, edges) subproblem, of this graph or
+    Each (d, edges) subproblem, the graph itself included, of this graph or
     of another, is memoised for the whole run in a 4096-entry
     ``lru_cache`` (:func:`_deletion_contraction`).  Uncharged: a call either returns
     from the memo or makes the two calls of the unmemoised recurrence, so
@@ -280,9 +281,7 @@ def chromatic_polynomial(graph: Graph) -> IntPolynomial:
     orientations (the same recurrence), and the library runs it only
     behind a sweep that the budget has passed.
     """
-    if graph._chi is None:
-        graph._chi = IntPolynomial(_deletion_contraction(graph.d, graph.edges))
-    return graph._chi
+    return IntPolynomial(_deletion_contraction(graph.d, graph.edges))
 
 
 @lru_cache(maxsize=1 << 12)  # about 1 KB an entry on d = 7..12 graphs: 4-5 MB when full
@@ -314,20 +313,16 @@ def chromatic_via_orientations(graph: Graph) -> CountingPolynomial:
     acyclic orientations (Stanley, *Acyclic orientations of graphs*, 1973);
     must agree with deletion-contraction.
 
-    The sweep tallies the orientations by class, their weak map counts at
-    n = 0..d + 1 (the cached tuples that ``decomp`` tallies), keeping the
-    first mask met in each.  The strict map counts at n = 0..d are a class
-    property: the weak counts fix Omega_P, of degree d, and reciprocity,
-    Omega°_P(n) = (-1)^d Omega_P(-n), fixes the strict ones.  So the strict
-    kernel runs once per class, on its first mask, and the count-weighted
-    sums are the values of chi at n = 0..d, which fix it (degree d).
+    Reciprocity, Omega°_P(n) = (-1)^d Omega_P(-n) (Stanley, EC1 §3.15),
+    reads the strict counts off the weak ones, so the sweep's tally is all
+    this route needs: its weak counts add into W(0..d + 1), where
+    W = sum_O Omega_O, and chi(n) = (-1)^d W(-n) at n = 0..d fixes chi
+    (degree d).  W is interpolated through all d + 2 values, so a wrong
+    count at n = d + 1 shows in chi too.
     """
     d = graph.d
-    classes: dict[tuple[int, ...], list[int]] = {}  # weak counts: [first mask, orientations]
-    for ideals in acyclic_orientations(graph):
-        classes.setdefault(_mask_map_counts(ideals, d, d + 1), [ideals, 0])[1] += 1
-    totals = [0] * (d + 1)
-    for ideals, k in classes.values():
-        strict = _mask_map_counts(ideals, d, d, strict=True)
-        totals = [total + k * c for total, c in zip(totals, strict)]
-    return interpolate(totals)
+    values = [0] * (d + 2)  # W at n = 0..d + 1
+    for counts, k in _orientation_tally(graph).items():
+        values = [v + k * c for v, c in zip(values, counts)]
+    W = interpolate(values)
+    return interpolate([(-1) ** d * W(-n) for n in range(d + 1)])

@@ -273,8 +273,7 @@ def _flip_leading(p: IntPolynomial) -> IntPolynomial:
 class _Context:
     """One corpus item, its kind and its numerator, computed once per input
     and read by every check; the numerator-only verdicts are cached across
-    inputs by the numerator's value.  A graph caches its own chromatic
-    polynomial."""
+    inputs by the numerator's value."""
 
     def __init__(self, item, mutate: bool):
         if isinstance(item, OrderPolytope):

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -581,3 +585,25 @@ class TestInputFaults:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["type"] == "summary" and summary["checks_run"] == 0
         assert err.startswith("error: no check ran")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("fmt", ["json-lines", "text"])
+    def test_a_sweep_into_a_closed_pipe_exits_141_quietly(self, fmt):
+        # the pipe's read end is closed before the child starts, so its
+        # first write fails, whether a json-lines record past the buffer or
+        # the text summary at the final flush; stdout is kept buffered
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hstarlib.cli", "verify", "--graphs", "4", "--format", fmt],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")

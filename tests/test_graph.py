@@ -218,44 +218,27 @@ class TestMaskMapCounts:
     def test_matches_order_map_counts(self, graphs):
         for graph in graphs:
             d = graph.d
-            # every n_max on the small graphs, including the bare n = 0 count
-            weak_tops = range(d + 2) if d <= 4 else [d + 1]
-            strict_tops = range(d + 1) if d <= 4 else [d]
             for mask in acyclic_orientations(graph):
-                poset = orientation_poset(graph, mask)
-                for n_max in weak_tops:
-                    expected = tuple(order_map_counts(poset, n_max))
-                    assert _mask_map_counts(mask, d, n_max) == expected, (graph, mask)
-                for n_max in strict_tops:
-                    expected = tuple(order_map_counts(poset, n_max, strict=True))
-                    assert _mask_map_counts(mask, d, n_max, True) == expected, (graph, mask)
+                expected = tuple(order_map_counts(orientation_poset(graph, mask), d + 1))
+                assert _mask_map_counts(mask, d) == expected, (graph, mask)
 
     @pytest.mark.parametrize("d", range(4))
     def test_matches_brute_force(self, d):
         for graph in enumerate_labeled_graphs(d):
             for flipped in brute_acyclic_orientations(graph):
                 poset = Poset(d, brute_arcs(graph, flipped))
-                mask = brute_down_sets(poset)
-                for strict in (False, True):
-                    counts = _mask_map_counts(mask, d, d + 1, strict)
-                    expected = tuple(count_order_maps(poset, n, strict) for n in range(d + 2))
-                    assert counts == expected, (graph, flipped, strict)
+                expected = tuple(count_order_maps(poset, n) for n in range(d + 2))
+                assert _mask_map_counts(brute_down_sets(poset), d) == expected, (graph, flipped)
 
     @pytest.mark.parametrize("d", range(9))
     def test_edgeless_and_complete_graphs(self, d):
         (mask,) = acyclic_orientations(Graph(d))
-        for strict in (False, True):
-            counts = _mask_map_counts(mask, d, d + 1, strict)
-            assert counts == tuple(n**d for n in range(d + 2))  # top field (d+1)^d
+        counts = _mask_map_counts(mask, d)
+        assert counts == tuple(n**d for n in range(d + 2))  # top field (d+1)^d
         # every orientation of K_d is a chain; the first few are checked
         # (K_0 is the edgeless graph above)
         for mask in islice(acyclic_orientations(complete_graph(d)), 5 if d else 0):
-            assert _mask_map_counts(mask, d, d + 1) == tuple(
-                comb(n + d - 1, d) for n in range(d + 2)
-            )
-            assert _mask_map_counts(mask, d, d + 1, True) == tuple(
-                comb(n, d) for n in range(d + 2)
-            )
+            assert _mask_map_counts(mask, d) == tuple(comb(n + d - 1, d) for n in range(d + 2))
 
     def test_budget_is_the_ideal_count(self):
         for graph in (PATH3, K3, Graph(3), Graph(4, [(1, 2), (3, 4)])):
@@ -264,9 +247,9 @@ class TestMaskMapCounts:
                 assert size == len(orientation_poset(graph, mask).order_ideals())
                 message = f"^order-ideal lattice needs {size} steps, budget is {size - 1}$"
                 with limit(size - 1), pytest.raises(BudgetExceeded, match=message):
-                    _mask_map_counts(mask, graph.d, 3)
+                    _mask_map_counts(mask, graph.d)
                 with limit(size):
-                    _mask_map_counts(mask, graph.d, 3)
+                    _mask_map_counts(mask, graph.d)
 
     def test_sweep_charges_the_mask_before_building_it(self):
         # 2^23 bits exceed the default budget: refused at once, no mask built
@@ -274,14 +257,13 @@ class TestMaskMapCounts:
             count_acyclic_orientations(Graph(23))
         (mask,) = acyclic_orientations(Graph(0))
         assert mask == 1  # the empty set is the only down-set
-        assert _mask_map_counts(mask, 0, 1) == (1, 1)
+        assert _mask_map_counts(mask, 0) == (1, 1)
 
     def test_packed_size_is_charged_before_packing(self):
         # a 20-vertex path has 2^20 vertex sets but only 21 down-sets per
         # orientation; its 2^20 fields exceed the default budget whatever
         # budget is in force, and no packing of that size is built.  The
-        # sweep's weak counts at n = 0..21 come first, so w is one bit over
-        # 21^20's 88 bits, not over the 87 of the strict counts' 20^20
+        # weak counts at n = 0..21 set w one bit over 21^20's 88 bits
         path = Graph(20, [(v, v + 1) for v in range(1, 20)])
         _packing.cache_clear()
         with pytest.raises(BudgetExceeded, match="2\\^20 fields of 89 bits"):
@@ -289,7 +271,7 @@ class TestMaskMapCounts:
         mask = next(acyclic_orientations(path))
         assert mask.bit_count() == 21
         with limit(10**12), pytest.raises(BudgetExceeded, match="packed vector"):
-            _mask_map_counts(mask, 20, 2)
+            _mask_map_counts(mask, 20)
         assert _packing.cache_info().currsize == 1  # the sweep's 1-bit packing
 
 
@@ -370,13 +352,20 @@ class TestChromaticPolynomial:
     def test_empty_graph_convention(self):
         assert chromatic_polynomial(Graph(0)).coeffs == (1,)
 
-    def test_cached_on_the_graph(self):
+    def test_one_recursion_per_distinct_graph(self):
+        # the run-wide memo answers a repeat and an equal graph: the 4-cycle
+        # recurses once, through 12 distinct (d, edges) subproblems in 17
+        # calls, and each later call is one hit
+        memo = graph_module._deletion_contraction
+        memo.cache_clear()
         g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        assert chromatic_polynomial(g) is chromatic_polynomial(g)
-        # an equal graph keeps its own cache, with an equal value
+        chi = chromatic_polynomial(g)
+        recursed = memo.cache_info()
+        assert (recursed.misses, recursed.hits, recursed.currsize) == (12, 5, 12)
         twin = Graph(4, g.edges)
-        assert chromatic_polynomial(twin) is not chromatic_polynomial(g)
-        assert chromatic_polynomial(twin) == chromatic_polynomial(g)
+        assert chromatic_polynomial(g) == chromatic_polynomial(twin) == chi
+        again = memo.cache_info()
+        assert (again.misses, again.hits) == (recursed.misses, recursed.hits + 2)
 
     def test_matches_brute_force(self):
         for graph in enumerate_labeled_graphs(4):
@@ -393,7 +382,7 @@ class TestChromaticPolynomial:
         saved = 0
         for graph in graphs:
             memo.cache_clear()
-            chromatic_polynomial(Graph(graph.d, graph.edges))  # chi is cached on the graph
+            chromatic_polynomial(graph)
             info = memo.cache_info()
             unmemoised = 2 * count_acyclic_orientations(graph) - 1
             assert info.hits + info.misses <= unmemoised, graph
@@ -470,40 +459,29 @@ class TestChromaticViaOrientations:
         [*SWEEP_CORPORA, list(enumerate_labeled_graphs(5))],
         ids=[*SWEEP_IDS, "all-d5"],
     )
-    def test_equal_weak_counts_give_equal_strict_counts(self, graphs):
-        # the weak counts at n = 0..d + 1 fix Omega_P, and reciprocity fixes
-        # the strict counts from it, so the strict kernel may run per class
-        strict_of = {}
-        for graph in graphs:
-            d = graph.d
-            for mask in acyclic_orientations(graph):
-                strict = _mask_map_counts(mask, d, d, strict=True)
-                weak = _mask_map_counts(mask, d, d + 1)
-                assert strict_of.setdefault(weak, strict) == strict, (graph, mask)
-        assert len(strict_of) < sum(map(count_acyclic_orientations, graphs))
-
-    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
     def test_equals_the_per_orientation_strict_sum(self, graphs):
+        # the poset route's strict kernel on every orientation, with no
+        # reciprocity: the sum the graph route reads off the weak counts
         for graph in graphs:
             d = graph.d
             totals = [0] * (d + 1)
             for mask in acyclic_orientations(graph):
-                for n, count in enumerate(_mask_map_counts(mask, d, d, strict=True)):
+                poset = orientation_poset(graph, mask)
+                for n, count in enumerate(order_map_counts(poset, d, strict=True)):
                     totals[n] += count
             chi = chromatic_polynomial(graph)
             assert chromatic_via_orientations(graph) == interpolate(totals) == chi, graph
 
-    def test_the_strict_kernel_still_decides(self, monkeypatch):
-        # one class's strict counts, one too many at n = d: the orientation
-        # route must then disagree with deletion-contraction in chromatic3
+    def test_a_wrong_top_weak_count_decides(self, monkeypatch):
+        # one class's weak counts, one too many at n = d + 1, the value that
+        # only the interpolation of W reads: the orientation route must then
+        # disagree with deletion-contraction in chromatic3
         real = graph_module._mask_map_counts
-        chain = real(next(acyclic_orientations(K3)), 3, 4)  # K3's classes are all chains
+        chain = real(next(acyclic_orientations(K3)), 3)  # K3's classes are all chains
 
-        def perturbed(ideals, d, n_max, strict=False):
-            counts = real(ideals, d, n_max, strict)
-            if strict and real(ideals, d, d + 1) == chain:
-                counts = (*counts[:-1], counts[-1] + 1)
-            return counts
+        def perturbed(ideals, d):
+            counts = real(ideals, d)
+            return (*counts[:-1], counts[-1] + 1) if counts == chain else counts
 
         monkeypatch.setattr(graph_module, "_mask_map_counts", perturbed)
         (report,) = verify_all([K3], ["chromatic3"])
@@ -512,5 +490,6 @@ class TestChromaticViaOrientations:
             "fail",
             "deletion-contraction and orientation sum disagree",
         )
-        # six orientations in one class: chi(3) = 6 is read as 12
-        assert check.witnesses["chi_ao_values"] == ("0", "0", "0", "12")
+        # six orientations in one class add 6 C(n, 4) to W, so chi(n) loses
+        # 6 C(n + 3, 4): 0, 0, 0, 6 read as 0, -6, -30, -84
+        assert check.witnesses["chi_ao_values"] == ("0", "-6", "-30", "-84")

@@ -104,18 +104,20 @@ class TestVerifyAll:
         assert len(reports) == 8
         assert not any(r.failed for r in reports)
 
-    def test_deletion_contraction_runs_once_per_graph(self, monkeypatch):
+    def test_deletion_contraction_runs_once_per_graph(self):
         import hstarlib.graph as graph_module
 
-        built = []
-        real = graph_module.IntPolynomial
-        monkeypatch.setattr(
-            graph_module, "IntPolynomial", lambda coeffs: built.append(coeffs) or real(coeffs)
-        )
+        # the 8 graphs on 3 vertices reach, by contraction, the 2 on 2 and
+        # the edgeless one on 1: 11 distinct (d, edges), each computed once
+        # however many checks ask for chi, and a second sweep adds none
+        memo = graph_module._deletion_contraction
+        memo.cache_clear()
         corpus = list(enumerate_labeled_graphs(3))
-        reports = list(verify_all(corpus))
-        assert not any(r.failed or r.skipped for r in reports)
-        assert len(built) == len(corpus)
+        for _ in range(2):
+            reports = list(verify_all(corpus))
+            assert not any(r.failed or r.skipped for r in reports)
+            info = memo.cache_info()
+            assert (info.misses, info.currsize) == (11, 11)
 
     def test_hstar3way_skips_a_long_descent_dp(self):
         # three disjoint 4-chains: 125 ideals fit the budget, but the

@@ -66,41 +66,33 @@ def test_every_cache_is_bounded():
 
 def test_hit_profile_of_a_graphs_random_5_pass():
     # one pass over the benchmark's graph corpus, from cleared caches: the
-    # 7241 map-count calls need 1601 transforms (the strict ones once per
-    # class of each graph), and 28 orientation terms; deletion-contraction
-    # meets 269 distinct subproblems in 609 calls, where it made 4495
+    # 6864 weak map-count calls need 1292 transforms, and 28 orientation
+    # terms; deletion-contraction meets 269 distinct subproblems in 852
+    # calls, where it made 4495
     clear_all()
     for _ in verify_all(random_instances("graph", 5, 81, 701)):
         pass
     transforms = graph._packed_counts.cache_info()
-    assert (transforms.misses, transforms.hits) == (1601, 5640)
-    assert graph._count_vectors.cache_info().currsize == 56
+    assert (transforms.misses, transforms.hits) == (1292, 5572)
+    assert graph._count_vectors.cache_info().currsize == 28
     assert decomp._orientation_term.cache_info().misses == 28
     subproblems = graph._deletion_contraction.cache_info()
-    assert (subproblems.misses, subproblems.hits) == (269, 340)
+    assert (subproblems.misses, subproblems.hits) == (269, 583)
 
 
 class TestMapCountMemo:
     def test_a_stored_mask_is_still_refused_below_its_ideal_count(self):
         for g in SWEEP_CORPORA[0]:
             for mask in acyclic_orientations(g):
-                _mask_map_counts(mask, g.d, 3)  # stored under the default budget
+                _mask_map_counts(mask, g.d)  # stored under the default budget
                 size = mask.bit_count()
                 message = f"^order-ideal lattice needs {size} steps, budget is {size - 1}$"
                 with limit(size - 1), pytest.raises(BudgetExceeded, match=message):
-                    _mask_map_counts(mask, g.d, 3)
+                    _mask_map_counts(mask, g.d)
 
     @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
     def test_stored_counts_equal_cleared_ones(self, graphs):
-        # weak and strict, at two n_max, one after another on the same mask,
-        # so a key that missed any of them would hand one call another's counts
-        calls = [
-            (mask, g.d, n_max, strict)
-            for g in graphs
-            for mask in acyclic_orientations(g)
-            for n_max in (g.d, g.d + 1)
-            for strict in (False, True)
-        ]
+        calls = [(mask, g.d) for g in graphs for mask in acyclic_orientations(g)]
         clear_all()
         stored = [_mask_map_counts(*call) for call in calls]
         assert [_mask_map_counts(*call) for call in calls] == stored
@@ -115,10 +107,10 @@ class TestMapCountMemo:
         clear_all()
         first, second = acyclic_orientations(graph.Graph(2, [(1, 2)]))
         assert first != second
-        counts = graph._packed_counts(first, 2, 3, False)
-        assert graph._packed_counts(second, 2, 3, False) is counts
+        counts = graph._packed_counts(first, 2)
+        assert graph._packed_counts(second, 2) is counts
         assert graph._packed_counts.cache_info().currsize == 2
-        assert _mask_map_counts(first, 2, 3) is _mask_map_counts(second, 2, 3) is counts
+        assert _mask_map_counts(first, 2) is _mask_map_counts(second, 2) is counts
         assert counts == (0, 1, 3, 6)
 
     def test_a_refused_size_is_refused_on_every_call(self):
@@ -128,15 +120,15 @@ class TestMapCountMemo:
         clear_all()
         for _ in range(2):
             with pytest.raises(BudgetExceeded, match="packed vector of 2\\^20 fields"):
-                _mask_map_counts(mask, 20, 2)
+                _mask_map_counts(mask, 20)
         assert graph._packed_counts.cache_info().currsize == 0
 
     def test_a_second_call_gets_the_same_tuple(self):
         # callers share the stored tuple, which they cannot change
         (mask,) = acyclic_orientations(graph.Graph(2))
-        counts = _mask_map_counts(mask, 2, 3)
+        counts = _mask_map_counts(mask, 2)
         assert counts == (0, 1, 4, 9)
-        assert _mask_map_counts(mask, 2, 3) is counts
+        assert _mask_map_counts(mask, 2) is counts
 
 
 class TestOrientationRouteMemo:
@@ -154,28 +146,6 @@ class TestOrientationRouteMemo:
                 cleared.append(fn(g))
         assert stored == cleared
 
-    @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
-    def test_strict_counts_once_per_class(self, monkeypatch, graphs):
-        # every orientation gets its weak lookup; the strict kernel runs on
-        # the first mask of each class, one class per distinct weak vector
-        real = graph._mask_map_counts
-        calls = []
-
-        def spy(ideals, d, n_max, strict=False):
-            calls.append((ideals, n_max, strict))
-            return real(ideals, d, n_max, strict)
-
-        monkeypatch.setattr(graph, "_mask_map_counts", spy)
-        for g in graphs:
-            calls.clear()
-            chromatic_via_orientations(g)
-            firsts = {}
-            for mask in acyclic_orientations(g):
-                firsts.setdefault(real(mask, g.d, g.d + 1), mask)
-            weak = [mask for mask, n_max, strict in calls if not strict]
-            assert weak == list(acyclic_orientations(g))
-            assert calls[len(weak) :] == [(mask, g.d, True) for mask in firsts.values()]
-
     def test_a_changed_result_does_not_change_the_memo(self):
         g = SWEEP_CORPORA[1][0]
         tally, zh = _orientation_sum(g)
@@ -187,13 +157,12 @@ class TestOrientationRouteMemo:
 class TestDeletionContractionMemo:
     @pytest.mark.parametrize("graphs", SWEEP_CORPORA, ids=SWEEP_IDS)
     def test_stored_results_equal_cleared_ones(self, graphs):
-        # fresh graphs, since chi is also cached on the graph
         clear_all()
-        stored = [chromatic_polynomial(graph.Graph(g.d, g.edges)) for g in graphs]
+        stored = [chromatic_polynomial(g) for g in graphs]
         cleared = []
         for g in graphs:
             clear_all()
-            cleared.append(chromatic_polynomial(graph.Graph(g.d, g.edges)))
+            cleared.append(chromatic_polynomial(g))
         assert stored == cleared
 
 
