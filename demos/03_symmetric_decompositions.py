@@ -48,7 +48,8 @@ graph = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 a, b = graph_decomposition(graph)
 print("graph split: a =", a.coeffs, " b =", b.coeffs)
 
-# The sign conditions are exactly partial-sum inequalities on h_G.
+# The sign conditions are exactly partial-sum inequalities on h_G, each
+# holding when its value is nonnegative.
 h_g = graph_numerator(graph)
 for line in inequality_report(h_g, graph.d, "theorem4"):
-    print(f"  i = {line.i}: partial-sum value {line.value} >= 0 is {line.holds}")
+    print(f"  i = {line.i}: partial-sum value {line.value} >= 0 is {line.value >= 0}")

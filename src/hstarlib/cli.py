@@ -83,8 +83,9 @@ def cmd_decompose(args) -> int:
             raise InvalidInput(f"decompose {kind} needs --coeffs and --d")
         hstar, d = _parse_coeffs(args.coeffs), args.ambient
         if kind == "stapledon":
-            dec = decomp.stapledon_pair(hstar, d)
-            a, b, params = dec.a, dec.b, {"d": dec.d, "s": dec.s, "l": dec.l}
+            a, b = decomp.stapledon_pair(hstar, d)
+            s = hstar.degree  # the split's l follows from s = deg h* and d
+            params = {"d": d, "s": s, "l": d + 1 - s}
         else:
             a, b = decomp.open_decomposition(hstar, d)
     elif args.file is None:
@@ -252,6 +253,9 @@ def _check_options(args) -> None:
     """Reject option values that parse but make no sense."""
     if args.budget is not None and args.budget < 0:
         raise InvalidInput(f"--budget must be nonnegative, got {args.budget}")
+    max_size = getattr(args, "max_size", 0)
+    if max_size < 0:
+        raise InvalidInput(f"--max-size must be nonnegative, got {max_size}")
     time_limit = getattr(args, "time_limit", None)
     if time_limit is not None and not time_limit >= 0:
         raise InvalidInput(f"--time-limit must be nonnegative, got {time_limit}")

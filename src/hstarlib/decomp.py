@@ -10,12 +10,14 @@ formulas are partial-sum differences of the h_j, so everything here is
 integer arithmetic.  On polytopal input both parts are nonnegative; the
 derived decompositions below (open polytope, order polytope, chromatic
 series) inherit their sign behavior from that fact.  Nothing here asserts
-signs: each result carries the parts, and callers read the verdict off
-them.  The chromatic series is built over acyclic orientations in one
-place, ``_orientation_sum``, from ``graph._orientation_tally``, and
-checked there against deletion-contraction, behind the sweep whose
-charged orientations bound it; ``graph`` memoises its (d, edges)
-subproblems for the whole run, so a pass pays once per distinct one.
+signs: a split is its parts (a, b), since s and l follow from h and d,
+an inequality line is its (i, value), holding when the value is
+nonnegative, and callers read the verdicts off them.  The chromatic series
+is built over acyclic orientations in one place, ``_orientation_sum``,
+from ``graph._orientation_tally``, and checked there against
+deletion-contraction, behind the sweep whose charged orientations bound
+it; ``graph`` memoises its (d, edges) subproblems for the whole run, so a
+pass pays once per distinct one.
 
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share
@@ -48,17 +50,11 @@ from .polynomial import IntPolynomial, series_numerator
 
 
 class SymmetricDecomposition(NamedTuple):
-    """Result of splitting (1 + ... + z^{l-1}) h into a + z^l b.
-
-    d is the ambient degree parameter, s the degree of the decomposed h,
-    and l = d + 1 - s.
-    """
+    """Result of splitting (1 + ... + z^{l-1}) h into a + z^l b, with
+    l = d + 1 - deg h at ambient degree d."""
 
     a: IntPolynomial
     b: IntPolynomial
-    d: int
-    s: int
-    l: int
 
 
 def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
@@ -75,7 +71,7 @@ def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
     a, b = _checked_split(h, d)
     s = h.degree
     l = d + 1 - s
-    dec = SymmetricDecomposition(IntPolynomial(a), IntPolynomial(b), d, s, l)
+    dec = SymmetricDecomposition(IntPolynomial(a), IntPolynomial(b))
     if b != b[::-1]:
         raise InternalConsistencyError(f"b = {dec.b.coeffs} is not symmetric about {s - 1}")
     multiplied = [sum(h.coeffs[max(k - l + 1, 0) : k + 1]) for k in range(d + 1)]
@@ -262,7 +258,6 @@ def _orientation_term(counts: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
 class InequalityLine(NamedTuple):
     i: int
     value: int
-    holds: bool
 
 
 def inequality_report(
@@ -272,8 +267,8 @@ def inequality_report(
 
     theorem4 mode checks h_d + ... + h_{d-i+1} - h_0 - ... - h_{i-1} >= 0 for
     i = 1..floor((d+1)/2); conjecture64 subtracts one more term, h_i, and
-    runs i = 1..floor(d/2).  Each line reports the value and whether it is
-    nonnegative.
+    runs i = 1..floor(d/2).  Each line reports i and the value, so the
+    inequality holds when ``line.value >= 0``.
     """
     if h.degree > d:
         raise InvalidInput(f"degree {h.degree} exceeds ambient degree {d}")
@@ -284,5 +279,5 @@ def inequality_report(
     lines = []
     for i in range(1, top + 1):
         value = sum(h[j] for j in range(d - i + 1, d + 1)) - sum(h[j] for j in range(i + extra))
-        lines.append(InequalityLine(i, value, value >= 0))
+        lines.append(InequalityLine(i, value))
     return lines

@@ -271,39 +271,26 @@ def _flip_leading(p: IntPolynomial) -> IntPolynomial:
 
 
 class _Context:
-    """One corpus item, its kind and its numerator, computed once per input
-    and read by every check; the numerator-only verdicts are cached across
-    inputs by the numerator's value."""
+    """One corpus item, its kind, check table and numerator route from
+    ``_KINDS``, and its numerator, computed once per input and read by every
+    check; the numerator-only verdicts are cached across inputs by the
+    numerator's value."""
 
     def __init__(self, item, mutate: bool):
-        if isinstance(item, OrderPolytope):
-            item = item.poset  # order polytopes get the full poset check set
-        if isinstance(item, Poset):
-            self.kind = "poset"
-        elif isinstance(item, Graph):
-            self.kind = "graph"
-        elif isinstance(item, HRepPolytope):
-            self.kind = "polytope"
-        else:
+        row = next((_KINDS[cls] for cls in type(item).__mro__ if cls in _KINDS), None)
+        if row is None:
             raise InvalidInput(f"unsupported corpus item {item!r}")
+        self.kind, self.checks, self._route = row
         self.item = item
         self.d = item.d
         self.mutate = mutate
         self._numerator: IntPolynomial | None = None
 
-    def input_text(self) -> str:
-        return self.item.to_text()
-
     def numerator(self) -> IntPolynomial:
-        """h_G of a graph, otherwise ``h_star`` (of the order polytope for
-        a poset, from a simplex's parallelepiped); the mutation target for
+        """The kind's numerator route on the item; the mutation target for
         the self-test."""
         if self._numerator is None:
-            if self.kind == "graph":
-                p = decomp.graph_numerator(self.item)
-            else:
-                polytope = OrderPolytope(self.item) if self.kind == "poset" else self.item
-                p = h_star(polytope)
+            p = self._route(self.item)
             self._numerator = _flip_leading(p) if self.mutate else p
         return self._numerator
 
@@ -408,7 +395,7 @@ def _check_conj61(h: IntPolynomial, d: int) -> CheckResult:
 
 
 def _check_conj64(h: IntPolynomial, d: int) -> CheckResult:
-    bad = [line for line in decomp.inequality_report(h, d, "conjecture64") if not line.holds]
+    bad = [line for line in decomp.inequality_report(h, d, "conjecture64") if line.value < 0]
     return _verdict(
         "conj6.4",
         not bad,
@@ -463,7 +450,7 @@ def _check_thm14(ctx: _Context) -> CheckResult:
         problems.append(
             f"leading {h[d]} vs {orientations} orientations vs (-1)^d chi(-1) = {chi_at_minus_one}"
         )
-    bad = [line for line in decomp.inequality_report(h, d, "theorem4") if not line.holds]
+    bad = [line for line in decomp.inequality_report(h, d, "theorem4") if line.value < 0]
     if bad:
         problems.append(f"inequality fails at i = {[line.i for line in bad]}")
     return _verdict("thm1.4", not problems, "; ".join(problems), {"h_G": h.coeffs})
@@ -536,7 +523,18 @@ _POLYTOPE_CHECKS = {
     "hstar2way": _check_hstar2way,
 }
 
-ALL_CHECKS = tuple(sorted({*_POSET_CHECKS, *_GRAPH_CHECKS, *_POLYTOPE_CHECKS}))
+# One row per input type: its kind name in the reports, its check table and
+# its numerator route, item -> IntPolynomial.  A subclass (a Simplex is an
+# HRepPolytope) takes the row of its nearest listed base.  Each route looks
+# its function up when it is called, so a rebound module attribute is the
+# one that runs.
+_KINDS = {
+    Poset: ("poset", _POSET_CHECKS, lambda poset: h_star(OrderPolytope(poset))),
+    Graph: ("graph", _GRAPH_CHECKS, lambda graph: decomp.graph_numerator(graph)),
+    HRepPolytope: ("polytope", _POLYTOPE_CHECKS, lambda polytope: h_star(polytope)),
+}
+
+ALL_CHECKS = tuple(sorted({name for _, checks, _ in _KINDS.values() for name in checks}))
 
 
 class _TimeUp(BaseException):
@@ -606,7 +604,6 @@ def verify_all(
         unknown = [name for name in selected if name not in ALL_CHECKS]
         if unknown:
             raise InvalidInput(f"unknown checks {unknown}; known: {list(ALL_CHECKS)}")
-    tables = {"poset": _POSET_CHECKS, "graph": _GRAPH_CHECKS, "polytope": _POLYTOPE_CHECKS}
     preempt = (
         time_limit is not None
         and 0 < time_limit < 1 << 31
@@ -619,7 +616,7 @@ def verify_all(
     late = f"skipped: per-input time limit {time_limit}s"
     for index, item in enumerate(corpus):
         ctx = _Context(item, mutate)
-        table = tables[ctx.kind]
+        table = ctx.checks
         names = [name for name in selected if name in table]
         start = time.perf_counter()
         results = []
@@ -644,7 +641,7 @@ def verify_all(
         yield VerificationReport(
             index=index,
             kind=ctx.kind,
-            input_text=ctx.input_text(),
+            input_text=item.to_text(),
             checks=results,
             seconds=time.perf_counter() - start,
         )

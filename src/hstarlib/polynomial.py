@@ -70,8 +70,6 @@ class IntPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPolynomial):
             return self._coeffs == other._coeffs
-        if isinstance(other, int):
-            return self._coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -91,21 +89,6 @@ class IntPolynomial:
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([other * c for c in self._coeffs])
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return IntPolynomial()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x):
         """Evaluate by Horner."""

@@ -191,6 +191,55 @@ class TestDecompose:
         assert record["a"] == ["0", "-2", "-2"]
         assert record["signs"] == "PASS"
 
+    @pytest.mark.parametrize(
+        "kind, source, lines",
+        [
+            (
+                "stapledon",
+                ["--coeffs", "1,3", "--d", "4"],
+                ["d = 4, s = 1, l = 4", "a = [1, 4, 4, 4, 1]", "b = [2]"],
+            ),
+            (
+                "open",
+                ["--coeffs", "1,3", "--d", "2"],
+                ["d = 2, s = 3, l = 1", "a = [1, 4, 4, 1]", "b = [1, 4, 1]"],
+            ),
+            (
+                "order",
+                ("v.poset", "p 3 2\nr 1 2\nr 1 3\n"),
+                ["d = 3, s = 4, l = 1", "a = [0, -1, -2, -1]", "b = [1, 2, 2, 1]"],
+            ),
+            (
+                "graph",
+                ("c4.graph", "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"),
+                ["d = 4, s = 5, l = 1", "a = [0, -14, -22, -22, -14]", "b = [14, 22, 24, 22, 14]"],
+            ),
+        ],
+    )
+    def test_whole_output_of_each_kind(self, capsys, tmp_path, kind, source, lines):
+        if isinstance(source, tuple):  # a poset or graph file
+            name, text = source
+            (tmp_path / name).write_text(text)
+            source = [str(tmp_path / name)]
+        code, out = run(capsys, "decompose", kind, *source)
+        assert code == 0
+        assert out.splitlines() == [
+            f"kind = {kind}", *lines, "symmetry = confirmed", "signs = PASS"
+        ]
+        code, out = run(capsys, "decompose", kind, *source, "--format", "json-lines")
+        assert code == 0
+        params = dict(item.split(" = ") for item in lines[0].split(", "))
+        a, b = (line.split(" = ")[1].strip("[]").split(", ") for line in lines[1:])
+        assert json.loads(out) == {
+            "type": "decomposition",
+            "kind": kind,
+            "params": params,
+            "a": a,
+            "b": b,
+            "symmetry": "confirmed",
+            "signs": "PASS",
+        }
+
     def test_missing_arguments_exit_2(self, capsys):
         assert main(["decompose", "stapledon"]) == 2
         assert main(["decompose", "order"]) == 2
@@ -530,6 +579,11 @@ class TestInputFaults:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: --")
+
+    def test_negative_max_size_is_refused_before_any_corpus(self, capsys):
+        # not read as a cap below the empty poset's d = 0
+        code, out, err = run_err(capsys, "verify", "--posets", "0", "--max-size", "-1")
+        assert (code, out, err) == (2, "", "error: --max-size must be nonnegative, got -1\n")
 
     def test_boundary_option_values_accepted(self, capsys):
         assert main(["random", "poset", "--d", "3", "--relation-probability", "1"]) == 0

@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from hstarlib.budget import limit
-from hstarlib.ehrhart import HRepPolytope, OrderPolytope, Simplex
+from hstarlib.ehrhart import HRepPolytope, Simplex
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import Graph
 from hstarlib.harness import (
@@ -145,19 +145,33 @@ class TestVerifyAll:
         assert all(r.kind == "polytope" and not r.failed for r in reports)
         assert all(len(r.checks) == 1 for r in reports)
 
-    def test_an_order_polytope_gets_the_poset_checks(self):
-        chain = Poset(3, [(1, 2), (2, 3)])
-        (report,) = verify_all([OrderPolytope(chain)])
-        (direct,) = verify_all([chain])
-        assert (report.kind, report.input_text) == ("poset", chain.to_text())
-        assert report.checks == direct.checks
-        assert [c.name for c in report.checks] == [
-            "conj6.2",
-            "hstar3way",
-            "reciprocity",
-            "thm1.1",
-            "thm1.2",
-        ]
+    def test_numerator_routes_are_looked_up_when_called(self, monkeypatch):
+        # a tracer rebinds module attributes after import, so each kind's
+        # route must reach the rebound function, not one bound at import
+        from hstarlib import decomp
+        import hstarlib.harness as harness
+
+        seen = []
+
+        def tap(module, name):
+            real = getattr(module, name)
+
+            def wrapper(item):
+                seen.append((name, item))
+                return real(item)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        tap(harness, "h_star")
+        tap(decomp, "graph_numerator")
+        chain, k2 = Poset(2, [(1, 2)]), Graph(2, [(1, 2)])
+        cube, triangle = dilated_cube(2, 1), dilated_simplex(2, 1)
+        reports = list(verify_all([chain, k2, cube, triangle], ["thm1.1", "conj6.1"]))
+        assert [r.kind for r in reports] == ["poset", "graph", "polytope", "polytope"]
+        assert not any(r.failed for r in reports)
+        assert [name for name, _ in seen] == ["h_star", "graph_numerator", "h_star", "h_star"]
+        assert seen[0][1].poset is chain
+        assert [item for _, item in seen[1:]] == [k2, cube, triangle]
 
     def test_hstar2way_passes_on_simplices_and_skips_other_hreps(self):
         simplices = [dilated_simplex(d, k) for d in (1, 2, 3) for k in (1, 2)]

@@ -95,10 +95,14 @@ class TestIntPolynomial:
 
     def test_arithmetic(self):
         p = IntPolynomial([1, 1])
-        assert (p * p).coeffs == (1, 2, 1)
+        assert (p + p.shift(1)).coeffs == (1, 2, 1)  # (1 + z) p
         assert (p - p).coeffs == ()
-        assert (2 * p).coeffs == (2, 2)
+        assert (p + p).coeffs == (2, 2)
         assert p(3) == 4
+        # no product, and no equality with a bare int
+        with pytest.raises(TypeError):
+            p * p
+        assert IntPolynomial([1]) != 1 and IntPolynomial() != 0
 
 
 class TestReverse:

@@ -1,10 +1,12 @@
-"""Graph streams beyond the benchmark corpora, byte for byte.
+"""Streams beyond the benchmark corpora, byte for byte.
 
 ``stream_pins.json`` holds, per ``verify`` argument list, the exit status,
 the record count and the SHA-256 of the json-lines stream with every
 ``seconds`` field removed, each record as compact JSON and a newline.  The
-digests were recorded before the orientation route was cut down to weak
-counts, so a refactor of that route that changes any record fails here.
+graph digests were recorded before the orientation route was cut down to
+weak counts, and the random-poset and d = 0 digests before the harness
+read an input's kind, checks and numerator route off one table, so a
+refactor of either that changes any record fails here.
 """
 
 import hashlib
