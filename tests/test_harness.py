@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from hstarlib.budget import limit
-from hstarlib.ehrhart import HRepPolytope, Simplex
+from hstarlib.ehrhart import HRepPolytope, OrderPolytope, Simplex
 from hstarlib.errors import BudgetExceeded, InvalidInput
 from hstarlib.graph import Graph
 from hstarlib.harness import (
@@ -144,6 +144,13 @@ class TestVerifyAll:
         reports = list(verify_all(corpus, ["thm1.1"]))
         assert all(r.kind == "polytope" and not r.failed for r in reports)
         assert all(len(r.checks) == 1 for r in reports)
+
+    def test_an_order_polytope_is_an_unsupported_corpus_item(self):
+        # an order polytope is not a corpus item: the harness takes its poset
+        chain = Poset(2, [(1, 2)])
+        with pytest.raises(InvalidInput) as info:
+            list(verify_all([OrderPolytope(chain)]))
+        assert str(info.value) == f"unsupported corpus item {OrderPolytope(chain)!r}"
 
     def test_numerator_routes_are_looked_up_when_called(self, monkeypatch):
         # a tracer rebinds module attributes after import, so each kind's

@@ -127,8 +127,3 @@ def test_unsupported_corpus_item():
     with pytest.raises(InvalidInput) as info:
         list(verify_all([object()]))
     assert re.fullmatch(r"unsupported corpus item <object object at 0x[0-9a-f]+>", str(info.value))
-    # an order polytope is not a corpus item: the harness takes its poset
-    chain = Poset(2, [(1, 2)])
-    with pytest.raises(InvalidInput) as info:
-        list(verify_all([OrderPolytope(chain)]))
-    assert str(info.value) == f"unsupported corpus item {OrderPolytope(chain)!r}"
