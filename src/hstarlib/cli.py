@@ -84,8 +84,6 @@ def cmd_decompose(args) -> int:
         hstar, d = _parse_coeffs(args.coeffs), args.ambient
         if kind == "stapledon":
             a, b = decomp.stapledon_pair(hstar, d)
-            s = hstar.degree  # the split's l follows from s = deg h* and d
-            params = {"d": d, "s": s, "l": d + 1 - s}
         else:
             a, b = decomp.open_decomposition(hstar, d)
     elif args.file is None:
@@ -98,8 +96,9 @@ def cmd_decompose(args) -> int:
         graph = Graph.from_text(Path(args.file).read_text())
         d = graph.d
         a, b = decomp.graph_decomposition(graph)
-    if kind != "stapledon":
-        params = {"d": d, "s": d + 1, "l": 1}
+    params = {"d": d}
+    if kind == "stapledon":  # the split's l follows from s = deg h* and d
+        params.update(s=hstar.degree, l=d + 1 - hstar.degree)
     # Stapledon's split and Theorem 1.1 need a >= 0, Theorems 1.2 and 1.3 need -a >= 0
     passed = (a if kind in ("stapledon", "open") else -a).is_nonnegative() and b.is_nonnegative()
 

@@ -10,14 +10,14 @@ formulas are partial-sum differences of the h_j, so everything here is
 integer arithmetic.  On polytopal input both parts are nonnegative; the
 derived decompositions below (open polytope, order polytope, chromatic
 series) inherit their sign behavior from that fact.  Nothing here asserts
-signs: a split is its parts (a, b), since s and l follow from h and d,
-an inequality line is its (i, value), holding when the value is
-nonnegative, and callers read the verdicts off them.  The chromatic series
-is built over acyclic orientations in one place, ``_orientation_sum``,
-from ``graph._orientation_tally``, and checked there against
-deletion-contraction, behind the sweep whose charged orientations bound
-it; ``graph`` memoises its (d, edges) subproblems for the whole run, so a
-pass pays once per distinct one.
+signs: a split is its parts (a, b), since s and l follow from h and d, an
+inequality line is (i, -a_i) of the Theorem 1.3 or Conjecture 6.1 split,
+holding when the value is nonnegative, and callers read the verdicts off
+them.  The chromatic series is built over acyclic orientations in one
+place, ``_orientation_sum``, from ``graph._orientation_tally``, and checked
+there against deletion-contraction, behind the sweep whose charged
+orientations bound it; ``graph`` memoises its (d, edges) subproblems for
+the whole run, so a pass pays once per distinct one.
 
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share
@@ -148,9 +148,9 @@ def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, In
     dimension lower).  For d = 0 the numerator is z and a_Pi = 0.
     """
     if d == 0:
-        if hstar != IntPolynomial.one():
+        if hstar != IntPolynomial([1]):
             raise InvalidInput("the only 0-dimensional order polytope has h* = 1")
-        a_pi, b_pi = IntPolynomial.zero(), IntPolynomial.one()
+        a_pi, b_pi = IntPolynomial(), IntPolynomial([1])
     else:
         if hstar.degree > d - 1:
             raise InvalidInput(
@@ -265,19 +265,16 @@ def inequality_report(
 ) -> list[InequalityLine]:
     """Partial-sum inequalities satisfied (or conjectured) by chromatic numerators.
 
-    theorem4 mode checks h_d + ... + h_{d-i+1} - h_0 - ... - h_{i-1} >= 0 for
-    i = 1..floor((d+1)/2); conjecture64 subtracts one more term, h_i, and
-    runs i = 1..floor(d/2).  Each line reports i and the value, so the
+    Each line is (i, -a_i) of a split: theorem4 reads i = 1..floor((d+1)/2)
+    off Theorem 1.3's split of z h at ambient d + 1, conjecture64 reads
+    i = 1..floor(d/2) off Conjecture 6.1's split of h at ambient d.  The
     inequality holds when ``line.value >= 0``.
     """
     if h.degree > d:
         raise InvalidInput(f"degree {h.degree} exceeds ambient degree {d}")
     if mode not in ("theorem4", "conjecture64"):
         raise InvalidInput(f"unknown inequality mode {mode!r}")
-    extra = 0 if mode == "theorem4" else 1
-    top = (d + 1) // 2 if mode == "theorem4" else d // 2
-    lines = []
-    for i in range(1, top + 1):
-        value = sum(h[j] for j in range(d - i + 1, d + 1)) - sum(h[j] for j in range(i + extra))
-        lines.append(InequalityLine(i, value))
-    return lines
+    if mode == "theorem4":
+        h, d = h.shift(1), d + 1
+    a, _ = _checked_split(h, d)
+    return [InequalityLine(i, -a[i]) for i in range(1, d // 2 + 1)]

@@ -19,11 +19,11 @@ thm1.1         poset,   open numerator splits as a difference of two
 thm1.2         poset    open order-polytope split has -a, b nonnegative
 thm1.3         graph    z h_G split (orientation sum = direct) has -a, b
                         nonnegative
-thm1.4         graph    h_G degree/signs/leading coefficient and the
-                        partial-sum inequalities
+thm1.4         graph    h_G degree/signs/leading coefficient, and -a_i >= 0
+                        for i <= (d+1)/2 in thm1.3's split of z h_G
 conj6.1        graph    h_G itself splits with -a, b nonnegative
 conj6.2        poset    h_Pi / z splits with -a, b nonnegative
-conj6.4        graph    strengthened partial-sum inequalities
+conj6.4        graph    -a_i >= 0 for i <= d/2 in conj6.1's split of h_G
 chromatic3     graph    deletion-contraction = orientation sum = counted
                         colorings
 hstar2way      polytope parallelepiped and box-count routes to a simplex's
@@ -83,6 +83,8 @@ def enumerate_labeled_posets(d: int, *, max_size: int = MAX_EXHAUSTIVE_SIZE) -> 
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")
+    if max_size < 0:
+        raise InvalidInput("max_size must be nonnegative")
     if d > max_size:
         raise BudgetExceeded(f"exhaustive poset enumeration capped at d = {max_size}")
     pairs = list(combinations(range(d), 2))
@@ -101,6 +103,8 @@ def enumerate_labeled_graphs(d: int, *, max_size: int = MAX_EXHAUSTIVE_SIZE) -> 
     """All 2^C(d,2) labeled simple graphs on vertices 1..d."""
     if d < 0:
         raise InvalidInput("d must be nonnegative")
+    if max_size < 0:
+        raise InvalidInput("max_size must be nonnegative")
     if d > max_size:
         raise BudgetExceeded(f"exhaustive graph enumeration capped at d = {max_size}")
     pairs = [(i + 1, j + 1) for i, j in combinations(range(d), 2)]

@@ -42,14 +42,6 @@ class IntPolynomial:
             cleaned.pop()
         self._coeffs = tuple(cleaned)
 
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs

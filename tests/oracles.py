@@ -110,3 +110,16 @@ def count_colorings_by_color(graph, n: int) -> int:
                 I = (I - 1) & rest
         ways = after
     return ways[full]
+
+
+def partial_sum_inequalities(h: IntPolynomial, d: int, mode: str) -> list[tuple[int, int]]:
+    """The paper's inequalities summed from h's coefficients, free of the
+    split: theorem4 is h_d + ... + h_{d-i+1} - h_0 - ... - h_{i-1} for
+    i = 1..floor((d+1)/2), and conjecture64 subtracts one more term, h_i,
+    for i = 1..floor(d/2)."""
+    extra = 0 if mode == "theorem4" else 1
+    top = (d + 1) // 2 if mode == "theorem4" else d // 2
+    return [
+        (i, sum(h[j] for j in range(d - i + 1, d + 1)) - sum(h[j] for j in range(i + extra)))
+        for i in range(1, top + 1)
+    ]

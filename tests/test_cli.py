@@ -202,17 +202,17 @@ class TestDecompose:
             (
                 "open",
                 ["--coeffs", "1,3", "--d", "2"],
-                ["d = 2, s = 3, l = 1", "a = [1, 4, 4, 1]", "b = [1, 4, 1]"],
+                ["d = 2", "a = [1, 4, 4, 1]", "b = [1, 4, 1]"],
             ),
             (
                 "order",
                 ("v.poset", "p 3 2\nr 1 2\nr 1 3\n"),
-                ["d = 3, s = 4, l = 1", "a = [0, -1, -2, -1]", "b = [1, 2, 2, 1]"],
+                ["d = 3", "a = [0, -1, -2, -1]", "b = [1, 2, 2, 1]"],
             ),
             (
                 "graph",
                 ("c4.graph", "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"),
-                ["d = 4, s = 5, l = 1", "a = [0, -14, -22, -22, -14]", "b = [14, 22, 24, 22, 14]"],
+                ["d = 4", "a = [0, -14, -22, -22, -14]", "b = [14, 22, 24, 22, 14]"],
             ),
         ],
     )

@@ -1,12 +1,13 @@
 """Symmetric decompositions: closed formulas vs an independent linear solver,
 the derived splits, and the inequality reports."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hstarlib import decomp
@@ -33,6 +34,7 @@ from hstarlib.graph import (
 from hstarlib.harness import enumerate_labeled_graphs, enumerate_labeled_posets, random_instances
 from hstarlib.polynomial import IntPolynomial, reverse
 from hstarlib.poset import Poset
+from oracles import partial_sum_inequalities
 from test_graph import brute_acyclic_orientations, brute_arcs
 
 K2 = Graph(2, [(1, 2)])
@@ -130,7 +132,7 @@ class TestAbDecompose:
             h = IntPolynomial([1] + [0] * (d - 1) + [1])
             dec = ab_decompose(h, d)
             assert dec.a == h
-            assert dec.b == IntPolynomial.zero()
+            assert dec.b == IntPolynomial()
 
     def test_rejects_zero(self):
         with pytest.raises(InvalidInput):
@@ -217,12 +219,12 @@ class TestStapledonPair:
     def test_unimodular(self):
         dec = stapledon_pair(IntPolynomial([1]), 2)
         assert dec.a.coeffs == (1, 1, 1)
-        assert dec.b == IntPolynomial.zero()
+        assert dec.b == IntPolynomial()
 
     def test_cube(self):
         dec = stapledon_pair(IntPolynomial([1, 4, 1]), 3)
         assert dec.a.coeffs == (1, 5, 5, 1)
-        assert dec.b == IntPolynomial.zero()
+        assert dec.b == IntPolynomial()
 
     def test_nonnegative_on_polytopal_corpus(self):
         for poset in enumerate_labeled_posets(4):
@@ -281,7 +283,7 @@ class TestOrderDecomposition:
 
     def test_d_zero(self):
         a_pi, b_pi = order_decomposition(IntPolynomial([1]), 0)
-        assert a_pi == IntPolynomial.zero()
+        assert a_pi == IntPolynomial()
         assert b_pi.coeffs == (1,)
 
     def test_rejects_degree_too_high_for_order_polytope(self):
@@ -332,6 +334,20 @@ class TestDerivedSplitsBuildOnlyAParts:
         with pytest.raises(InvalidInput, match=f"degree {degree} exceeds ambient degree {ambient}$"):
             open_decomposition(IntPolynomial([1] * (degree + 1)), 1)
 
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            (open_decomposition, "a_P - b_P does not reverse h* = (1, 4, 1) at d = 3"),
+            (order_decomposition, "a_Pi + z b_Pi does not reverse h* = (1, 4, 1) at d = 3"),
+        ],
+    )
+    def test_perturbed_a_part_fails_reconstruction(self, monkeypatch, split, message):
+        # doubled a-parts stay palindromic, but their combination doubles
+        real = decomp._a_part
+        monkeypatch.setattr(decomp, "_a_part", lambda h, d: real(h, d) + real(h, d))
+        with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+            split(IntPolynomial([1, 4, 1]), 3)
+
     @pytest.mark.parametrize("split", [open_decomposition, order_decomposition])
     def test_asymmetric_a_part_raises(self, monkeypatch, split):
         real = decomp._split
@@ -344,7 +360,7 @@ def per_orientation_routes(graph):
     """h_G and the split of z h_G, one brute-force orientation at a time,
     each poset closed from its arcs: the loop the grouped sums must equal."""
     d = graph.d
-    zh = a = b = IntPolynomial.zero()
+    zh = a = b = IntPolynomial()
     for flipped in brute_acyclic_orientations(graph):
         hs = h_star(OrderPolytope(Poset(d, brute_arcs(graph, flipped))))
         a_pi, b_pi = order_decomposition(hs, d)
@@ -487,6 +503,18 @@ class TestOrientationSum:
         assert graph_numerator(K3).coeffs == (0, 0, 0, 6)
 
 
+def assert_lines_are_split_coefficients(h: IntPolynomial, d: int):
+    """Both reports equal the partial-sum oracle, and each value is -a_i of
+    the checked split of z h at ambient d + 1 (theorem4) or of h at d
+    (conjecture64), made by ``ab_decompose`` with its reconstruction check."""
+    for mode, g, ambient in (("theorem4", h.shift(1), d + 1), ("conjecture64", h, d)):
+        lines = inequality_report(h, d, mode)
+        assert [tuple(line) for line in lines] == partial_sum_inequalities(h, d, mode)
+        if g:  # the zero polynomial has no split, and every value is 0
+            a = ab_decompose(g, ambient).a
+            assert all(value == -a[i] for i, value in lines)
+
+
 class TestInequalityReport:
     def test_k3_theorem4(self):
         lines = inequality_report(IntPolynomial([0, 0, 0, 6]), 3, "theorem4")
@@ -508,3 +536,22 @@ class TestInequalityReport:
     def test_rejects_unknown_mode(self):
         with pytest.raises(InvalidInput):
             inequality_report(IntPolynomial([1]), 2, "theorem5")
+
+    def test_split_coefficients_on_every_graph_through_d5(self):
+        for d in range(6):
+            for graph in enumerate_labeled_graphs(d):
+                assert_lines_are_split_coefficients(graph_numerator(graph), d)
+
+    @pytest.mark.parametrize("d, count", [(6, 40), (7, 60)])
+    def test_split_coefficients_on_seeded_graphs(self, d, count):
+        for graph in random_instances("graph", d, count, seed=d):
+            assert_lines_are_split_coefficients(graph_numerator(graph), d)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 9), st.lists(st.integers(-9, 9), max_size=10))
+    @example(0, [])
+    @example(5, [])
+    @example(9, [1, -2])
+    def test_split_coefficients_on_integer_polynomials(self, d, coeffs):
+        # degrees from the zero polynomial up to d, negative coefficients
+        assert_lines_are_split_coefficients(IntPolynomial(coeffs[: d + 1]), d)

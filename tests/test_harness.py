@@ -246,6 +246,22 @@ class TestVerifyAll:
         assert check.status == "fail"
         assert check.witnesses == {"chi_dc": ("0", "-1", "1"), "chi_ao_values": ("0", "1", "2")}
 
+    def test_thm14_names_a_numerator_one_degree_short(self, monkeypatch):
+        from hstarlib import decomp
+        from hstarlib.polynomial import IntPolynomial
+
+        # the path's h_G is (0, 0, 2, 4); a route that drops its top term
+        real = decomp.graph_numerator
+        short = lambda graph: IntPolynomial(real(graph).coeffs[:-1])
+        monkeypatch.setattr(decomp, "graph_numerator", short)
+        (report,) = list(verify_all([Graph(3, [(1, 2), (2, 3)])], ["thm1.4"]))
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "fail",
+            "degree 2 != 3; leading 0 vs 4 orientations vs (-1)^d chi(-1) = 4",
+        )
+        assert check.witnesses == {"h_G": ("0", "0", "2")}
+
     def test_chromatic3_colorings_mismatch_names_the_first_n(self, monkeypatch):
         import hstarlib.harness as harness
 

@@ -3,10 +3,13 @@
 ``stream_pins.json`` holds, per ``verify`` argument list, the exit status,
 the record count and the SHA-256 of the json-lines stream with every
 ``seconds`` field removed, each record as compact JSON and a newline.  The
-graph digests were recorded before the orientation route was cut down to
+d = 4 and d = 6 graph digests were recorded before the orientation route was cut down to
 weak counts, and the random-poset and d = 0 digests before the harness
-read an input's kind, checks and numerator route off one table, so a
-refactor of either that changes any record fails here.
+read an input's kind, checks and numerator route off one table.  The
+d = 5 graph digests were recorded before ``inequality_report`` read its
+lines off the split, and the mutated stream holds both i-lists, [1] and
+[1, 2], of failing inequalities.  A refactor that changes any record
+fails here.
 """
 
 import hashlib

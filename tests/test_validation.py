@@ -81,6 +81,14 @@ CASES = {
         lambda: list(enumerate_labeled_graphs(-1)),
         "d must be nonnegative",
     ),
+    "enumerate-posets-negative-max-size": (
+        lambda: list(enumerate_labeled_posets(0, max_size=-1)),
+        "max_size must be nonnegative",
+    ),
+    "enumerate-graphs-negative-max-size": (
+        lambda: list(enumerate_labeled_graphs(0, max_size=-1)),
+        "max_size must be nonnegative",
+    ),
     "random-d-negative": (
         lambda: list(random_instances("graph", -1, 1, seed=0)),
         "d and count must be nonnegative",
