@@ -5,8 +5,8 @@ All arithmetic is exact and lives in one integer domain: counting
 polynomials are held by their integer values at n = 0..d, numerators by
 their integer coefficients.  A lattice simplex is counted as the
 H-polytope of its barycentric inequalities, and an H-polytope given
-without a box gets an integer one by Fourier-Motzkin elimination.  There
-are no rationals and no floating point.
+without a box gets the integer box of its vertices.  There are no
+rationals and no floating point.
 """
 
 from .decomp import (

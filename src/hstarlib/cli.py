@@ -258,9 +258,6 @@ def _check_options(args) -> None:
     time_limit = getattr(args, "time_limit", None)
     if time_limit is not None and not time_limit >= 0:
         raise InvalidInput(f"--time-limit must be nonnegative, got {time_limit}")
-    probability = getattr(args, "relation_probability", 0)
-    if not 0 <= probability <= 1:
-        raise InvalidInput(f"--relation-probability must lie in [0, 1], got {probability}")
 
 
 def main(argv=None) -> int:

@@ -17,15 +17,16 @@ into L(0..d).  A simplex is full-dimensional by construction; an
 H-polytope is certified full-dimensional by a positive interior count, and
 without one it walks every closed dilate n = 0..d.
 Counts, boxes, Ehrhart polynomials and h* are integer arithmetic: an
-H-polytope given without a box gets one by integer Fourier-Motzkin
-elimination.  Polytope files (``simplex``, ``hrep``, ``order``) are read
-and written by the shared text-format reader and writer of :mod:`.poset`.
+H-polytope given without a box gets its vertices' box, each vertex read
+off a d-row basis of its inequalities by the same integer adjugate.
+Polytope files (``simplex``, ``hrep``, ``order``) are read and written by
+the shared text-format reader and writer of :mod:`.poset`.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import gcd
+from itertools import combinations, product
+from math import comb, gcd
 from operator import mul
 from pathlib import Path
 from typing import Sequence
@@ -36,7 +37,7 @@ from .polynomial import CountingPolynomial, IntPolynomial, _numerator_coeffs, in
 from .poset import Poset, TextFormat, integer, order_map_counts, read_text, write_text
 
 
-def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
+def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """(D, R) with matrix @ R = D * I and D = +-det, by fraction-free
     (Bareiss) Gauss-Jordan elimination; D = 0 when the matrix is singular.
 
@@ -44,7 +45,7 @@ def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
     is re-checked on the result.
     """
     n = len(matrix)
-    a = [row[:] + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
@@ -59,10 +60,16 @@ def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
         prev = p
     adj = [row[n:] for row in a]
     for i, row in enumerate(matrix):
-        for j in range(n):
-            if sum(row[k] * adj[k][j] for k in range(n)) != (prev if i == j else 0):
+        for j, column in enumerate(zip(*adj)):
+            if sum(map(mul, row, column)) != (prev if i == j else 0):
                 raise InternalConsistencyError("fraction-free elimination broke A adj = det I")
     return prev, adj
+
+
+def _ratio(c: int, q: int) -> str:
+    """c / q in lowest terms, for q > 0: ``3/2``, or ``2`` when q divides c."""
+    g = gcd(c, q)
+    return f"{c // g}" if g == q else f"{c // g}/{q // g}"
 
 
 def _count_box(rows: Sequence[tuple[Sequence[int], int]], lo: list[int], hi: list[int]) -> int:
@@ -143,14 +150,15 @@ class OrderPolytope:
 class HRepPolytope:
     """Bounded polytope {x : a.x <= b for all rows}, declared dimension d.
 
-    Without a user-supplied box, an integer bounding box is derived by
-    Fourier-Motzkin elimination (:meth:`_derive_box`); input with an
-    unbounded coordinate is rejected.  A user box is a constraint like the
-    rows: the polytope counted is the part of {a.x <= b} inside it, closed
-    and interior.  Every box is held as integers.  The declared dimension
-    is trusted but sanity-checked downstream: a full-dimensional polytope
-    must produce an Ehrhart polynomial of degree exactly d, and a flat one
-    is InvalidInput.
+    Without a user-supplied box, the vertices are found and the box is
+    their range rounded outwards (:meth:`_derive_box`); unbounded or empty
+    input is rejected, and a vertex that is not a lattice point is kept as
+    ``non_lattice``.  A user box is a constraint like the rows: the
+    polytope counted is the part of {a.x <= b} inside it, closed and
+    interior, and no vertex is looked for.  Every box is held as integers.
+    The declared dimension is trusted but sanity-checked downstream: a
+    full-dimensional polytope must produce an Ehrhart polynomial of degree
+    exactly d, and a flat one is InvalidInput.
     """
 
     __slots__ = ("inequalities", "d", "box", "user_box", "non_lattice")
@@ -172,65 +180,61 @@ class HRepPolytope:
                 raise InvalidInput("normal vector of wrong dimension")
             rows.append((normal, integer(bound)))
         self.inequalities: tuple[tuple[tuple[int, ...], int], ...] = tuple(rows)
-        self.non_lattice: int | None = None
+        self.non_lattice: str | None = None
         if box is not None:
             lo, hi = box
             if len(lo) != d or len(hi) != d:
                 raise InvalidInput("box must give d lower and d upper bounds")
             self.user_box = self.box = (tuple(map(integer, lo)), tuple(map(integer, hi)))
+            if any(l > h for l, h in zip(*self.box)):
+                raise InvalidInput("empty bounding box; polytope has no points")
         else:
             self.user_box = None
             self.box = self._derive_box()
-        if any(l > h for l, h in zip(*self.box)):
-            raise InvalidInput("empty bounding box; polytope has no points")
 
     def _derive_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Each coordinate's range by integer Fourier-Motzkin elimination.
+        """The vertex box, from one pass over the d-row bases of the rows.
 
-        For each coordinate i, every other coordinate j is eliminated in
-        turn from the rows (normal | bound): rows with a zero j-th entry
-        stay, and each pair p, q with p_j > 0 > q_j becomes p_j q - q_j p,
-        divided by the gcd of its entries, so equal rows merge in the set.
-        The rows left bound x_i alone; their bounds are rounded outwards,
-        which is exact for a lattice polytope (the vertex box) and keeps
-        n * box around n * P for any other.  An end that rounding moved is
-        a vertex coordinate that is not an integer: the first such
-        coordinate (1-based) is kept as ``non_lattice``.  Before each
-        elimination the running total of coefficients built, that
-        elimination's pairs included, is charged.
+        A nonsingular basis S, with A_S adj = D I (:func:`_adjugate`, D > 0
+        after a sign flip), gives D v = adj b_S, a vertex if it satisfies
+        every row.  The box is the vertices' range rounded outwards, and the
+        first vertex with a coordinate D does not divide is ``non_lattice``.
+        By conic Caratheodory, +e_i (-e_i) is in the cone of the normals iff
+        some basis has row i of adj >= 0 (<= 0), and the system is bounded
+        iff all 2d of them are.  Unbounded or vertexless input is
+        InvalidInput.  The work, C(m, d) d^3 for m rows, is charged first.
         """
         d = self.d
-        lo, hi = [], []
-        built = 0
-        for i in range(d):
-            rows = {(*normal, bound) for normal, bound in self.inequalities}
-            for j in range(d):
-                if j == i:
-                    continue
-                pos = [r for r in rows if r[j] > 0]
-                neg = [r for r in rows if r[j] < 0]
-                built += len(pos) * len(neg) * (d + 1)
-                charge(built, "Fourier-Motzkin box derivation")
-                rows = {r for r in rows if r[j] == 0}
-                for p in pos:
-                    for q in neg:
-                        row = [p[j] * b - q[j] * a for a, b in zip(p, q)]
-                        g = gcd(*row) or 1
-                        rows.add(tuple(c // g for c in row))
-            uppers = [-(-r[d] // r[i]) for r in rows if r[i] > 0]
-            lowers = [r[d] // r[i] for r in rows if r[i] < 0]
-            if not uppers or not lowers:
-                raise InvalidInput(
-                    "cannot derive a bounding box from the inequalities; "
-                    "supply an explicit box or check that the polytope is bounded"
-                )
-            lo.append(max(lowers))
-            hi.append(min(uppers))
-            # a rounded end is exact iff it still satisfies every row
-            moved = any(r[i] * x > r[d] for r in rows for x in (lo[i], hi[i]))
-            if moved and self.non_lattice is None:
-                self.non_lattice = i + 1
-        return tuple(lo), tuple(hi)
+        rows = self.inequalities
+        bases = comb(len(rows), d)
+        charge(bases * d**3, f"vertex enumeration over {bases} bases")
+        directions = set()
+        vertices = []
+        for basis in combinations(rows, d):
+            det, adj = _adjugate([normal for normal, _ in basis])
+            if not det:
+                continue
+            if det < 0:
+                det, adj = -det, [[-c for c in row] for row in adj]
+            directions.update(i for i, row in enumerate(adj) if min(row) >= 0)
+            directions.update(~i for i, row in enumerate(adj) if max(row) <= 0)
+            point = [sum(c * bound for c, (_, bound) in zip(row, basis)) for row in adj]
+            if all(sum(map(mul, normal, point)) <= det * bound for normal, bound in rows):
+                vertices.append((point, det))
+        if len(directions) < 2 * d:
+            raise InvalidInput(
+                "cannot derive a bounding box from the inequalities; "
+                "supply an explicit box or check that the polytope is bounded"
+            )
+        if not vertices:
+            raise InvalidInput("the inequalities have no common solution; the polytope is empty")
+        for point, q in vertices:
+            if any(c % q for c in point):
+                self.non_lattice = f"({', '.join(_ratio(c, q) for c in point)})"
+                break
+        lo = tuple(min(point[i] // q for point, q in vertices) for i in range(d))
+        hi = tuple(max(-(-point[i] // q) for point, q in vertices) for i in range(d))
+        return lo, hi
 
     def count_points(self, n: int, interior: bool = False) -> int:
         n = integer(n)
@@ -316,19 +320,14 @@ def _closed_counts(polytope: LatticePolytope) -> list[int]:
     H-polytope walks every closed dilate.  Either walk's top forward
     difference, d! vol(P), must be positive, or the declared dimension is
     wrong: InvalidInput.
-    An H-polytope flagged ``non_lattice`` by its derived box is InvalidInput.
-    Unchecked, and so possibly given a wrong h*: H-polytopes with a user
-    box, and non-lattice ones whose coordinate ranges all have integer ends
-    (ROADMAP item 4's vertices close this gap).
+    An H-polytope with a ``non_lattice`` vertex is InvalidInput.
+    Unchecked, and so possibly given a wrong h*: H-polytopes with a user box.
     """
     d = polytope.d
     if isinstance(polytope, OrderPolytope):
         return polytope.count_series(d)
     if polytope.non_lattice is not None:
-        raise InvalidInput(
-            f"coordinate {polytope.non_lattice} has a range end that is not an integer, "
-            "so a vertex is not a lattice point"
-        )
+        raise InvalidInput(f"vertex {polytope.non_lattice} is not a lattice point")
     half = d // 2
     values = [polytope.count_points(n, True) for n in range(half, 0, -1)]
     if not isinstance(polytope, Simplex) and not any(values):

@@ -124,13 +124,16 @@ def random_instances(
 
     Graphs take each edge with probability 1/2.  Posets come from a random
     DAG on the label order (each pair i < j related with
-    ``relation_probability``), then transitively closed, so validity is
-    guaranteed by construction.  The label pairs are an allocation.
+    ``relation_probability``, in [0, 1]), then transitively closed, so
+    validity is guaranteed by construction.  The label pairs are an
+    allocation.
     """
     if kind not in ("poset", "graph"):
         raise InvalidInput(f"unknown instance kind {kind!r}")
     if d < 0 or count < 0:
         raise InvalidInput("d and count must be nonnegative")
+    if not 0 <= relation_probability <= 1:
+        raise InvalidInput(f"relation_probability must lie in [0, 1], got {relation_probability}")
     charge(comb(d, 2), f"pairs of {d} labels", allocation=True)
     rng = random.Random(seed)
     pairs = [(i + 1, j + 1) for i, j in combinations(range(d), 2)]

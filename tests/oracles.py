@@ -1,6 +1,7 @@
 """Brute-force oracles that the tests hold the library's fast routes against."""
 
 from itertools import product
+from math import gcd
 
 from hstarlib.budget import charge
 from hstarlib.errors import InvalidInput
@@ -123,3 +124,57 @@ def partial_sum_inequalities(h: IntPolynomial, d: int, mode: str) -> list[tuple[
         (i, sum(h[j] for j in range(d - i + 1, d + 1)) - sum(h[j] for j in range(i + extra)))
         for i in range(1, top + 1)
     ]
+
+
+def fourier_motzkin_box(inequalities, d: int):
+    """The integer box of {x : normal . x <= bound} and its first flagged
+    coordinate, by the integer Fourier-Motzkin elimination that derived
+    H-polytope boxes before the vertex pass: ((lo, hi), coordinate).
+
+    For each coordinate i, every other coordinate j is eliminated in
+    turn from the rows (normal | bound): rows with a zero j-th entry
+    stay, and each pair p, q with p_j > 0 > q_j becomes p_j q - q_j p,
+    divided by the gcd of its entries, so equal rows merge in the set.
+    The rows left bound x_i alone; their bounds are rounded outwards,
+    which is exact for a lattice polytope (the vertex box) and keeps
+    n * box around n * P for any other.  An end that rounding moved is
+    a vertex coordinate that is not an integer: the first such
+    coordinate (1-based) is returned, or None.  Before each
+    elimination the running total of coefficients built, that
+    elimination's pairs included, is charged.  An unbounded coordinate,
+    or a box with lo > hi, is InvalidInput.
+    """
+    non_lattice = None
+    lo, hi = [], []
+    built = 0
+    for i in range(d):
+        rows = {(*normal, bound) for normal, bound in inequalities}
+        for j in range(d):
+            if j == i:
+                continue
+            pos = [r for r in rows if r[j] > 0]
+            neg = [r for r in rows if r[j] < 0]
+            built += len(pos) * len(neg) * (d + 1)
+            charge(built, "Fourier-Motzkin box derivation")
+            rows = {r for r in rows if r[j] == 0}
+            for p in pos:
+                for q in neg:
+                    row = [p[j] * b - q[j] * a for a, b in zip(p, q)]
+                    g = gcd(*row) or 1
+                    rows.add(tuple(c // g for c in row))
+        uppers = [-(-r[d] // r[i]) for r in rows if r[i] > 0]
+        lowers = [r[d] // r[i] for r in rows if r[i] < 0]
+        if not uppers or not lowers:
+            raise InvalidInput(
+                "cannot derive a bounding box from the inequalities; "
+                "supply an explicit box or check that the polytope is bounded"
+            )
+        lo.append(max(lowers))
+        hi.append(min(uppers))
+        # a rounded end is exact iff it still satisfies every row
+        moved = any(r[i] * x > r[d] for r in rows for x in (lo[i], hi[i]))
+        if moved and non_lattice is None:
+            non_lattice = i + 1
+    if any(l > h for l, h in zip(lo, hi)):
+        raise InvalidInput("empty bounding box; polytope has no points")
+    return (tuple(lo), tuple(hi)), non_lattice

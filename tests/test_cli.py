@@ -532,19 +532,20 @@ class TestInputFaults:
         assert err == "error: transitive closure needs 225000000 steps, default budget is 5000000\n"
 
     @pytest.mark.parametrize(
-        "text",
-        ["hrep 1 2\n-1 0\n2 3\n", "hrep 2 3\n-1 0 0\n0 -1 0\n2 2 3\n"],
-        ids=["segment-to-3/2", "triangle-2x+2y<=3"],
+        "text, vertex",
+        [
+            ("hrep 1 2\n-1 0\n2 3\n", "(3/2)"),
+            ("hrep 2 3\n-1 0 0\n0 -1 0\n2 2 3\n", "(0, 3/2)"),
+            ("hrep 2 5\n-1 0 0\n1 0 2\n0 -1 0\n0 1 2\n2 1 5\n", "(3/2, 2)"),
+        ],
+        ids=["segment-to-3/2", "triangle-2x+2y<=3", "vertex-in-integer-box"],
     )
-    def test_non_lattice_hrep_exits_2(self, capsys, tmp_path, text):
+    def test_non_lattice_hrep_exits_2(self, capsys, tmp_path, text, vertex):
         path = tmp_path / "rational.hrep"
         path.write_text(text)
         code, out, err = run_err(capsys, "hstar", str(path))
         assert (code, out) == (2, "")
-        assert err == (
-            "error: coordinate 1 has a range end that is not an integer, "
-            "so a vertex is not a lattice point\n"
-        )
+        assert err == f"error: vertex {vertex} is not a lattice point\n"
 
     def test_non_integer_coefficient(self, capsys):
         code, out, err = run_err(capsys, "decompose", "stapledon", "--coeffs", "1,x", "--d", "2")
@@ -570,8 +571,6 @@ class TestInputFaults:
             ["verify", "--posets", "2", "--time-limit", "-1"],
             ["verify", "--posets", "2", "--time-limit", "nan"],
             ["verify", "--random", "graph,5"],
-            ["random", "poset", "--d", "3", "--relation-probability", "7"],
-            ["random", "poset", "--d", "3", "--relation-probability", "-0.5"],
         ],
     )
     def test_bad_option_value(self, capsys, argv):
@@ -579,6 +578,13 @@ class TestInputFaults:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: --")
+
+    @pytest.mark.parametrize("value", ["7", "-0.5", "nan"])
+    def test_relation_probability_is_checked_by_the_library(self, capsys, value):
+        argv = ["random", "poset", "--d", "3", "--relation-probability", value]
+        code, out, err = run_err(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: relation_probability must lie in [0, 1], got {float(value)}\n"
 
     def test_negative_max_size_is_refused_before_any_corpus(self, capsys):
         # not read as a cap below the empty poset's d = 0

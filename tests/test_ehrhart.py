@@ -6,7 +6,9 @@ independent of the order-preserving-map route the library uses.
 """
 
 import random
+import re
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, factorial, floor
@@ -39,6 +41,7 @@ from hstarlib.harness import (
 )
 from hstarlib.polynomial import IntPolynomial, expand_series, series_numerator
 from hstarlib.poset import Poset, descent_h_star, order_polynomial
+from oracles import fourier_motzkin_box
 
 CHAIN2 = Poset(2, [(1, 2)])
 ANTI2 = Poset(2)
@@ -396,19 +399,30 @@ class TestHRep:
         with pytest.raises(InvalidInput):
             HRepPolytope([((1, 0), 5)], 2)
 
+    def test_rejects_empty(self):
+        # x <= 1 and x >= 1 meet at 1, but 0 x <= -1 has no solution: the
+        # box [1, 1] is no box of this system, and no vertex is flagged
+        with pytest.raises(InvalidInput) as info:
+            HRepPolytope([((1,), 1), ((-1,), -1), ((0,), -1)], 1)
+        assert str(info.value) == "the inequalities have no common solution; the polytope is empty"
+
     @pytest.mark.parametrize(
-        "rows, coordinate",
+        "rows, vertex",
         [
             # x, y >= 0 and 2x + 2y <= 3: vertices (3/2, 0) and (0, 3/2)
-            ([((-1, 0), 0), ((0, -1), 0), ((2, 2), 3)], 1),
+            ([((-1, 0), 0), ((0, -1), 0), ((2, 2), 3)], "(0, 3/2)"),
             # the unit interval times [0, 3/2]
-            ([((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 2), 3)], 2),
+            ([((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 2), 3)], "(0, 3/2)"),
+            # [0, 2]^2 cut by 2x + y <= 5: every coordinate range has
+            # integer ends, and the vertex (3/2, 2) lies inside the box
+            ([((-1, 0), 0), ((1, 0), 2), ((0, -1), 0), ((0, 1), 2), ((2, 1), 5)], "(3/2, 2)"),
         ],
+        ids=["triangle-2x+2y<=3", "interval-times-3/2", "vertex-in-integer-box"],
     )
-    def test_non_lattice_vertex_is_refused(self, rows, coordinate):
+    def test_non_lattice_vertex_is_refused(self, rows, vertex):
         polytope = HRepPolytope(rows, 2)
-        assert polytope.non_lattice == coordinate
-        message = f"^coordinate {coordinate} has a range end that is not an integer"
+        assert polytope.non_lattice == vertex
+        message = f"^vertex {re.escape(vertex)} is not a lattice point$"
         for route in (h_star, ehrhart_polynomial):
             with pytest.raises(InvalidInput, match=message):
                 route(polytope)
@@ -418,42 +432,82 @@ class TestHRep:
     def test_lattice_and_user_boxed_polytopes_are_not_flagged(self):
         assert self.cube(3, 2).non_lattice is None
         assert TRIANGLE.non_lattice is None
-        # a user box skips the derivation, so nothing is checked (unflagged)
+        # a user box skips the vertex pass, so nothing is checked (unflagged)
         boxed = HRepPolytope([((-1, 0), 0), ((0, -1), 0), ((2, 2), 3)], 2, box=([0, 0], [2, 2]))
         assert boxed.non_lattice is None
 
     @pytest.mark.parametrize("d, high", [(2, 3), (3, 2), (4, 1)])
     def test_simplex_rows_derive_the_vertex_box(self, d, high):
-        # a lattice simplex given by its barycentric rows alone: elimination
-        # finds the exact vertex box, and so the same h*
+        # a lattice simplex given by its barycentric rows alone: the vertex
+        # pass finds the exact vertex box, and so the same h*
         for simplex in random_simplices(60 + d, d, 8, high):
             rows_only = HRepPolytope(simplex.inequalities, simplex.d)
             assert rows_only.box == simplex.box, simplex
+            assert rows_only.non_lattice is None, simplex
             assert h_star(rows_only) == h_star(simplex), simplex
 
     def test_cross_polytope_without_a_box(self):
-        # every row uses every coordinate: 16 rows, 4 eliminations per coordinate
+        # every row uses every coordinate: 16 rows, C(16, 4) = 1820 bases
         rows = [(signs, 1) for signs in product((-1, 1), repeat=4)]
         polytope = HRepPolytope(rows, 4)
         assert polytope.box == ((-1,) * 4, (1,) * 4)
         assert h_star(polytope).coeffs == (1, 4, 6, 4, 1)
 
     def test_elimination_is_charged_to_the_default_budget(self):
-        # the 6-d cross-polytope's 64 rows multiply pairwise in each
-        # elimination; the derivation is refused before it runs away
+        # the 6-d cross-polytope's 64 rows have C(64, 6) bases of 6^3
+        # steps each; the vertex pass is refused before it runs away
         rows = [(signs, 1) for signs in product((-1, 1), repeat=6)]
-        with pytest.raises(BudgetExceeded, match="Fourier-Motzkin box derivation"):
+        message = (
+            "^vertex enumeration over 74974368 bases needs 16194463488 steps, "
+            "default budget is 5000000$"
+        )
+        with pytest.raises(BudgetExceeded, match=message):
             HRepPolytope(rows, 6)
 
     def test_elimination_is_charged_to_the_budget_in_force(self):
-        # the 2-d cross-polytope: each of its two eliminations pairs 2 rows
-        # with 2 rows of 3 entries, 24 coefficients in all
+        # the 2-d cross-polytope: C(4, 2) = 6 bases of 2^3 = 8 steps each
         rows = [(signs, 1) for signs in product((-1, 1), repeat=2)]
-        message = "^Fourier-Motzkin box derivation needs 24 steps, budget is 23$"
-        with limit(23), pytest.raises(BudgetExceeded, match=message):
+        message = "^vertex enumeration over 6 bases needs 48 steps, budget is 47$"
+        with limit(47), pytest.raises(BudgetExceeded, match=message):
             HRepPolytope(rows, 2)
-        with limit(24):
+        with limit(48):
             assert HRepPolytope(rows, 2).box == ((-1, -1), (1, 1))
+
+    def test_vertex_box_matches_fourier_motzkin(self):
+        # seeded systems with d = 1..4, m = d + 1..2d + 3 rows, normal
+        # entries in [-2, 2] and bounds in [-1, 4], held against the
+        # elimination that derived the box before the vertex pass
+        rng = random.Random(34)
+        seen = Counter()
+        for _ in range(400):
+            d = rng.randint(1, 4)
+            rows = [
+                ([rng.randint(-2, 2) for _ in range(d)], rng.randint(-1, 4))
+                for _ in range(rng.randint(d + 1, 2 * d + 3))
+            ]
+            try:
+                box, coordinate = fourier_motzkin_box(rows, d)
+            except InvalidInput as exc:
+                box, coordinate = str(exc), None
+            try:
+                polytope = HRepPolytope(rows, d)
+            except InvalidInput as exc:
+                refusal = str(exc)
+                if refusal.startswith("cannot derive"):
+                    assert box == refusal, rows  # unbounded for both
+                    seen["unbounded"] += 1
+                else:
+                    # empty: the elimination boxes it, or finds lo > hi
+                    assert refusal.endswith("the polytope is empty"), rows
+                    assert isinstance(box, tuple) or box.startswith("empty bounding box"), rows
+                    seen["empty", isinstance(box, tuple)] += 1
+                continue
+            assert polytope.box == box, rows
+            # every range end the elimination flags is a non-lattice vertex
+            assert coordinate is None or polytope.non_lattice is not None, rows
+            seen["bounded", polytope.non_lattice is not None] += 1
+        # each kind of system occurs, empty ones the elimination accepts too
+        assert len(seen) == 5, seen
 
     def test_user_box_accepted(self):
         p = HRepPolytope([((1, 0), 5)], 2, box=([0, 0], [5, 5]))
@@ -470,7 +524,7 @@ class TestHRep:
 
 
 def cross_polytope(d, k):
-    """k times conv{+-e_i}; its box cannot be derived, so it is given."""
+    """k times conv{+-e_i}, with its box given, as the benchmark builds it."""
     rows = [(signs, k) for signs in product((-1, 1), repeat=d)]
     return HRepPolytope(rows, d, box=([-k] * d, [k] * d))
 

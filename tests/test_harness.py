@@ -72,6 +72,14 @@ class TestRandomInstances:
         with pytest.raises(InvalidInput):
             next(random_instances("matroid", 3, 1, seed=0))
 
+    @pytest.mark.parametrize("p", [7, -0.5, float("nan")])
+    def test_rejects_a_relation_probability_outside_the_unit_interval(self, p):
+        # 7 would relate every pair, a chain; -0.5 and NaN none, an antichain
+        with pytest.raises(InvalidInput, match=r"^relation_probability must lie in \[0, 1\]"):
+            next(random_instances("poset", 3, 1, 0, relation_probability=p))
+        for bound in (0, 1):
+            assert len(list(random_instances("poset", 3, 1, 0, relation_probability=bound))) == 1
+
     def test_label_pairs_are_charged_before_they_are_built(self, monkeypatch):
         import hstarlib.budget as budget
         import hstarlib.harness as harness
@@ -439,7 +447,7 @@ class TestVerifyAll:
         (report,) = list(verify_all([triangle], ["thm1.1"]))
         (check,) = report.checks
         assert check.status == "fail"
-        assert check.detail.startswith("InvalidInput: coordinate 1 has a range end")
+        assert check.detail == "InvalidInput: vertex (0, 3/2) is not a lattice point"
 
     def test_records_are_json_with_decimal_strings(self):
         (report,) = list(verify_all([Graph(2, [(1, 2)])], ["conj6.1"], mutate=True))
