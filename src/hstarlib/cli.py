@@ -28,6 +28,7 @@ from .polynomial import IntPolynomial
 from .poset import Poset, parse_ints
 
 JSON_LINES = "json-lines"
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps builds one per call
 
 
 def _padded(poly, degree: int) -> list[str]:
@@ -41,7 +42,7 @@ def _print_poly(label: str, coeffs: list[str]) -> None:
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record, separators=(",", ":")))
+    print(_ENCODER.encode(record))
 
 
 def cmd_chromatic(args) -> int:

@@ -68,7 +68,7 @@ def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
     """
     if not h:
         raise InvalidInput("cannot decompose the zero polynomial")
-    a, b = _checked_split(h, d)
+    a, b = _checked_a(h, d), _b_coeffs(h.coeffs)
     s = h.degree
     l = d + 1 - s
     dec = SymmetricDecomposition(IntPolynomial(a), IntPolynomial(b))
@@ -82,14 +82,17 @@ def ab_decompose(h: IntPolynomial, d: int) -> SymmetricDecomposition:
     return dec
 
 
-def _split(h: tuple[int, ...], d: int) -> tuple[list[int], list[int]]:
-    """The closed formulas: a as d + 1 coefficients, b as s = deg h."""
-    s = len(h) - 1
-    # prefix[k] = h_0 + ... + h_{k-1}, which is h(1) for every k > s
-    prefix = list(accumulate(h + (0,) * (d - s), initial=0))
-    total = prefix[-1]
-    a = [prefix[i + 1] - total + prefix[d - i + 1] for i in range(d + 1)]
-    return a, [total - prefix[s - i] - prefix[i + 1] for i in range(s)]
+def _a_coeffs(h: tuple[int, ...], d: int) -> list[int]:
+    """The closed formula for a, as d + 1 coefficients, for deg h <= d."""
+    # prefix[k] = h_0 + ... + h_{k-1}, which is h(1) for every k > deg h
+    prefix = list(accumulate(h + (0,) * (d + 1 - len(h)), initial=0))
+    return [prefix[i + 1] - prefix[-1] + prefix[d - i + 1] for i in range(d + 1)]
+
+
+def _b_coeffs(h: tuple[int, ...]) -> list[int]:
+    """The closed formula for b, as s = deg h coefficients."""
+    s, prefix = len(h) - 1, list(accumulate(h, initial=0))
+    return [prefix[-1] - prefix[s - i] - prefix[i + 1] for i in range(s)]
 
 
 def _check_polytopal(hstar: IntPolynomial) -> None:
@@ -99,20 +102,20 @@ def _check_polytopal(hstar: IntPolynomial) -> None:
         raise InvalidInput("h* must have nonnegative coefficients")
 
 
-def _checked_split(h: IntPolynomial, d: int) -> tuple[list[int], list[int]]:
-    """``_split`` of h at ambient degree d, after the degree guard, with a
-    checked palindromic about d."""
+def _checked_a(h: IntPolynomial, d: int) -> list[int]:
+    """``_a_coeffs`` of h at ambient degree d, after the degree guard,
+    checked palindromic about d; the b formula is not evaluated."""
     if h.degree > d:
         raise InvalidInput(f"degree {h.degree} exceeds ambient degree {d}")
-    a, b = _split(h.coeffs, d)
+    a = _a_coeffs(h.coeffs, d)
     if a != a[::-1]:
         raise InternalConsistencyError(f"a = {IntPolynomial(a).coeffs} is not symmetric about {d}")
-    return a, b
+    return a
 
 
 def _a_part(h: IntPolynomial, d: int) -> IntPolynomial:
     """The a-part alone, for the derived splits, which drop the b-part."""
-    return IntPolynomial(_checked_split(h, d)[0])
+    return IntPolynomial(_checked_a(h, d))
 
 
 def stapledon_pair(hstar: IntPolynomial, d: int) -> SymmetricDecomposition:
@@ -276,5 +279,5 @@ def inequality_report(
         raise InvalidInput(f"unknown inequality mode {mode!r}")
     if mode == "theorem4":
         h, d = h.shift(1), d + 1
-    a, _ = _checked_split(h, d)
+    a = _checked_a(h, d)
     return [InequalityLine(i, -a[i]) for i in range(1, d // 2 + 1)]

@@ -8,14 +8,14 @@ integer adjugate) inside their vertices' bounding box.  H-polytopes are
 counted by one lattice-box walker over integer rows, which counts each line
 of the box along the last coordinate by floor division.
 A simplex's h* comes from the |det| lattice points of its half-open
-fundamental parallelepiped, read off as residues modulo |det|, with no box
-walked.  The box route is every other H-polytope's h*, and the simplices'
-second one: for a full-dimensional d-polytope,
-Ehrhart-Macdonald reciprocity L(-n) = (-1)^d L_{P°}(n) turns the closed
-counts at n = 0..ceil(d/2) and the interior counts at n = 1..floor(d/2)
-into L(0..d).  A simplex is full-dimensional by construction; an
-H-polytope is certified full-dimensional by a positive interior count, and
-without one it walks every closed dilate n = 0..d.
+fundamental parallelepiped, read off as residue vectors modulo |det|, each
+packed into one int, with no box walked.  The box route is every other
+H-polytope's h*, and the simplices' second one: for a full-dimensional
+d-polytope, Ehrhart-Macdonald reciprocity L(-n) = (-1)^d L_{P°}(n) turns
+the closed counts at n = 0..ceil(d/2) and the interior counts at
+n = 1..floor(d/2) into L(0..d).  A simplex is full-dimensional by
+construction; an H-polytope is certified full-dimensional by a positive
+interior count, and without one it walks every closed dilate n = 0..d.
 Counts, boxes, Ehrhart polynomials and h* are integer arithmetic: an
 H-polytope given without a box gets its vertices' box, each vertex read
 off a d-row basis of its inequalities by the same integer adjugate.
@@ -25,8 +25,8 @@ the shared text-format reader and writer of :mod:`.poset`.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import comb, gcd
+from itertools import combinations
+from math import comb, gcd, prod
 from operator import mul
 from pathlib import Path
 from typing import Sequence
@@ -77,9 +77,10 @@ def _count_box(rows: Sequence[tuple[Sequence[int], int]], lo: list[int], hi: lis
     every (normal, limit) in rows.
 
     The whole box volume is charged to the budget, the work of testing
-    every box point, although the walk is cheaper: for each point of the
-    first d - 1 coordinates the admissible last coordinates form one
-    interval, and floor division by each row's last coefficient narrows it.
+    every box point, although the walk is cheaper: each row's limit less
+    its partial sum is carried down the first d - 1 coordinates, and at
+    each of their points floor division by each row's last coefficient
+    narrows the last coordinate to one interval.
     Each call charges only its own box, so a budget bounds one walk, not
     the sum over the dilates that ``_closed_counts`` walks.
     An interior count passes strict faces: limit - 1 on every row, and box
@@ -88,27 +89,26 @@ def _count_box(rows: Sequence[tuple[Sequence[int], int]], lo: list[int], hi: lis
     """
     if any(a > b for a, b in zip(lo, hi)):
         return 0
-    volume = 1
-    for a, b in zip(lo, hi):
-        volume *= b - a + 1
-    charge(volume, "bounding-box enumeration")
-    split = [(normal[:-1], limit, normal[-1]) for normal, limit in rows]
-    total = 0
-    for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+    charge(prod(b - a + 1 for a, b in zip(lo, hi)), "bounding-box enumeration")
+    columns, last = [[normal[i] for normal, _ in rows] for i in range(len(lo))], len(lo) - 1
+
+    def walk(level: int, rests: list[int]) -> int:  # each limit less its row's sum so far
+        if level < last:
+            column, steps = columns[level], range(lo[level], hi[level] + 1)
+            return sum(walk(level + 1, [r - a * x for r, a in zip(rests, column)]) for x in steps)
         low, high = lo[-1], hi[-1]
-        for head, limit, c in split:
-            rest = limit - sum(map(mul, head, prefix))
+        for rest, c in zip(rests, columns[-1]):
             if c > 0:
                 high = min(high, rest // c)
             elif c < 0:
                 low = max(low, -(rest // -c))
             elif rest < 0:
-                break
+                return 0
             if low > high:
-                break
-        else:
-            total += high - low + 1
-    return total
+                return 0
+        return high - low + 1
+
+    return walk(0, [limit for _, limit in rows])
 
 
 class OrderPolytope:
@@ -386,24 +386,25 @@ def _box_h_star(polytope: LatticePolytope) -> IntPolynomial:
     return hstar
 
 
-def _coset_closure(generators: Sequence[tuple[int, ...]], modulus: int) -> set[tuple[int, ...]]:
-    """The subgroup of (Z/modulus)^n generated by ``generators``.
+def _coset_closure(generators: Sequence[int], modulus: int, width: int, n: int) -> set[int]:
+    """The subgroup of (Z/modulus)^n generated by ``generators``, each
+    vector one int of n fields of ``width`` bits, 2^(width - 1) > n modulus.
 
     Starting from {0}, each generator g not yet in the subgroup S extends it
     to the disjoint cosets S, S + g, ..., S + (t-1) g, where t g is the
-    first multiple back in S; each element is built once.
+    first multiple back in S; each element is built once.  A sum is reduced
+    by adding 2^(width - 1) - modulus to every field, which sets the top bit
+    of those that reached modulus, and subtracting modulus from each of them.
     """
-    group = {(0,) * len(generators[0])}
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+    bias, high, top = ((1 << width - 1) - modulus) * ones, ones << width - 1, width - 1
+    group = {0}
     for g in generators:
-        multiples = []
-        step = g
+        shifts, step, g_bias = [], g, g + bias
         while step not in group:
-            multiples.append(step)
-            step = tuple((a + b) % modulus for a, b in zip(step, g))
-        base = list(group)
-        group.update(
-            tuple((a + b) % modulus for a, b in zip(x, m)) for m in multiples for x in base
-        )
+            shifts.append(step)
+            step += g - ((step + g_bias & high) >> top) * modulus
+        group |= {x + m - ((x + m + bias & high) >> top) * modulus for m in shifts for x in group}
     return group
 
 
@@ -416,26 +417,32 @@ def _parallelepiped_h_star(simplex: Simplex) -> IntPolynomial:
     h*_k counts those at height lam_0 + ... + lam_d = k.  x -> D A^{-1} x
     mod D maps that quotient onto the subgroup of (Z/D)^{d+1} generated by
     the columns of sign(det A) adj(A) mod D, so h*_k is the number of its
-    elements whose residues sum to k D.  D is charged to the budget before
-    the closure; the group order D, the divisibility of every residue sum
-    by D and h*_0 = 1 are checked.
+    elements whose residues sum to k D.  An element is one int of d + 1
+    fields of b = bit_length((d + 1) D) + 1 bits, so its residue sum is the
+    int mod 2^b - 1.  D is charged to the budget before the closure; the
+    group order D, the divisibility of every residue sum by D and h*_0 = 1
+    are checked.
     """
-    big = simplex.volume
+    big, n = simplex.volume, simplex.d + 1
     charge(big, "fundamental-parallelepiped enumeration")
-    generators = [tuple(c % big for c in column) for column in zip(*simplex.adjugate)]
-    group = _coset_closure(generators, big)
+    width = (n * big).bit_length() + 1
+    generators = []
+    for column in zip(*simplex.adjugate):
+        g = 0
+        for c in reversed(column):
+            g = g << width | c % big
+        generators.append(g)
+    group = _coset_closure(generators, big, width, n)
     if len(group) != big:
         raise InternalConsistencyError(
             f"parallelepiped group has order {len(group)}, but |det| = {big}"
         )
-    h = [0] * (simplex.d + 1)
-    for residues in group:
-        height, rest = divmod(sum(residues), big)
-        if rest:
-            raise InternalConsistencyError(
-                f"residue sum {sum(residues)} is not divisible by |det| = {big}"
-            )
-        h[height] += 1
+    mask = (1 << width) - 1  # 2^width = 1 mod mask, so x mod mask sums the fields of x
+    sums = [x % mask for x in group]
+    h = [sums.count(k * big) for k in range(n)]
+    if sum(h) != big:
+        total = next(total for total in sums if total % big)
+        raise InternalConsistencyError(f"residue sum {total} is not divisible by |det| = {big}")
     if h[0] != 1:
         raise InternalConsistencyError(f"h*_0 = {h[0]}, expected 1")
     return IntPolynomial(h)

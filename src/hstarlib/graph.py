@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 from math import perm
 from typing import Iterable, Iterator
 
@@ -106,9 +107,10 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
     int ``ideals``: bit S is set iff the vertex set S is a down-set of the
     partial orientation.  Orienting u -> v clears the sets that hold v
     without u.  That direction closes a cycle iff no down-set holds u
-    without v (v already reaches u), which prunes the whole subtree.  The
-    walk keeps its own stack of (edges oriented, ideals), i -> j on top, so
-    the orientations come depth first, i -> j before j -> i at every edge.
+    without v (v already reaches u), which prunes the whole subtree.  An
+    acyclic partial orientation admits each edge one way or the other, so a
+    popped state walks down to its leaf, taking i -> j where it can and
+    stacking j -> i if that is open too: depth first, i -> j before j -> i.
     It charges its running count as the caller asks for the next one, so
     every sweep is bounded, after the caller's charges for the last one.
     """
@@ -116,24 +118,23 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
     full = (1 << (1 << graph.d)) - 1
     # per edge: the test and the narrowed mask of i -> j, then of j -> i
     steps = [(i_only, full ^ j_only, j_only, full ^ i_only) for _, _, i_only, j_only in splits]
-    last = len(steps)
 
     def walk() -> Iterator[int]:
         walked = 0
         stack = [(0, full)]
         while stack:
             k, ideals = stack.pop()
-            if k == last:
-                yield ideals
-                walked += 1
-                charge(walked, "acyclic-orientation sweep")
-                continue
-            i_only, i_to_j, j_only, j_to_i = steps[k]
-            k += 1
-            if ideals & j_only:
-                stack.append((k, ideals & j_to_i))
-            if ideals & i_only:
-                stack.append((k, ideals & i_to_j))
+            for i_only, i_to_j, j_only, j_to_i in steps[k:]:
+                k += 1
+                if not ideals & i_only:
+                    ideals &= j_to_i
+                    continue
+                if ideals & j_only:
+                    stack.append((k, ideals & j_to_i))
+                ideals &= i_to_j
+            yield ideals
+            walked += 1
+            charge(walked, "acyclic-orientation sweep")
 
     return walk()
 
@@ -187,15 +188,14 @@ def _packed_counts(ideals: int, d: int) -> tuple[int, ...]:
     w = ((d + 1) ** d).bit_length() + 1
     charge(w << d, f"packed vector of 2^{d} fields of {w} bits", allocation=True)
     _, passes, deposit = _packing(d, w)
-    spread = ideals
+    vec = ideals
     for move, shift in deposit:
-        high = spread & move
-        spread ^= high ^ high << shift
-    spread *= (1 << w) - 1
+        high = vec & move
+        vec ^= high ^ high << shift
+    spread = vec * ((1 << w) - 1)  # vec, a 1 in each ideal's field, is the n = 1 row
     top = (w << d) - w
-    vec = 1
-    counts = [vec >> top]
-    for _ in range(d + 1):
+    counts = [1 >> top, vec >> top]
+    for _ in range(d):
         for keep, shift in passes:
             vec += (vec & keep) << shift
         vec &= spread
@@ -213,8 +213,7 @@ def _orientation_tally(graph: Graph) -> Counter[tuple[int, ...]]:
     counts at n = 0..d + 1 (the cached tuples).  Each distinct vector is one
     orientation class, and every sum over the orientations is read off the
     tally.  A fresh ``Counter`` on every call; the sweep charges itself."""
-    d = graph.d
-    return Counter(_mask_map_counts(ideals, d) for ideals in acyclic_orientations(graph))
+    return Counter(map(_mask_map_counts, acyclic_orientations(graph), repeat(graph.d)))
 
 
 def count_proper_colorings(graph: Graph, n: int) -> int:

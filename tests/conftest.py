@@ -8,6 +8,6 @@ from hstarlib import harness
 @pytest.fixture(autouse=True)
 def fresh_verdicts():
     # a verdict cached by one test must not answer another, say one that
-    # patches decomp._split or decomp.order_decomposition
+    # patches decomp._a_coeffs or decomp.order_decomposition
     harness._numerator_verdict.cache_clear()
     harness._series_expansion.cache_clear()

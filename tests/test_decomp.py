@@ -178,22 +178,22 @@ class TestAbDecompose:
         assert dec == (IntPolynomial(a), IntPolynomial(b))
 
     @pytest.mark.parametrize(
-        "corrupt, message",
+        "part, corrupt, message",
         [
             # one a coefficient: a is no longer symmetric about d
-            (lambda a, b: (a[:1] + [a[1] + 1] + a[2:], b), "a = .* is not symmetric about 3"),
+            ("_a_coeffs", lambda a: a[:1] + [a[1] + 1] + a[2:], "a = .* is not symmetric about 3"),
             # one b coefficient: b is no longer symmetric about s - 1
-            (lambda a, b: (a, [b[0] + 1] + b[1:]), "b = .* is not symmetric about 1"),
+            ("_b_coeffs", lambda b: [b[0] + 1] + b[1:], "b = .* is not symmetric about 1"),
             # both ends of a: still a palindrome, but a + z^l b is off
-            (lambda a, b: ([a[0] + 1] + a[1:-1] + [a[-1] + 1], b), "reconstruction failed"),
+            ("_a_coeffs", lambda a: [a[0] + 1] + a[1:-1] + [a[-1] + 1], "reconstruction failed"),
             # b = (1, 1, 1): a palindrome whose extra top term lies beyond a
-            (lambda a, b: (a, b + b[:1]), "reconstruction failed"),
+            ("_b_coeffs", lambda b: b + b[:1], "reconstruction failed"),
         ],
         ids=["a", "b", "reconstruction", "length"],
     )
-    def test_corrupted_split_raises(self, monkeypatch, corrupt, message):
-        split = decomp._split
-        monkeypatch.setattr(decomp, "_split", lambda h, d: corrupt(*split(h, d)))
+    def test_corrupted_split_raises(self, monkeypatch, part, corrupt, message):
+        formula = getattr(decomp, part)
+        monkeypatch.setattr(decomp, part, lambda *args: corrupt(formula(*args)))
         with pytest.raises(InternalConsistencyError, match=message):
             ab_decompose(IntPolynomial([1, 3, 2]), 3)
 
@@ -350,8 +350,8 @@ class TestDerivedSplitsBuildOnlyAParts:
 
     @pytest.mark.parametrize("split", [open_decomposition, order_decomposition])
     def test_asymmetric_a_part_raises(self, monkeypatch, split):
-        real = decomp._split
-        monkeypatch.setattr(decomp, "_split", lambda h, d: ([2] + real(h, d)[0][1:], []))
+        real = decomp._a_coeffs
+        monkeypatch.setattr(decomp, "_a_coeffs", lambda h, d: [2] + real(h, d)[1:])
         with pytest.raises(InternalConsistencyError, match="a = .* is not symmetric about"):
             split(IntPolynomial([1, 4, 1]), 3)
 

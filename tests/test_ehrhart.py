@@ -618,10 +618,16 @@ class TestHalfRoute:
                 simplex.count_points(3)
 
 
-def shift_one_residue(group, modulus):
-    """The group with one residue of its largest element moved by 1."""
+def pack(vector, width):
+    """A residue vector as one int, entry i in bits [i * width, (i + 1) * width)."""
+    return sum(c << width * i for i, c in enumerate(vector))
+
+
+def shift_one_residue(group, modulus, width):
+    """The packed group with field 0 of its largest element moved by 1."""
     top = max(group)
-    return group - {top} | {((top[0] + 1) % modulus, *top[1:])}
+    low = top & (1 << width) - 1
+    return group - {top} | {top - low + (low + 1) % modulus}
 
 
 def span_brute(generators, modulus):
@@ -630,6 +636,12 @@ def span_brute(generators, modulus):
         tuple(sum(c * x for c, x in zip(coeffs, column)) % modulus for column in zip(*generators))
         for coeffs in product(range(modulus), repeat=len(generators))
     }
+
+
+def cyclic_simplex(d, volume, last):
+    """0, e_1, ..., e_{d-1} and (*last, volume), of normalized volume ``volume``."""
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d - 1)]
+    return Simplex([(0,) * d, *units, (*last, volume)])
 
 
 class TestParallelepipedRoute:
@@ -665,7 +677,11 @@ class TestParallelepipedRoute:
         ],
     )
     def test_coset_closure_is_the_span(self, generators, modulus):
-        assert ehrhart._coset_closure(generators, modulus) == span_brute(generators, modulus)
+        n = len(generators[0])
+        width = (n * modulus).bit_length() + 1
+        packed = [pack(g, width) for g in generators]
+        group = ehrhart._coset_closure(packed, modulus, width, n)
+        assert group == {pack(v, width) for v in span_brute(generators, modulus)}
 
     @pytest.mark.parametrize("row, column", [(0, 0), (1, 2), (2, 1)])
     def test_corrupted_generator_is_caught(self, row, column):
@@ -681,19 +697,56 @@ class TestParallelepipedRoute:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda group, big: group - {max(group)}, "group has order 3, but [|]det[|] = 4"),
+            (
+                lambda group, big, width: group - {max(group)},
+                "group has order 3, but [|]det[|] = 4",
+            ),
             (shift_one_residue, r"residue sum \d+ is not divisible by [|]det[|] = 4"),
-            (lambda group, big: group - {(0, 0, 0)} | {(big, 0, 0)}, r"h\*_0 = 0, expected 1"),
+            # field 0 = big: the residue vector (big, 0, 0), of height 1
+            (lambda group, big, width: group - {0} | {big}, r"h\*_0 = 0, expected 1"),
         ],
         ids=["order", "residue-sum", "constant"],
     )
     def test_corrupted_group_is_caught(self, monkeypatch, corrupt, message):
         closure = ehrhart._coset_closure
-        monkeypatch.setattr(
-            ehrhart, "_coset_closure", lambda gens, big: corrupt(closure(gens, big), big)
-        )
+
+        def corrupted(gens, big, width, n):
+            return corrupt(closure(gens, big, width, n), big, width)
+
+        monkeypatch.setattr(ehrhart, "_coset_closure", corrupted)
         with pytest.raises(InternalConsistencyError, match=message):
             h_star(TRIANGLE)
+
+    @pytest.mark.parametrize(
+        "simplex, product",
+        [
+            (cyclic_simplex(2, 21, (5,)), 63),
+            (cyclic_simplex(3, 16, (3, 7)), 64),
+            # (Z/4)^2: the closure needs two generators
+            (Simplex([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 1)]), 64),
+            (cyclic_simplex(4, 13, (2, 5, 7)), 65),
+            (cyclic_simplex(2, 341, (100,)), 1023),
+            (cyclic_simplex(3, 256, (3, 7)), 1024),
+            (cyclic_simplex(4, 205, (2, 5, 7)), 1025),
+        ],
+    )
+    def test_field_width_at_powers_of_two(self, simplex, product):
+        # a field holds residue sums up to (d + 1)(|det| - 1), and its width
+        # is one bit over (d + 1) |det|: check on either side of 2^k
+        assert (simplex.d + 1) * simplex.volume == product
+        assert ehrhart._parallelepiped_h_star(simplex) == ehrhart._box_h_star(simplex)
+
+    def test_determinant_near_ten_to_the_five(self):
+        rng = random.Random(35)
+        while True:
+            vertices = [[rng.randint(-14, 14) for _ in range(4)] for _ in range(5)]
+            if 90_000 <= abs(_adjugate([*map(list, zip(*vertices)), [1] * 5])[0]) <= 110_000:
+                break
+        simplex = Simplex(vertices)
+        start = time.perf_counter()
+        hstar = h_star(simplex)
+        assert time.perf_counter() - start < 10
+        assert hstar(1) == simplex.volume and hstar[0] == 1 and hstar.degree <= 4
 
     def test_budget_is_charged_the_determinant_up_front(self):
         message = "^fundamental-parallelepiped enumeration needs 4 steps, budget is 3$"
