@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import decomp, harness
 from .budget import DEFAULT_WORK_BUDGET, limit
@@ -25,7 +24,7 @@ from .ehrhart import OrderPolytope, h_star, load_polytope
 from .errors import HstarError, InvalidInput
 from .graph import Graph, chromatic_polynomial
 from .polynomial import IntPolynomial
-from .poset import Poset, parse_ints
+from .poset import Poset, parse_ints, read_file
 
 JSON_LINES = "json-lines"
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps builds one per call
@@ -46,7 +45,7 @@ def _emit(record: dict) -> None:
 
 
 def cmd_chromatic(args) -> int:
-    graph = Graph.from_text(Path(args.file).read_text())
+    graph = Graph.from_text(read_file(args.file, "graph"))
     h_g = decomp.graph_numerator(graph)  # refuses before deletion-contraction
     chi = chromatic_polynomial(graph)  # memoised by graph_numerator's check
     chi_strs = _padded(chi, graph.d)
@@ -90,11 +89,11 @@ def cmd_decompose(args) -> int:
     elif args.file is None:
         raise InvalidInput(f"decompose {kind} needs a {'poset' if kind == 'order' else kind} file")
     elif kind == "order":
-        poset = Poset.from_text(Path(args.file).read_text())
+        poset = Poset.from_text(read_file(args.file, "poset"))
         d = poset.d
         a, b = decomp.order_decomposition(h_star(OrderPolytope(poset)), d)
     else:  # graph
-        graph = Graph.from_text(Path(args.file).read_text())
+        graph = Graph.from_text(read_file(args.file, "graph"))
         d = graph.d
         a, b = decomp.graph_decomposition(graph)
     params = {"d": d}
@@ -135,12 +134,11 @@ def cmd_verify(args) -> int:
     if args.graphs is not None:
         corpus.extend(harness.enumerate_labeled_graphs(args.graphs, max_size=args.max_size))
     if args.random is not None:
-        try:
-            kind, d_str, count_str = args.random.split(",")
-            kind, d, count = kind.strip(), int(d_str), int(count_str)
-        except ValueError as exc:
-            raise InvalidInput("--random wants KIND,D,COUNT") from exc
-        corpus.extend(harness.random_instances(kind, d, count, args.seed))
+        fields = [field.strip() for field in args.random.split(",")]
+        if len(fields) != 3:
+            raise InvalidInput("--random wants KIND,D,COUNT")
+        d, count = parse_ints(fields[1:], args.random)
+        corpus.extend(harness.random_instances(fields[0], d, count, args.seed))
     if not corpus:
         raise InvalidInput("nothing to verify; give --posets, --graphs or --random")
     checks = None if args.checks in (None, "all") else [c.strip() for c in args.checks.split(",")]

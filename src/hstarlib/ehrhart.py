@@ -34,7 +34,9 @@ from typing import Sequence
 from .budget import charge
 from .errors import InternalConsistencyError, InvalidInput
 from .polynomial import CountingPolynomial, IntPolynomial, _numerator_coeffs, interpolate, reverse
-from .poset import Poset, TextFormat, integer, order_map_counts, read_text, write_text
+from .poset import (
+    Poset, TextFormat, integer, natural, order_map_counts, read_file, read_text, write_text
+)
 
 
 def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -129,9 +131,7 @@ class OrderPolytope:
         return self.poset.d
 
     def count_series(self, n_max: int, interior: bool = False) -> list[int]:
-        n_max = integer(n_max)
-        if n_max < 0:
-            raise InvalidInput("n must be nonnegative")
+        n_max = natural(n_max)
         if interior:
             # count at n is Omega°(n-1); the n = 0 entry is 0 by the
             # open-series convention
@@ -237,9 +237,7 @@ class HRepPolytope:
         return lo, hi
 
     def count_points(self, n: int, interior: bool = False) -> int:
-        n = integer(n)
-        if n < 0:
-            raise InvalidInput("n must be nonnegative")
+        n = natural(n)
         k = int(interior)
         rows = [(normal, n * bound - k) for normal, bound in self.inequalities]
         lo, hi = self.box
@@ -489,7 +487,7 @@ def parse_polytope(text: str, base_dir: str | Path | None = None) -> LatticePoly
     ``hrep <d> <k>`` followed by k inequality lines of d+1 integers (normal
     then bound) and an optional ``box`` line of 2d integers (d lows then d
     highs), or the single line ``order <poset-file>`` referencing a poset
-    file relative to ``base_dir``.
+    file, relative to ``base_dir`` unless absolute.
     """
     fmt, fields, rows, box = read_text(text, "polytope", SIMPLEX_FORMAT, HREP_FORMAT, ORDER_FORMAT)
     if fmt is SIMPLEX_FORMAT:
@@ -498,16 +496,8 @@ def parse_polytope(text: str, base_dir: str | Path | None = None) -> LatticePoly
         d = fields[0]
         box = None if box is None else (box[:d], box[d:])
         return HRepPolytope([(r[:d], r[d]) for r in rows], d, box)
-    path = Path(fields[0])
-    if base_dir is not None and not path.is_absolute():
-        path = Path(base_dir) / path
-    try:
-        poset_text = path.read_text()
-    except OSError as exc:
-        raise InvalidInput(f"cannot read poset file {path}: {exc}") from exc
-    return OrderPolytope(Poset.from_text(poset_text))
+    return OrderPolytope(Poset.from_text(read_file(Path(base_dir or "", fields[0]), "poset")))
 
 
 def load_polytope(path: str | Path) -> LatticePolytope:
-    path = Path(path)
-    return parse_polytope(path.read_text(), base_dir=path.parent)
+    return parse_polytope(read_file(path, "polytope"), base_dir=Path(path).parent)

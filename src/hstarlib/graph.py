@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .budget import charge, charge_power_of_two
 from .errors import InvalidInput
 from .polynomial import CountingPolynomial, IntPolynomial, interpolate
-from .poset import Poset, TextFormat, integer, read_text, write_text
+from .poset import Poset, TextFormat, integer, natural, read_text, write_text
 
 
 class Graph:
@@ -29,10 +29,7 @@ class Graph:
     __slots__ = ("d", "edges")
 
     def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        d = integer(d)
-        if d < 0:
-            raise InvalidInput("vertex count must be nonnegative")
-        self.d = d
+        self.d = d = natural(d, "vertex count")
         normalized = []
         for i, j in edges:
             i, j = integer(i), integer(j)
@@ -229,9 +226,7 @@ def count_proper_colorings(graph: Graph, n: int) -> int:
     without a search.  The budget is charged the n^d candidate colorings up
     front, before any search: an upper bound on the leaves.
     """
-    n = integer(n)
-    if n < 0:
-        raise InvalidInput("n must be nonnegative")
+    n = natural(n)
     d = graph.d
     if d == 0:
         return 1

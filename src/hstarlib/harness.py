@@ -65,7 +65,7 @@ from .graph import (
     count_proper_colorings,
 )
 from .polynomial import IntPolynomial, expand_series, f_to_h, interpolate
-from .poset import Poset, descent_h_star, ideal_chain_f_vector, order_polynomial, set_bits
+from .poset import Poset, descent_h_star, ideal_chain_f_vector, natural, order_polynomial, set_bits
 
 MAX_EXHAUSTIVE_SIZE = 5
 
@@ -74,42 +74,46 @@ MAX_EXHAUSTIVE_SIZE = 5
 # corpora
 
 
+def _label_pairs(d: int, max_size: int, kind: str) -> list[tuple[int, int]]:
+    """The pairs i < j of the labels 0..d-1 of an exhaustive ``kind`` corpus,
+    once d and ``max_size`` are checked and d is within the cap."""
+    d, max_size = natural(d, "d"), natural(max_size, "max_size")
+    if d > max_size:
+        raise BudgetExceeded(f"exhaustive {kind} enumeration capped at d = {max_size}")
+    return list(combinations(range(d), 2))
+
+
 def enumerate_labeled_posets(d: int, *, max_size: int = MAX_EXHAUSTIVE_SIZE) -> Iterator[Poset]:
     """Every partial order on the labeled elements 1..d, exactly once.
 
     Iterates the 3^C(d,2) orientation states of the label pairs (skipping
     antisymmetry violations by construction) and keeps the transitive ones.
     Counts follow the labeled-poset sequence 1, 1, 3, 19, 219, 4231, ...
+    The arguments are checked when called.
     """
-    if d < 0:
-        raise InvalidInput("d must be nonnegative")
-    if max_size < 0:
-        raise InvalidInput("max_size must be nonnegative")
-    if d > max_size:
-        raise BudgetExceeded(f"exhaustive poset enumeration capped at d = {max_size}")
-    pairs = list(combinations(range(d), 2))
-    for states in product((0, 1, 2), repeat=len(pairs)):
-        above = [0] * d
-        for (i, j), state in zip(pairs, states):
-            if state == 1:
-                above[i] |= 1 << j
-            elif state == 2:
-                above[j] |= 1 << i
-        if not any(above[j] & ~m for m in above for j in set_bits(m)):
-            yield Poset(d, [(i + 1, j + 1) for i, m in enumerate(above) for j in set_bits(m)])
+    pairs = _label_pairs(d, max_size, "poset")
+
+    def posets() -> Iterator[Poset]:
+        for states in product((0, 1, 2), repeat=len(pairs)):
+            above = [0] * d
+            for (i, j), state in zip(pairs, states):
+                if state == 1:
+                    above[i] |= 1 << j
+                elif state == 2:
+                    above[j] |= 1 << i
+            if not any(above[j] & ~m for m in above for j in set_bits(m)):
+                yield Poset(d, [(i + 1, j + 1) for i, m in enumerate(above) for j in set_bits(m)])
+
+    return posets()
 
 
 def enumerate_labeled_graphs(d: int, *, max_size: int = MAX_EXHAUSTIVE_SIZE) -> Iterator[Graph]:
-    """All 2^C(d,2) labeled simple graphs on vertices 1..d."""
-    if d < 0:
-        raise InvalidInput("d must be nonnegative")
-    if max_size < 0:
-        raise InvalidInput("max_size must be nonnegative")
-    if d > max_size:
-        raise BudgetExceeded(f"exhaustive graph enumeration capped at d = {max_size}")
-    pairs = [(i + 1, j + 1) for i, j in combinations(range(d), 2)]
-    for picks in product((False, True), repeat=len(pairs)):
-        yield Graph(d, [e for e, take in zip(pairs, picks) if take])
+    """All 2^C(d,2) labeled simple graphs on vertices 1..d; arguments checked when called."""
+    pairs = [(i + 1, j + 1) for i, j in _label_pairs(d, max_size, "graph")]
+    return (
+        Graph(d, [e for e, take in zip(pairs, picks) if take])
+        for picks in product((False, True), repeat=len(pairs))
+    )
 
 
 def random_instances(
@@ -125,8 +129,8 @@ def random_instances(
     Graphs take each edge with probability 1/2.  Posets come from a random
     DAG on the label order (each pair i < j related with
     ``relation_probability``, in [0, 1]), then transitively closed, so
-    validity is guaranteed by construction.  The label pairs are an
-    allocation.
+    validity is guaranteed by construction.  The arguments are checked, and
+    the label pairs charged as an allocation, when called.
     """
     if kind not in ("poset", "graph"):
         raise InvalidInput(f"unknown instance kind {kind!r}")
@@ -135,13 +139,10 @@ def random_instances(
     if not 0 <= relation_probability <= 1:
         raise InvalidInput(f"relation_probability must lie in [0, 1], got {relation_probability}")
     charge(comb(d, 2), f"pairs of {d} labels", allocation=True)
+    build, p = (Graph, 1 / 2) if kind == "graph" else (Poset, relation_probability)
     rng = random.Random(seed)
     pairs = [(i + 1, j + 1) for i, j in combinations(range(d), 2)]
-    for _ in range(count):
-        if kind == "graph":
-            yield Graph(d, [e for e in pairs if rng.random() < 0.5])
-        else:
-            yield Poset(d, [e for e in pairs if rng.random() < relation_probability])
+    return (build(d, [e for e in pairs if rng.random() < p]) for _ in range(count))
 
 
 def dilated_simplex(d: int, k: int) -> Simplex:

@@ -5,16 +5,18 @@ elements strictly above and strictly below it (bit e-1 stands for element e),
 so down-sets are ints.  Of the three h* routes, map counts and ideal chains
 read :meth:`Poset.order_ideals`; the descent DP grows its own down-sets.
 
-The text formats of every input file (posets, graphs and polytopes) share
-one reader, :func:`read_text`, and one writer, :func:`write_text`; each
-format is a :class:`TextFormat` kept next to the class it builds.
+Every input file (posets, graphs and polytopes) is read by :func:`read_file`,
+parsed by :func:`read_text` and written by :func:`write_text`; each format
+is a :class:`TextFormat` kept next to the class it builds.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import accumulate
 from math import factorial
 from operator import index
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import charge
@@ -41,9 +43,7 @@ class Poset:
     __slots__ = ("d", "_above", "_below", "_ideals")
 
     def __init__(self, d: int, relations: Iterable[tuple[int, int]] = ()) -> None:
-        d = integer(d)
-        if d < 0:
-            raise InvalidInput("poset size must be nonnegative")
+        d = natural(d, "poset size")
         charge(d * d, "transitive closure")
         self.d = d
         above: list[int] = [0] * d
@@ -167,22 +167,39 @@ class Poset:
 
 
 def integer(value) -> int:
-    """``value`` through ``operator.index``; InvalidInput names a non-integer."""
+    """``value`` through ``operator.index``, or InvalidInput naming it; counts use natural."""
     try:
         return index(value)
     except TypeError:
         raise InvalidInput(f"{value!r} is not an integer") from None
 
 
+def natural(value, what: str = "n") -> int:
+    """``integer(value)``; InvalidInput ``<what> must be nonnegative`` if negative."""
+    value = integer(value)
+    if value < 0:
+        raise InvalidInput(f"{what} must be nonnegative")
+    return value
+
+
 def parse_ints(tokens: Iterable[str], line: str) -> list[int]:
-    """Integers from the tokens of one input line; InvalidInput names the bad one."""
+    """Integers from the tokens of one input line, each ASCII digits with an
+    optional sign (``int`` alone reads ``1_0``); InvalidInput names a bad one."""
     out = []
     for tok in tokens:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise InvalidInput(f"{tok!r} is not an integer in line {line!r}") from None
+        if not re.fullmatch(r"[+-]?[0-9]+", tok):
+            raise InvalidInput(f"{tok!r} is not an integer in line {line!r}")
+        out.append(int(tok))
     return out
+
+
+def read_file(path: str | Path, kind: str) -> str:
+    """The text of the ``kind`` file at ``path`` as UTF-8, the only place where
+    bytes become text; a file unreadable or undecodable is InvalidInput."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 class TextFormat(NamedTuple):
@@ -205,7 +222,7 @@ POSET_FORMAT = TextFormat("p <d> <k>", lambda d, k: (k, 2), "r")
 def read_text(
     text: str, kind: str, *formats: TextFormat
 ) -> tuple[TextFormat, list, list[list[int]], list[int] | None]:
-    """Read a ``kind`` file in whichever of ``formats`` its header names.
+    """Parse a ``kind`` file's text in whichever of ``formats`` its header names.
 
     Blank lines and lines starting with ``c`` are skipped.  Returns the
     format, the header's fields (integers, or the one text field), the rows'
@@ -340,9 +357,7 @@ def order_map_counts(poset: Poset, n_max: int, strict: bool = False) -> list[int
     for every ideal I with e maximal, over (I, I - e) position pairs looked
     up once in a dict of the ideals.  The tests check it by brute force.
     """
-    n_max = integer(n_max)
-    if n_max < 0:
-        raise InvalidInput("n must be nonnegative")
+    n_max = natural(n_max)
     ideals = poset.order_ideals()
     # sorting by the number of elements below gives a linear extension
     sizes = [m.bit_count() for m in poset._below]

@@ -647,6 +647,75 @@ class TestInputFaults:
         assert err.startswith("error: no check ran")
 
 
+# (argv before the path, the file's name, the kind the message names, the
+# file the message names when it differs from the one given)
+READ_PATHS = {
+    "chromatic": (["chromatic"], "bad.graph", "graph", None),
+    "hstar": (["hstar"], "bad.poly", "polytope", None),
+    "decompose-order": (["decompose", "order"], "bad.poset", "poset", None),
+    "decompose-graph": (["decompose", "graph"], "bad.graph", "graph", None),
+    "order-reference": (["hstar"], "order.poly", "poset", "bad.poset"),
+}
+
+
+class TestFileReading:
+    """Every file the CLI reads goes through one reader: a file that cannot
+    be read or decoded exits 2 with one line, never a traceback."""
+
+    def _run(self, capsys, tmp_path, case, write):
+        command, name, kind, target = case
+        if target is not None:
+            (tmp_path / name).write_text(f"order {target}\n")
+        write(tmp_path / (target or name))
+        code, out, err = run_err(capsys, *command, str(tmp_path / name))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {kind} file {tmp_path / (target or name)}: ")
+        return err
+
+    @pytest.mark.parametrize("case", READ_PATHS.values(), ids=READ_PATHS.keys())
+    def test_undecodable_file_exits_2_with_one_line(self, capsys, tmp_path, case):
+        err = self._run(capsys, tmp_path, case, lambda path: path.write_bytes(b"p 1 0\n\xff\n"))
+        assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("case", READ_PATHS.values(), ids=READ_PATHS.keys())
+    def test_missing_file_exits_2_with_one_line(self, capsys, tmp_path, case):
+        err = self._run(capsys, tmp_path, case, lambda path: None)
+        assert "No such file or directory" in err
+
+    def test_directory_exits_2_with_one_line(self, capsys, tmp_path):
+        self._run(capsys, tmp_path, READ_PATHS["chromatic"], lambda path: path.mkdir())
+
+
+class TestIntegerTokens:
+    """A token is ASCII digits with an optional sign, in files and options."""
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "1.0", "+-1", "0x1", "\uff11"])
+    def test_box_token_outside_the_rule_exits_2(self, capsys, tmp_path, token):
+        path = tmp_path / "box.hrep"
+        path.write_text(f"hrep 1 2\n-1 0\n1 10\nbox 0 {token}\n", encoding="utf-8")
+        code, out, err = run_err(capsys, "hstar", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {token!r} is not an integer in line 'box 0 {token}'\n"
+
+    def test_signed_tokens_are_read(self, capsys, tmp_path):
+        path = tmp_path / "box.hrep"
+        path.write_text("hrep +1 2\n-1 +0\n1 010\nbox -0 +10\n")
+        code, out = run(capsys, "hstar", str(path))
+        assert code == 0 and "hstar = [1, 9]" in out
+
+    @pytest.mark.parametrize("spec, token", [("graph,5_0,1", "5_0"), ("graph,3,\u0663", "\u0663")])
+    def test_random_spec_names_the_bad_token(self, capsys, spec, token):
+        code, out, err = run_err(capsys, "verify", "--random", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: {token!r} is not an integer in line {spec!r}\n"
+
+    def test_random_spec_allows_blanks_around_its_fields(self, capsys):
+        assert run(capsys, "verify", "--random", " graph , 3 , 2 ") == run(
+            capsys, "verify", "--random", "graph,3,2"
+        )
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("fmt", ["json-lines", "text"])
     def test_a_sweep_into_a_closed_pipe_exits_141_quietly(self, fmt):

@@ -69,6 +69,25 @@ def test_no_function_takes_a_budget():
     assert offenders == []
 
 
+def test_only_poset_reads_files():
+    # poset.read_file is the one place where a file's bytes become text;
+    # os.open (the CLI's devnull) opens no input
+    package = Path(hstarlib.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "poset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
+                offenders.append((path.name, node.lineno, func.attr))
+            elif isinstance(func, ast.Name) and func.id == "open":
+                offenders.append((path.name, node.lineno, "open"))
+    assert offenders == []
+
+
 def test_cli_start_up_loads_no_dataclasses():
     # records are NamedTuples and run-wide caches lru_caches, so the CLI's
     # start-up needs neither dataclasses nor the inspect module it pulls in;

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import signal
 import threading
 import time
@@ -44,6 +45,52 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             next(enumerate_labeled_graphs(9))
         assert sum(1 for _ in enumerate_labeled_graphs(6, max_size=6)) == 2**15
+
+
+class TestBuildersCheckWhenCalled:
+    """A corpus builder refuses bad arguments when called, before any item
+    is asked for, so a later corpus cannot fail after an earlier one's
+    reports."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: enumerate_labeled_posets(9), BudgetExceeded,
+             "exhaustive poset enumeration capped at d = 5"),
+            (lambda: enumerate_labeled_graphs(9), BudgetExceeded,
+             "exhaustive graph enumeration capped at d = 5"),
+            (lambda: enumerate_labeled_posets(-1), InvalidInput, "d must be nonnegative"),
+            (lambda: enumerate_labeled_graphs(2, max_size=-1), InvalidInput,
+             "max_size must be nonnegative"),
+            (lambda: enumerate_labeled_graphs(2.5), InvalidInput, "2.5 is not an integer"),
+            (lambda: random_instances("tree", 3, 1, 0), InvalidInput,
+             "unknown instance kind 'tree'"),
+            (lambda: random_instances("poset", 3, -1, 0), InvalidInput,
+             "d and count must be nonnegative"),
+            (lambda: random_instances("poset", 3, 1, 0, relation_probability=2), InvalidInput,
+             "relation_probability must lie in [0, 1], got 2"),
+        ],
+        ids=["posets-cap", "graphs-cap", "posets-negative", "graphs-negative-max-size",
+             "graphs-non-integer", "random-kind", "random-count", "random-probability"],
+    )
+    def test_bare_call_raises(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_random_label_pairs_are_charged_when_called(self, monkeypatch):
+        import hstarlib.budget as budget
+
+        monkeypatch.setattr(budget, "DEFAULT_WORK_BUDGET", 9)
+        with pytest.raises(BudgetExceeded, match=r"needs 10 steps, default budget is 9$"):
+            random_instances("graph", 5, 0, seed=0)
+
+    @pytest.mark.parametrize("kind, p", [("graph", 0.5), ("poset", 0.25)])
+    def test_each_instance_draws_once_per_label_pair(self, kind, p):
+        rng, pairs = random.Random(3), list(combinations(range(1, 5), 2))
+        build = Graph if kind == "graph" else Poset
+        expected = [build(4, [e for e in pairs if rng.random() < p]) for _ in range(3)]
+        assert list(random_instances(kind, 4, 3, seed=3, relation_probability=0.25)) == expected
 
 
 class TestRandomInstances:
