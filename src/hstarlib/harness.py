@@ -75,8 +75,7 @@ MAX_EXHAUSTIVE_SIZE = 5
 
 
 def _label_pairs(d: int, max_size: int, kind: str) -> list[tuple[int, int]]:
-    """The pairs i < j of the labels 0..d-1 of an exhaustive ``kind`` corpus,
-    once d and ``max_size`` are checked and d is within the cap."""
+    """Pairs i < j of the labels 0..d-1 of an exhaustive ``kind`` corpus, d checked and capped."""
     d, max_size = natural(d, "d"), natural(max_size, "max_size")
     if d > max_size:
         raise BudgetExceeded(f"exhaustive {kind} enumeration capped at d = {max_size}")
@@ -134,8 +133,7 @@ def random_instances(
     """
     if kind not in ("poset", "graph"):
         raise InvalidInput(f"unknown instance kind {kind!r}")
-    if d < 0 or count < 0:
-        raise InvalidInput("d and count must be nonnegative")
+    d, count = natural(d, "d and count"), natural(count, "d and count")
     if not 0 <= relation_probability <= 1:
         raise InvalidInput(f"relation_probability must lie in [0, 1], got {relation_probability}")
     charge(comb(d, 2), f"pairs of {d} labels", allocation=True)

@@ -183,13 +183,15 @@ def natural(value, what: str = "n") -> int:
 
 
 def parse_ints(tokens: Iterable[str], line: str) -> list[int]:
-    """Integers from the tokens of one input line, each ASCII digits with an
-    optional sign (``int`` alone reads ``1_0``); InvalidInput names a bad one."""
+    """Integers from a line's tokens, each ASCII ``[+-]?[0-9]+``; InvalidInput names a bad one."""
     out = []
     for tok in tokens:
-        if not re.fullmatch(r"[+-]?[0-9]+", tok):
-            raise InvalidInput(f"{tok!r} is not an integer in line {line!r}")
-        out.append(int(tok))
+        try:  # int() alone reads 1_0, and refuses a token past its digit limit
+            if not re.fullmatch(r"[+-]?[0-9]+", tok):
+                raise ValueError(tok)
+            out.append(int(tok))
+        except ValueError:
+            raise InvalidInput(f"{tok!r} is not an integer in line {line!r}") from None
     return out
 
 

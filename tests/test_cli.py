@@ -710,6 +710,23 @@ class TestIntegerTokens:
         assert (code, out) == (2, "")
         assert err == f"error: {token!r} is not an integer in line {spec!r}\n"
 
+    @pytest.mark.parametrize("where", ["box", "random", "coeffs"])
+    def test_token_past_the_int_digit_limit_exits_2(self, capsys, tmp_path, where):
+        # int() refuses a digit string longer than sys.get_int_max_str_digits()
+        token = "1" * 5000
+        argv = {
+            "random": ["verify", "--random", f"graph,{token},1"],
+            "coeffs": ["decompose", "stapledon", "--coeffs", f"1,{token}", "--d", "2"],
+        }
+        if where == "box":
+            path = tmp_path / "box.hrep"
+            path.write_text(f"hrep 1 2\n-1 0\n1 10\nbox 0 {token}\n", encoding="utf-8")
+            argv["box"] = ["hstar", str(path)]
+        code, out, err = run_err(capsys, *argv[where])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {token!r} is not an integer in line ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_random_spec_allows_blanks_around_its_fields(self, capsys):
         assert run(capsys, "verify", "--random", " graph , 3 , 2 ") == run(
             capsys, "verify", "--random", "graph,3,2"

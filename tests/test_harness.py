@@ -69,9 +69,14 @@ class TestBuildersCheckWhenCalled:
              "d and count must be nonnegative"),
             (lambda: random_instances("poset", 3, 1, 0, relation_probability=2), InvalidInput,
              "relation_probability must lie in [0, 1], got 2"),
+            (lambda: random_instances("graph", 2.5, 1, 0), InvalidInput,
+             "2.5 is not an integer"),
+            (lambda: random_instances("graph", 3, 1.5, 0), InvalidInput,
+             "1.5 is not an integer"),
         ],
         ids=["posets-cap", "graphs-cap", "posets-negative", "graphs-negative-max-size",
-             "graphs-non-integer", "random-kind", "random-count", "random-probability"],
+             "graphs-non-integer", "random-kind", "random-count", "random-probability",
+             "random-non-integer-d", "random-non-integer-count"],
     )
     def test_bare_call_raises(self, call, error, message):
         with pytest.raises(error) as info:
