@@ -306,6 +306,51 @@ class TestVerifyAll:
         assert check.status == "fail"
         assert check.witnesses == {"chi_dc": ("0", "-1", "1"), "chi_ao_values": ("0", "1", "2")}
 
+    @staticmethod
+    def perturb_map_counts(monkeypatch, strict, n):
+        """Rebind ``order_map_counts`` in every hstarlib module that imported
+        it, so that the strict counts, or the weak ones, read one more at n."""
+        import sys
+
+        from hstarlib import poset
+
+        real = poset.order_map_counts
+
+        def perturbed(p, n_max, is_strict=False):
+            counts = list(real(p, n_max, is_strict))
+            if is_strict == strict:
+                counts[n] += 1
+            return counts
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hstarlib") and getattr(module, "order_map_counts", None) is real:
+                monkeypatch.setattr(module, "order_map_counts", perturbed)
+
+    # the 2-chain: h* = 1, strict counts C(n, 2), interior series z^3 / (1 - z)^3
+    CHAIN2_RECIPROCITY = {"series_expansion": ("0", "0", "0", "1", "3"), "hstar": ("1",)}
+
+    def test_reciprocity_names_a_wrong_strict_count(self, monkeypatch):
+        self.perturb_map_counts(monkeypatch, strict=True, n=1)
+        (report,) = list(verify_all([Poset(2, [(1, 2)])], ["reciprocity"]))
+        (check,) = report.checks
+        assert (check.status, check.detail) == ("fail", "interior counts mismatch")
+        assert check.witnesses == {
+            "interior_counts": ("0", "0", "1", "1", "3"),
+            **self.CHAIN2_RECIPROCITY,
+        }
+
+    def test_reciprocity_names_a_wrong_weak_count(self, monkeypatch):
+        # Omega(0) is read by the weak side of the identity only: the
+        # numerator route reads the weak counts from n = 1 on
+        self.perturb_map_counts(monkeypatch, strict=False, n=0)
+        (report,) = list(verify_all([Poset(2, [(1, 2)])], ["reciprocity"]))
+        (check,) = report.checks
+        assert (check.status, check.detail) == ("fail", "order reciprocity fails")
+        assert check.witnesses == {
+            "interior_counts": ("0", "0", "0", "1", "3"),
+            **self.CHAIN2_RECIPROCITY,
+        }
+
     def test_thm14_names_a_numerator_one_degree_short(self, monkeypatch):
         from hstarlib import decomp
         from hstarlib.polynomial import IntPolynomial
