@@ -41,7 +41,7 @@ def _print_poly(label: str, coeffs: list[str]) -> None:
 
 
 def _emit(record: dict) -> None:
-    print(_ENCODER.encode(record))
+    sys.stdout.write(_ENCODER.encode(record) + "\n")  # print writes the newline apart
 
 
 def cmd_chromatic(args) -> int:

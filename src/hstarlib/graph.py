@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .budget import charge, charge_power_of_two
 from .errors import InvalidInput
-from .polynomial import CountingPolynomial, IntPolynomial, interpolate
+from .polynomial import CountingPolynomial, IntPolynomial, extrapolate, interpolate
 from .poset import Poset, TextFormat, integer, natural, read_text, write_text
 
 
@@ -311,12 +311,13 @@ def chromatic_via_orientations(graph: Graph) -> CountingPolynomial:
     reads the strict counts off the weak ones, so the sweep's tally is all
     this route needs: its weak counts add into W(0..d + 1), where
     W = sum_O Omega_O, and chi(n) = (-1)^d W(-n) at n = 0..d fixes chi
-    (degree d).  W is interpolated through all d + 2 values, so a wrong
-    count at n = d + 1 shows in chi too.
+    (degree d).  W's table of all d + 2 values, read from n = d + 1 down,
+    is extended to n = -d (:func:`~hstarlib.polynomial.extrapolate`), so a
+    wrong count at n = d + 1 shows in chi too.
     """
     d = graph.d
     values = [0] * (d + 2)  # W at n = 0..d + 1
     for counts, k in _orientation_tally(graph).items():
         values = [v + k * c for v, c in zip(values, counts)]
-    W = interpolate(values)
-    return interpolate([(-1) ** d * W(-n) for n in range(d + 1)])
+    below = extrapolate(values[::-1], d)[d + 1 :]
+    return interpolate(below if d % 2 == 0 else [-w for w in below])

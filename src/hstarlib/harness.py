@@ -13,7 +13,7 @@ name           applies  meaning
 =============  =======  ====================================================
 hstar3way      poset    counts, descent and ideal-chain routes to h* agree
 reciprocity    poset    interior counts match the reversed series; strict
-                        and weak order polynomials satisfy reciprocity
+                        and weak count tables satisfy order reciprocity
 thm1.1         poset,   open numerator splits as a difference of two
                polytope nonnegative symmetric polynomials
 thm1.2         poset    open order-polytope split has -a, b nonnegative
@@ -35,6 +35,9 @@ so each verdict is memoised by value for the whole run (``_numerator_verdict``,
 a bounded ``lru_cache``), as is reciprocity's expansion of the series: inputs
 with equal numerators pay for the split once, while the numerator itself,
 every route that reads the input and every charge still run on every input.
+A poset's lattice walk is built once per input and read by its h* route and
+by reciprocity, which compares the strict count at n with (-1)^d times the
+weak one at -n, n = 1..d + 2, on tables extended by ``polynomial.extrapolate``.
 
 Inputs are independent, so sweeps could fan out over workers; this driver
 stays sequential and emits reports in input order, which keeps them
@@ -64,8 +67,8 @@ from .graph import (
     count_acyclic_orientations,
     count_proper_colorings,
 )
-from .polynomial import IntPolynomial, expand_series, f_to_h, interpolate
-from .poset import Poset, descent_h_star, ideal_chain_f_vector, natural, order_polynomial, set_bits
+from .polynomial import IntPolynomial, expand_series, extrapolate, f_to_h
+from .poset import Poset, descent_h_star, ideal_chain_f_vector, natural, order_map_counts, set_bits
 
 MAX_EXHAUSTIVE_SIZE = 5
 
@@ -324,14 +327,15 @@ def _check_hstar3way(ctx: _Context) -> CheckResult:
 def _check_reciprocity(ctx: _Context) -> CheckResult:
     d = ctx.d
     polytope = OrderPolytope(ctx.item)
-    # interior[n] is the strict map count at n - 1, so interior[1 : d + 2]
-    # holds the strict order polynomial's values at 0..d
+    # interior[n] is the strict map count at n - 1, n = 0..d + 2
     interior = polytope.count_series(d + 2, interior=True)
     expansion = _series_expansion(ctx.numerator(), d)
     counts_ok = tuple(interior[1:]) == expansion[1:]
-    weak = order_polynomial(ctx.item)
-    strict = interpolate(interior[1 : d + 2])
-    poly_ok = all(strict(n) == (-1) ** d * weak(-n) for n in range(1, d + 3))
+    # strict(n) against (-1)^d weak(-n) at n = 1..d + 2: the strict counts
+    # at 0..d + 1 extended by one, the weak ones at d + 1..0 by d + 2
+    strict = extrapolate(interior[1:], 1)[1:]
+    weak = extrapolate(order_map_counts(ctx.item, d + 1)[::-1], d + 2)[d + 2 :]
+    poly_ok = strict == (weak if d % 2 == 0 else [-w for w in weak])
     return _verdict(
         "reciprocity",
         counts_ok and poly_ok,

@@ -188,6 +188,18 @@ def interpolate(values: Sequence[int]) -> CountingPolynomial:
     return CountingPolynomial(values, tuple(differences))
 
 
+def extrapolate(values: Sequence[int], count: int) -> list[int]:
+    """``values`` (nonempty) and the next ``count`` values of the polynomial
+    of degree < k = len(values) through them: each new value is fixed by the
+    k before it, as the k-th difference is zero, sum_i (-1)^i C(k, i) v_i = 0."""
+    out, k = list(values), len(values)
+    signed = _signed_binomials(k - 1)  # (-1)^i C(k, i), i < k
+    for _ in range(count):
+        step = sum(map(mul, signed, out[-k:]))
+        out.append(step if k % 2 else -step)
+    return out
+
+
 @lru_cache(maxsize=64)
 def _signed_binomials(d: int) -> tuple[int, ...]:
     return tuple((-1) ** i * comb(d + 1, i) for i in range(d + 1))
@@ -245,6 +257,8 @@ def f_to_h(f: IntPolynomial, d: int) -> IntPolynomial:
         if fi == 0:
             continue
         m = d + 1 - i
+        term = fi  # fi (-1)^k C(m, k)
         for k in range(m + 1):
-            out[i + k] += fi * (-1) ** k * comb(m, k)
+            out[i + k] += term
+            term = -term * (m - k) // (k + 1)
     return IntPolynomial(out)

@@ -13,7 +13,8 @@ is a :class:`TextFormat` kept next to the class it builds.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, chain
 from math import factorial
 from operator import index
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import charge
 from .errors import InvalidInput
-from .polynomial import CountingPolynomial, IntPolynomial, interpolate
+from .polynomial import CountingPolynomial, IntPolynomial, extrapolate, interpolate
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -358,24 +359,39 @@ def order_map_counts(poset: Poset, n_max: int, strict: bool = False) -> list[int
     (along a linear extension, reversed for strict maps): vec[I] += vec[I - e]
     for every ideal I with e maximal, over (I, I - e) position pairs looked
     up once in a dict of the ideals.  The tests check it by brute force.
+
+    Both walks run to n = d + 1 once per poset value, cached for the h* route
+    and the reciprocity check; the lattice is charged per poset object.  Counts
+    past d + 1 extend that table by :func:`~hstarlib.polynomial.extrapolate`.
     """
     n_max = natural(n_max)
+    poset.order_ideals()  # charged per object, while the cache is keyed by value
+    counts = _lattice_counts(poset)[bool(strict)]
+    extra = n_max + 1 - len(counts)
+    return extrapolate(counts, extra) if extra > 0 else list(counts[: n_max + 1])
+
+
+@lru_cache(maxsize=8)
+def _lattice_counts(poset: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The weak and the strict map counts for n = 0..d + 1."""
     ideals = poset.order_ideals()
+    index = dict(zip(ideals, range(len(ideals))))
     # sorting by the number of elements below gives a linear extension
     sizes = [m.bit_count() for m in poset._below]
-    index = dict(zip(ideals, range(len(ideals))))
-    pairs = []
-    for e in sorted(range(poset.d), key=sizes.__getitem__, reverse=strict):
-        bit = 1 << e
-        mask = bit | poset._above[e]
-        pairs += [(index[ideal], index[ideal ^ bit]) for ideal in ideals if ideal & mask == bit]
-    vec = [1] + [0] * (len(ideals) - 1)
-    counts = [vec[-1]]
-    for _ in range(n_max):
-        for k, sub in pairs:
-            vec[k] += vec[sub]
-        counts.append(vec[-1])
-    return counts
+    steps = []
+    for e in sorted(range(poset.d), key=sizes.__getitem__):
+        bit, mask = 1 << e, 1 << e | poset._above[e]
+        steps.append([(index[i], index[i ^ bit]) for i in ideals if i & mask == bit])
+    walks = []
+    for pairs in (list(chain.from_iterable(steps)), list(chain.from_iterable(reversed(steps)))):
+        vec = [1] + [0] * (len(ideals) - 1)
+        counts = [vec[-1]]
+        for _ in range(poset.d + 1):
+            for k, sub in pairs:
+                vec[k] += vec[sub]
+            counts.append(vec[-1])
+        walks.append(tuple(counts))
+    return tuple(walks)
 
 
 def order_polynomial(poset: Poset, strict: bool = False) -> CountingPolynomial:

@@ -94,13 +94,15 @@ def test_only_poset_reads_files():
 def test_cli_start_up_loads_no_dataclasses():
     # records are NamedTuples and run-wide caches lru_caches, so the CLI's
     # start-up needs neither dataclasses nor the inspect module it pulls in;
-    # a fresh interpreter, since pytest itself imports both
+    # the harness imports signal and traceback only on the paths that use
+    # them; a fresh interpreter, since pytest itself imports all four
     src = Path(hstarlib.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     code = (
         "import hstarlib.cli, sys; "
-        "print(*sorted({'dataclasses', 'inspect', 'hstarlib.memo'} & set(sys.modules)))"
+        "guarded = {'dataclasses', 'inspect', 'hstarlib.memo', 'signal', 'traceback'}; "
+        "print(*sorted(guarded & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

@@ -326,13 +326,18 @@ class TestVerifyAll:
             if name.startswith("hstarlib") and getattr(module, "order_map_counts", None) is real:
                 monkeypatch.setattr(module, "order_map_counts", perturbed)
 
+    @staticmethod
+    def chain2_reciprocity():
+        (report,) = list(verify_all([Poset(2, [(1, 2)])], ["reciprocity"]))
+        return report.checks[0]
+
     # the 2-chain: h* = 1, strict counts C(n, 2), interior series z^3 / (1 - z)^3
     CHAIN2_RECIPROCITY = {"series_expansion": ("0", "0", "0", "1", "3"), "hstar": ("1",)}
 
     def test_reciprocity_names_a_wrong_strict_count(self, monkeypatch):
+        assert self.chain2_reciprocity().status == "pass"
         self.perturb_map_counts(monkeypatch, strict=True, n=1)
-        (report,) = list(verify_all([Poset(2, [(1, 2)])], ["reciprocity"]))
-        (check,) = report.checks
+        check = self.chain2_reciprocity()
         assert (check.status, check.detail) == ("fail", "interior counts mismatch")
         assert check.witnesses == {
             "interior_counts": ("0", "0", "1", "1", "3"),
@@ -342,9 +347,9 @@ class TestVerifyAll:
     def test_reciprocity_names_a_wrong_weak_count(self, monkeypatch):
         # Omega(0) is read by the weak side of the identity only: the
         # numerator route reads the weak counts from n = 1 on
+        assert self.chain2_reciprocity().status == "pass"
         self.perturb_map_counts(monkeypatch, strict=False, n=0)
-        (report,) = list(verify_all([Poset(2, [(1, 2)])], ["reciprocity"]))
-        (check,) = report.checks
+        check = self.chain2_reciprocity()
         assert (check.status, check.detail) == ("fail", "order reciprocity fails")
         assert check.witnesses == {
             "interior_counts": ("0", "0", "0", "1", "3"),

@@ -1,5 +1,5 @@
-"""The run-wide caches of the orientation route, of deletion-contraction and
-of the harness's numerator-only verdicts: hits give the values a cleared
+"""The run-wide caches of the orientation route, of deletion-contraction, of
+a poset's lattice walks and of the harness's numerator-only verdicts: hits give the values a cleared
 cache computes, refusals do not depend on what a cache holds, callers get
 the stored tuple or a fresh tally, and every cache is bounded."""
 
@@ -9,7 +9,7 @@ import pkgutil
 import pytest
 
 import hstarlib
-from hstarlib import decomp, graph, harness
+from hstarlib import decomp, graph, harness, poset
 from hstarlib.budget import limit
 from hstarlib.decomp import _orientation_sum, graph_decomposition, graph_numerator
 from hstarlib.errors import BudgetExceeded
@@ -35,6 +35,7 @@ CACHES = (
     graph._deletion_contraction,
     harness._numerator_verdict,
     harness._series_expansion,
+    poset._lattice_counts,
 )
 
 
@@ -60,6 +61,7 @@ def test_every_cache_is_bounded():
         "_deletion_contraction": 1 << 12,
         "_numerator_verdict": 1 << 12,
         "_series_expansion": 1 << 12,
+        "_lattice_counts": 8,
     }
     assert {name: found.get(name) for name in expected} == expected
 
@@ -173,6 +175,50 @@ def records(reports):
         del record["seconds"]
         out.append(record)
     return out
+
+
+class TestLatticeWalkMemo:
+    def test_each_poset_walks_its_lattice_once_per_sweep(self):
+        # the h* route, the strict counts and the weak side of reciprocity
+        # read one walk per poset: its pair lists and both transforms are
+        # built on the first read, the other two hit, and the cache stays
+        # within its bound across the 219 inputs
+        clear_all()
+        for _ in verify_all(enumerate_labeled_posets(4)):
+            pass
+        walks = poset._lattice_counts.cache_info()
+        assert (walks.misses, walks.hits) == (219, 2 * 219)
+        assert walks.currsize == walks.maxsize == 8
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_an_equal_poset_is_still_charged_its_lattice(self, strict):
+        # the walk is stored by the poset's value, the lattice built and
+        # charged on each poset object: the 3-chain's last element costs 4
+        first, second = (poset.Poset(3, [(1, 2), (2, 3)]) for _ in range(2))
+        clear_all()
+        stored = poset.order_map_counts(first, 6, strict)
+        with limit(3), pytest.raises(BudgetExceeded, match="^order-ideal lattice needs 4 steps"):
+            poset.order_map_counts(second, 6, strict)
+        assert poset.order_map_counts(second, 6, strict) == stored
+        assert poset._lattice_counts.cache_info().misses == 1
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_stored_counts_equal_cleared_ones(self, strict):
+        posets = [*enumerate_labeled_posets(3), *random_instances("poset", 5, 20, 4)]
+        calls = [(p, n) for p in posets for n in (0, p.d, p.d + 1, p.d + 3)]
+        clear_all()
+        stored = [poset.order_map_counts(p, n, strict) for p, n in calls]
+        cleared = []
+        for p, n in calls:
+            clear_all()
+            cleared.append(poset.order_map_counts(p, n, strict))
+        assert stored == cleared
+
+    def test_a_changed_result_does_not_change_the_memo(self):
+        p = poset.Poset(2, [(1, 2)])
+        counts = poset.order_map_counts(p, 3)
+        counts[0] = 99
+        assert poset.order_map_counts(p, 3) == [0, 1, 3, 6]
 
 
 class TestNumeratorVerdictMemo:

@@ -20,6 +20,7 @@ from hstarlib.polynomial import (
     CountingPolynomial,
     IntPolynomial,
     expand_series,
+    extrapolate,
     f_to_h,
     interpolate,
     reverse,
@@ -184,6 +185,22 @@ class TestInterpolate:
         assert L.values == tuple(values)
         for n in range(-10, 11):
             assert L(n) == sum(delta * binomial(n, k) for k, delta in enumerate(L.differences))
+
+
+class TestExtrapolate:
+    def test_squares(self):
+        assert extrapolate([1, 4, 9], 4) == [1, 4, 9, 16, 25, 36, 49]
+        assert extrapolate((5,), 2) == [5, 5, 5]
+        assert extrapolate([1, 4, 9], 0) == [1, 4, 9]
+
+    def test_read_backwards_it_reaches_negative_n(self):
+        # C(n + 1, 2) at n = 3, 2, 1, 0, then at n = -1, ..., -4
+        assert extrapolate([6, 3, 1, 0], 4) == [6, 3, 1, 0, 0, 1, 3, 6]
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.integers(0, 9))
+    def test_agrees_with_the_interpolant(self, values, count):
+        L = interpolate(values)
+        assert extrapolate(values, count) == [L(n) for n in range(len(values) + count)]
 
 
 class TestCountingEquality:
