@@ -1,7 +1,8 @@
 """The run-wide caches of the orientation route, of deletion-contraction, of
-a poset's lattice walks and of the harness's numerator-only verdicts: hits give the values a cleared
-cache computes, refusals do not depend on what a cache holds, callers get
-the stored tuple or a fresh tally, and every cache is bounded."""
+a poset's lattice walks and of the harness's numerator-only verdicts: hits
+give the values a cleared cache computes, refusals do not depend on what a
+cache holds, callers get the stored tuple, a fresh tally or a fresh list,
+and every cache is bounded."""
 
 import importlib
 import pkgutil
