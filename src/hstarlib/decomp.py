@@ -21,16 +21,19 @@ the whole run, so a pass pays once per distinct one.
 
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share
-orientation posets: each down-set mask's map counts (in ``graph``), and
-each orientation class's term, the open numerator and order split of its
-checked h* keyed by its count vector, in bounded ``lru_cache``s; a call
-adds each class's terms, times its count, as ints.  Every cross-route
-check and every charge against the budget in force runs on every call;
-the one charge made on a miss only, an allocation, is held to the default
-budget, so no refusal depends on what a cache holds.  The public
-``order_decomposition``, ``open_decomposition``, ``ab_decompose`` and
-``ehrhart._checked_h_star`` are not cached here: the harness memoises its
-numerator-only verdicts, each split with its reconstruction checks, by
+orientation posets and chromatic polynomials: the last swept graph's edge
+steps and each down-set mask's map counts (in ``graph``); each orientation
+class's term, the open numerator and order split of its checked h* keyed
+by its count vector; chi's series numerator by (chi, d); and the direct
+split of z h_G by (z h_G, d + 1), in bounded ``lru_cache``s; a call adds
+each class's terms, times its count, as ints.  Every cross-route check
+and every charge against the budget in force runs on every call; the
+charges made on a miss only, allocations, are held to the default budget,
+so no refusal depends on what a cache holds.  The public
+``order_decomposition``, ``open_decomposition``, ``ab_decompose``,
+``series_numerator`` and ``ehrhart._checked_h_star`` stay uncached; the
+private memos here call them through the module, and the harness memoises
+its numerator-only verdicts, each split with its reconstruction checks, by
 (h, d) in ``harness._numerator_verdict``, so a split is reached through
 this module on every miss and every direct call.
 """
@@ -186,19 +189,25 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
     not a property of the graph.  The sweep charges itself, so
     deletion-contraction runs only once the budget has passed it.
 
-    The map counts and terms come from run-wide caches; the sweep, its
-    charges and the deletion-contraction check always run.
+    The map counts, terms and chi's series numerator come from run-wide
+    caches; the sweep, its charges, chi and the comparison always run.
     """
     d = graph.d
     tally = _orientation_tally(graph)
     zh = _class_sum(tally, 0, d)
-    direct = series_numerator(chromatic_polynomial(graph), d)
+    direct = _chi_numerator(chromatic_polynomial(graph), d)
     if zh != direct.shift(1):
         raise InternalConsistencyError(
             f"chromatic route z * {direct.coeffs} != orientation route "
             f"{zh.coeffs} for {graph!r}"
         )
     return tally, zh
+
+
+@lru_cache(maxsize=1 << 12)
+def _chi_numerator(chi: IntPolynomial, d: int) -> IntPolynomial:
+    """``series_numerator(chi, d)``, once per distinct (chi, d) in a run."""
+    return series_numerator(chi, d)
 
 
 def _class_sum(tally: Counter[tuple[int, ...]], part: int, d: int) -> IntPolynomial:
@@ -228,8 +237,8 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     Each orientation class is split once per run (with its
     reconstruction checks), in its cached term, and its parts are added
     with that class's count.  The closed formulas are linear, so the sums
-    must equal the direct split ``ab_decompose(z h_G, d + 1)``, which is
-    compared on every call.  That split's own verification covers the rest:
+    must equal the direct split ``ab_decompose(z h_G, d + 1)``, memoised by
+    value and compared on every call.  That split's own verification covers the rest:
     z h_G has degree d + 1 (its top coefficient counts the acyclic
     orientations, at least one), so l = 1, s = d + 1, and a + z b = z h_G
     with a palindromic about d + 1 and b about d.  b and -a are
@@ -239,12 +248,18 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     tally, zh = _orientation_sum(graph)
     a = _class_sum(tally, 1, d)
     b = _class_sum(tally, 2, d)
-    direct = ab_decompose(zh, d + 1)
+    direct = _direct_split(zh, d + 1)
     if direct.a != a or direct.b != b:
         raise InternalConsistencyError(
             f"orientation sum disagrees with the direct split of z h_G for {graph!r}"
         )
     return a, b
+
+
+@lru_cache(maxsize=1 << 12)
+def _direct_split(zh: IntPolynomial, d: int) -> SymmetricDecomposition:
+    """``ab_decompose(zh, d)``, with its checks, once per distinct (zh, d) in a run."""
+    return ab_decompose(zh, d)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -97,6 +97,16 @@ def _edge_splits(graph: Graph) -> list[tuple[int, int, int, int]]:
     return [(i, j, out[j - 1] & ~out[i - 1], out[i - 1] & ~out[j - 1]) for i, j in edges]
 
 
+@lru_cache(maxsize=1)  # a graph's sweeps run back to back; 2^d bits a mask
+def _sweep_steps(graph: Graph) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """The full mask and the edge steps of :func:`acyclic_orientations`."""
+    splits = _edge_splits(graph)
+    full = (1 << (1 << graph.d)) - 1
+    # per edge: the test and the narrowed mask of i -> j, then of j -> i
+    steps = [(i_only, full ^ j_only, j_only, full ^ i_only) for _, _, i_only, j_only in splits]
+    return full, tuple(steps)
+
+
 def acyclic_orientations(graph: Graph) -> Iterator[int]:
     """Enumerate every acyclic orientation exactly once, as its down-set mask.
 
@@ -110,11 +120,10 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
     stacking j -> i if that is open too: depth first, i -> j before j -> i.
     It charges its running count as the caller asks for the next one, so
     every sweep is bounded, after the caller's charges for the last one.
+    Its edge steps are kept for the last graph swept (:func:`_sweep_steps`);
+    2^d, an allocation, is charged as they are built, before any mask.
     """
-    splits = _edge_splits(graph)
-    full = (1 << (1 << graph.d)) - 1
-    # per edge: the test and the narrowed mask of i -> j, then of j -> i
-    steps = [(i_only, full ^ j_only, j_only, full ^ i_only) for _, _, i_only, j_only in splits]
+    full, steps = _sweep_steps(graph)
 
     def walk() -> Iterator[int]:
         walked = 0

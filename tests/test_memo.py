@@ -1,11 +1,15 @@
-"""The run-wide caches of the orientation route, of deletion-contraction, of
-a poset's lattice walks and of the harness's numerator-only verdicts: hits
-give the values a cleared cache computes, refusals do not depend on what a
-cache holds, callers get the stored tuple, a fresh tally or a fresh list,
-and every cache is bounded."""
+"""The run-wide caches of the orientation route (edge steps, map counts,
+terms, chi's series numerator and the direct split of z h_G), of
+deletion-contraction, of a poset's lattice walks and of the harness's
+numerator-only verdicts: hits give the values a cleared cache computes,
+refusals and cross-route checks do not depend on what a cache holds,
+callers get the stored tuple, a fresh tally or a fresh list, and every
+cache is bounded."""
 
 import importlib
 import pkgutil
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -13,12 +17,13 @@ import hstarlib
 from hstarlib import decomp, graph, harness, poset
 from hstarlib.budget import limit
 from hstarlib.decomp import _orientation_sum, graph_decomposition, graph_numerator
-from hstarlib.errors import BudgetExceeded
+from hstarlib.errors import BudgetExceeded, InternalConsistencyError
 from hstarlib.graph import (
     _mask_map_counts,
     acyclic_orientations,
     chromatic_polynomial,
     chromatic_via_orientations,
+    count_acyclic_orientations,
 )
 from hstarlib.harness import (
     dilated_cube,
@@ -27,12 +32,19 @@ from hstarlib.harness import (
     random_instances,
     verify_all,
 )
-from test_graph import SWEEP_CORPORA, SWEEP_IDS
+from hstarlib.polynomial import IntPolynomial
+from test_graph import K3, PATH3, SWEEP_CORPORA, SWEEP_IDS
+
+PATH3_CHI = IntPolynomial([0, 1, -2, 1])
+K4 = graph.Graph(4, combinations(range(1, 5), 2))
 
 CACHES = (
+    graph._sweep_steps,
     graph._packed_counts,
     graph._count_vectors,
     decomp._orientation_term,
+    decomp._chi_numerator,
+    decomp._direct_split,
     graph._deletion_contraction,
     harness._numerator_verdict,
     harness._series_expansion,
@@ -46,7 +58,8 @@ def clear_all():
 
 
 def test_every_cache_is_bounded():
-    # every lru_cache anywhere in the package has a finite maxsize
+    # every lru_cache anywhere in the package has a finite maxsize, and
+    # each one is listed here
     found = {}
     for info in pkgutil.iter_modules(hstarlib.__path__):
         module = importlib.import_module(f"hstarlib.{info.name}")
@@ -55,26 +68,38 @@ def test_every_cache_is_bounded():
                 found[name] = value.cache_info().maxsize
                 assert found[name] is not None, name
     expected = {
+        "_sweep_steps": 1,
         "_packed_counts": 1 << 14,
         "_count_vectors": 1 << 12,
         "_orientation_term": 1 << 12,
+        "_chi_numerator": 1 << 12,
+        "_direct_split": 1 << 12,
         "_packing": 8,
         "_deletion_contraction": 1 << 12,
         "_numerator_verdict": 1 << 12,
         "_series_expansion": 1 << 12,
         "_lattice_counts": 8,
+        "_signed_binomials": 64,
     }
-    assert {name: found.get(name) for name in expected} == expected
+    assert found == expected
 
 
 def test_hit_profile_of_a_graphs_random_5_pass():
     # one pass over the benchmark's graph corpus, from cleared caches: the
     # 6864 weak map-count calls need 1292 transforms, and 28 orientation
     # terms; deletion-contraction meets 269 distinct subproblems in 852
-    # calls, where it made 4495
+    # calls, where it made 4495.  Each graph builds its edge steps once for
+    # its four sweeps, and its 19 distinct chi and z h_G are expanded and
+    # split once each, for 162 and 81 calls
     clear_all()
     for _ in verify_all(random_instances("graph", 5, 81, 701)):
         pass
+    steps = graph._sweep_steps.cache_info()
+    assert (steps.misses, steps.hits) == (81, 243)
+    numerators = decomp._chi_numerator.cache_info()
+    assert (numerators.misses, numerators.hits) == (19, 143)
+    splits = decomp._direct_split.cache_info()
+    assert (splits.misses, splits.hits) == (19, 62)
     transforms = graph._packed_counts.cache_info()
     assert (transforms.misses, transforms.hits) == (1292, 5572)
     assert graph._count_vectors.cache_info().currsize == 28
@@ -155,6 +180,54 @@ class TestOrientationRouteMemo:
         expected = dict(tally)
         tally.clear()
         assert _orientation_sum(g) == (expected, zh)
+
+    def test_a_cached_direct_split_still_meets_the_orientation_sum(self, monkeypatch):
+        # K3's split is cached, and a perturbed b_Pi in every term is still
+        # compared with it
+        clear_all()
+        graph_decomposition(K3)
+        real = decomp.order_decomposition
+
+        def perturbed(hs, d):
+            a_pi, b_pi = real(hs, d)
+            return a_pi, b_pi + IntPolynomial([1])
+
+        monkeypatch.setattr(decomp, "order_decomposition", perturbed)
+        own = lru_cache(maxsize=16)(decomp._orientation_term.__wrapped__)
+        monkeypatch.setattr(decomp, "_orientation_term", own)
+        with pytest.raises(InternalConsistencyError, match="direct split"):
+            graph_decomposition(K3)
+        assert decomp._direct_split.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def test_a_cached_chi_numerator_still_meets_the_orientation_sum(self, monkeypatch):
+        # both numerators are cached, so the wrong chi's is a hit
+        clear_all()
+        graph_numerator(K3)
+        graph_numerator(PATH3)
+        monkeypatch.setattr(decomp, "chromatic_polynomial", lambda g: PATH3_CHI)
+        with pytest.raises(InternalConsistencyError, match="^chromatic route"):
+            graph_numerator(K3)
+        assert decomp._chi_numerator.cache_info()[:2] == (1, 2)
+
+    def test_cached_steps_are_refused_as_cold_ones(self):
+        # the sweep charges its orientations on every walk: K4's 24 are
+        # refused at 23 whether its steps were cached or not
+        message = "acyclic-orientation sweep needs 24 steps, budget is 23"
+        clear_all()
+        with limit(23), pytest.raises(BudgetExceeded) as cold:
+            count_acyclic_orientations(K4)
+        clear_all()
+        assert count_acyclic_orientations(K4) == 24
+        with limit(23), pytest.raises(BudgetExceeded) as warm:
+            count_acyclic_orientations(K4)
+        assert str(warm.value) == str(cold.value) == message
+        assert graph._sweep_steps.cache_info()[:2] == (1, 1)
+
+    def test_a_graph_refused_at_its_mask_size_caches_no_steps(self):
+        clear_all()
+        with pytest.raises(BudgetExceeded, match="2\\^23 vertex sets"):
+            acyclic_orientations(graph.Graph(23))
+        assert graph._sweep_steps.cache_info().currsize == 0
 
 
 class TestDeletionContractionMemo:
