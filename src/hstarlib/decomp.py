@@ -22,20 +22,20 @@ the whole run, so a pass pays once per distinct one.
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share
 orientation posets and chromatic polynomials: the last swept graph's edge
-steps and each down-set mask's map counts (in ``graph``); each orientation
-class's term, the open numerator and order split of its checked h* keyed
-by its count vector; chi's series numerator by (chi, d); and the direct
-split of z h_G by (z h_G, d + 1), in bounded ``lru_cache``s; a call adds
-each class's terms, times its count, as ints.  Every cross-route check
-and every charge against the budget in force runs on every call; the
-charges made on a miss only, allocations, are held to the default budget,
-so no refusal depends on what a cache holds.  The public
-``order_decomposition``, ``open_decomposition``, ``ab_decompose``,
+masks, one per direction, and each down-set mask's map counts (in
+``graph``); each orientation class's term, the open numerator and order
+split of its checked h* keyed by its count vector; chi's series numerator
+by (chi, d); and the direct split of z h_G by (z h_G, d + 1), in bounded
+``lru_cache``s; a call adds each class's terms, times its count, as ints.
+Every cross-route check and every charge against the budget in force runs
+on every call; the charges made on a miss only, allocations, are held to
+the default budget, so no refusal depends on what a cache holds.  The
+public ``order_decomposition``, ``open_decomposition``, ``ab_decompose``,
 ``series_numerator`` and ``ehrhart._checked_h_star`` stay uncached; the
 private memos here call them through the module, and the harness memoises
-its numerator-only verdicts, each split with its reconstruction checks, by
-(h, d) in ``harness._numerator_verdict``, so a split is reached through
-this module on every miss and every direct call.
+its numerator-only verdicts, each split with its reconstruction checks,
+by (h, d) in ``harness._numerator_verdict``, so a split is reached
+through this module on every miss and every direct call.
 """
 
 from __future__ import annotations

@@ -33,7 +33,9 @@ from typing import Sequence
 
 from .budget import charge
 from .errors import InternalConsistencyError, InvalidInput
-from .polynomial import CountingPolynomial, IntPolynomial, _numerator_coeffs, interpolate, reverse
+from .polynomial import (
+    CountingPolynomial, IntPolynomial, _numerator_coeffs, extrapolate, interpolate, reverse
+)
 from .poset import (
     Poset, TextFormat, integer, natural, order_map_counts, read_file, read_text, write_text
 )
@@ -333,14 +335,13 @@ def _closed_counts(polytope: LatticePolytope) -> list[int]:
     if d % 2:
         values = [-v for v in values]
     values += [polytope.count_points(n) for n in range(d - half + 1)]
-    shifted = interpolate(values)  # n -> L(n - half)
-    volume = shifted.differences[d]
+    volume = interpolate(values).differences[d]  # values[n] = L(n - half)
     if volume <= 0:
         raise InvalidInput(
             f"normalized volume {volume} is not positive; "
             "declared dimension is wrong or the polytope is degenerate"
         )
-    return [shifted(n + half) for n in range(d + 1)]
+    return extrapolate(values, half)[half:]
 
 
 def _checked_h_star(counts: Sequence[int]) -> IntPolynomial:

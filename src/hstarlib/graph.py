@@ -87,23 +87,17 @@ def _packing(d: int, w: int) -> tuple[tuple, tuple, tuple]:
     return without, tuple(zip(without, [w << e for e in range(d)])), tuple(reversed(deposit))
 
 
-def _edge_splits(graph: Graph) -> list[tuple[int, int, int, int]]:
-    """Per edge {i, j}, sorted: i, j, and the masks of the sets holding i
-    without j, and j without i.  2^d is charged before any mask is built."""
+@lru_cache(maxsize=1)  # a graph's sweeps run back to back; 2^d bits a mask
+def _sweep_steps(graph: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The full mask and, per edge {i, j}, sorted, the masks that narrow a
+    down-set mask to i -> j and to j -> i: orienting u -> v clears the sets
+    that hold v without u.  2^d is charged before any mask is built."""
     d = graph.d
     charge_power_of_two(d, f"down-set mask over 2^{d} vertex sets")
-    out = _packing(d, 1)[0]
+    out = _packing(d, 1)[0]  # out[v]: the sets without vertex v + 1
+    full = (1 << (1 << d)) - 1
     edges = graph.sorted_edges()
-    return [(i, j, out[j - 1] & ~out[i - 1], out[i - 1] & ~out[j - 1]) for i, j in edges]
-
-
-@lru_cache(maxsize=1)  # a graph's sweeps run back to back; 2^d bits a mask
-def _sweep_steps(graph: Graph) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-    """The full mask and the edge steps of :func:`acyclic_orientations`."""
-    splits = _edge_splits(graph)
-    full = (1 << (1 << graph.d)) - 1
-    # per edge: the test and the narrowed mask of i -> j, then of j -> i
-    steps = [(i_only, full ^ j_only, j_only, full ^ i_only) for _, _, i_only, j_only in splits]
+    steps = [(out[j - 1] | full ^ out[i - 1], out[i - 1] | full ^ out[j - 1]) for i, j in edges]
     return full, tuple(steps)
 
 
@@ -120,7 +114,7 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
     stacking j -> i if that is open too: depth first, i -> j before j -> i.
     It charges its running count as the caller asks for the next one, so
     every sweep is bounded, after the caller's charges for the last one.
-    Its edge steps are kept for the last graph swept (:func:`_sweep_steps`);
+    Its two masks an edge are kept for the last graph swept (:func:`_sweep_steps`);
     2^d, an allocation, is charged as they are built, before any mask.
     """
     full, steps = _sweep_steps(graph)
@@ -130,14 +124,15 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
         stack = [(0, full)]
         while stack:
             k, ideals = stack.pop()
-            for i_only, i_to_j, j_only, j_to_i in steps[k:]:
+            for i_to_j, j_to_i in steps[k:]:
                 k += 1
-                if not ideals & i_only:
-                    ideals &= j_to_i
+                j_way = ideals & j_to_i
+                if j_way == ideals:  # i -> j closes a cycle; j -> i clears nothing
                     continue
-                if ideals & j_only:
-                    stack.append((k, ideals & j_to_i))
-                ideals &= i_to_j
+                i_way = ideals & i_to_j
+                if i_way != ideals:  # j -> i is open too
+                    stack.append((k, j_way))
+                ideals = i_way
             yield ideals
             walked += 1
             charge(walked, "acyclic-orientation sweep")
@@ -152,16 +147,19 @@ def count_acyclic_orientations(graph: Graph) -> int:
 def orientation_poset(graph: Graph, ideals: int) -> Poset:
     """Poset of the orientation whose down-set mask is ``ideals``.
 
-    Edge {i, j} runs i -> j iff no down-set holds j without i.  A mask that
+    Edge {i, j} runs i -> j iff no down-set holds j without i, a set that
+    the sweep's i -> j step (:func:`_sweep_steps`) clears.  A mask that
     orients an edge both ways or neither way, or that is not the down-set
     mask of the poset its arcs generate, is rejected.
     """
+    full, steps = _sweep_steps(graph)
     arcs = []
-    for i, j, i_only, j_only in _edge_splits(graph):
-        if bool(ideals & i_only) == bool(ideals & j_only):
-            way = "neither way" if ideals & i_only else "both ways"
+    for (i, j), (i_to_j, j_to_i) in zip(graph.sorted_edges(), steps):
+        i_only, j_only = ideals & (full ^ j_to_i), ideals & (full ^ i_to_j)
+        if bool(i_only) == bool(j_only):
+            way = "neither way" if i_only else "both ways"
             raise InvalidInput(f"mask orients edge ({i}, {j}) {way}")
-        arcs.append((i, j) if ideals & i_only else (j, i))
+        arcs.append((i, j) if i_only else (j, i))
     poset = Poset(graph.d, arcs)
     if sum(1 << ideal for ideal in poset.order_ideals()) != ideals:
         raise InvalidInput("mask is not the down-set mask of the poset its arcs generate")

@@ -13,3 +13,4 @@ def fresh_verdicts():
     harness._series_expansion.cache_clear()
     decomp._chi_numerator.cache_clear()
     decomp._direct_split.cache_clear()
+    decomp._orientation_term.cache_clear()

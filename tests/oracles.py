@@ -5,7 +5,6 @@ from math import gcd
 
 from hstarlib.budget import charge
 from hstarlib.errors import InvalidInput
-from hstarlib.graph import _edge_splits
 from hstarlib.polynomial import IntPolynomial
 from hstarlib.poset import Poset, linear_extensions
 
@@ -70,14 +69,21 @@ def recursive_acyclic_orientations(graph):
     per edge: i -> j is walked before j -> i at every edge, and a direction
     that no down-set allows closes a cycle and prunes its subtree.  The
     library's explicit-stack walk must yield the same masks in this order.
+    Each edge's masks, the vertex sets S holding i without j and j without
+    i, are built here bit by bit.
     """
-    splits = _edge_splits(graph)
+    sets = range(1 << graph.d)
+
+    def holding(u, v):  # the mask of the sets that hold vertex u but not v
+        return sum(1 << S for S in sets if S >> u - 1 & 1 and not S >> v - 1 & 1)
+
+    splits = [(holding(i, j), holding(j, i)) for i, j in sorted(graph.edges)]
 
     def orient(k, ideals):
         if k == len(splits):
             yield ideals
             return
-        _, _, i_only, j_only = splits[k]
+        i_only, j_only = splits[k]
         if ideals & i_only:  # i -> j
             yield from orient(k + 1, ideals & ~j_only)
         if ideals & j_only:  # j -> i

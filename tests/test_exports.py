@@ -55,6 +55,17 @@ def test_every_export_is_used_outside_the_tests():
     assert sorted(set(hstarlib.__all__) - used) == []
 
 
+def test_oracles_import_no_private_names():
+    # an oracle that borrowed the library's own helpers would check the
+    # library against itself
+    oracles = Path(__file__).with_name("oracles.py")
+    private = []
+    for node in ast.walk(ast.parse(oracles.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hstarlib"):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def test_no_function_takes_a_budget():
     # the budget in force is set by budget.limit and read by budget.charge
     package = Path(hstarlib.__file__).parent

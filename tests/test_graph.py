@@ -200,6 +200,14 @@ class TestOrientationPoset:
             orientation_poset(Graph(3), chain)
         assert orientation_poset(K3, chain) == Poset(3, [(1, 2), (2, 3)])
 
+    def test_bits_beyond_the_vertex_sets_are_refused(self):
+        # K2 has 2^2 vertex sets, bits 0..3; bit 4 names no set
+        with pytest.raises(InvalidInput, match="not the down-set mask"):
+            orientation_poset(K2, 0b11011)
+        with pytest.raises(InvalidInput, match=r"orients edge \(1, 2\) both ways"):
+            orientation_poset(K2, 1 << 4)
+        assert orientation_poset(K2, 0b1011) == Poset(2, [(1, 2)])  # {}, {1}, {1, 2}
+
 
 class TestMaskMapCounts:
     """The orientation route's map counts, read off the sweep's down-set

@@ -8,6 +8,7 @@ cache is bounded."""
 
 import importlib
 import pkgutil
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -231,6 +232,21 @@ class TestOrientationRouteMemo:
         with pytest.raises(BudgetExceeded, match="2\\^23 vertex sets"):
             acyclic_orientations(graph.Graph(23))
         assert graph._sweep_steps.cache_info().currsize == 0
+
+    def test_steps_hold_two_masks_an_edge(self):
+        # K12's 66 edges: two 2^12-bit masks an edge, 512 bytes each, stay
+        # under three masks' worth; the packing they are built from is
+        # cached first, so only the steps themselves are counted
+        k12 = graph.Graph(12, combinations(range(1, 13), 2))
+        clear_all()
+        graph._packing(12, 1)
+        tracemalloc.start()
+        try:
+            graph._sweep_steps(k12)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 3 * 66 * 512
 
 
 class TestDeletionContractionMemo:
