@@ -8,7 +8,9 @@ weak counts, and the random-poset and d = 0 digests before the harness
 read an input's kind, checks and numerator route off one table.  The
 d = 5 graph digests were recorded before ``inequality_report`` read its
 lines off the split, and the mutated stream holds both i-lists, [1] and
-[1, 2], of failing inequalities.  A refactor that changes any record
+[1, 2], of failing inequalities.  The d = 7 graph digest was recorded
+before the orientation tally transformed one orientation of each
+reversal pair only.  A refactor that changes any record
 fails here.
 """
 
