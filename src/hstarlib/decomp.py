@@ -17,7 +17,9 @@ them.  The chromatic series is built over acyclic orientations in one
 place, ``_orientation_sum``, from ``graph._orientation_tally``, and checked
 there against deletion-contraction, behind the sweep whose charged
 orientations bound it; ``graph`` memoises its (d, edges) subproblems for
-the whole run, so a pass pays once per distinct one.
+the whole run, so a pass pays once per distinct one.  The tally transforms
+one orientation of each reversal pair and doubles its class counts, since
+an orientation poset and its dual have one order polynomial.
 
 That route is memoised by value for the whole run, because a graph's
 checks sweep its orientations more than once and different graphs share

@@ -318,8 +318,8 @@ def _closed_counts(polytope: LatticePolytope) -> list[int]:
     and the open ones n <= d // 2 only, so the largest box walked, which the
     budget bounds, is the closed dilate at ceil(d/2), not at d.  Any other
     H-polytope walks every closed dilate.  Either walk's top forward
-    difference, d! vol(P), must be positive, or the declared dimension is
-    wrong: InvalidInput.
+    difference, d! vol(P), read as one signed-binomial sum over its values,
+    must be positive, or the declared dimension is wrong: InvalidInput.
     An H-polytope with a ``non_lattice`` vertex is InvalidInput.
     Unchecked, and so possibly given a wrong h*: H-polytopes with a user box.
     """
@@ -335,7 +335,8 @@ def _closed_counts(polytope: LatticePolytope) -> list[int]:
     if d % 2:
         values = [-v for v in values]
     values += [polytope.count_points(n) for n in range(d - half + 1)]
-    volume = interpolate(values).differences[d]  # values[n] = L(n - half)
+    # the d-th forward difference of values[n] = L(n - half)
+    volume = sum((-1) ** (d - i) * comb(d, i) * v for i, v in enumerate(values))
     if volume <= 0:
         raise InvalidInput(
             f"normalized volume {volume} is not positive; "

@@ -7,18 +7,20 @@ vector holds one field of w bits per set, field S at bit S * w.  An
 acyclic orientation is its down-set mask: bit S is set iff no edge runs
 into S from outside it.  Per orientation the route computes only its
 weak map counts, and every sum over orientations is read off their tally.
+An orientation and its reversal have the same counts, so the tally
+transforms the orientations that run the first edge forward and doubles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat, takewhile
 from math import perm
 from typing import Iterable, Iterator
 
 from .budget import charge, charge_power_of_two
-from .errors import InvalidInput
+from .errors import InternalConsistencyError, InvalidInput
 from .polynomial import CountingPolynomial, IntPolynomial, extrapolate, interpolate
 from .poset import Poset, TextFormat, integer, natural, read_text, write_text
 
@@ -216,8 +218,42 @@ def _orientation_tally(graph: Graph) -> Counter[tuple[int, ...]]:
     """One sweep of the acyclic orientations, tallied by their weak map
     counts at n = 0..d + 1 (the cached tuples).  Each distinct vector is one
     orientation class, and every sum over the orientations is read off the
-    tally.  A fresh ``Counter`` on every call; the sweep charges itself."""
-    return Counter(map(_mask_map_counts, acyclic_orientations(graph), repeat(graph.d)))
+    tally.  A fresh ``Counter`` on every call; the sweep charges itself.
+
+    Reversing every edge takes an orientation's poset P to its dual P*,
+    whose down-sets are the complements of P's, and Omega_{P*} = Omega_P
+    (x -> n + 1 - x; Stanley, EC1 §3.12), so the two orientations of a
+    reversal pair fall into one class.  Only the orientations that run the
+    first sorted edge {i, j} i -> j are transformed: the sweep takes i -> j
+    before j -> i, so they are the ones before the first orientation in
+    which no down-set holds i without j.  The rest are only counted: a
+    count other than the tallied half means the order or the pairing is
+    broken, an InternalConsistencyError.  Then every class count is
+    doubled.  A skipped orientation's ideal count |J(P*)| = |J(P)| was
+    charged for its partner, and the sweep still charges every orientation
+    it walks, so no refusal moves.  An edgeless graph's one orientation is
+    tallied as it is.
+    """
+    d = graph.d
+    sweep = acyclic_orientations(graph)
+    if not graph.edges:
+        return Counter(map(_mask_map_counts, sweep, repeat(d)))
+    i, j = min(graph.edges)
+    out = _packing(d, 1)[0]  # out[v]: the sets without vertex v + 1
+    i_only = out[j - 1] & ~out[i - 1]
+    # no down-set mask is 0, so the 0 after the sweep stands in for the
+    # first j -> i orientation, which ``takewhile`` takes and drops
+    sweep = chain(sweep, (0,))
+    tally = Counter(map(_mask_map_counts, takewhile(i_only.__and__, sweep), repeat(d)))
+    half, rest = tally.total(), sum(1 for _ in sweep)
+    if rest != half:
+        raise InternalConsistencyError(
+            f"{graph!r}: {half} orientations before the first with {j} -> {i}, "
+            f"{rest} from it on"
+        )
+    for counts in tally:
+        tally[counts] *= 2
+    return tally
 
 
 def count_proper_colorings(graph: Graph, n: int) -> int:
@@ -315,8 +351,9 @@ def chromatic_via_orientations(graph: Graph) -> CountingPolynomial:
     must agree with deletion-contraction.
 
     Reciprocity, Omega°_P(n) = (-1)^d Omega_P(-n) (Stanley, EC1 §3.15),
-    reads the strict counts off the weak ones, so the sweep's tally is all
-    this route needs: its weak counts add into W(0..d + 1), where
+    reads the strict counts off the weak ones, so the sweep's tally, of
+    which only the first-edge-forward half is transformed, is all this
+    route needs: its weak counts add into W(0..d + 1), where
     W = sum_O Omega_O, and chi(n) = (-1)^d W(-n) at n = 0..d fixes chi
     (degree d).  W's table of all d + 2 values, read from n = d + 1 down,
     is extended to n = -d (:func:`~hstarlib.polynomial.extrapolate`), so a

@@ -585,7 +585,7 @@ class TestHalfRoute:
 
     def test_half_walk_judges_the_volume(self):
         # a non-lattice triangle whose one lattice point, the origin, is
-        # interior: that point certifies the half walk, whose interpolated
+        # interior: that point certifies the half walk, whose
         # counts have top forward difference 0
         one_point = HRepPolytope(
             [((-2, 0), 1), ((0, -2), 1), ((2, 2), 1)], 2, box=([-1, -1], [1, 1])

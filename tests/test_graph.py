@@ -1,17 +1,20 @@
 """Graphs: orientations, induced posets, chromatic polynomials."""
 
 import time
-from itertools import islice, product
+from collections import Counter
+from itertools import islice, product, repeat
 from math import comb, perm, prod
 
 import pytest
 
 from hstarlib import graph as graph_module
 from hstarlib.budget import limit
-from hstarlib.errors import BudgetExceeded, InvalidInput
+from hstarlib.errors import BudgetExceeded, InternalConsistencyError, InvalidInput
 from hstarlib.graph import (
     Graph,
     _mask_map_counts,
+    _orientation_tally,
+    _packed_counts,
     _packing,
     acyclic_orientations,
     chromatic_polynomial,
@@ -281,6 +284,86 @@ class TestMaskMapCounts:
         with limit(10**12), pytest.raises(BudgetExceeded, match="packed vector"):
             _mask_map_counts(mask, 20)
         assert _packing.cache_info().currsize == 1  # the sweep's 1-bit packing
+
+
+def every_orientation_tally(graph):
+    """The tally with a transform for every orientation, none skipped."""
+    return Counter(map(_mask_map_counts, acyclic_orientations(graph), repeat(graph.d)))
+
+
+def reversed_mask(mask, d):
+    """Bit S moved to bit 2^d - 1 - S: every set replaced by its complement."""
+    return int(f"{mask:0{1 << d}b}"[::-1], 2)
+
+
+def outcome(tally, graph):
+    try:
+        return tally(graph)
+    except BudgetExceeded as refusal:
+        return str(refusal)
+
+
+class TestOrientationTally:
+    """The tally transforms only the orientations that run the first edge
+    forward and doubles their classes: each one's reversal, the dual poset,
+    has the same map counts."""
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            [g for d in range(6) for g in enumerate_labeled_graphs(d)],
+            [g for d in (6, 7, 8) for g in random_instances("graph", d, 3, seed=d)],
+            [Graph(d) for d in range(9)],
+        ],
+        ids=["all-d-le-5", "seeded-d6-to-d8", "edgeless"],
+    )
+    def test_equals_the_tally_of_every_orientation(self, graphs):
+        for graph in graphs:
+            assert _orientation_tally(graph) == every_orientation_tally(graph), graph
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_a_reversed_orientation_has_the_same_counts(self, d):
+        # the complements of P's down-sets are the down-sets of P*, and
+        # Omega_{P*} = Omega_P: the reversed mask is an orientation of the
+        # same graph, in the same class
+        for graph in enumerate_labeled_graphs(d):
+            masks = set(acyclic_orientations(graph))
+            for mask in masks:
+                dual = reversed_mask(mask, d)
+                assert dual in masks
+                assert _packed_counts(dual, d) == _packed_counts(mask, d), (graph, mask)
+
+    @pytest.mark.parametrize("broken", ["backward-early", "backward-missing", "one-short"])
+    def test_a_broken_order_or_pairing_is_an_internal_error(self, monkeypatch, broken):
+        # K2 has one orientation each way: a sweep that ends after the
+        # forward one must not pass for a whole one
+        real = graph_module.acyclic_orientations
+
+        def swept(graph):
+            masks = list(real(graph))
+            half = len(masks) // 2
+            if broken == "backward-early":
+                masks.insert(half // 2, masks.pop(half))
+            elif broken == "backward-missing":
+                del masks[half:]
+            else:
+                masks.pop()
+            return iter(masks)
+
+        monkeypatch.setattr(graph_module, "acyclic_orientations", swept)
+        for graph in (K2, K3, PATH3, complete_graph(4)):
+            with pytest.raises(InternalConsistencyError, match="before the first with 2 -> 1"):
+                _orientation_tally(graph)
+
+    @pytest.mark.parametrize("steps", range(26))
+    def test_refuses_as_the_tally_of_every_orientation(self, steps):
+        # a skipped orientation's ideal count is its partner's, and the
+        # sweep still charges every orientation it walks
+        for graph in (K3, PATH3, complete_graph(4), Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])):
+            with limit(steps):
+                assert outcome(_orientation_tally, graph) == outcome(
+                    every_orientation_tally, graph
+                ), graph
 
 
 class TestColorings:

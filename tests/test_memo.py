@@ -87,11 +87,13 @@ def test_every_cache_is_bounded():
 
 def test_hit_profile_of_a_graphs_random_5_pass():
     # one pass over the benchmark's graph corpus, from cleared caches: the
-    # 6864 weak map-count calls need 1292 transforms, and 28 orientation
-    # terms; deletion-contraction meets 269 distinct subproblems in 852
-    # calls, where it made 4495.  Each graph builds its edge steps once for
-    # its four sweeps, and its 19 distinct chi and z h_G are expanded and
-    # split once each, for 162 and 81 calls
+    # three tallies sweep 6864 orientations but make weak map-count calls
+    # for the 3432 that run each graph's first edge forward, and those need
+    # 664 transforms, and 28 orientation terms; deletion-contraction meets
+    # 269 distinct subproblems in 852 calls, where it made 4495.  Each
+    # graph builds its edge steps once for its four sweeps, and its 19
+    # distinct chi and z h_G are expanded and split once each, for 162 and
+    # 81 calls
     clear_all()
     for _ in verify_all(random_instances("graph", 5, 81, 701)):
         pass
@@ -102,7 +104,7 @@ def test_hit_profile_of_a_graphs_random_5_pass():
     splits = decomp._direct_split.cache_info()
     assert (splits.misses, splits.hits) == (19, 62)
     transforms = graph._packed_counts.cache_info()
-    assert (transforms.misses, transforms.hits) == (1292, 5572)
+    assert (transforms.misses, transforms.hits) == (664, 2768)
     assert graph._count_vectors.cache_info().currsize == 28
     assert decomp._orientation_term.cache_info().misses == 28
     subproblems = graph._deletion_contraction.cache_info()
