@@ -10,8 +10,9 @@ d = 5 graph digests were recorded before ``inequality_report`` read its
 lines off the split, and the mutated stream holds both i-lists, [1] and
 [1, 2], of failing inequalities.  The d = 7 graph digest was recorded
 before the orientation tally transformed one orientation of each
-reversal pair only.  A refactor that changes any record
-fails here.
+reversal pair only, and the d = 8 graph digest before thm1.3 read its
+verdict off the direct split of z h_G and each orientation class's own
+split.  A refactor that changes any record fails here.
 """
 
 import hashlib
