@@ -19,25 +19,24 @@ there against deletion-contraction, behind the sweep whose charged
 orientations bound it; ``graph`` memoises its (d, edges) subproblems for
 the whole run, so a pass pays once per distinct one.  The tally transforms
 one orientation of each reversal pair and doubles its class counts, since
-an orientation poset and its dual have one order polynomial.
+an orientation poset and its dual have one order polynomial.  The split of
+z h_G is its direct split; the harness also tests each orientation class's
+order split, whose sum over the orientations it is (Theorem 1.2 gives 1.3).
 
-That route is memoised by value for the whole run, because a graph's
-checks sweep its orientations more than once and different graphs share
-orientation posets and chromatic polynomials: the last swept graph's edge
-masks, one per direction, and each down-set mask's map counts (in
-``graph``); each orientation class's term, the open numerator and order
-split of its checked h* keyed by its count vector; chi's series numerator
-by (chi, d); and the direct split of z h_G by (z h_G, d + 1), in bounded
-``lru_cache``s; a call adds each class's terms, times its count, as ints.
-Every cross-route check and every charge against the budget in force runs
-on every call; the charges made on a miss only, allocations, are held to
-the default budget, so no refusal depends on what a cache holds.  The
-public ``order_decomposition``, ``open_decomposition``, ``ab_decompose``,
-``series_numerator`` and ``ehrhart._checked_h_star`` stay uncached; the
-private memos here call them through the module, and the harness memoises
-its numerator-only verdicts, each split with its reconstruction checks,
-by (h, d) in ``harness._numerator_verdict``, so a split is reached
-through this module on every miss and every direct call.
+Graphs share orientation classes and chromatic polynomials, and a graph's
+checks sweep its orientations more than once, so three bounded
+``lru_cache``s hold values for the whole run: each class's term, the open
+numerator and order split of its checked h*, by its count vector; chi's
+series numerator by (chi, d); and the direct split of z h_G by
+(z h_G, d + 1).  Every cross-route check and every charge against the
+budget in force runs on every call; the charges made on a miss only,
+allocations, are held to the default budget, so no refusal depends on what
+a cache holds.  The public ``order_decomposition``, ``open_decomposition``,
+``ab_decompose``, ``series_numerator`` and ``ehrhart._checked_h_star`` stay
+uncached; the private memos here call them through the module, and the
+harness memoises its numerator-only verdicts by (h, d) in
+``harness._numerator_verdict``, so a split is reached through this module
+on every miss and every direct call.
 """
 
 from __future__ import annotations
@@ -184,19 +183,23 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
     One sweep, ``graph._orientation_tally``, tallies the weak map count
     vectors at n = 0..d + 1; each distinct vector is one orientation class,
     whose term (:func:`_orientation_term`) holds its open numerator, and
-    z h_G is their sum weighted by the tallies.  Returns the tally
-    (every sum over orientations is linear in h*, so callers scale by the
-    counts too) and z h_G.  Disagreement with the series numerator of the
-    chromatic polynomial, shifted by z, would be a bug in this library,
-    not a property of the graph.  The sweep charges itself, so
-    deletion-contraction runs only once the budget has passed it.
+    z h_G is their sum weighted by the tallies.  Returns the tally, whose
+    classes' terms also hold their order splits, and z h_G.  Disagreement
+    with the series numerator of the chromatic polynomial, shifted by z,
+    would be a bug in this library, not a property of the graph.  The
+    sweep charges itself, so deletion-contraction runs only once the budget
+    has passed it.
 
     The map counts, terms and chi's series numerator come from run-wide
     caches; the sweep, its charges, chi and the comparison always run.
     """
     d = graph.d
     tally = _orientation_tally(graph)
-    zh = _class_sum(tally, 0, d)
+    total = [0] * (d + 2)
+    for counts, k in tally.items():
+        for i, c in enumerate(_orientation_term(counts)[0].coeffs):
+            total[i] += k * c
+    zh = IntPolynomial(total)
     direct = _chi_numerator(chromatic_polynomial(graph), d)
     if zh != direct.shift(1):
         raise InternalConsistencyError(
@@ -212,16 +215,6 @@ def _chi_numerator(chi: IntPolynomial, d: int) -> IntPolynomial:
     return series_numerator(chi, d)
 
 
-def _class_sum(tally: Counter[tuple[int, ...]], part: int, d: int) -> IntPolynomial:
-    """Sum over the classes of ``tally`` of k times part ``part`` of their
-    terms, each of degree at most d + 1, added into one list of ints."""
-    total = [0] * (d + 2)
-    for counts, k in tally.items():
-        for i, c in enumerate(_orientation_term(counts)[part].coeffs):
-            total[i] += k * c
-    return IntPolynomial(total)
-
-
 def graph_numerator(graph: Graph) -> IntPolynomial:
     """Numerator h_G of sum_n chi_G(n) z^n over (1-z)^{d+1}.
 
@@ -234,28 +227,19 @@ def graph_numerator(graph: Graph) -> IntPolynomial:
 
 
 def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
-    """Split z h_G as a + z b by summing order decompositions over orientations.
+    """Split z h_G as a + z b: the direct split ``ab_decompose(z h_G, d + 1)``.
 
-    Each orientation class is split once per run (with its
-    reconstruction checks), in its cached term, and its parts are added
-    with that class's count.  The closed formulas are linear, so the sums
-    must equal the direct split ``ab_decompose(z h_G, d + 1)``, memoised by
-    value and compared on every call.  That split's own verification covers the rest:
-    z h_G has degree d + 1 (its top coefficient counts the acyclic
-    orientations, at least one), so l = 1, s = d + 1, and a + z b = z h_G
-    with a palindromic about d + 1 and b about d.  b and -a are
-    nonnegative for every graph.
+    z h_G comes from ``_orientation_sum``, checked against
+    deletion-contraction, and its split is memoised by value.  The split's
+    own verification covers the rest: z h_G has degree d + 1 (its top
+    coefficient counts the acyclic orientations, at least one), so l = 1,
+    s = d + 1, and a + z b = z h_G with a palindromic about d + 1 and b
+    about d.  The split is unique and linear in z h_G, so it is the sum
+    over orientations of their order decompositions (Theorem 1.2), and b
+    and -a are nonnegative for every graph.
     """
-    d = graph.d
-    tally, zh = _orientation_sum(graph)
-    a = _class_sum(tally, 1, d)
-    b = _class_sum(tally, 2, d)
-    direct = _direct_split(zh, d + 1)
-    if direct.a != a or direct.b != b:
-        raise InternalConsistencyError(
-            f"orientation sum disagrees with the direct split of z h_G for {graph!r}"
-        )
-    return a, b
+    _, zh = _orientation_sum(graph)
+    return _direct_split(zh, graph.d + 1)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -17,8 +17,8 @@ reciprocity    poset    interior counts match the reversed series; strict
 thm1.1         poset,   open numerator splits as a difference of two
                polytope nonnegative symmetric polynomials
 thm1.2         poset    open order-polytope split has -a, b nonnegative
-thm1.3         graph    z h_G split (orientation sum = direct) has -a, b
-                        nonnegative
+thm1.3         graph    z h_G's split and every orientation class's order
+                        split have -a, b nonnegative
 thm1.4         graph    h_G degree/signs/leading coefficient, and -a_i >= 0
                         for i <= (d+1)/2 in thm1.3's split of z h_G
 conj6.1        graph    h_G itself splits with -a, b nonnegative
@@ -29,6 +29,10 @@ chromatic3     graph    deletion-contraction = orientation sum = counted
 hstar2way      polytope parallelepiped and box-count routes to a simplex's
                         h* agree; a skip on other H-polytopes
 =============  =======  ====================================================
+
+conj6.4 and thm1.4's inequality lines read -a_i of conj6.1's split of h_G and
+thm1.3's of z h_G, so they pass whenever those do (bar the self-test's h_G,
+which thm1.3 never reads): they are not independent confirmations.
 
 thm1.1, thm1.2, conj6.1, conj6.2 and conj6.4 read only the numerator and d,
 so each verdict is memoised by value for the whole run (``_numerator_verdict``,
@@ -67,7 +71,7 @@ from .graph import (
     count_acyclic_orientations,
     count_proper_colorings,
 )
-from .polynomial import IntPolynomial, expand_series, extrapolate, f_to_h
+from .polynomial import IntPolynomial, expand_series, extrapolate, f_to_h, reverse
 from .poset import Poset, descent_h_star, ideal_chain_f_vector, natural, order_map_counts, set_bits
 
 MAX_EXHAUSTIVE_SIZE = 5
@@ -437,7 +441,17 @@ def _numerator_only(check):
 
 
 def _check_thm13(ctx: _Context) -> CheckResult:
-    a, b = decomp.graph_decomposition(ctx.item)
+    tally, zh = decomp._orientation_sum(ctx.item)
+    for counts in tally:  # each orientation class's cached order split first
+        p, a_pi, b_pi = decomp._orientation_term(counts)
+        if max(a_pi.coeffs, default=0) > 0 or min(b_pi.coeffs, default=0) < 0:
+            return _verdict(
+                "thm1.3",
+                False,
+                f"sign failure in the order decomposition of orientation class {counts}",
+                {"hstar": reverse(p, ctx.d + 1).coeffs, "a_Pi": a_pi.coeffs, "b_Pi": b_pi.coeffs},
+            )
+    a, b = decomp._direct_split(zh, ctx.d + 1)
     return _verdict(
         "thm1.3",
         (-a).is_nonnegative() and b.is_nonnegative(),

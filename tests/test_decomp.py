@@ -3,7 +3,6 @@ the derived splits, and the inequality reports."""
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -484,23 +483,6 @@ class TestOrientationSum:
         monkeypatch.setattr(decomp, "chromatic_polynomial", lambda g: PATH3_CHI)
         with pytest.raises(InternalConsistencyError, match="orientation route"):
             fn(K3)
-
-    def test_perturbed_order_part_raises(self, monkeypatch):
-        real = decomp.order_decomposition
-
-        def perturbed(hs, d):
-            a_pi, b_pi = real(hs, d)
-            return a_pi, b_pi + IntPolynomial([1])
-
-        monkeypatch.setattr(decomp, "order_decomposition", perturbed)
-        # a cache of its own over the same function, so the perturbed parts
-        # are computed and then dropped with it, not left to later calls
-        own = lru_cache(maxsize=16)(decomp._orientation_term.__wrapped__)
-        monkeypatch.setattr(decomp, "_orientation_term", own)
-        with pytest.raises(InternalConsistencyError, match="direct split"):
-            graph_decomposition(K3)
-        # the numerator does not split, so it is untouched
-        assert graph_numerator(K3).coeffs == (0, 0, 0, 6)
 
 
 def assert_lines_are_split_coefficients(h: IntPolynomial, d: int):

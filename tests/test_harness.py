@@ -24,6 +24,35 @@ from hstarlib.harness import (
     verify_all,
 )
 from hstarlib.poset import Poset
+from test_graph import PATH3
+
+# the weak map counts at n = 0..4 of the orientations 1 -> 2 <- 3 and
+# 1 <- 2 -> 3, a poset and its dual, and their class's h*, a_Pi and -b_Pi
+PATH3_WEDGE = (0, 1, 5, 14, 30)
+PATH3_WEDGE_WITNESSES = {
+    "hstar": ("1", "1"),
+    "a_Pi": ("0", "-1", "-2", "-1"),
+    "b_Pi": ("-1", "-2", "-2", "-1"),
+}
+
+
+def negate_b_pi_of(monkeypatch, counts):
+    """Rebind ``decomp._orientation_term`` to a cache of its own that negates
+    the b_Pi of the class with weak map counts ``counts``; its open
+    numerator, and so z h_G, is untouched.  Returns the new cache."""
+    from functools import lru_cache
+
+    from hstarlib import decomp
+
+    real = decomp._orientation_term.__wrapped__
+
+    def doubled(key):
+        p, a_pi, b_pi = real(key)
+        return p, a_pi, -b_pi if key == counts else b_pi
+
+    own = lru_cache(maxsize=16)(doubled)
+    monkeypatch.setattr(decomp, "_orientation_term", own)
+    return own
 
 
 class TestEnumeration:
@@ -371,6 +400,19 @@ class TestVerifyAll:
             "degree 2 != 3; leading 0 vs 4 orientations vs (-1)^d chi(-1) = 4",
         )
         assert check.witnesses == {"h_G": ("0", "0", "2")}
+
+    def test_thm13_names_an_orientation_class_with_a_negative_b_pi(self, monkeypatch):
+        # the path's two classes, the chain and the wedge, have 2 orientations
+        # each; the wedge's b_Pi negated outweighs the chain's in the sum of
+        # the class splits, while the direct split of z h_G stays nonnegative
+        negate_b_pi_of(monkeypatch, PATH3_WEDGE)
+        (report,) = list(verify_all([PATH3], ["thm1.3"]))
+        (check,) = report.checks
+        assert check.status == "fail"
+        assert check.detail == (
+            "sign failure in the order decomposition of orientation class (0, 1, 5, 14, 30)"
+        )
+        assert check.witnesses == PATH3_WEDGE_WITNESSES
 
     def test_chromatic3_colorings_mismatch_names_the_first_n(self, monkeypatch):
         import hstarlib.harness as harness

@@ -9,7 +9,6 @@ cache is bounded."""
 import importlib
 import pkgutil
 import tracemalloc
-from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -35,6 +34,7 @@ from hstarlib.harness import (
 )
 from hstarlib.polynomial import IntPolynomial
 from test_graph import K3, PATH3, SWEEP_CORPORA, SWEEP_IDS
+from test_harness import PATH3_WEDGE, PATH3_WEDGE_WITNESSES, negate_b_pi_of
 
 PATH3_CHI = IntPolynomial([0, 1, -2, 1])
 K4 = graph.Graph(4, combinations(range(1, 5), 2))
@@ -184,24 +184,21 @@ class TestOrientationRouteMemo:
         tally.clear()
         assert _orientation_sum(g) == (expected, zh)
 
-    def test_a_cached_direct_split_still_meets_the_orientation_sum(self, monkeypatch):
-        # K3's split is cached, and a perturbed b_Pi in every term is still
-        # compared with it
-        clear_all()
-        graph_decomposition(K3)
-        real = decomp.order_decomposition
-
-        def perturbed(hs, d):
-            a_pi, b_pi = real(hs, d)
-            return a_pi, b_pi + IntPolynomial([1])
-
-        monkeypatch.setattr(decomp, "order_decomposition", perturbed)
-        own = lru_cache(maxsize=16)(decomp._orientation_term.__wrapped__)
-        monkeypatch.setattr(decomp, "_orientation_term", own)
-        with pytest.raises(InternalConsistencyError, match="direct split"):
-            graph_decomposition(K3)
+    def test_a_cached_class_fails_thm13_on_every_input(self, monkeypatch):
+        # the two paths share the doubled wedge class, whose term the second
+        # input reads from the cache; each input tests the class's signs
+        doubled = negate_b_pi_of(monkeypatch, PATH3_WEDGE)
+        other_path = graph.Graph(3, [(1, 3), (2, 3)])
+        reports = list(verify_all([PATH3, other_path], ["thm1.3"]))
+        assert [report.checks[0].status for report in reports] == ["fail", "fail"]
+        for report in reports:
+            assert report.checks[0].witnesses == PATH3_WEDGE_WITNESSES
+        # both classes are split once, for the first input's sum, and read
+        # from the cache after that
+        info = doubled.cache_info()
+        assert (info.misses, info.hits) == (2, 5)
         splits = decomp._direct_split.cache_info()
-        assert (splits.misses, splits.hits) == (1, 1)
+        assert (splits.misses, splits.hits) == (0, 0)
 
     def test_a_cached_chi_numerator_still_meets_the_orientation_sum(self, monkeypatch):
         # both numerators are cached, so the wrong chi's is a hit
