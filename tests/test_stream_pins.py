@@ -12,7 +12,10 @@ lines off the split, and the mutated stream holds both i-lists, [1] and
 before the orientation tally transformed one orientation of each
 reversal pair only, and the d = 8 graph digest before thm1.3 read its
 verdict off the direct split of z h_G and each orientation class's own
-split.  A refactor that changes any record fails here.
+split.  The mutated d = 4 poset digest was recorded before one run-wide
+memo took over the harness's and ``decomp``'s five value caches; a failed
+verdict stored there is shared by every input with its numerator.  A
+refactor that changes any record fails here.
 """
 
 import hashlib
