@@ -23,20 +23,17 @@ an orientation poset and its dual have one order polynomial.  The split of
 z h_G is its direct split; the harness also tests each orientation class's
 order split, whose sum over the orientations it is (Theorem 1.2 gives 1.3).
 
-Graphs share orientation classes and chromatic polynomials, and a graph's
-checks sweep its orientations more than once, so three bounded
-``lru_cache``s hold values for the whole run: each class's term, the open
-numerator and order split of its checked h*, by its count vector; chi's
-series numerator by (chi, d); and the direct split of z h_G by
-(z h_G, d + 1).  Every cross-route check and every charge against the
-budget in force runs on every call; the charges made on a miss only,
-allocations, are held to the default budget, so no refusal depends on what
-a cache holds.  The public ``order_decomposition``, ``open_decomposition``,
-``ab_decompose``, ``series_numerator`` and ``ehrhart._checked_h_star`` stay
-uncached; the private memos here call them through the module, and the
-harness memoises its numerator-only verdicts by (h, d) in
-``harness._numerator_verdict``, so a split is reached through this module
-on every miss and every direct call.
+Every value-only result the harness reads and the orientation route
+repeats is memoised for the whole run in one bounded ``lru_cache``,
+:func:`_memo`, keyed on the function and its arguments: the harness's
+numerator-only verdicts by (h, d), reciprocity's series expansion, each
+orientation class's term by its count vector, chi's series numerator by
+(chi, d) and thm1.3's direct split of z h_G by (z h_G, d + 1).  Every
+cross-route check and every charge against the budget in force runs
+outside it, on every call; the charges made on a miss only, allocations,
+are held to the default budget, so no refusal depends on what the memo
+holds.  The public functions stay uncached: a direct call computes its
+value, and a miss reaches the split through this module.
 """
 
 from __future__ import annotations
@@ -173,6 +170,20 @@ def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, In
     return a_pi, b_pi
 
 
+@lru_cache(maxsize=5 << 12)
+def _memo(fn, *args):
+    """``fn(*args)``, computed once per distinct (fn, args) in a run.
+
+    A miss runs the whole function, every reconstruction check of its
+    split included, so a stored value is the one recomputing would give; an
+    exception (``InvalidInput``, ``BudgetExceeded``, the harness deadline's
+    ``_TimeUp``) is never stored and is raised again on every call.  Callers
+    name ``fn`` through its module attribute, so a rebound function is the
+    one that runs and the key its values are stored under.
+    """
+    return fn(*args)
+
+
 # ---------------------------------------------------------------------------
 # chromatic series
 
@@ -197,22 +208,16 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
     tally = _orientation_tally(graph)
     total = [0] * (d + 2)
     for counts, k in tally.items():
-        for i, c in enumerate(_orientation_term(counts)[0].coeffs):
+        for i, c in enumerate(_memo(_orientation_term, counts)[0].coeffs):
             total[i] += k * c
     zh = IntPolynomial(total)
-    direct = _chi_numerator(chromatic_polynomial(graph), d)
+    direct = _memo(series_numerator, chromatic_polynomial(graph), d)
     if zh != direct.shift(1):
         raise InternalConsistencyError(
             f"chromatic route z * {direct.coeffs} != orientation route "
             f"{zh.coeffs} for {graph!r}"
         )
     return tally, zh
-
-
-@lru_cache(maxsize=1 << 12)
-def _chi_numerator(chi: IntPolynomial, d: int) -> IntPolynomial:
-    """``series_numerator(chi, d)``, once per distinct (chi, d) in a run."""
-    return series_numerator(chi, d)
 
 
 def graph_numerator(graph: Graph) -> IntPolynomial:
@@ -230,30 +235,22 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """Split z h_G as a + z b: the direct split ``ab_decompose(z h_G, d + 1)``.
 
     z h_G comes from ``_orientation_sum``, checked against
-    deletion-contraction, and its split is memoised by value.  The split's
-    own verification covers the rest: z h_G has degree d + 1 (its top
-    coefficient counts the acyclic orientations, at least one), so l = 1,
-    s = d + 1, and a + z b = z h_G with a palindromic about d + 1 and b
-    about d.  The split is unique and linear in z h_G, so it is the sum
-    over orientations of their order decompositions (Theorem 1.2), and b
-    and -a are nonnegative for every graph.
+    deletion-contraction, and is split uncached: ``hstar decompose graph``
+    and demo 03 split one graph each.  The split's own verification covers
+    the rest: z h_G has degree d + 1 (its top coefficient counts the
+    acyclic orientations, at least one), so l = 1, s = d + 1, and
+    a + z b = z h_G with a palindromic about d + 1 and b about d.  The
+    split is unique and linear in z h_G, so it is the sum over orientations
+    of their order decompositions (Theorem 1.2), and b and -a are
+    nonnegative for every graph.
     """
     _, zh = _orientation_sum(graph)
-    return _direct_split(zh, graph.d + 1)
+    return ab_decompose(zh, graph.d + 1)
 
 
-@lru_cache(maxsize=1 << 12)
-def _direct_split(zh: IntPolynomial, d: int) -> SymmetricDecomposition:
-    """``ab_decompose(zh, d)``, with its checks, once per distinct (zh, d) in a run."""
-    return ab_decompose(zh, d)
-
-
-@lru_cache(maxsize=1 << 12)
 def _orientation_term(counts: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
     """(open numerator, a_Pi, b_Pi) of the checked h* of the orientation
-    class with weak map counts ``counts`` at n = 0..d + 1, run-wide;
-    ``order_decomposition`` is found through the module global, so the
-    public function stays uncached."""
+    class with weak map counts ``counts`` at n = 0..d + 1."""
     d = len(counts) - 2
     hstar = _checked_h_star(counts[1:])
     return (open_numerator(hstar, d), *order_decomposition(hstar, d))

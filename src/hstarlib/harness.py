@@ -35,10 +35,11 @@ thm1.3's of z h_G, so they pass whenever those do (bar the self-test's h_G,
 which thm1.3 never reads): they are not independent confirmations.
 
 thm1.1, thm1.2, conj6.1, conj6.2 and conj6.4 read only the numerator and d,
-so each verdict is memoised by value for the whole run (``_numerator_verdict``,
-a bounded ``lru_cache``), as is reciprocity's expansion of the series: inputs
-with equal numerators pay for the split once, while the numerator itself,
-every route that reads the input and every charge still run on every input.
+so each verdict is memoised by value for the whole run in ``decomp._memo``,
+as are reciprocity's series expansion and thm1.3's class and z h_G splits:
+inputs with equal numerators pay for the split once, while the numerator
+itself, every route that reads the input and every charge still run on
+every input.
 A poset's lattice walk is built once per input and read by its h* route and
 by reciprocity, which compares the strict count at n with (-1)^d times the
 weak one at -n, n = 1..d + 2, on tables extended by ``polynomial.extrapolate``.
@@ -53,7 +54,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
@@ -333,7 +333,7 @@ def _check_reciprocity(ctx: _Context) -> CheckResult:
     polytope = OrderPolytope(ctx.item)
     # interior[n] is the strict map count at n - 1, n = 0..d + 2
     interior = polytope.count_series(d + 2, interior=True)
-    expansion = _series_expansion(ctx.numerator(), d)
+    expansion = decomp._memo(_series_expansion, ctx.numerator(), d)
     counts_ok = tuple(interior[1:]) == expansion[1:]
     # strict(n) against (-1)^d weak(-n) at n = 1..d + 2: the strict counts
     # at 0..d + 1 extended by one, the weak ones at d + 1..0 by d + 2
@@ -352,9 +352,8 @@ def _check_reciprocity(ctx: _Context) -> CheckResult:
     )
 
 
-@lru_cache(maxsize=1 << 12)
 def _series_expansion(h: IntPolynomial, d: int) -> tuple[int, ...]:
-    """The interior series of h* through n = d + 2, once per distinct (h, d)."""
+    """The interior series of h* through n = d + 2."""
     return tuple(expand_series(open_numerator(h, d), d, d + 2))
 
 
@@ -418,32 +417,20 @@ def _check_conj64(h: IntPolynomial, d: int) -> CheckResult:
     )
 
 
-@lru_cache(maxsize=1 << 12)
-def _numerator_verdict(check, h: IntPolynomial, d: int) -> CheckResult:
-    """``check(h, d)``, computed once per distinct (check, h, d) in a run.
-
-    A miss runs the whole check, every reconstruction check of its split
-    included, so a stored verdict is the one recomputing would give; an
-    exception (``InvalidInput``, ``BudgetExceeded``, the deadline's
-    ``_TimeUp``) is never stored and is raised again on every input.
-    """
-    return check(h, d)
-
-
 def _numerator_only(check):
     """The table entry of a check of (h, d): the input's numerator is built
     and charged on every input, the verdict looked up by value."""
 
     def entry(ctx: _Context) -> CheckResult:
-        return _numerator_verdict(check, ctx.numerator(), ctx.d)
+        return decomp._memo(check, ctx.numerator(), ctx.d)
 
     return entry
 
 
 def _check_thm13(ctx: _Context) -> CheckResult:
     tally, zh = decomp._orientation_sum(ctx.item)
-    for counts in tally:  # each orientation class's cached order split first
-        p, a_pi, b_pi = decomp._orientation_term(counts)
+    for counts in tally:  # each orientation class's memoised order split first
+        p, a_pi, b_pi = decomp._memo(decomp._orientation_term, counts)
         if max(a_pi.coeffs, default=0) > 0 or min(b_pi.coeffs, default=0) < 0:
             return _verdict(
                 "thm1.3",
@@ -451,7 +438,7 @@ def _check_thm13(ctx: _Context) -> CheckResult:
                 f"sign failure in the order decomposition of orientation class {counts}",
                 {"hstar": reverse(p, ctx.d + 1).coeffs, "a_Pi": a_pi.coeffs, "b_Pi": b_pi.coeffs},
             )
-    a, b = decomp._direct_split(zh, ctx.d + 1)
+    a, b = decomp._memo(decomp.ab_decompose, zh, ctx.d + 1)
     return _verdict(
         "thm1.3",
         (-a).is_nonnegative() and b.is_nonnegative(),

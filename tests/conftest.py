@@ -2,15 +2,11 @@
 
 import pytest
 
-from hstarlib import decomp, harness
+from hstarlib import decomp
 
 
 @pytest.fixture(autouse=True)
 def fresh_verdicts():
-    # a verdict or split cached by one test must not answer another, say one
-    # that patches decomp._a_coeffs or decomp.order_decomposition
-    harness._numerator_verdict.cache_clear()
-    harness._series_expansion.cache_clear()
-    decomp._chi_numerator.cache_clear()
-    decomp._direct_split.cache_clear()
-    decomp._orientation_term.cache_clear()
+    # a verdict or split memoised by one test must not answer another, say
+    # one that patches decomp._a_coeffs or decomp.order_decomposition
+    decomp._memo.cache_clear()

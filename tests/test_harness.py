@@ -37,22 +37,18 @@ PATH3_WEDGE_WITNESSES = {
 
 
 def negate_b_pi_of(monkeypatch, counts):
-    """Rebind ``decomp._orientation_term`` to a cache of its own that negates
-    the b_Pi of the class with weak map counts ``counts``; its open
-    numerator, and so z h_G, is untouched.  Returns the new cache."""
-    from functools import lru_cache
-
+    """Rebind ``decomp._orientation_term`` to a function that negates the
+    b_Pi of the class with weak map counts ``counts``; its open numerator,
+    and so z h_G, is untouched."""
     from hstarlib import decomp
 
-    real = decomp._orientation_term.__wrapped__
+    real = decomp._orientation_term
 
     def doubled(key):
         p, a_pi, b_pi = real(key)
         return p, a_pi, -b_pi if key == counts else b_pi
 
-    own = lru_cache(maxsize=16)(doubled)
-    monkeypatch.setattr(decomp, "_orientation_term", own)
-    return own
+    monkeypatch.setattr(decomp, "_orientation_term", doubled)
 
 
 class TestEnumeration:

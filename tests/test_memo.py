@@ -1,6 +1,7 @@
-"""The run-wide caches of the orientation route (edge steps, map counts,
-terms, chi's series numerator and the direct split of z h_G), of
-deletion-contraction, of a poset's lattice walks and of the harness's
+"""The run-wide caches of the orientation route (edge steps and map
+counts), of deletion-contraction, of a poset's lattice walks and the one
+by-value memo, ``decomp._memo``, of orientation terms, chi's series
+numerator, thm1.3's split of z h_G, reciprocity's expansion and the
 numerator-only verdicts: hits give the values a cleared cache computes,
 refusals and cross-route checks do not depend on what a cache holds,
 callers get the stored tuple, a fresh tally or a fresh list, and every
@@ -9,6 +10,7 @@ cache is bounded."""
 import importlib
 import pkgutil
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -35,6 +37,7 @@ from hstarlib.harness import (
 from hstarlib.polynomial import IntPolynomial
 from test_graph import K3, PATH3, SWEEP_CORPORA, SWEEP_IDS
 from test_harness import PATH3_WEDGE, PATH3_WEDGE_WITNESSES, negate_b_pi_of
+from test_reference_streams import CORPORA
 
 PATH3_CHI = IntPolynomial([0, 1, -2, 1])
 K4 = graph.Graph(4, combinations(range(1, 5), 2))
@@ -43,13 +46,9 @@ CACHES = (
     graph._sweep_steps,
     graph._packed_counts,
     graph._count_vectors,
-    decomp._orientation_term,
-    decomp._chi_numerator,
-    decomp._direct_split,
     graph._deletion_contraction,
-    harness._numerator_verdict,
-    harness._series_expansion,
     poset._lattice_counts,
+    decomp._memo,
 )
 
 
@@ -72,20 +71,30 @@ def test_every_cache_is_bounded():
         "_sweep_steps": 1,
         "_packed_counts": 1 << 14,
         "_count_vectors": 1 << 12,
-        "_orientation_term": 1 << 12,
-        "_chi_numerator": 1 << 12,
-        "_direct_split": 1 << 12,
         "_packing": 8,
         "_deletion_contraction": 1 << 12,
-        "_numerator_verdict": 1 << 12,
-        "_series_expansion": 1 << 12,
+        "_memo": 5 << 12,
         "_lattice_counts": 8,
         "_signed_binomials": 64,
     }
     assert found == expected
 
 
-def test_hit_profile_of_a_graphs_random_5_pass():
+def counted(monkeypatch, module, name):
+    """Rebind ``module.name`` to a wrapper that lists the arguments of each
+    call; the memo calls a function on a miss only."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_hit_profile_of_a_graphs_random_5_pass(monkeypatch):
     # one pass over the benchmark's graph corpus, from cleared caches: the
     # three tallies sweep 6864 orientations but make weak map-count calls
     # for the 3432 that run each graph's first edge forward, and those need
@@ -93,22 +102,46 @@ def test_hit_profile_of_a_graphs_random_5_pass():
     # 269 distinct subproblems in 852 calls, where it made 4495.  Each
     # graph builds its edge steps once for its four sweeps, and its 19
     # distinct chi and z h_G are expanded and split once each, for 162 and
-    # 81 calls
+    # 81 calls; conj6.1 splits its 19 distinct h_G at d = 5 besides
+    numerators = counted(monkeypatch, decomp, "series_numerator")
+    splits = counted(monkeypatch, decomp, "ab_decompose")
+    terms = counted(monkeypatch, decomp, "_orientation_term")
     clear_all()
     for _ in verify_all(random_instances("graph", 5, 81, 701)):
         pass
     steps = graph._sweep_steps.cache_info()
     assert (steps.misses, steps.hits) == (81, 243)
-    numerators = decomp._chi_numerator.cache_info()
-    assert (numerators.misses, numerators.hits) == (19, 143)
-    splits = decomp._direct_split.cache_info()
-    assert (splits.misses, splits.hits) == (19, 62)
+    assert len(numerators) == 19
+    assert Counter(d for _, d in splits) == {5: 19, 6: 19}
     transforms = graph._packed_counts.cache_info()
     assert (transforms.misses, transforms.hits) == (664, 2768)
     assert graph._count_vectors.cache_info().currsize == 28
-    assert decomp._orientation_term.cache_info().misses == 28
+    assert len(terms) == 28
     subproblems = graph._deletion_contraction.cache_info()
     assert (subproblems.misses, subproblems.hits) == (269, 583)
+
+
+# (misses, hits) of the memo on one pass over each benchmark corpus: on the
+# graphs, 38 conj6.1 and conj6.4 verdicts with 124 hits, 19 chi numerators
+# with 143, 19 splits of z h_G with 62 and 28 orientation terms with 1103;
+# on the posets, 30 verdicts with 627 hits and 10 expansions with 209; the
+# 51 polytopes have 46 distinct (h*, d)
+MEMO_PROFILES = {
+    "posets-exhaustive-4": (40, 836),
+    "graphs-random-5": (104, 1432),
+    "polytopes-lattice": (46, 5),
+}
+
+
+@pytest.mark.parametrize("workload", MEMO_PROFILES)
+def test_memo_profile_of_a_benchmark_pass(workload):
+    build, checks = CORPORA[workload]
+    clear_all()
+    for _ in verify_all(build(), checks):
+        pass
+    info = decomp._memo.cache_info()
+    assert (info.misses, info.hits) == MEMO_PROFILES[workload]
+    assert info.currsize == info.misses  # nothing evicted
 
 
 class TestMapCountMemo:
@@ -186,30 +219,29 @@ class TestOrientationRouteMemo:
 
     def test_a_cached_class_fails_thm13_on_every_input(self, monkeypatch):
         # the two paths share the doubled wedge class, whose term the second
-        # input reads from the cache; each input tests the class's signs
-        doubled = negate_b_pi_of(monkeypatch, PATH3_WEDGE)
+        # input reads from the memo; each input tests the class's signs
+        negate_b_pi_of(monkeypatch, PATH3_WEDGE)
         other_path = graph.Graph(3, [(1, 3), (2, 3)])
         reports = list(verify_all([PATH3, other_path], ["thm1.3"]))
         assert [report.checks[0].status for report in reports] == ["fail", "fail"]
         for report in reports:
             assert report.checks[0].witnesses == PATH3_WEDGE_WITNESSES
-        # both classes are split once, for the first input's sum, and read
-        # from the cache after that
-        info = doubled.cache_info()
-        assert (info.misses, info.hits) == (2, 5)
-        splits = decomp._direct_split.cache_info()
-        assert (splits.misses, splits.hits) == (0, 0)
+        # the two classes' terms and the paths' one chi numerator are
+        # computed for the first input's sum and read from the memo after
+        # that; no split of z h_G is reached
+        info = decomp._memo.cache_info()
+        assert (info.misses, info.hits) == (3, 6)
 
     def test_a_cached_chi_numerator_still_meets_the_orientation_sum(self, monkeypatch):
-        # both numerators are cached, so the wrong chi's is a hit
+        # both numerators are memoised, so the wrong chi's is a hit
+        numerators = counted(monkeypatch, decomp, "series_numerator")
         clear_all()
         graph_numerator(K3)
         graph_numerator(PATH3)
         monkeypatch.setattr(decomp, "chromatic_polynomial", lambda g: PATH3_CHI)
         with pytest.raises(InternalConsistencyError, match="^chromatic route"):
             graph_numerator(K3)
-        numerators = decomp._chi_numerator.cache_info()
-        assert (numerators.misses, numerators.hits) == (2, 1)
+        assert len(numerators) == 2
 
     def test_cached_steps_are_refused_as_cold_ones(self):
         # the sweep charges its orientations on every walk: K4's 24 are
@@ -314,16 +346,15 @@ class TestLatticeWalkMemo:
 
 
 class TestNumeratorVerdictMemo:
-    def test_hit_profile_of_a_posets_exhaustive_4_pass(self):
+    def test_hit_profile_of_a_posets_exhaustive_4_pass(self, monkeypatch):
         # the 219 posets have 10 distinct h*: thm1.1, thm1.2 and conj6.2
-        # judge each once, and reciprocity expands each series once
+        # judge each once, and reciprocity expands each series once, for
+        # the 30 + 10 misses of MEMO_PROFILES
+        expansions = counted(monkeypatch, harness, "_series_expansion")
         clear_all()
         for _ in verify_all(enumerate_labeled_posets(4)):
             pass
-        verdicts = harness._numerator_verdict.cache_info()
-        assert (verdicts.misses, verdicts.hits) == (30, 627)
-        expansions = harness._series_expansion.cache_info()
-        assert (expansions.misses, expansions.hits) == (10, 209)
+        assert len(expansions) == 10
 
     @pytest.mark.parametrize("mutate", [False, True])
     def test_a_warm_pass_gives_the_records_of_a_cold_one(self, mutate):
@@ -342,14 +373,15 @@ class TestNumeratorVerdictMemo:
         ]
         clear_all()
         cold = records(verify_all(corpus, mutate=mutate))
-        assert harness._numerator_verdict.cache_info().hits > 0
+        assert decomp._memo.cache_info().hits > 0
         assert records(verify_all(corpus, mutate=mutate)) == cold
 
     def test_a_mutated_sweep_fails_every_input_and_caches_no_exception(self):
         # the 24 chains' h* = 1 flips to -1, which open_numerator refuses;
         # the other 195 get a negative leading coefficient, which the open and
         # order splits refuse: every refusal runs again on every input, and
-        # only conj6.2's 9 distinct verdicts are stored
+        # only conj6.2's 9 distinct verdicts and reciprocity's 9 distinct
+        # expansions are stored
         clear_all()
         mutated = records(verify_all(enumerate_labeled_posets(4), mutate=True))
         assert len(mutated) == 219
@@ -359,10 +391,10 @@ class TestNumeratorVerdictMemo:
             c for r in mutated for c in r["checks"] if "InvalidInput" in c.get("detail", "")
         ]
         assert len(refusals) == 4 * 24 + 2 * 195
-        verdicts = harness._numerator_verdict.cache_info()
-        assert (verdicts.misses, verdicts.currsize) == (2 * 219 + 24 + 9, 9)
-        expansions = harness._series_expansion.cache_info()
-        assert (expansions.misses, expansions.currsize) == (24 + 9, 9)
+        # 2 * 219 + 24 + 9 = 471 verdicts and 24 + 9 = 33 expansions are
+        # computed, and 9 of each stored
+        info = decomp._memo.cache_info()
+        assert (info.misses, info.currsize) == (471 + 33, 9 + 9)
         assert records(verify_all(enumerate_labeled_posets(4), mutate=True)) == mutated
 
     def test_a_patched_table_entry_bypasses_the_memo(self, monkeypatch):
@@ -378,7 +410,7 @@ class TestNumeratorVerdictMemo:
         for _ in verify_all(posets, ["thm1.2"]):
             pass
         assert len(seen) == len(posets) == 19
-        assert harness._numerator_verdict.cache_info().currsize == 0
+        assert decomp._memo.cache_info().currsize == 0
 
     def test_a_cached_failure_is_shared_and_read_only(self):
         clear_all()
@@ -390,3 +422,27 @@ class TestNumeratorVerdictMemo:
         with pytest.raises(TypeError):
             first.witnesses["h_G"] = ()
         assert first.witnesses["h_G"] == ("0", "0", "-2")
+
+    def test_checks_of_one_numerator_keep_their_own_verdicts(self):
+        # conj6.1 and conj6.4 read one h_G, each under its own key, beside
+        # the route's orientation term and chi numerator
+        clear_all()
+        g = graph.Graph(2, [(1, 2)])
+        (report,) = verify_all([g], ["conj6.1", "conj6.4"], mutate=True)
+        assert [(c.name, c.detail) for c in report.checks] == [
+            ("conj6.1", "sign failure in the h_G decomposition"),
+            ("conj6.4", "inequality fails at i = [1]"),
+        ]
+        assert decomp._memo.cache_info().currsize == 4
+
+    def test_a_rebound_function_gets_its_own_entries(self, monkeypatch):
+        # a warm pass never returns the result of the function rebound away
+        clear_all()
+        (warm,) = verify_all([K3], ["thm1.3"])
+        assert warm.checks[0].status == "pass"
+        stored = decomp._memo.cache_info().currsize
+        real = decomp.ab_decompose
+        monkeypatch.setattr(decomp, "ab_decompose", lambda h, d: real(h, d)._replace(b=-h))
+        (patched,) = verify_all([K3], ["thm1.3"])
+        assert patched.checks[0].detail == "sign failure in the chromatic-series decomposition"
+        assert decomp._memo.cache_info().currsize == stored + 1
