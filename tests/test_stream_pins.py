@@ -14,7 +14,11 @@ reversal pair only, and the d = 8 graph digest before thm1.3 read its
 verdict off the direct split of z h_G and each orientation class's own
 split.  The mutated d = 4 poset digest was recorded before one run-wide
 memo took over the harness's and ``decomp``'s five value caches; a failed
-verdict stored there is shared by every input with its numerator.  A
+verdict stored there is shared by every input with its numerator.  The
+mutated d = 5 stream of conj6.4 and thm1.4 alone was recorded before they
+read their lines off the memoised conj6.1 and thm1.3 splits; with those
+two checks unselected, the derived ones build the splits themselves, and
+the stream holds the failing i-lists [1], [1, 2] and [1, 2, 3].  A
 refactor that changes any record fails here.
 """
 
