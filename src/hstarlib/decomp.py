@@ -20,15 +20,15 @@ orientations bound it; ``graph`` memoises its (d, edges) subproblems for
 the whole run, so a pass pays once per distinct one.  The tally transforms
 one orientation of each reversal pair and doubles its class counts, since
 an orientation poset and its dual have one order polynomial.  The split of
-z h_G is its direct split; the harness also tests each orientation class's
-order split, whose sum over the orientations it is (Theorem 1.2 gives 1.3).
+z h_G is its direct split, the sum of its classes' order splits, which the
+harness checks by thm1.2 on each class's h* (Theorem 1.2 gives 1.3).
 
 Every value-only result the harness reads and the orientation route
 repeats is memoised for the whole run in one bounded ``lru_cache``,
 :func:`_memo`, keyed on the function and its arguments: the harness's
-numerator-only verdicts by (h, d), reciprocity's series expansion, each
-orientation class's term by its count vector, chi's series numerator by
-(chi, d) and thm1.3's direct split of z h_G by (z h_G, d + 1).  Every
+numerator-only verdicts by (h, d), thm1.2's for orientation classes too,
+reciprocity's series expansion, each class's h* by its map counts, chi's
+series numerator by (chi, d) and the splits of h_G and z h_G.  Every
 cross-route check and every charge against the budget in force runs
 outside it, on every call; the charges made on a miss only, allocations,
 are held to the default budget, so no refusal depends on what the memo
@@ -193,23 +193,25 @@ def _orientation_sum(graph: Graph) -> tuple[Counter[tuple[int, ...]], IntPolynom
 
     One sweep, ``graph._orientation_tally``, tallies the weak map count
     vectors at n = 0..d + 1; each distinct vector is one orientation class,
-    whose term (:func:`_orientation_term`) holds its open numerator, and
-    z h_G is their sum weighted by the tallies.  Returns the tally, whose
-    classes' terms also hold their order splits, and z h_G.  Disagreement
-    with the series numerator of the chromatic polynomial, shifted by z,
-    would be a bug in this library, not a property of the graph.  The
+    whose checked h* reversed at degree d + 1 is its open numerator, and
+    z h_G is their sum weighted by the tallies.  Returns the tally and
+    z h_G.  Disagreement with the series numerator of the chromatic
+    polynomial, shifted by z, would be a bug in this library, not a
+    property of the graph; agreement bounds each class's h* to degree
+    d - 1, as the z coefficient is the tallied sum of the h*_d >= 0 and
+    chi(0) = 0 for d >= 1.  The
     sweep charges itself, so deletion-contraction runs only once the budget
     has passed it.
 
-    The map counts, terms and chi's series numerator come from run-wide
+    The map counts, class h* and chi's series numerator come from run-wide
     caches; the sweep, its charges, chi and the comparison always run.
     """
     d = graph.d
     tally = _orientation_tally(graph)
     total = [0] * (d + 2)
     for counts, k in tally.items():
-        for i, c in enumerate(_memo(_orientation_term, counts)[0].coeffs):
-            total[i] += k * c
+        for j, c in enumerate(_memo(_checked_h_star, counts[1:]).coeffs):
+            total[d + 1 - j] += k * c
     zh = IntPolynomial(total)
     direct = _memo(series_numerator, chromatic_polynomial(graph), d)
     if zh != direct.shift(1):
@@ -236,8 +238,9 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
 
     z h_G comes from ``_orientation_sum``, checked against
     deletion-contraction, and is split uncached: ``hstar decompose graph``
-    and demo 03 split one graph each.  The split's own verification covers
-    the rest: z h_G has degree d + 1 (its top coefficient counts the
+    and demo 03 split one graph each, and the harness's thm1.3 and thm1.4
+    read the same split from :func:`_memo`.  The split's own verification
+    covers the rest: z h_G has degree d + 1 (its top coefficient counts the
     acyclic orientations, at least one), so l = 1, s = d + 1, and
     a + z b = z h_G with a palindromic about d + 1 and b about d.  The
     split is unique and linear in z h_G, so it is the sum over orientations
@@ -246,14 +249,6 @@ def graph_decomposition(graph: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """
     _, zh = _orientation_sum(graph)
     return ab_decompose(zh, graph.d + 1)
-
-
-def _orientation_term(counts: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
-    """(open numerator, a_Pi, b_Pi) of the checked h* of the orientation
-    class with weak map counts ``counts`` at n = 0..d + 1."""
-    d = len(counts) - 2
-    hstar = _checked_h_star(counts[1:])
-    return (open_numerator(hstar, d), *order_decomposition(hstar, d))
 
 
 class InequalityLine(NamedTuple):
@@ -269,7 +264,8 @@ def inequality_report(
     Each line is (i, -a_i) of a split: theorem4 reads i = 1..floor((d+1)/2)
     off Theorem 1.3's split of z h at ambient d + 1, conjecture64 reads
     i = 1..floor(d/2) off Conjecture 6.1's split of h at ambient d.  The
-    inequality holds when ``line.value >= 0``.
+    inequality holds when ``line.value >= 0``.  Demo 03 and perfbench call
+    it; the harness reads -a_i off its memoised splits.
     """
     if h.degree > d:
         raise InvalidInput(f"degree {h.degree} exceeds ambient degree {d}")

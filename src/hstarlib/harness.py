@@ -17,8 +17,8 @@ reciprocity    poset    interior counts match the reversed series; strict
 thm1.1         poset,   open numerator splits as a difference of two
                polytope nonnegative symmetric polynomials
 thm1.2         poset    open order-polytope split has -a, b nonnegative
-thm1.3         graph    z h_G's split and every orientation class's order
-                        split have -a, b nonnegative
+thm1.3         graph    thm1.2 holds on every orientation class's h*, and
+                        z h_G's split has -a, b nonnegative
 thm1.4         graph    h_G degree/signs/leading coefficient, and -a_i >= 0
                         for i <= (d+1)/2 in thm1.3's split of z h_G
 conj6.1        graph    h_G itself splits with -a, b nonnegative
@@ -32,14 +32,16 @@ hstar2way      polytope parallelepiped and box-count routes to a simplex's
 
 conj6.4 and thm1.4's inequality lines read -a_i of conj6.1's split of h_G and
 thm1.3's of z h_G, so they pass whenever those do (bar the self-test's h_G,
-which thm1.3 never reads): they are not independent confirmations.
+which thm1.3 never reads): they are not independent confirmations.  thm1.3
+reads thm1.2's verdict on each orientation class's h*, the one a poset with
+that h* gets, and renames a failure after the class.
 
 thm1.1, thm1.2, conj6.1, conj6.2 and conj6.4 read only the numerator and d,
 so each verdict is memoised by value for the whole run in ``decomp._memo``,
-as are reciprocity's series expansion and thm1.3's class and z h_G splits:
-inputs with equal numerators pay for the split once, while the numerator
-itself, every route that reads the input and every charge still run on
-every input.
+as are reciprocity's series expansion, the splits of h_G and z h_G and each
+orientation class's h*: inputs with equal numerators pay for the split
+once, while the numerator itself, every route that reads the input and
+every charge still run on every input.
 A poset's lattice walk is built once per input and read by its h* route and
 by reciprocity, which compares the strict count at n with (-1)^d times the
 weak one at -n, n = 1..d + 2, on tables extended by ``polynomial.extrapolate``.
@@ -71,7 +73,7 @@ from .graph import (
     count_acyclic_orientations,
     count_proper_colorings,
 )
-from .polynomial import IntPolynomial, expand_series, extrapolate, f_to_h, reverse
+from .polynomial import IntPolynomial, expand_series, extrapolate, f_to_h
 from .poset import Poset, descent_h_star, ideal_chain_f_vector, natural, order_map_counts, set_bits
 
 MAX_EXHAUSTIVE_SIZE = 5
@@ -398,7 +400,7 @@ def _check_conj62(h: IntPolynomial, d: int) -> CheckResult:
 def _check_conj61(h: IntPolynomial, d: int) -> CheckResult:
     if d == 0:
         return CheckResult("conj6.1", "skip", "skipped: degenerate at d = 0")
-    dec = decomp.ab_decompose(h, d)
+    dec = decomp._memo(decomp.ab_decompose, h, d)
     return _verdict(
         "conj6.1",
         (-dec.a).is_nonnegative() and dec.b.is_nonnegative(),
@@ -408,13 +410,9 @@ def _check_conj61(h: IntPolynomial, d: int) -> CheckResult:
 
 
 def _check_conj64(h: IntPolynomial, d: int) -> CheckResult:
-    bad = [line for line in decomp.inequality_report(h, d, "conjecture64") if line.value < 0]
-    return _verdict(
-        "conj6.4",
-        not bad,
-        f"inequality fails at i = {[line.i for line in bad]}",
-        {"h_G": h.coeffs},
-    )
+    a = decomp._memo(decomp.ab_decompose, h, d).a  # conj6.1's split
+    bad = [i for i in range(1, d // 2 + 1) if a[i] > 0]
+    return _verdict("conj6.4", not bad, f"inequality fails at i = {bad}", {"h_G": h.coeffs})
 
 
 def _numerator_only(check):
@@ -429,15 +427,12 @@ def _numerator_only(check):
 
 def _check_thm13(ctx: _Context) -> CheckResult:
     tally, zh = decomp._orientation_sum(ctx.item)
-    for counts in tally:  # each orientation class's memoised order split first
-        p, a_pi, b_pi = decomp._memo(decomp._orientation_term, counts)
-        if max(a_pi.coeffs, default=0) > 0 or min(b_pi.coeffs, default=0) < 0:
-            return _verdict(
-                "thm1.3",
-                False,
-                f"sign failure in the order decomposition of orientation class {counts}",
-                {"hstar": reverse(p, ctx.d + 1).coeffs, "a_Pi": a_pi.coeffs, "b_Pi": b_pi.coeffs},
-            )
+    for counts in tally:  # thm1.2's verdict on each orientation class first
+        hstar = decomp._memo(decomp._checked_h_star, counts[1:])
+        verdict = decomp._memo(_check_thm12, hstar, ctx.d)
+        if verdict.status != "pass":
+            detail = f"sign failure in the order decomposition of orientation class {counts}"
+            return verdict._replace(name="thm1.3", detail=detail)
     a, b = decomp._memo(decomp.ab_decompose, zh, ctx.d + 1)
     return _verdict(
         "thm1.3",
@@ -461,9 +456,10 @@ def _check_thm14(ctx: _Context) -> CheckResult:
         problems.append(
             f"leading {h[d]} vs {orientations} orientations vs (-1)^d chi(-1) = {chi_at_minus_one}"
         )
-    bad = [line for line in decomp.inequality_report(h, d, "theorem4") if line.value < 0]
+    a = decomp._memo(decomp.ab_decompose, h.shift(1), d + 1).a  # thm1.3's split
+    bad = [i for i in range(1, (d + 1) // 2 + 1) if a[i] > 0]
     if bad:
-        problems.append(f"inequality fails at i = {[line.i for line in bad]}")
+        problems.append(f"inequality fails at i = {bad}")
     return _verdict("thm1.4", not problems, "; ".join(problems), {"h_G": h.coeffs})
 
 

@@ -23,12 +23,14 @@ from hstarlib.harness import (
     random_instances,
     verify_all,
 )
+from hstarlib.polynomial import IntPolynomial
 from hstarlib.poset import Poset
 from test_graph import PATH3
 
 # the weak map counts at n = 0..4 of the orientations 1 -> 2 <- 3 and
 # 1 <- 2 -> 3, a poset and its dual, and their class's h*, a_Pi and -b_Pi
 PATH3_WEDGE = (0, 1, 5, 14, 30)
+PATH3_WEDGE_HSTAR = IntPolynomial([1, 1])
 PATH3_WEDGE_WITNESSES = {
     "hstar": ("1", "1"),
     "a_Pi": ("0", "-1", "-2", "-1"),
@@ -36,19 +38,18 @@ PATH3_WEDGE_WITNESSES = {
 }
 
 
-def negate_b_pi_of(monkeypatch, counts):
-    """Rebind ``decomp._orientation_term`` to a function that negates the
-    b_Pi of the class with weak map counts ``counts``; its open numerator,
-    and so z h_G, is untouched."""
+def negate_b_pi_of(monkeypatch, hstar, d):
+    """Rebind ``decomp.order_decomposition`` to a function that negates the
+    b_Pi of ``hstar`` at ``d``; the class's h*, and so z h_G, is untouched."""
     from hstarlib import decomp
 
-    real = decomp._orientation_term
+    real = decomp.order_decomposition
 
-    def doubled(key):
-        p, a_pi, b_pi = real(key)
-        return p, a_pi, -b_pi if key == counts else b_pi
+    def doubled(h, dim):
+        a_pi, b_pi = real(h, dim)
+        return a_pi, -b_pi if (h, dim) == (hstar, d) else b_pi
 
-    monkeypatch.setattr(decomp, "_orientation_term", doubled)
+    monkeypatch.setattr(decomp, "order_decomposition", doubled)
 
 
 class TestEnumeration:
@@ -383,7 +384,6 @@ class TestVerifyAll:
 
     def test_thm14_names_a_numerator_one_degree_short(self, monkeypatch):
         from hstarlib import decomp
-        from hstarlib.polynomial import IntPolynomial
 
         # the path's h_G is (0, 0, 2, 4); a route that drops its top term
         real = decomp.graph_numerator
@@ -401,7 +401,7 @@ class TestVerifyAll:
         # the path's two classes, the chain and the wedge, have 2 orientations
         # each; the wedge's b_Pi negated outweighs the chain's in the sum of
         # the class splits, while the direct split of z h_G stays nonnegative
-        negate_b_pi_of(monkeypatch, PATH3_WEDGE)
+        negate_b_pi_of(monkeypatch, PATH3_WEDGE_HSTAR, 3)
         (report,) = list(verify_all([PATH3], ["thm1.3"]))
         (check,) = report.checks
         assert check.status == "fail"

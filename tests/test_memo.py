@@ -1,8 +1,10 @@
 """The run-wide caches of the orientation route (edge steps and map
 counts), of deletion-contraction, of a poset's lattice walks and the one
-by-value memo, ``decomp._memo``, of orientation terms, chi's series
-numerator, thm1.3's split of z h_G, reciprocity's expansion and the
-numerator-only verdicts: hits give the values a cleared cache computes,
+by-value memo, ``decomp._memo``, of each orientation class's h*, chi's
+series numerator, the splits of z h_G and h_G that thm1.3 and conj6.1
+share with thm1.4 and conj6.4, reciprocity's expansion and the
+numerator-only verdicts, thm1.2's read by thm1.3 for each class too: hits
+give the values a cleared cache computes,
 refusals and cross-route checks do not depend on what a cache holds,
 callers get the stored tuple, a fresh tally or a fresh list, and every
 cache is bounded."""
@@ -36,7 +38,7 @@ from hstarlib.harness import (
 )
 from hstarlib.polynomial import IntPolynomial
 from test_graph import K3, PATH3, SWEEP_CORPORA, SWEEP_IDS
-from test_harness import PATH3_WEDGE, PATH3_WEDGE_WITNESSES, negate_b_pi_of
+from test_harness import PATH3_WEDGE, PATH3_WEDGE_HSTAR, PATH3_WEDGE_WITNESSES, negate_b_pi_of
 from test_reference_streams import CORPORA
 
 PATH3_CHI = IntPolynomial([0, 1, -2, 1])
@@ -98,14 +100,14 @@ def test_hit_profile_of_a_graphs_random_5_pass(monkeypatch):
     # one pass over the benchmark's graph corpus, from cleared caches: the
     # three tallies sweep 6864 orientations but make weak map-count calls
     # for the 3432 that run each graph's first edge forward, and those need
-    # 664 transforms, and 28 orientation terms; deletion-contraction meets
-    # 269 distinct subproblems in 852 calls, where it made 4495.  Each
-    # graph builds its edge steps once for its four sweeps, and its 19
-    # distinct chi and z h_G are expanded and split once each, for 162 and
-    # 81 calls; conj6.1 splits its 19 distinct h_G at d = 5 besides
+    # 664 transforms, and 28 class h*; deletion-contraction meets 269
+    # distinct subproblems in 852 calls, where it made 4495.  Each graph
+    # builds its edge steps once for its four sweeps, and its 19 distinct
+    # chi and z h_G are expanded and split once each, for 162 and 81 calls;
+    # conj6.1 splits its 19 distinct h_G at d = 5 besides, for conj6.4 too
     numerators = counted(monkeypatch, decomp, "series_numerator")
     splits = counted(monkeypatch, decomp, "ab_decompose")
-    terms = counted(monkeypatch, decomp, "_orientation_term")
+    classes = counted(monkeypatch, decomp, "_checked_h_star")
     clear_all()
     for _ in verify_all(random_instances("graph", 5, 81, 701)):
         pass
@@ -116,19 +118,20 @@ def test_hit_profile_of_a_graphs_random_5_pass(monkeypatch):
     transforms = graph._packed_counts.cache_info()
     assert (transforms.misses, transforms.hits) == (664, 2768)
     assert graph._count_vectors.cache_info().currsize == 28
-    assert len(terms) == 28
+    assert len(classes) == 28
     subproblems = graph._deletion_contraction.cache_info()
     assert (subproblems.misses, subproblems.hits) == (269, 583)
 
 
 # (misses, hits) of the memo on one pass over each benchmark corpus: on the
 # graphs, 38 conj6.1 and conj6.4 verdicts with 124 hits, 19 chi numerators
-# with 143, 19 splits of z h_G with 62 and 28 orientation terms with 1103;
-# on the posets, 30 verdicts with 627 hits and 10 expansions with 209; the
-# 51 polytopes have 46 distinct (h*, d)
+# with 143, 19 splits of h_G with 19, 19 splits of z h_G with 143, 28 class
+# h* with 1103 and 28 class thm1.2 verdicts with 349; on the posets, 30
+# verdicts with 627 hits and 10 expansions with 209; the 51 polytopes have
+# 46 distinct (h*, d)
 MEMO_PROFILES = {
     "posets-exhaustive-4": (40, 836),
-    "graphs-random-5": (104, 1432),
+    "graphs-random-5": (151, 1881),
     "polytopes-lattice": (46, 5),
 }
 
@@ -218,19 +221,47 @@ class TestOrientationRouteMemo:
         assert _orientation_sum(g) == (expected, zh)
 
     def test_a_cached_class_fails_thm13_on_every_input(self, monkeypatch):
-        # the two paths share the doubled wedge class, whose term the second
-        # input reads from the memo; each input tests the class's signs
-        negate_b_pi_of(monkeypatch, PATH3_WEDGE)
+        # the two paths share the doubled wedge class, whose thm1.2 verdict
+        # the second input reads from the memo; each input tests the class
+        negate_b_pi_of(monkeypatch, PATH3_WEDGE_HSTAR, 3)
         other_path = graph.Graph(3, [(1, 3), (2, 3)])
         reports = list(verify_all([PATH3, other_path], ["thm1.3"]))
         assert [report.checks[0].status for report in reports] == ["fail", "fail"]
         for report in reports:
+            assert report.checks[0].detail.endswith(f"orientation class {PATH3_WEDGE}")
             assert report.checks[0].witnesses == PATH3_WEDGE_WITNESSES
-        # the two classes' terms and the paths' one chi numerator are
-        # computed for the first input's sum and read from the memo after
-        # that; no split of z h_G is reached
+        # the two classes' h* and the paths' one chi numerator are computed
+        # for the first input's sum, the chain's and the wedge's verdicts
+        # for its class loop, and all are read from the memo after that; the
+        # second input meets the wedge first, and no split of z h_G is reached
         info = decomp._memo.cache_info()
-        assert (info.misses, info.hits) == (3, 6)
+        assert (info.misses, info.hits) == (5, 7)
+
+    def test_thm12_and_thm13_share_a_class_verdict(self, monkeypatch):
+        # the wedge poset's h* is the path's wedge class's, so thm1.3 reads
+        # the failure thm1.2 stored, renamed, and splits the class no more
+        negate_b_pi_of(monkeypatch, PATH3_WEDGE_HSTAR, 3)
+        splits = counted(monkeypatch, decomp, "order_decomposition")
+        wedge = poset.Poset(3, [(1, 2), (3, 2)])
+        reports = list(verify_all([wedge, PATH3], ["thm1.2", "thm1.3"]))
+        (thm12,), (thm13,) = (report.checks for report in reports)
+        assert (thm12.name, thm12.status) == ("thm1.2", "fail")
+        assert (thm13.name, thm13.status) == ("thm1.3", "fail")
+        assert thm12.witnesses == thm13.witnesses == PATH3_WEDGE_WITNESSES
+        assert splits.count((PATH3_WEDGE_HSTAR, 3)) == 1
+
+    def test_each_split_is_computed_once_per_value(self, monkeypatch):
+        # conj6.4 reads conj6.1's split of h_G and thm1.4 thm1.3's of z h_G,
+        # and each class's order split sits in its thm1.2 verdict: the 1024
+        # graphs on 5 vertices have 23 distinct z h_G, split at D = 6, and
+        # 23 distinct h_G, split at D = 5; their 30 class h* are split at
+        # D = 5 for b_Pi and at D = 4 for a_Pi
+        calls = counted(monkeypatch, decomp, "_checked_a")
+        checks = ["conj6.1", "conj6.4", "thm1.3", "thm1.4"]
+        for _ in verify_all(harness.enumerate_labeled_graphs(5), checks):
+            pass
+        assert len(set(calls)) == len(calls)
+        assert Counter(d for _, d in calls) == {6: 23, 5: 53, 4: 30}
 
     def test_a_cached_chi_numerator_still_meets_the_orientation_sum(self, monkeypatch):
         # both numerators are memoised, so the wrong chi's is a hit
@@ -425,7 +456,7 @@ class TestNumeratorVerdictMemo:
 
     def test_checks_of_one_numerator_keep_their_own_verdicts(self):
         # conj6.1 and conj6.4 read one h_G, each under its own key, beside
-        # the route's orientation term and chi numerator
+        # the split they share and the route's class h* and chi numerator
         clear_all()
         g = graph.Graph(2, [(1, 2)])
         (report,) = verify_all([g], ["conj6.1", "conj6.4"], mutate=True)
@@ -433,7 +464,7 @@ class TestNumeratorVerdictMemo:
             ("conj6.1", "sign failure in the h_G decomposition"),
             ("conj6.4", "inequality fails at i = [1]"),
         ]
-        assert decomp._memo.cache_info().currsize == 4
+        assert decomp._memo.cache_info().currsize == 5
 
     def test_a_rebound_function_gets_its_own_entries(self, monkeypatch):
         # a warm pass never returns the result of the function rebound away
