@@ -18,8 +18,10 @@ verdict stored there is shared by every input with its numerator.  The
 mutated d = 5 stream of conj6.4 and thm1.4 alone was recorded before they
 read their lines off the memoised conj6.1 and thm1.3 splits; with those
 two checks unselected, the derived ones build the splits themselves, and
-the stream holds the failing i-lists [1], [1, 2] and [1, 2, 3].  A
-refactor that changes any record fails here.
+the stream holds the failing i-lists [1], [1, 2] and [1, 2, 3].  The
+budget-300 d = 7 digest was recorded while the sweep charged every
+orientation as it was asked for; it holds 72 sweep refusals and 48
+passes.  A refactor that changes any record fails here.
 """
 
 import hashlib
