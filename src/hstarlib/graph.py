@@ -5,9 +5,10 @@ the orientation route work on sets of vertices: vertex v is bit v - 1 of
 the set's index S, a 2^d-bit mask holds one bit per set, and a packed
 vector holds one field of w bits per set, field S at bit S * w.  An
 acyclic orientation is its down-set mask: bit S is set iff no edge runs
-into S from outside it.  Per orientation the route computes only its
-weak map counts, and every sum over orientations is read off their tally.
-An orientation and its reversal have the same counts, so the tally
+into S from outside it, and the sweep yields them in batches, each
+charged once.  Per orientation the route computes only its weak map
+counts, and every sum over orientations is read off their tally.  An
+orientation and its reversal have the same counts, so the tally
 transforms the orientations that run the first edge forward and doubles.
 """
 
@@ -20,7 +21,7 @@ from math import perm
 from typing import Iterable, Iterator
 
 from .budget import charge, charge_power_of_two
-from .errors import InternalConsistencyError, InvalidInput
+from .errors import BudgetExceeded, InternalConsistencyError, InvalidInput
 from .polynomial import CountingPolynomial, IntPolynomial, extrapolate, interpolate
 from .poset import Poset, TextFormat, integer, natural, read_text, write_text
 
@@ -112,21 +113,22 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
     without u.  That direction closes a cycle iff no down-set holds u
     without v (v already reaches u), which prunes the whole subtree.  An
     acyclic partial orientation admits each edge one way or the other, so a
-    popped state walks down to its leaf, taking i -> j where it can and
-    stacking j -> i if that is open too: depth first, i -> j before j -> i.
-    It charges its running count as the caller asks for the next one, so
-    every sweep is bounded, after the caller's charges for the last one.
-    Its two masks an edge are kept for the last graph swept (:func:`_sweep_steps`);
-    2^d, an allocation, is charged as they are built, before any mask.
+    popped state walks down to the last 16 - d edges, taking i -> j where
+    it can and stacking j -> i if that is open too, then expands those a
+    level at a time, i -> j first, into a batch: depth first, i -> j before
+    j -> i.  Its running count after a batch is charged once, before it; a
+    batch so refused is charged a mask at a time as each next is asked for,
+    so it refuses after the same mask.  :func:`_sweep_steps` charges 2^d first.
     """
     full, steps = _sweep_steps(graph)
+    split = max(0, len(steps) - max(0, 16 - graph.d))  # a batch: at most 2^16 mask bits
 
     def walk() -> Iterator[int]:
         walked = 0
         stack = [(0, full)]
         while stack:
             k, ideals = stack.pop()
-            for i_to_j, j_to_i in steps[k:]:
+            for i_to_j, j_to_i in steps[k:split]:
                 k += 1
                 j_way = ideals & j_to_i
                 if j_way == ideals:  # i -> j closes a cycle; j -> i clears nothing
@@ -135,9 +137,30 @@ def acyclic_orientations(graph: Graph) -> Iterator[int]:
                 if i_way != ideals:  # j -> i is open too
                     stack.append((k, j_way))
                 ideals = i_way
-            yield ideals
-            walked += 1
-            charge(walked, "acyclic-orientation sweep")
+            batch = [ideals]
+            for i_to_j, j_to_i in steps[split:]:
+                level = []
+                for ideals in batch:
+                    j_way = ideals & j_to_i
+                    if j_way == ideals:
+                        level.append(ideals)
+                        continue
+                    i_way = ideals & i_to_j
+                    level.append(i_way)
+                    if i_way != ideals:
+                        level.append(j_way)
+                batch = level
+            singly = ()
+            try:
+                charge(walked + len(batch), "acyclic-orientation sweep")
+            except BudgetExceeded:  # the refusal falls inside this batch
+                batch, singly = (), batch
+            yield from batch
+            walked += len(batch)
+            for ideals in singly:
+                yield ideals
+                walked += 1
+                charge(walked, "acyclic-orientation sweep")
 
     return walk()
 

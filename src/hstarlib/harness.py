@@ -469,16 +469,17 @@ def _check_chromatic3(ctx: _Context) -> CheckResult:
     counts = [count_proper_colorings(ctx.item, n) for n in range(5)]
     via = chromatic_via_orientations(ctx.item)
     dc = chromatic_polynomial(ctx.item)
+    values = tuple(map(dc, range(max(4, ctx.d) + 1)))
     for n, counted in enumerate(counts):
-        if dc(n) != counted:
+        if values[n] != counted:
             return _verdict(
                 "chromatic3",
                 False,
-                f"chi({n}) = {dc(n)} but {counted} colorings are counted",
+                f"chi({n}) = {values[n]} but {counted} colorings are counted",
                 {"chi_dc": dc.coeffs},
             )
-    if dc != via:
-        # the orientation route is held by its values at n = 0..d
+    # the orientation route is held by its values at n = 0..d, as chi has degree d
+    if values[: ctx.d + 1] != via.values:
         return _verdict(
             "chromatic3",
             False,

@@ -1,8 +1,10 @@
 """Graphs: orientations, induced posets, chromatic polynomials."""
 
+import inspect
 import time
+import tracemalloc
 from collections import Counter
-from itertools import islice, product, repeat
+from itertools import combinations, islice, product, repeat
 from math import comb, perm, prod
 
 import pytest
@@ -96,6 +98,28 @@ def complete_graph(d):
     return Graph(d, [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)])
 
 
+def path_graph(d, edges):
+    """The path 1 - 2 - ... - (edges + 1) among d vertices."""
+    return Graph(d, [(v, v + 1) for v in range(1, edges + 1)])
+
+
+# from d = 6 on, a graph with more than 16 - d edges is swept in several
+# batches, each its last edges expanded a level at a time
+BATCHED_CORPORA = {
+    "K6-to-K8": [complete_graph(d) for d in (6, 7, 8)],
+    "seeded-d6-to-d8": [g for d in (6, 7, 8) for g in random_instances("graph", d, 6, seed=d)],
+    "path-d9": [path_graph(9, 8)],
+}
+
+# sweeps of several batches, each of at most 2^(16 - d) masks: one mask at d = 16
+MULTI_BATCH = {
+    "C4-and-P5-d10": Graph(10, [(1, 2), (2, 3), (3, 4), (1, 4), *zip(range(5, 9), range(6, 10))]),
+    "P7-d12": path_graph(12, 6),
+    "K4-and-K2-d14": Graph(14, [*combinations(range(1, 5), 2), (5, 6)]),
+    "P4-d16": path_graph(16, 3),
+}
+
+
 def brute_proper_colorings(graph, n):
     """Independent count: all n^d colorings, filtered edge by edge."""
     edges = [(i - 1, j - 1) for i, j in graph.sorted_edges()]
@@ -151,11 +175,54 @@ class TestAcyclicOrientations:
                 assert len(ours) == len(set(ours))  # each exactly once
                 assert set(ours) == set(brute_masks(graph))
 
-    @pytest.mark.parametrize("d", range(6))
-    def test_order_matches_the_recursive_walk(self, d):
-        for graph in enumerate_labeled_graphs(d):
+    @pytest.mark.parametrize("corpus", [*range(6), *BATCHED_CORPORA])
+    def test_order_matches_the_recursive_walk(self, corpus):
+        # every labeled graph with d <= 5 is swept in one batch
+        if corpus in BATCHED_CORPORA:
+            graphs = BATCHED_CORPORA[corpus]
+        else:
+            graphs = enumerate_labeled_graphs(corpus)
+        for graph in graphs:
             walked = list(acyclic_orientations(graph))
             assert walked == list(recursive_acyclic_orientations(graph)), graph
+
+    @pytest.mark.parametrize("name", MULTI_BATCH)
+    def test_refuses_at_the_orientation_after_the_budget(self, name):
+        graph = MULTI_BATCH[name]
+        # a batch is charged once, or one mask at a time where that charge
+        # would refuse: a budget of b lets b + 1 masks out, then refuses
+        walked = list(recursive_acyclic_orientations(graph))
+        for budget in range(len(walked) + 2):
+            received, refusal = [], None
+            with limit(budget):
+                try:
+                    received.extend(acyclic_orientations(graph))
+                except BudgetExceeded as error:
+                    refusal = str(error)
+            if budget < len(walked):
+                message = f"acyclic-orientation sweep needs {budget + 1} steps, budget is {budget}"
+                assert (received, refusal) == (walked[: budget + 1], message), budget
+            else:
+                assert (received, refusal) == (walked, None), budget
+
+    @pytest.mark.parametrize("d", (12, 13, 14))
+    def test_the_first_orientation_holds_one_batch(self, d):
+        # every orientation of a path is acyclic, so the first batch is full:
+        # 2^(16 - d) masks beside at most a stacked state an edge, each 2^d
+        # bits, counted twice here
+        graph = path_graph(d, d - 1)
+        sweep = acyclic_orientations(graph)  # builds the edge steps
+        tracemalloc.start()
+        try:
+            next(sweep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (len(graph.edges) + 2 ** (16 - d)) * 2**d // 8
+
+    def test_is_a_generator(self):
+        # a traced sweep is timed and counted per next()
+        assert inspect.isgenerator(acyclic_orientations(K3))
 
     def test_count_equals_chi_at_minus_one(self):
         for graph in enumerate_labeled_graphs(4):

@@ -52,6 +52,23 @@ def negate_b_pi_of(monkeypatch, hstar, d):
     monkeypatch.setattr(decomp, "order_decomposition", doubled)
 
 
+def negate_split_part(monkeypatch, name, part, h, d):
+    """Rebind ``decomp.<name>``, ``ab_decompose`` or ``open_decomposition``,
+    to a function that negates the ``part``, "a" or "b", of its split of
+    ``h`` at ``d``; every other split is the real one."""
+    from hstarlib import decomp
+
+    real = getattr(decomp, name)
+
+    def doubled(p, dim):
+        a, b = real(p, dim)
+        if (p, dim) == (h, d):
+            a, b = (-a, b) if part == "a" else (a, -b)
+        return decomp.SymmetricDecomposition(a, b)
+
+    monkeypatch.setattr(decomp, name, doubled)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("d,count", [(0, 1), (1, 1), (2, 3), (3, 19), (4, 219)])
     def test_poset_counts(self, d, count):
@@ -409,6 +426,67 @@ class TestVerifyAll:
             "sign failure in the order decomposition of orientation class (0, 1, 5, 14, 30)"
         )
         assert check.witnesses == PATH3_WEDGE_WITNESSES
+
+    def test_conj62_fails_on_a_positive_a(self, monkeypatch):
+        # the poset 1 < 2 beside 3: p_Pi = 2z^2 + z^3 splits with a = -z - z^2
+        negate_split_part(monkeypatch, "ab_decompose", "a", IntPolynomial([0, 0, 2, 1]), 3)
+        (report,) = verify_all([Poset(3, [(1, 2)])], ["conj6.2"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "fail",
+            "sign failure in the strict-series decomposition",
+        )
+        assert check.witnesses == {
+            "p_Pi": ("0", "0", "2", "1"),
+            "a": ("0", "1", "1"),
+            "b": ("1", "3", "1"),
+        }
+
+    def test_thm11_fails_on_a_negative_b_p(self, monkeypatch):
+        # the 2-element antichain: h* = 1 + z, b_P = 1 + 2z + z^2
+        negate_split_part(monkeypatch, "open_decomposition", "b", IntPolynomial([1, 1]), 2)
+        (report,) = verify_all([Poset(2)], ["thm1.1"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "fail",
+            "negative coefficient in the open decomposition",
+        )
+        assert check.witnesses == {
+            "hstar": ("1", "1"),
+            "a_P": ("1", "2", "2", "1"),
+            "b_P": ("-1", "-2", "-1"),
+        }
+
+    def test_conj61_fails_on_a_negative_b(self, monkeypatch):
+        # the path's h_G = 2z^2 + 4z^3 splits with b = 4 + 6z + 4z^2
+        negate_split_part(monkeypatch, "ab_decompose", "b", IntPolynomial([0, 0, 2, 4]), 3)
+        (report,) = verify_all([PATH3], ["conj6.1"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == ("fail", "sign failure in the h_G decomposition")
+        assert check.witnesses == {
+            "h_G": ("0", "0", "2", "4"),
+            "a": ("0", "-4", "-4"),
+            "b": ("-4", "-6", "-4"),
+        }
+
+    def test_chromatic3_fails_on_orientation_values_wrong_at_n_equal_d_only(self, monkeypatch):
+        import hstarlib.harness as harness
+        from hstarlib.polynomial import interpolate
+
+        # chi of the path is n(n - 1)^2: 0, 0, 2, 12 at n = 0..3; the
+        # colorings are counted to n = 4, the orientation route held to n = d
+        broken = interpolate([0, 0, 2, 13])
+        monkeypatch.setattr(harness, "chromatic_via_orientations", lambda graph: broken)
+        (report,) = verify_all([PATH3], ["chromatic3"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "fail",
+            "deletion-contraction and orientation sum disagree",
+        )
+        assert check.witnesses == {
+            "chi_dc": ("0", "1", "-2", "1"),
+            "chi_ao_values": ("0", "0", "2", "13"),
+        }
 
     def test_chromatic3_colorings_mismatch_names_the_first_n(self, monkeypatch):
         import hstarlib.harness as harness
