@@ -63,6 +63,26 @@ class TestChromatic:
         assert record["h"] == ["0", "0", "0", "6"]
         assert all(isinstance(c, str) for c in record["chi"])
 
+    @pytest.mark.parametrize(
+        "text, d, chi, h",
+        [
+            (K3_TEXT, 3, ["0", "2", "-3", "1"], ["0", "0", "0", "6"]),
+            ("p 1 0\n", 1, ["0", "1"], ["0", "1"]),
+        ],
+        ids=["K3", "one-vertex"],
+    )
+    def test_whole_output(self, capsys, tmp_path, text, d, chi, h):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        code, out = run(capsys, "chromatic", str(path))
+        assert code == 0
+        assert out == f"chi = [{', '.join(chi)}]\nh = [{', '.join(h)}]\n"
+        code, out = run(capsys, "chromatic", str(path), "--format", "json-lines")
+        assert code == 0
+        assert out == json.dumps(
+            {"type": "chromatic", "d": str(d), "chi": chi, "h": h}, separators=(",", ":")
+        ) + "\n"
+
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("not a graph\n")
@@ -134,6 +154,27 @@ class TestHstar:
         code, out = run(capsys, "hstar", str(path))
         assert code == 0
         assert "hstar = [1, 4, 1]" in out
+
+    @pytest.mark.parametrize(
+        "files, d, hstar",
+        [
+            ({"tri.poly": "simplex 2\n0 0\n2 0\n0 2\n"}, 2, ["1", "3"]),
+            ({"anti3.poset": "p 3 0\n", "op.poly": "order anti3.poset\n"}, 3, ["1", "4", "1"]),
+        ],
+        ids=["simplex", "order"],
+    )
+    def test_whole_output(self, capsys, tmp_path, files, d, hstar):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        path = str(tmp_path / name)  # the polytope file comes last
+        code, out = run(capsys, "hstar", path)
+        assert code == 0
+        assert out == f"d = {d}\nhstar = [{', '.join(hstar)}]\n"
+        code, out = run(capsys, "hstar", path, "--format", "json-lines")
+        assert code == 0
+        assert out == json.dumps(
+            {"type": "hstar", "d": str(d), "hstar": hstar}, separators=(",", ":")
+        ) + "\n"
 
     def test_tilted_triangle_as_rows(self, capsys, tmp_path):
         # the triangle (0, 0), (2, 1), (1, 3) needs every row to bound a
