@@ -36,37 +36,38 @@ def _padded(poly, degree: int) -> list[str]:
     return [str(poly[i]) for i in range(top + 1)]
 
 
-def _print_poly(label: str, coeffs: list[str]) -> None:
-    print(f"{label} = [{', '.join(coeffs)}]")
-
-
 def _emit(record: dict) -> None:
     sys.stdout.write(_ENCODER.encode(record) + "\n")  # print writes the newline apart
+
+
+def _write(args, record: dict, *shown: str) -> None:
+    """The record as one json line, or its ``shown`` fields as text lines:
+    ``key = value``, a list in brackets, and a dict as its items on one line."""
+    if args.format == JSON_LINES:
+        return _emit(record)
+    for key in shown:
+        value = record[key]
+        if isinstance(value, dict):
+            print(", ".join(f"{k} = {v}" for k, v in value.items()))
+        elif isinstance(value, list):
+            print(f"{key} = [{', '.join(value)}]")
+        else:
+            print(f"{key} = {value}")
 
 
 def cmd_chromatic(args) -> int:
     graph = Graph.from_text(read_file(args.file, "graph"))
     h_g = decomp.graph_numerator(graph)  # refuses before deletion-contraction
     chi = chromatic_polynomial(graph)  # memoised by graph_numerator's check
-    chi_strs = _padded(chi, graph.d)
-    h_strs = _padded(h_g, graph.d)
-    if args.format == JSON_LINES:
-        _emit({"type": "chromatic", "d": str(graph.d), "chi": chi_strs, "h": h_strs})
-    else:
-        _print_poly("chi", chi_strs)
-        _print_poly("h", h_strs)
+    chi_strs, h_strs = _padded(chi, graph.d), _padded(h_g, graph.d)
+    _write(args, {"type": "chromatic", "d": str(graph.d), "chi": chi_strs, "h": h_strs}, "chi", "h")
     return 0
 
 
 def cmd_hstar(args) -> int:
     polytope = load_polytope(args.file)
-    hs = h_star(polytope)
-    strs = [str(c) for c in hs.coeffs]
-    if args.format == JSON_LINES:
-        _emit({"type": "hstar", "d": str(polytope.d), "hstar": strs})
-    else:
-        print(f"d = {polytope.d}")
-        _print_poly("hstar", strs)
+    strs = [str(c) for c in h_star(polytope).coeffs]
+    _write(args, {"type": "hstar", "d": str(polytope.d), "hstar": strs}, "d", "hstar")
     return 0
 
 
@@ -101,29 +102,16 @@ def cmd_decompose(args) -> int:
         params.update(s=hstar.degree, l=d + 1 - hstar.degree)
     # Stapledon's split and Theorem 1.1 need a >= 0, Theorems 1.2 and 1.3 need -a >= 0
     passed = (a if kind in ("stapledon", "open") else -a).is_nonnegative() and b.is_nonnegative()
-
-    a_strs = [str(c) for c in a.coeffs]
-    b_strs = [str(c) for c in b.coeffs]
-    verdict = "PASS" if passed else "FAIL"
-    if args.format == JSON_LINES:
-        _emit(
-            {
-                "type": "decomposition",
-                "kind": kind,
-                "params": {k: str(v) for k, v in params.items()},
-                "a": a_strs,
-                "b": b_strs,
-                "symmetry": "confirmed",
-                "signs": verdict,
-            }
-        )
-    else:
-        print(f"kind = {kind}")
-        print(", ".join(f"{k} = {v}" for k, v in params.items()))
-        _print_poly("a", a_strs)
-        _print_poly("b", b_strs)
-        print("symmetry = confirmed")
-        print(f"signs = {verdict}")
+    record = {
+        "type": "decomposition",
+        "kind": kind,
+        "params": {k: str(v) for k, v in params.items()},
+        "a": [str(c) for c in a.coeffs],
+        "b": [str(c) for c in b.coeffs],
+        "symmetry": "confirmed",
+        "signs": "PASS" if passed else "FAIL",
+    }
+    _write(args, record, "kind", "params", "a", "b", "symmetry", "signs")
     return 0 if passed else 1
 
 

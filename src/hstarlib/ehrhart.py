@@ -42,8 +42,8 @@ from .poset import (
 
 
 def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(D, R) with matrix @ R = D * I and D = +-det, by fraction-free
-    (Bareiss) Gauss-Jordan elimination; D = 0 when the matrix is singular.
+    """(D, R) with matrix @ R = D * I, D = |det| and R = sign(det) adj, by
+    fraction-free (Bareiss) Gauss-Jordan elimination; D = 0 when singular.
 
     Every division is exact, so everything stays integral.  The identity
     is re-checked on the result.
@@ -62,11 +62,12 @@ def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
                 f = a[r][col]
                 a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[col])]
         prev = p
-    adj = [row[n:] for row in a]
+    sign, prev = (1, prev) if prev > 0 else (-1, -prev)
+    adj = [[sign * c for c in row[n:]] for row in a]
     for i, row in enumerate(matrix):
         for j, column in enumerate(zip(*adj)):
             if sum(map(mul, row, column)) != (prev if i == j else 0):
-                raise InternalConsistencyError("fraction-free elimination broke A adj = det I")
+                raise InternalConsistencyError("fraction-free elimination broke A R = |det| I")
     return prev, adj
 
 
@@ -197,14 +198,14 @@ class HRepPolytope:
     def _derive_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The vertex box, from one pass over the d-row bases of the rows.
 
-        A nonsingular basis S, with A_S adj = D I (:func:`_adjugate`, D > 0
-        after a sign flip), gives D v = adj b_S, a vertex if it satisfies
-        every row.  The box is the vertices' range rounded outwards, and the
-        first vertex with a coordinate D does not divide is ``non_lattice``.
-        By conic Caratheodory, +e_i (-e_i) is in the cone of the normals iff
-        some basis has row i of adj >= 0 (<= 0), and the system is bounded
-        iff all 2d of them are.  Unbounded or vertexless input is
-        InvalidInput.  The work, C(m, d) d^3 for m rows, is charged first.
+        A nonsingular basis S, with A_S R = D I and D > 0 (:func:`_adjugate`),
+        gives D v = R b_S, a vertex if it satisfies every row.  The box is
+        the vertices' range rounded outwards, and the first vertex with a
+        coordinate D does not divide is ``non_lattice``.  By conic
+        Caratheodory, +e_i (-e_i) is in the cone of the normals iff some
+        basis has row i of R >= 0 (<= 0), and the system is bounded iff all
+        2d of them are.  Unbounded or vertexless input is InvalidInput.  The
+        work, C(m, d) d^3 for m rows, is charged first.
         """
         d = self.d
         rows = self.inequalities
@@ -216,8 +217,6 @@ class HRepPolytope:
             det, adj = _adjugate([normal for normal, _ in basis])
             if not det:
                 continue
-            if det < 0:
-                det, adj = -det, [[-c for c in row] for row in adj]
             directions.update(i for i, row in enumerate(adj) if min(row) >= 0)
             directions.update(~i for i, row in enumerate(adj) if max(row) <= 0)
             point = [sum(c * bound for c, (_, bound) in zip(row, basis)) for row in adj]
@@ -263,7 +262,7 @@ class Simplex(HRepPolytope):
     coordinatewise >= 0 (> 0 for the interior), so each row of adj(A) is
     one integer inequality, inside the vertices' bounding box.  ``volume``
     is the normalized volume d! vol(P) = |det A|, and ``adjugate`` is
-    sign(det A) adj(A), so A @ adjugate = volume * I.
+    :func:`_adjugate`'s sign(det A) adj(A), so A @ adjugate = volume * I.
     """
 
     __slots__ = ("vertices", "volume", "adjugate")
@@ -282,15 +281,12 @@ class Simplex(HRepPolytope):
         self.vertices = verts
         a = [[verts[k][i] for k in range(d + 1)] for i in range(d)]
         a.append([1] * (d + 1))
-        det, adj = _adjugate(a)
-        if det == 0:
+        self.volume, adj = _adjugate(a)
+        if self.volume == 0:
             raise InvalidInput("vertices are affinely dependent")
-        self.volume = abs(det)
-        # adj / det is the inverse, so with adj scaled by the sign of det,
-        # membership reduces to integer sign tests: adj @ (x, n) >= 0 row by
-        # row is -adj[:d] . x <= adj[d] * n
-        sign = 1 if det > 0 else -1
-        self.adjugate = tuple(tuple(sign * c for c in row) for row in adj)
+        # adjugate / volume is the inverse, so membership is integer sign
+        # tests: adjugate @ (x, n) >= 0 is -adjugate[:d] . x <= adjugate[d] * n
+        self.adjugate = tuple(map(tuple, adj))
         rows = [([-c for c in row[:d]], row[d]) for row in self.adjugate]
         columns = list(zip(*verts))
         super().__init__(rows, d, ([min(col) for col in columns], [max(col) for col in columns]))

@@ -249,21 +249,21 @@ def _orientation_tally(graph: Graph) -> Counter[tuple[int, ...]]:
     reversal pair fall into one class.  Only the orientations that run the
     first sorted edge {i, j} i -> j are transformed: the sweep takes i -> j
     before j -> i, so they are the ones before the first orientation in
-    which no down-set holds i without j.  The rest are only counted: a
-    count other than the tallied half means the order or the pairing is
-    broken, an InternalConsistencyError.  Then every class count is
-    doubled.  A skipped orientation's ideal count |J(P*)| = |J(P)| was
-    charged for its partner, and the sweep still charges every orientation
-    it walks, so no refusal moves.  An edgeless graph's one orientation is
-    tallied as it is.
+    which no down-set holds i without j, the sets that its j -> i step
+    (:func:`_sweep_steps`) clears.  The rest are only counted: a count
+    other than the tallied half means the order or the pairing is broken,
+    an InternalConsistencyError.  Then every class count is doubled.  A
+    skipped orientation's ideal count |J(P*)| = |J(P)| was charged for its
+    partner, and the sweep still charges every orientation it walks, so no
+    refusal moves.  An edgeless graph's one orientation is tallied as it is.
     """
     d = graph.d
     sweep = acyclic_orientations(graph)
     if not graph.edges:
         return Counter(map(_mask_map_counts, sweep, repeat(d)))
     i, j = min(graph.edges)
-    out = _packing(d, 1)[0]  # out[v]: the sets without vertex v + 1
-    i_only = out[j - 1] & ~out[i - 1]
+    full, steps = _sweep_steps(graph)
+    i_only = full ^ steps[0][1]  # the sets i without j, which j -> i clears
     # no down-set mask is 0, so the 0 after the sweep stands in for the
     # first j -> i orientation, which ``takewhile`` takes and drops
     sweep = chain(sweep, (0,))

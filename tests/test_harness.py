@@ -53,9 +53,9 @@ def negate_b_pi_of(monkeypatch, hstar, d):
 
 
 def negate_split_part(monkeypatch, name, part, h, d):
-    """Rebind ``decomp.<name>``, ``ab_decompose`` or ``open_decomposition``,
-    to a function that negates the ``part``, "a" or "b", of its split of
-    ``h`` at ``d``; every other split is the real one."""
+    """Rebind ``decomp.<name>``, ``ab_decompose``, ``open_decomposition`` or
+    ``order_decomposition``, to a function that negates the ``part``, "a" or
+    "b", of its split of ``h`` at ``d``; every other split is the real one."""
     from hstarlib import decomp
 
     real = getattr(decomp, name)
@@ -468,6 +468,72 @@ class TestVerifyAll:
             "a": ("0", "-4", "-4"),
             "b": ("-4", "-6", "-4"),
         }
+
+    def test_thm11_fails_on_a_negative_a_p(self, monkeypatch):
+        # the 2-element antichain: h* = 1 + z, a_P = 1 + 2z + 2z^2 + z^3
+        negate_split_part(monkeypatch, "open_decomposition", "a", IntPolynomial([1, 1]), 2)
+        (report,) = verify_all([Poset(2)], ["thm1.1"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "fail",
+            "negative coefficient in the open decomposition",
+        )
+        assert check.witnesses == {
+            "hstar": ("1", "1"),
+            "a_P": ("-1", "-2", "-2", "-1"),
+            "b_P": ("1", "2", "1"),
+        }
+
+    def test_thm12_fails_on_a_positive_a_pi(self, monkeypatch):
+        # the wedge 1 -> 2 <- 3: h* = 1 + z splits with a_Pi = -z - 2z^2 - z^3
+        negate_split_part(monkeypatch, "order_decomposition", "a", PATH3_WEDGE_HSTAR, 3)
+        (report,) = verify_all([Poset(3, [(1, 2), (3, 2)])], ["thm1.2"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == ("fail", "sign failure in the order decomposition")
+        assert check.witnesses == {
+            "hstar": ("1", "1"),
+            "a_Pi": ("0", "1", "2", "1"),
+            "b_Pi": ("1", "2", "2", "1"),
+        }
+
+    def test_conj62_fails_on_a_negative_b(self, monkeypatch):
+        # the poset 1 < 2 beside 3: p_Pi = 2z^2 + z^3 splits with b = 1 + 3z + z^2
+        negate_split_part(monkeypatch, "ab_decompose", "b", IntPolynomial([0, 0, 2, 1]), 3)
+        (report,) = verify_all([Poset(3, [(1, 2)])], ["conj6.2"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "fail",
+            "sign failure in the strict-series decomposition",
+        )
+        assert check.witnesses == {
+            "p_Pi": ("0", "0", "2", "1"),
+            "a": ("0", "-1", "-1"),
+            "b": ("-1", "-3", "-1"),
+        }
+
+    def test_conj61_fails_on_a_positive_a(self, monkeypatch):
+        # the path's h_G = 2z^2 + 4z^3 splits with a = -4z - 4z^2
+        negate_split_part(monkeypatch, "ab_decompose", "a", IntPolynomial([0, 0, 2, 4]), 3)
+        (report,) = verify_all([PATH3], ["conj6.1"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == ("fail", "sign failure in the h_G decomposition")
+        assert check.witnesses == {
+            "h_G": ("0", "0", "2", "4"),
+            "a": ("0", "4", "4"),
+            "b": ("4", "6", "4"),
+        }
+
+    def test_thm13_fails_on_a_positive_a_of_z_h_g(self, monkeypatch):
+        # the path's z h_G = 2z^3 + 4z^4 splits at d + 1 = 4 with
+        # a = -4z - 6z^2 - 4z^3; both orientation classes pass thm1.2
+        negate_split_part(monkeypatch, "ab_decompose", "a", IntPolynomial([0, 0, 0, 2, 4]), 4)
+        (report,) = verify_all([PATH3], ["thm1.3"])
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "fail",
+            "sign failure in the chromatic-series decomposition",
+        )
+        assert check.witnesses == {"a": ("0", "4", "6", "4"), "b": ("4", "6", "6", "4")}
 
     def test_chromatic3_fails_on_orientation_values_wrong_at_n_equal_d_only(self, monkeypatch):
         import hstarlib.harness as harness

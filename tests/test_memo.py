@@ -102,9 +102,10 @@ def test_hit_profile_of_a_graphs_random_5_pass(monkeypatch):
     # for the 3432 that run each graph's first edge forward, and those need
     # 664 transforms, and 28 class h*; deletion-contraction meets 269
     # distinct subproblems in 852 calls, where it made 4495.  Each graph
-    # builds its edge steps once for its four sweeps, and its 19 distinct
-    # chi and z h_G are expanded and split once each, for 162 and 81 calls;
-    # conj6.1 splits its 19 distinct h_G at d = 5 besides, for conj6.4 too
+    # builds its edge steps once, for its four sweeps and the first-edge
+    # mask of each of its three tallies, and its 19 distinct chi and z h_G
+    # are expanded and split once each, for 162 and 81 calls; conj6.1
+    # splits its 19 distinct h_G at d = 5 besides, for conj6.4 too
     numerators = counted(monkeypatch, decomp, "series_numerator")
     splits = counted(monkeypatch, decomp, "ab_decompose")
     classes = counted(monkeypatch, decomp, "_checked_h_star")
@@ -112,7 +113,7 @@ def test_hit_profile_of_a_graphs_random_5_pass(monkeypatch):
     for _ in verify_all(random_instances("graph", 5, 81, 701)):
         pass
     steps = graph._sweep_steps.cache_info()
-    assert (steps.misses, steps.hits) == (81, 243)
+    assert (steps.misses, steps.hits) == (81, 486)
     assert len(numerators) == 19
     assert Counter(d for _, d in splits) == {5: 19, 6: 19}
     transforms = graph._packed_counts.cache_info()
