@@ -40,6 +40,10 @@ def _emit(record: dict) -> None:
     sys.stdout.write(_ENCODER.encode(record) + "\n")  # print writes the newline apart
 
 
+def _list_line(key: str, items) -> str:
+    return f"{key} = [{', '.join(items)}]"
+
+
 def _write(args, record: dict, *shown: str) -> None:
     """The record as one json line, or its ``shown`` fields as text lines:
     ``key = value``, a list in brackets, and a dict as its items on one line."""
@@ -50,7 +54,7 @@ def _write(args, record: dict, *shown: str) -> None:
         if isinstance(value, dict):
             print(", ".join(f"{k} = {v}" for k, v in value.items()))
         elif isinstance(value, list):
-            print(f"{key} = [{', '.join(value)}]")
+            print(_list_line(key, value))
         else:
             print(f"{key} = {value}")
 
@@ -147,7 +151,7 @@ def cmd_verify(args) -> int:
                     for line in report.input_text.rstrip().splitlines():
                         print(f"    {line}")
                     for name, coeffs in check.witnesses.items():
-                        print(f"    {name} = [{', '.join(coeffs)}]")
+                        print(f"    {_list_line(name, coeffs)}")
     if args.format == JSON_LINES:
         _emit(summary.to_record())
     else:

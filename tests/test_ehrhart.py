@@ -70,7 +70,7 @@ def box_points_brute(polytope, n, interior=False):
 
     A simplex point is in n * P when its barycentric coordinates, read off
     adj @ (x, n) from the vertices here rather than the library's stored
-    rows, all have the sign of det (strictly for the interior).  An
+    rows, are all nonnegative (positive for the interior).  An
     H-polytope point must satisfy every row, and the box: a user box
     constrains the polytope, so an interior point lies strictly inside its
     dilate too.
@@ -79,10 +79,10 @@ def box_points_brute(polytope, n, interior=False):
         columns = list(zip(*polytope.vertices))
         lo = [n * min(col) for col in columns]
         hi = [n * max(col) for col in columns]
-        det, adj = _adjugate([list(col) for col in columns] + [[1] * len(polytope.vertices)])
+        _, adj = _adjugate([list(col) for col in columns] + [[1] * len(polytope.vertices)])
 
         def inside(x):
-            bary = [det * sum(c * v for c, v in zip(row, (*x, n))) for row in adj]
+            bary = [sum(c * v for c, v in zip(row, (*x, n))) for row in adj]
             return all(b > 0 if interior else b >= 0 for b in bary)
 
     else:
@@ -740,7 +740,7 @@ class TestParallelepipedRoute:
         rng = random.Random(35)
         while True:
             vertices = [[rng.randint(-14, 14) for _ in range(4)] for _ in range(5)]
-            if 90_000 <= abs(_adjugate([*map(list, zip(*vertices)), [1] * 5])[0]) <= 110_000:
+            if 90_000 <= _adjugate([*map(list, zip(*vertices)), [1] * 5])[0] <= 110_000:
                 break
         simplex = Simplex(vertices)
         start = time.perf_counter()

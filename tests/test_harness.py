@@ -38,20 +38,6 @@ PATH3_WEDGE_WITNESSES = {
 }
 
 
-def negate_b_pi_of(monkeypatch, hstar, d):
-    """Rebind ``decomp.order_decomposition`` to a function that negates the
-    b_Pi of ``hstar`` at ``d``; the class's h*, and so z h_G, is untouched."""
-    from hstarlib import decomp
-
-    real = decomp.order_decomposition
-
-    def doubled(h, dim):
-        a_pi, b_pi = real(h, dim)
-        return a_pi, -b_pi if (h, dim) == (hstar, d) else b_pi
-
-    monkeypatch.setattr(decomp, "order_decomposition", doubled)
-
-
 def negate_split_part(monkeypatch, name, part, h, d):
     """Rebind ``decomp.<name>``, ``ab_decompose``, ``open_decomposition`` or
     ``order_decomposition``, to a function that negates the ``part``, "a" or
@@ -418,7 +404,7 @@ class TestVerifyAll:
         # the path's two classes, the chain and the wedge, have 2 orientations
         # each; the wedge's b_Pi negated outweighs the chain's in the sum of
         # the class splits, while the direct split of z h_G stays nonnegative
-        negate_b_pi_of(monkeypatch, PATH3_WEDGE_HSTAR, 3)
+        negate_split_part(monkeypatch, "order_decomposition", "b", PATH3_WEDGE_HSTAR, 3)
         (report,) = list(verify_all([PATH3], ["thm1.3"]))
         (check,) = report.checks
         assert check.status == "fail"

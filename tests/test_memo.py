@@ -38,7 +38,7 @@ from hstarlib.harness import (
 )
 from hstarlib.polynomial import IntPolynomial
 from test_graph import K3, PATH3, SWEEP_CORPORA, SWEEP_IDS
-from test_harness import PATH3_WEDGE, PATH3_WEDGE_HSTAR, PATH3_WEDGE_WITNESSES, negate_b_pi_of
+from test_harness import PATH3_WEDGE, PATH3_WEDGE_HSTAR, PATH3_WEDGE_WITNESSES, negate_split_part
 from test_reference_streams import CORPORA
 
 PATH3_CHI = IntPolynomial([0, 1, -2, 1])
@@ -224,7 +224,7 @@ class TestOrientationRouteMemo:
     def test_a_cached_class_fails_thm13_on_every_input(self, monkeypatch):
         # the two paths share the doubled wedge class, whose thm1.2 verdict
         # the second input reads from the memo; each input tests the class
-        negate_b_pi_of(monkeypatch, PATH3_WEDGE_HSTAR, 3)
+        negate_split_part(monkeypatch, "order_decomposition", "b", PATH3_WEDGE_HSTAR, 3)
         other_path = graph.Graph(3, [(1, 3), (2, 3)])
         reports = list(verify_all([PATH3, other_path], ["thm1.3"]))
         assert [report.checks[0].status for report in reports] == ["fail", "fail"]
@@ -241,7 +241,7 @@ class TestOrientationRouteMemo:
     def test_thm12_and_thm13_share_a_class_verdict(self, monkeypatch):
         # the wedge poset's h* is the path's wedge class's, so thm1.3 reads
         # the failure thm1.2 stored, renamed, and splits the class no more
-        negate_b_pi_of(monkeypatch, PATH3_WEDGE_HSTAR, 3)
+        negate_split_part(monkeypatch, "order_decomposition", "b", PATH3_WEDGE_HSTAR, 3)
         splits = counted(monkeypatch, decomp, "order_decomposition")
         wedge = poset.Poset(3, [(1, 2), (3, 2)])
         reports = list(verify_all([wedge, PATH3], ["thm1.2", "thm1.3"]))
