@@ -40,11 +40,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import add
 from typing import Literal, NamedTuple
 
-from .ehrhart import _checked_h_star, open_numerator
+from .ehrhart import _checked_h_star
 from .errors import InternalConsistencyError, InvalidInput
 from .graph import Graph, _orientation_tally, chromatic_polynomial
 from .polynomial import IntPolynomial, series_numerator
@@ -130,13 +130,14 @@ def open_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, Int
 
     a_P is the a-part of the split at ambient degree d + 1 (the pyramid over
     the polytope has the same h*), b_P the a-part at ambient degree d; their
-    difference is exactly the reversed numerator, and both are nonnegative
-    for polytopal input.
+    difference, checked on coefficient lists, is exactly the reversed
+    numerator, and both are nonnegative for polytopal input.
     """
     _check_polytopal(hstar)
     a_p = _a_part(hstar, d + 1)
     b_p = _a_part(hstar, d)
-    if a_p - b_p != open_numerator(hstar, d):
+    difference = [x - y for x, y in zip_longest(a_p.coeffs, b_p.coeffs, fillvalue=0)]
+    if difference[::-1] != [*hstar.coeffs, *[0] * (d + 1 - hstar.degree)]:
         raise InternalConsistencyError(
             f"a_P - b_P does not reverse h* = {hstar.coeffs} at d = {d}"
         )
@@ -149,7 +150,8 @@ def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, In
     b_Pi is the a-part of the split at ambient d; a_Pi is -z times the
     a-part at ambient d - 1, which exists because an order-polytope h* has
     degree at most d - 1 (the projected polytope of the same h* is one
-    dimension lower).  For d = 0 the numerator is z and a_Pi = 0.
+    dimension lower).  For d = 0 the numerator is z and a_Pi = 0.  The sum
+    is checked on coefficient lists.
     """
     if d == 0:
         if hstar != IntPolynomial([1]):
@@ -163,7 +165,8 @@ def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, In
         _check_polytopal(hstar)
         b_pi = _a_part(hstar, d)
         a_pi = -(_a_part(hstar, d - 1).shift(1))
-    if a_pi + b_pi.shift(1) != open_numerator(hstar, d):
+    total = [x + y for x, y in zip_longest(a_pi.coeffs, (0, *b_pi.coeffs), fillvalue=0)]
+    if total[::-1] != [*hstar.coeffs, *[0] * (d + 1 - hstar.degree)]:
         raise InternalConsistencyError(
             f"a_Pi + z b_Pi does not reverse h* = {hstar.coeffs} at d = {d}"
         )

@@ -77,43 +77,48 @@ def _ratio(c: int, q: int) -> str:
     return f"{c // g}" if g == q else f"{c // g}/{q // g}"
 
 
-def _count_box(rows: Sequence[tuple[Sequence[int], int]], lo: list[int], hi: list[int]) -> int:
-    """Number of integer x with lo <= x <= hi and normal . x <= limit for
-    every (normal, limit) in rows.
+def _count_box(columns: list[list[int]], limits: list[int], lo: list[int], hi: list[int]) -> int:
+    """Number of integer x with lo <= x <= hi and, for every row r,
+    sum_i columns[i][r] x_i <= limits[r].
 
     The whole box volume is charged to the budget, the work of testing
-    every box point, although the walk is cheaper: each row's limit less
-    its partial sum is carried down the first d - 1 coordinates, and at
-    each of their points floor division by each row's last coefficient
-    narrows the last coordinate to one interval.
+    every box point, although the walk is cheaper: a stack carries each
+    row's limit less its partial sum down the first d - 2 coordinates, and
+    one loop over the last two cuts each line along the last coordinate to
+    one interval by floor division by each row's last coefficient.
     Each call charges only its own box, so a budget bounds one walk, not
     the sum over the dilates that ``_closed_counts`` walks.
     An interior count passes strict faces: limit - 1 on every row, and box
     faces moved one step inwards, which is right for any box containing the
     polytope, since an interior point of P is interior to such a box.
     """
-    if any(a > b for a, b in zip(lo, hi)):
+    sides = [b - a + 1 for a, b in zip(lo, hi)]
+    if min(sides) < 1:
         return 0
-    charge(prod(b - a + 1 for a, b in zip(lo, hi)), "bounding-box enumeration")
-    columns, last = [[normal[i] for normal, _ in rows] for i in range(len(lo))], len(lo) - 1
-
-    def walk(level: int, rests: list[int]) -> int:  # each limit less its row's sum so far
-        if level < last:
-            column, steps = columns[level], range(lo[level], hi[level] + 1)
-            return sum(walk(level + 1, [r - a * x for r, a in zip(rests, column)]) for x in steps)
-        low, high = lo[-1], hi[-1]
-        for rest, c in zip(rests, columns[-1]):
-            if c > 0:
-                high = min(high, rest // c)
-            elif c < 0:
-                low = max(low, -(rest // -c))
-            elif rest < 0:
-                return 0
-            if low > high:
-                return 0
-        return high - low + 1
-
-    return walk(0, [limit for _, limit in rows])
+    charge(prod(sides), "bounding-box enumeration")
+    *outer, last = columns
+    top, count, stack = len(outer) - 1, 0, [(0, limits)]
+    while stack:  # (level, each limit less its row's sum so far)
+        level, rests = stack.pop()
+        column, steps = (outer[level], range(lo[level], hi[level] + 1)) if outer else (last, (0,))
+        if level < top:
+            stack += [(level + 1, [r - a * x for r, a in zip(rests, column)]) for x in steps]
+            continue
+        for x in steps:  # the last two levels in one loop; at d = 1 one line, x = 0
+            low, high = lo[-1], hi[-1]
+            for r, a, c in zip(rests, column, last):
+                rest = r - a * x
+                if c > 0:
+                    if (q := rest // c) < high:
+                        high = q
+                elif c < 0:
+                    if (q := -(rest // -c)) > low:
+                        low = q
+                elif rest < 0:
+                    break
+            else:
+                count += max(high - low + 1, 0)
+    return count
 
 
 class OrderPolytope:
@@ -158,13 +163,15 @@ class HRepPolytope:
     input is rejected, and a vertex that is not a lattice point is kept as
     ``non_lattice``.  A user box is a constraint like the rows: the
     polytope counted is the part of {a.x <= b} inside it, closed and
-    interior, and no vertex is looked for.  Every box is held as integers.
+    interior, and no vertex is looked for.  Every box is held as integers,
+    and the rows as :func:`_count_box` reads them, a column per coordinate
+    and the bounds, so a count builds only its dilated limits and box.
     The declared dimension is trusted but sanity-checked downstream: a
     full-dimensional polytope must produce an Ehrhart polynomial of degree
     exactly d, and a flat one is InvalidInput.
     """
 
-    __slots__ = ("inequalities", "d", "box", "user_box", "non_lattice")
+    __slots__ = ("inequalities", "d", "box", "user_box", "non_lattice", "_columns", "_bounds")
 
     def __init__(
         self,
@@ -183,6 +190,8 @@ class HRepPolytope:
                 raise InvalidInput("normal vector of wrong dimension")
             rows.append((normal, integer(bound)))
         self.inequalities: tuple[tuple[tuple[int, ...], int], ...] = tuple(rows)
+        self._columns = [[normal[i] for normal, _ in rows] for i in range(d)]
+        self._bounds = [bound for _, bound in rows]
         self.non_lattice: str | None = None
         if box is not None:
             lo, hi = box
@@ -238,11 +247,9 @@ class HRepPolytope:
         return lo, hi
 
     def count_points(self, n: int, interior: bool = False) -> int:
-        n = natural(n)
-        k = int(interior)
-        rows = [(normal, n * bound - k) for normal, bound in self.inequalities]
-        lo, hi = self.box
-        return _count_box(rows, [n * a + k for a in lo], [n * b - k for b in hi])
+        n, k, (lo, hi) = natural(n), int(interior), self.box
+        limits = [n * bound - k for bound in self._bounds]
+        return _count_box(self._columns, limits, [n * a + k for a in lo], [n * b - k for b in hi])
 
     def to_text(self) -> str:
         rows = [(*normal, bound) for normal, bound in self.inequalities]

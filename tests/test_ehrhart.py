@@ -112,19 +112,20 @@ def random_simplices(seed, d, count, high):
     return out
 
 
-def random_hreps(seed, count):
-    """Seeded H-polytopes with d = 1..3 and a user box; coefficients in
-    [-2, 2], so rows with a zero last coefficient and empty dilates occur."""
+def random_hreps(seed, count, dims=(1, 3), sides=(0, 3)):
+    """Seeded H-polytopes with d in ``dims`` and a user box with sides in
+    ``sides``; coefficients in [-2, 2], so rows with a zero last coefficient
+    and empty dilates occur."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        d = rng.randint(1, 3)
+        d = rng.randint(*dims)
         rows = [
             ([rng.randint(-2, 2) for _ in range(d)], rng.randint(-2, 3))
             for _ in range(rng.randint(1, 4))
         ]
         lo = [rng.randint(-2, 1) for _ in range(d)]
-        out.append(HRepPolytope(rows, d, box=(lo, [a + rng.randint(0, 3) for a in lo])))
+        out.append(HRepPolytope(rows, d, box=(lo, [a + rng.randint(*sides) for a in lo])))
     return out
 
 
@@ -313,14 +314,23 @@ class TestBoxWalker:
         for simplex in random_simplices(d, d, count, high):
             assert_counts_match_brute(simplex)
 
-    def test_random_hreps(self):
-        corpus = random_hreps(11, 60)
+    @staticmethod
+    def assert_hreps_match_brute(corpus, d):
         for polytope in corpus:
             assert_counts_match_brute(polytope)
         # the seeded corpus covers the walker's corner cases
-        assert any(p.d == 1 for p in corpus)
-        assert any(normal[-1] == 0 for p in corpus for normal, _ in p.inequalities)
+        assert any(p.d == d for p in corpus)
+        lasts = [normal[-1] for p in corpus for normal, _ in p.inequalities]
+        assert 0 in lasts and min(lasts) < 0
         assert any(p.count_points(1) == 0 for p in corpus)
+
+    def test_random_hreps(self):
+        self.assert_hreps_match_brute(random_hreps(11, 60), 1)
+
+    def test_random_hreps_in_dimension_4(self):
+        # the dimension of polytopes-lattice's largest cubes and
+        # cross-polytopes; boxes of sides 1 and 2 keep the brute force short
+        self.assert_hreps_match_brute(random_hreps(2, 12, (4, 4), (1, 2)), 4)
 
     @pytest.mark.parametrize(
         "rows, d",

@@ -521,6 +521,37 @@ class TestVerifyAll:
         )
         assert check.witnesses == {"a": ("0", "4", "6", "4"), "b": ("4", "6", "6", "4")}
 
+    def test_thm13_fails_on_a_negative_b_of_z_h_g(self, monkeypatch):
+        # the path's z h_G = 2z^3 + 4z^4 splits at d + 1 = 4 with
+        # b = 4 + 6z + 6z^2 + 4z^3; both orientation classes pass thm1.2
+        negate_split_part(monkeypatch, "ab_decompose", "b", IntPolynomial([0, 0, 0, 2, 4]), 4)
+        (report,) = list(verify_all([PATH3], ["thm1.3"]))
+        (check,) = report.checks
+        assert (check.status, check.detail) == (
+            "fail",
+            "sign failure in the chromatic-series decomposition",
+        )
+        assert check.witnesses == {"a": ("0", "-4", "-6", "-4"), "b": ("-4", "-6", "-6", "-4")}
+
+    def test_thm14_fails_on_a_positive_a_at_the_last_i_only(self, monkeypatch):
+        from hstarlib import decomp
+
+        # the path's z h_G splits at d + 1 = 4 with a = -4z - 6z^2 - 4z^3;
+        # the double flips a_2 alone, and i runs to floor((d + 1) / 2) = 2
+        real = decomp.ab_decompose
+
+        def flipped(p, dim):
+            a, b = real(p, dim)
+            if (p, dim) == (IntPolynomial([0, 0, 0, 2, 4]), 4):
+                a = IntPolynomial([-c if i == 2 else c for i, c in enumerate(a.coeffs)])
+            return decomp.SymmetricDecomposition(a, b)
+
+        monkeypatch.setattr(decomp, "ab_decompose", flipped)
+        (report,) = list(verify_all([PATH3], ["thm1.4"]))
+        (check,) = report.checks
+        assert (check.status, check.detail) == ("fail", "inequality fails at i = [2]")
+        assert check.witnesses == {"h_G": ("0", "0", "2", "4")}
+
     def test_chromatic3_fails_on_orientation_values_wrong_at_n_equal_d_only(self, monkeypatch):
         import hstarlib.harness as harness
         from hstarlib.polynomial import interpolate

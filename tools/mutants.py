@@ -128,6 +128,31 @@ MUTANTS = (
         "i_only = full ^ steps[0][1]",
         "i_only = full ^ steps[0][0]",
     ),
+    # the box walker's line bounds and the derived splits' reconstructions
+    Mutant(
+        "the walker's floor for the ceiling of a negative last coefficient",
+        "src/hstarlib/ehrhart.py",
+        "(q := -(rest // -c))",
+        "(q := rest // c)",
+    ),
+    Mutant(
+        "the walker without its exit on a zero coefficient and a negative rest",
+        "src/hstarlib/ehrhart.py",
+        "elif rest < 0:",
+        "elif False:",
+    ),
+    Mutant(
+        "open_decomposition without its reconstruction check",
+        "src/hstarlib/decomp.py",
+        "    if difference[::-1] != [",
+        "    if False and difference[::-1] != [",
+    ),
+    Mutant(
+        "order_decomposition without its reconstruction check",
+        "src/hstarlib/decomp.py",
+        "    if total[::-1] != [",
+        "    if False and total[::-1] != [",
+    ),
 )
 
 # a short summary line: "FAILED <node id> - <message>"; an id may hold spaces
