@@ -21,7 +21,11 @@ two checks unselected, the derived ones build the splits themselves, and
 the stream holds the failing i-lists [1], [1, 2] and [1, 2, 3].  The
 budget-300 d = 7 digest was recorded while the sweep charged every
 orientation as it was asked for; it holds 72 sweep refusals and 48
-passes.  A refactor that changes any record fails here.
+passes.  The d = 5 poset digests, plain and mutated, were recorded before
+the order split was read off the open split one dimension down and
+reciprocity read its strict counts off one table; the benchmark corpus
+stops at d = 4, and d = 5 is where thm1.2 and reciprocity meet the most
+distinct h*.  A refactor that changes any record fails here.
 """
 
 import hashlib
