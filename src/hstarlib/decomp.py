@@ -9,7 +9,8 @@ where a is palindromic about d and b about s - 1.  The closed coefficient
 formulas are partial-sum differences of the h_j, so everything here is
 integer arithmetic.  On polytopal input both parts are nonnegative; the
 derived decompositions below (open polytope, order polytope, chromatic
-series) inherit their sign behavior from that fact.  Nothing here asserts
+series) inherit their sign behavior from that fact; the order split is
+the open split one dimension down, relabelled.  Nothing here asserts
 signs: a split is its parts (a, b), since s and l follow from h and d, an
 inequality line is (i, -a_i) of the Theorem 1.3 or Conjecture 6.1 split,
 holding when the value is nonnegative, and callers read the verdicts off
@@ -147,30 +148,23 @@ def open_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, Int
 def order_decomposition(hstar: IntPolynomial, d: int) -> tuple[IntPolynomial, IntPolynomial]:
     """Split the open order-polytope numerator as a_Pi + z b_Pi.
 
-    b_Pi is the a-part of the split at ambient d; a_Pi is -z times the
-    a-part at ambient d - 1, which exists because an order-polytope h* has
-    degree at most d - 1 (the projected polytope of the same h* is one
-    dimension lower).  For d = 0 the numerator is z and a_Pi = 0.  The sum
-    is checked on coefficient lists.
+    An order-polytope h* has degree at most d - 1, as the projected
+    polytope of the same h* is one dimension lower, so this is the open
+    split at d - 1 relabelled: b_Pi = a_P, the a-part at ambient d, and
+    a_Pi = -z b_P, -z times the a-part at ambient d - 1.  Its check, that
+    a_P - b_P reverses h* at d - 1, is a_Pi + z b_Pi reversing it at d,
+    shifted by z.  For d = 0 the numerator is z and a_Pi = 0.
     """
     if d == 0:
         if hstar != IntPolynomial([1]):
             raise InvalidInput("the only 0-dimensional order polytope has h* = 1")
-        a_pi, b_pi = IntPolynomial(), IntPolynomial([1])
-    else:
-        if hstar.degree > d - 1:
-            raise InvalidInput(
-                f"h* of degree {hstar.degree} cannot come from a d = {d} order polytope"
-            )
-        _check_polytopal(hstar)
-        b_pi = _a_part(hstar, d)
-        a_pi = -(_a_part(hstar, d - 1).shift(1))
-    total = [x + y for x, y in zip_longest(a_pi.coeffs, (0, *b_pi.coeffs), fillvalue=0)]
-    if total[::-1] != [*hstar.coeffs, *[0] * (d + 1 - hstar.degree)]:
-        raise InternalConsistencyError(
-            f"a_Pi + z b_Pi does not reverse h* = {hstar.coeffs} at d = {d}"
+        return IntPolynomial(), IntPolynomial([1])
+    if hstar.degree > d - 1:
+        raise InvalidInput(
+            f"h* of degree {hstar.degree} cannot come from a d = {d} order polytope"
         )
-    return a_pi, b_pi
+    a_p, b_p = open_decomposition(hstar, d - 1)
+    return -(b_p.shift(1)), a_p
 
 
 @lru_cache(maxsize=5 << 12)

@@ -332,22 +332,21 @@ def _check_hstar3way(ctx: _Context) -> CheckResult:
 
 def _check_reciprocity(ctx: _Context) -> CheckResult:
     d = ctx.d
-    polytope = OrderPolytope(ctx.item)
-    # interior[n] is the strict map count at n - 1, n = 0..d + 2
-    interior = polytope.count_series(d + 2, interior=True)
+    # the strict map counts at n = 0..d + 2; the interior series counts
+    # Omega°(n - 1) at n, so its n = 1..d + 2 terms are strict[: d + 2]
+    strict = order_map_counts(ctx.item, d + 2, True)
     expansion = decomp._memo(_series_expansion, ctx.numerator(), d)
-    counts_ok = tuple(interior[1:]) == expansion[1:]
-    # strict(n) against (-1)^d weak(-n) at n = 1..d + 2: the strict counts
-    # at 0..d + 1 extended by one, the weak ones at d + 1..0 by d + 2
-    strict = extrapolate(interior[1:], 1)[1:]
+    counts_ok = tuple(strict[: d + 2]) == expansion[1:]
+    # strict(n) against (-1)^d weak(-n) at n = 1..d + 2, the weak counts at
+    # d + 1..0 extended by d + 2
     weak = extrapolate(order_map_counts(ctx.item, d + 1)[::-1], d + 2)[d + 2 :]
-    poly_ok = strict == (weak if d % 2 == 0 else [-w for w in weak])
+    poly_ok = strict[1:] == (weak if d % 2 == 0 else [-w for w in weak])
     return _verdict(
         "reciprocity",
         counts_ok and poly_ok,
         "interior counts mismatch" if not counts_ok else "order reciprocity fails",
         {
-            "interior_counts": interior,
+            "interior_counts": [0, *strict[: d + 2]],
             "series_expansion": expansion,
             "hstar": ctx.numerator().coeffs,
         },

@@ -25,3 +25,21 @@ def test_names_are_unique():
 def test_imports_nothing_from_the_library():
     source = (ROOT / "tools" / "mutants.py").read_text()
     assert "import hstarlib" not in source and "from hstarlib" not in source
+
+
+def test_first_failure_reads_a_parametrized_id_whole(tmp_path):
+    report = tmp_path / "report.xml"
+    report.write_text(
+        '<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest">'
+        '<testcase classname="tests.test_a" name="test_passes" time="0.1" />'
+        '<testcase classname="tests.test_b.TestSplit" '
+        'name="test_message[split-a_P - b_P does not reverse h*]" time="0.2">'
+        '<failure message="AssertionError">trace</failure></testcase>'
+        '<testcase classname="tests.test_c" name="test_later" time="0.1">'
+        '<error message="boom">trace</error></testcase>'
+        "</testsuite></testsuites>"
+    )
+    assert mutants.first_failure(report) == (
+        "tests.test_b.TestSplit::test_message[split-a_P - b_P does not reverse h*]"
+    )
+    assert mutants.first_failure(tmp_path / "missing.xml") is None

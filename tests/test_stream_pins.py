@@ -1,8 +1,9 @@
 """Streams beyond the benchmark corpora, byte for byte.
 
 ``stream_pins.json`` holds, per ``verify`` argument list, the exit status,
-the record count and the SHA-256 of the json-lines stream with every
-``seconds`` field removed, each record as compact JSON and a newline.  The
+the record count and the digest of the json-lines stream that the benchmark
+takes, ``perfbench/run.stream_digest``: the SHA-256 of the records with every
+``seconds`` field removed, each as compact JSON and a newline.  The
 d = 4 and d = 6 graph digests were recorded before the orientation route was cut down to
 weak counts, and the random-poset and d = 0 digests before the harness
 read an input's kind, checks and numerator route off one table.  The
@@ -28,32 +29,25 @@ stops at d = 4, and d = 5 is where thm1.2 and reciprocity meet the most
 distinct h*.  A refactor that changes any record fails here.
 """
 
-import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from hstarlib.cli import main
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import run  # noqa: E402  (perfbench/run.py)
+
+from hstarlib.cli import main  # noqa: E402
 
 PINS = json.loads((Path(__file__).with_name("stream_pins.json")).read_text())
-
-
-def without_seconds(value):
-    if isinstance(value, dict):
-        return {k: without_seconds(v) for k, v in value.items() if k != "seconds"}
-    if isinstance(value, list):
-        return [without_seconds(v) for v in value]
-    return value
 
 
 @pytest.mark.parametrize("args", PINS)
 def test_stream_matches_its_pin(capsys, args):
     code = main(["verify", *args.split(), "--format", "json-lines"])
     lines = capsys.readouterr().out.splitlines()
-    digest = hashlib.sha256()
-    for line in lines:
-        record = without_seconds(json.loads(line))
-        digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    digest = run.stream_digest([json.loads(line) for line in lines])
     pin = PINS[args]
-    assert (code, len(lines), digest.hexdigest()) == (pin["exit"], pin["records"], pin["sha256"])
+    assert (code, len(lines), digest) == (pin["exit"], pin["records"], pin["sha256"])

@@ -7,7 +7,7 @@ and the tier-1 suite runs on the copy with ``-x -q``, all but
 ``tests/test_mutants.py``, which checks the list itself.  One json line per
 mutant says whether a test failed (``killed``), none did (``survived``) or
 the run broke for another reason (``error``), and names the first failing
-test.  A mutant that no test kills marks a choice in the code that no test
+test as ``classname::name``, read whole from pytest's junit xml report.  A mutant that no test kills marks a choice in the code that no test
 holds.  Before the mutants, tier-1 runs once on an unmutated copy; if that
 fails, its one ``error`` line is all that is printed.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -31,9 +30,11 @@ import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 HARNESS = "src/hstarlib/harness.py"
+DECOMP = "src/hstarlib/decomp.py"
 
 
 class Mutant(NamedTuple):
@@ -143,20 +144,68 @@ MUTANTS = (
     ),
     Mutant(
         "open_decomposition without its reconstruction check",
-        "src/hstarlib/decomp.py",
+        DECOMP,
         "    if difference[::-1] != [",
         "    if False and difference[::-1] != [",
     ),
+    # the order split read off the open split one dimension down, and
+    # reciprocity's strict counts read off one table
     Mutant(
-        "order_decomposition without its reconstruction check",
-        "src/hstarlib/decomp.py",
-        "    if total[::-1] != [",
-        "    if False and total[::-1] != [",
+        "order split without its shift by z",
+        DECOMP,
+        "    return -(b_p.shift(1)), a_p\n",
+        "    return -b_p, a_p\n",
+    ),
+    Mutant(
+        "order split with a_P and b_P swapped",
+        DECOMP,
+        "    return -(b_p.shift(1)), a_p\n",
+        "    return -(a_p.shift(1)), b_p\n",
+    ),
+    Mutant(
+        "reciprocity's strict counts from n = 0",
+        HARNESS,
+        "poly_ok = strict[1:] ==",
+        "poly_ok = strict[:-1] ==",
+    ),
+    # one line in each independent route
+    Mutant(
+        "_b_coeffs one prefix short",
+        DECOMP,
+        "prefix[-1] - prefix[s - i] - prefix[i + 1]",
+        "prefix[-1] - prefix[s - i] - prefix[i]",
+    ),
+    Mutant(
+        "extrapolate with the opposite sign",
+        "src/hstarlib/polynomial.py",
+        "out.append(step if k % 2 else -step)",
+        "out.append(-step if k % 2 else step)",
+    ),
+    Mutant(
+        "the descent DP's rank comparison reversed",
+        "src/hstarlib/poset.py",
+        "new[r] = flat + (prefix[-1] - flat << width)",
+        "new[r] = prefix[-1] - flat + (flat << width)",
+    ),
+    Mutant(
+        "ideal_chain_f_vector's subset test as an overlap test",
+        "src/hstarlib/poset.py",
+        "if a & b == a)",
+        "if a & b)",
+    ),
+    Mutant(
+        "_deletion_contraction without relabelling an edge's upper end",
+        "src/hstarlib/graph.py",
+        "b2 = i if b == j else b\n",
+        "b2 = b\n",
+    ),
+    Mutant(
+        "count_proper_colorings' last vertex without its new color",
+        "src/hstarlib/graph.py",
+        "* falling[used] + falling[used + 1]",
+        "* falling[used] + falling[used]",
     ),
 )
-
-# a short summary line: "FAILED <node id> - <message>"; an id may hold spaces
-_FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)
 
 
 def apply(mutant: Mutant, root: Path) -> None:
@@ -168,8 +217,22 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def _tier1(mutant: Mutant | None) -> tuple[subprocess.CompletedProcess, float]:
-    """Tier-1 on a copy of the tree, with ``mutant`` applied if one is given."""
+def first_failure(report: Path) -> str | None:
+    """The first test case that failed or errored in a junit xml report, as
+    ``classname::name`` (the module alone for a collection error), read
+    whole, whatever its parameters hold; None if none did or pytest wrote
+    no report."""
+    if not report.exists():
+        return None
+    for case in ElementTree.parse(report).iter("testcase"):
+        if case.find("failure") is not None or case.find("error") is not None:
+            return "::".join(filter(None, (case.get("classname"), case.get("name"))))
+    return None
+
+
+def _tier1(mutant: Mutant | None) -> tuple[subprocess.CompletedProcess, float, str | None]:
+    """Tier-1 on a copy of the tree, with ``mutant`` applied if one is
+    given, and the run's first failing test."""
     with tempfile.TemporaryDirectory(prefix="hstar-mutant-") as scratch:
         tree = Path(scratch) / "tree"
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
@@ -183,18 +246,19 @@ def _tier1(mutant: Mutant | None) -> tuple[subprocess.CompletedProcess, float]:
             # mutant; the fixed seed lets Hypothesis draw the same examples
             # on every copy, whose example database starts empty
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", "--ignore=tests/test_mutants.py"],
+             "--hypothesis-seed=0", "--ignore=tests/test_mutants.py",
+             f"--junitxml={scratch}/report.xml"],
             cwd=tree, env=env, capture_output=True, text=True,
         )
-        return done, time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        return done, seconds, first_failure(Path(scratch) / "report.xml")
 
 
-def _record(name: str | None, status: str, done, seconds: float) -> dict:
-    first = _FIRST_FAILURE.search(done.stdout)
+def _record(name: str | None, status: str, done, seconds: float, first: str | None) -> dict:
     return {
         "mutant": name,
         "status": status,
-        "first_failure": first.group(1) if first else None,
+        "first_failure": first,
         "exit": done.returncode,
         "seconds": round(seconds, 1),
     }
@@ -204,21 +268,21 @@ def run(mutant: Mutant) -> dict:
     """The mutant's record.  Pytest exits 1 when a test failed; it exits 2
     when collection broke or the run was interrupted, which kills the mutant
     only if the traceback passes through the mutated file."""
-    done, seconds = _tier1(mutant)
+    done, seconds, first = _tier1(mutant)
     if done.returncode == 0:
         status = "survived"
     elif done.returncode == 1 or (done.returncode == 2 and mutant.file in done.stdout):
         status = "killed"
     else:
         status = "error"
-    return _record(mutant.name, status, done, seconds)
+    return _record(mutant.name, status, done, seconds, first)
 
 
 def main() -> int:
     # a copy that fails unmutated would read every mutant as killed
-    done, seconds = _tier1(None)
+    done, seconds, first = _tier1(None)
     if done.returncode != 0:
-        print(json.dumps(_record(None, "error", done, seconds)), flush=True)
+        print(json.dumps(_record(None, "error", done, seconds, first)), flush=True)
         return 1
     status = 0
     for mutant in MUTANTS:
