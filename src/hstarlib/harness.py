@@ -332,8 +332,8 @@ def _check_hstar3way(ctx: _Context) -> CheckResult:
 
 def _check_reciprocity(ctx: _Context) -> CheckResult:
     d = ctx.d
-    # the strict map counts at n = 0..d + 2; the interior series counts
-    # Omega°(n - 1) at n, so its n = 1..d + 2 terms are strict[: d + 2]
+    # Omega°(n) at n = 0..d + 2, the last extrapolated; the interior series
+    # counts Omega°(n - 1) at n, so its n = 1..d + 2 terms are strict[: d + 2]
     strict = order_map_counts(ctx.item, d + 2, True)
     expansion = decomp._memo(_series_expansion, ctx.numerator(), d)
     counts_ok = tuple(strict[: d + 2]) == expansion[1:]

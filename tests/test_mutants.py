@@ -43,3 +43,9 @@ def test_first_failure_reads_a_parametrized_id_whole(tmp_path):
         "tests.test_b.TestSplit::test_message[split-a_P - b_P does not reverse h*]"
     )
     assert mutants.first_failure(tmp_path / "missing.xml") is None
+    # a collection error is a case with no class name, named by its module
+    report.write_text(
+        '<testsuites><testsuite name="pytest"><testcase classname="" name="tests.test_d">'
+        '<error message="collection failure">trace</error></testcase></testsuite></testsuites>'
+    )
+    assert mutants.first_failure(report) == "tests.test_d"

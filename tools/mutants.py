@@ -7,9 +7,10 @@ and the tier-1 suite runs on the copy with ``-x -q``, all but
 ``tests/test_mutants.py``, which checks the list itself.  One json line per
 mutant says whether a test failed (``killed``), none did (``survived``) or
 the run broke for another reason (``error``), and names the first failing
-test as ``classname::name``, read whole from pytest's junit xml report.  A mutant that no test kills marks a choice in the code that no test
-holds.  Before the mutants, tier-1 runs once on an unmutated copy; if that
-fails, its one ``error`` line is all that is printed.
+test as ``classname::name``, read whole from pytest's junit xml report.  A
+mutant that no test kills marks a choice in the code that no test holds.
+Before the mutants, tier-1 runs once on an unmutated copy; if that fails,
+its one ``error`` line is all that is printed.
 
 Usage, from anywhere, standard library only::
 
